@@ -631,6 +631,9 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     per-relation pass/fail and the first failing witness."""
     if exact is None:
         exact = m.k <= 2
+    if not exact and trials < 1:
+        raise CalibError("modular presentation check needs trials >= 1, got %d"
+                         % trials)
     rels = _relations(m)
     report = {"mode": "exact" if exact else "modular", "relations": {},
               "passed": True, "witness": None, "trials": 0 if exact else trials,

@@ -525,8 +525,17 @@ def _cache_store(k: int, grades: List[int], found: List[TLDiagram],
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as f:
-        json.dump([diagram_to_json(d) for d in found], f)
+    # write a new file beside the target and rename it into place, so a
+    # reader never sees a partly written cache file
+    tmp = "%s.%d-%s.tmp" % (path, os.getpid(), os.urandom(4).hex())
+    f = open(tmp, "x")
+    try:
+        with f:
+            json.dump([diagram_to_json(d) for d in found], f)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,31 @@ Scalars are rational functions in five atoms over the Gaussian rationals:
 
 Exponents of u, u0, uk count half-units of t, t_0, t_k, so any half-integer
 power of the base parameters is a monomial here.  A ``LaurentPoly`` is a
-sparse exponent-vector -> Gaussian-rational map; a ``Scalar`` is a reduced
-fraction of two of them with a monic, monomial-content-free denominator, so
-that equal values are structurally equal.
+sparse exponent-vector -> Gaussian-rational map.
+
+A ``Scalar`` is kept in one canonical form, so that equal values are
+structurally equal: ``num / den`` with ``den`` an ordinary polynomial that no
+variable divides, monic (its lexicographically largest term has coefficient
+1) and coprime to ``num``, which carries the whole monomial part and may have
+negative exponents.
+
+Cancellation removes the common factors of the two polynomial parts.  When
+the monic denominator is a polynomial in u alone with Gaussian-integer
+coefficients that factors into Q(i)-irreducible cyclotomic factors -- the
+case for every calibrated-module entry -- its factorization is found once by
+exact trial division and memoized, and the factors are divided out of the
+numerator as often as they divide both.  Any other denominator is cancelled
+by a polynomial gcd over Z[i] (primitive pseudo-remainder sequences).  Both
+routes give the same canonical form.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 NVARS = 5
 VAR_NAMES = ("u", "u0", "uk", "a0", "ak")
@@ -316,15 +330,6 @@ def _gp_sub(a: Dict[Expo, GInt], b: Dict[Expo, GInt]) -> Dict[Expo, GInt]:
     return out
 
 
-def _gp_content(terms: Dict[Expo, GInt]) -> GInt:
-    g = (0, 0)
-    for c in terms.values():
-        g = _gi_gcd(g, c)
-        if _gi_norm(g) == 1:
-            return g
-    return g
-
-
 def _gp_to_laurent(a: Dict[Expo, GInt]) -> LaurentPoly:
     return LaurentPoly({e: c for e, c in a.items()})
 
@@ -556,6 +561,214 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(dict(g))
 
 
+# ---------------------------------------------------------------------------
+# cancellation: cyclotomic trial division, gcd fallback
+# ---------------------------------------------------------------------------
+#
+# The seminormal denominators 1 - gamma_i/gamma_(i+1) and 1 - gamma_1^-2 are
+# 1 - (unit)*u^m, so the denominators of the calibrated modules are products
+# of the Q(i)-irreducible cyclotomic factors: Phi_m when 4 does not divide m,
+# and for 4 | m the two halves of Phi_m whose roots z have z^(m/4) = i and
+# z^(m/4) = -i.  Such a denominator is factored once, by exact trial
+# division, and a numerator is cancelled against it by stripping those
+# factors; removing every common irreducible factor is dividing by the gcd.
+# Dense polynomials below are coefficient lists in u, lowest degree first.
+
+_ZC = (0, 0)
+CycloFactor = Tuple[GInt, ...]  # monic, Gaussian-integer coefficients
+# factors with multiplicities, or None for a denominator of another kind
+Factorization = Optional[Tuple[Tuple[CycloFactor, int], ...]]
+
+
+def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], List[Coeff]]:
+    """Quotient and remainder of `a` by the monic `f`."""
+    df = len(f) - 1
+    if len(a) <= df:
+        return [], list(a)
+    a = list(a)
+    low = [(j, fr, fi) for j, (fr, fi) in enumerate(f[:df]) if fr or fi]
+    q = [_ZC] * (len(a) - df)
+    for base in range(len(a) - df - 1, -1, -1):
+        c0, c1 = a[base + df]
+        if not c0 and not c1:
+            continue
+        q[base] = (c0, c1)
+        for j, fr, fi in low:
+            x0, x1 = a[base + j]
+            a[base + j] = (x0 - c0 * fr + c1 * fi, x1 - c0 * fi - c1 * fr)
+    return q, a[:df]
+
+
+def _divide_out(f: CycloFactor, a: List[Coeff]) -> Optional[List[Coeff]]:
+    """a / f if f divides the nonzero `a`, else None."""
+    q, r = _dense_divmod(a, f)
+    return None if any(x0 or x1 for x0, x1 in r) else q
+
+
+def _mobius(n: int) -> int:
+    out = 1
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if n > 1 else out
+
+
+def _binomial_ratio(powers) -> Tuple[GInt, ...]:
+    """prod (u^a - c)^e over (a, c, e) with e = +-1; the quotient must be exact."""
+    p: List[GInt] = [(1, 0)]
+    for a, c, e in sorted(powers, key=lambda t: -t[2]):
+        if e > 0:
+            q = [_ZC] * a + p
+            for j, x in enumerate(p):
+                y = _gi_mul(c, x)
+                q[j] = (q[j][0] - y[0], q[j][1] - y[1])
+            p = q
+        else:
+            p, _ = _dense_divmod(p, ((-c[0], -c[1]),) + (_ZC,) * (a - 1) + ((1, 0),))
+    return tuple(p)
+
+
+@functools.lru_cache(maxsize=512)
+def _cyclotomic_factors(m: int) -> Tuple[CycloFactor, ...]:
+    """The Q(i)-irreducible factors of Phi_m."""
+    divisors = [g for g in range(1, m + 1) if m % g == 0]
+    if m % 4:
+        # Phi_m = prod over g | m of (u^(m/g) - 1)^mu(g)
+        return (_binomial_ratio([(m // g, (1, 0), _mobius(g)) for g in divisors
+                                 if _mobius(g)]),)
+    # The roots of u^(m/4) - sigma*i are the zeta_m^k with k = sigma (mod 4);
+    # grouping them by the odd g = gcd(k, m) and inverting gives the half with
+    # z^(m/4) = sigma*i as prod over odd g | m of
+    # (u^(m/4g) - sigma*chi(g)*i)^mu(g), where chi(g) = +-1 = g (mod 4).
+    return tuple(_binomial_ratio([(m // (4 * g), (0, sigma if g % 4 == 1 else -sigma),
+                                   _mobius(g)) for g in divisors
+                                  if g % 2 and _mobius(g)])
+                 for sigma in (1, -1))
+
+
+def _factor_cyclotomic(d: List[GInt]) -> Factorization:
+    """Factor the monic `d` into Q(i)-irreducible cyclotomic factors with
+    multiplicities, or None if it is not such a product."""
+    # Roots of unity have 1/conj(z) = z, so the conjugate reversal of such a
+    # product is conj(d(0)) * d, and d(0) is a unit.
+    top = len(d) - 1
+    c0 = (d[0][0], -d[0][1])
+    if _gi_norm(c0) != 1 or any((d[top - j][0], -d[top - j][1]) != _gi_mul(c0, d[j])
+                                for j in range(top + 1)):
+        return None
+    out = []
+    m = 1
+    # A factor of Phi_m has degree at least phi(m)/2, and m < 6*phi(m) for
+    # every m below 2*10^8, so m < 12*deg(d) reaches every factor that fits
+    # (for degrees below 5000; a factor missed past that leaves a residual,
+    # and the gcd path takes over).
+    while len(d) > 1 and m < 12 * (len(d) - 1):
+        for factor in _cyclotomic_factors(m):
+            k = 0
+            q = _divide_out(factor, d)
+            while q is not None:
+                d, k = q, k + 1
+                q = _divide_out(factor, d)
+            if k:
+                out.append((factor, k))
+        m += 1
+    return tuple(out) if len(d) == 1 else None
+
+
+_FACTOR_MEMO_MAX = 1024
+_factor_memo: Dict[object, Factorization] = {}
+
+
+def _cyclotomic_factorization(d: List[GInt]) -> Factorization:
+    """Memoized :func:`_factor_cyclotomic`, bounded to the most recent
+    `_FACTOR_MEMO_MAX` denominators."""
+    flat = [x for c in d for x in c]
+    try:
+        key = bytes(x + 128 for x in flat)  # compact when coefficients are small
+    except ValueError:
+        key = tuple(flat)
+    try:
+        return _factor_memo[key]
+    except KeyError:
+        pass
+    out = _factor_cyclotomic(d)
+    if len(_factor_memo) >= _FACTOR_MEMO_MAX:
+        del _factor_memo[next(iter(_factor_memo))]
+    _factor_memo[key] = out
+    return out
+
+
+def _u_coefficients(d: LaurentPoly, scale: Optional[Coeff]) -> Optional[List[GInt]]:
+    """Dense coefficients of d*scale if d is in u alone and they are
+    Gaussian integers, else None."""
+    out = [_ZC] * (d.degree_in(0) + 1)
+    for e, c in d.terms.items():
+        if e[1] or e[2] or e[3] or e[4]:
+            return None
+        re, im = _cmul(c, scale) if scale is not None else c
+        if re.denominator != 1 or im.denominator != 1:
+            return None
+        out[e[0]] = (int(re), int(im))
+    return out
+
+
+def _monic(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
+    _, lc = d.leading()
+    if lc != (_FR1, _FR0):
+        inv = _cinv(lc)
+        d = d.scale(inv)
+        n = n.scale(inv)
+    return n, d
+
+
+def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
+    """(n/g, d/g) for g = gcd(n, d), with d/g monic.
+
+    n and d are ordinary polynomials with zero monomial content.  A
+    denominator in u alone whose monic form is a product of Q(i)-irreducible
+    cyclotomic factors is cancelled by stripping those factors from n; any
+    other goes through :func:`_poly_gcd`."""
+    _, lc = d.leading()
+    inv = _cinv(lc) if lc != (_FR1, _FR0) else None
+    dense = _u_coefficients(d, inv)
+    factors = _cyclotomic_factorization(dense) if dense is not None else None
+    if factors is None:
+        g = _poly_gcd(n, d)
+        if len(g.terms) > 1:
+            n = _exact_poly_div(n, g)
+            d = _exact_poly_div(d, g)
+        return _monic(n, d)
+    if inv is not None:
+        n = n.scale(inv)
+    # n as a polynomial in u over the other variables
+    rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
+    for e, c in n.terms.items():
+        rows.setdefault(e[1:], {})[e[0]] = c
+    groups = {r: [t.get(j, _ZC) for j in range(max(t) + 1)] for r, t in rows.items()}
+    stripped = False
+    for factor, k in factors:
+        for _ in range(k):
+            quotients = [_divide_out(factor, a) for a in groups.values()]
+            if None in quotients:
+                break
+            groups = dict(zip(groups, quotients))
+            dense, _ = _dense_divmod(dense, factor)
+            stripped = True
+    if not stripped:
+        return n, (d if inv is None else d.scale(inv))
+    num = LaurentPoly.__new__(LaurentPoly)
+    num.terms = {(j,) + r: c for r, a in groups.items()
+                 for j, c in enumerate(a) if c[0] or c[1]}
+    den = LaurentPoly.__new__(LaurentPoly)
+    den.terms = {(j, 0, 0, 0, 0): c for j, c in enumerate(dense) if c[0] or c[1]}
+    return num, den
+
+
 class Scalar:
     """Element of the coefficient field, kept in reduced canonical form."""
 
@@ -585,10 +798,6 @@ class Scalar:
     @staticmethod
     def from_int(n) -> "Scalar":
         return Scalar(LaurentPoly.const(n), _normalized=True)
-
-    @staticmethod
-    def gaussian(re, im) -> "Scalar":
-        return Scalar(LaurentPoly.const(re, im), _normalized=True)
 
     @staticmethod
     def i() -> "Scalar":
@@ -664,13 +873,7 @@ class Scalar:
         # cross-cancellation keeps the product reduced without a full gcd
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
-        den = d1 * d2
-        num = n1 * n2
-        _, lc = den.leading()
-        if lc != (_FR1, _FR0):
-            inv = _cinv(lc)
-            den = den.scale(inv)
-            num = num.scale(inv)
+        num, den = _monic(n1 * n2, d1 * d2)
         return Scalar(num, den, _normalized=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -680,15 +883,8 @@ class Scalar:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         mono = self.num.min_exponents()
-        npoly = self.num.shift(_esub(_ZEXP, mono))
-        _, lc = npoly.leading()
-        num = self.den
-        if lc != (_FR1, _FR0):
-            inv = _cinv(lc)
-            npoly = npoly.scale(inv)
-            num = num.scale(inv)
-        num = num.shift(_esub(_ZEXP, mono))
-        return Scalar(num, npoly, _normalized=True)
+        num, den = _monic(self.den, self.num.shift(_esub(_ZEXP, mono)))
+        return Scalar(num.shift(_esub(_ZEXP, mono)), den, _normalized=True)
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -731,15 +927,11 @@ class Scalar:
 
 
 def _cross_reduce(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Cancel gcd(polynomial part of num, den); den stays an ordinary poly."""
+    """Cancel the common factors of num's polynomial part and the monic den."""
     if den.is_one() or len(num.terms) == 1:
         return num, den
     mono = num.min_exponents()
-    npoly = num.shift(_esub(_ZEXP, mono))
-    g = _poly_gcd(npoly, den)
-    if len(g.terms) > 1:
-        npoly = _exact_poly_div(npoly, g)
-        den = _exact_poly_div(den, g)
+    npoly, den = _cancel(num.shift(_esub(_ZEXP, mono)), den)
     return npoly.shift(mono), den
 
 
@@ -762,15 +954,9 @@ def _normalize(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Laurent
     d = den.shift(_esub(_ZEXP, md))
     # both are ordinary polynomials with zero monomial content now
     if len(d.terms) > 1 and len(n.terms) > 1:
-        g = _poly_gcd(n, d)
-        if len(g.terms) > 1:
-            n = _exact_poly_div(n, g)
-            d = _exact_poly_div(d, g)
-    _, lc = d.leading()
-    if lc != (_FR1, _FR0):
-        inv = _cinv(lc)
-        d = d.scale(inv)
-        n = n.scale(inv)
+        n, d = _cancel(n, d)
+    else:
+        n, d = _monic(n, d)
     # fold the overall monomial into the (Laurent) numerator
     n = n.shift(_esub(mn, md))
     return n, d

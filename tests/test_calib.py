@@ -97,6 +97,12 @@ class TestPresentation:
         rep = cb.check_presentation(m, trials=4, seed=3)
         assert rep["passed"] and rep["mode"] == "modular"
 
+    def test_zero_trials_rejected(self):
+        m = two_row_module(3, 2)
+        for trials in (0, -1):
+            with pytest.raises(cb.CalibError):
+                cb.check_presentation(m, trials=trials)
+
     def test_perturbed_module_fails_quadratic(self):
         m = two_row_module(2, 2)
         row, col = next((r, c) for r in range(m.n) for c in range(m.n)

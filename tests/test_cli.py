@@ -52,6 +52,11 @@ class TestVerify:
         blob = json.loads(out)
         assert blob["passed"] and blob["seed"] == 0
 
+    def test_presentation_zero_trials_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
+                           "--trials", "0")
+        assert rc == 2 and "trials" in err and "pass" not in out
+
 
 class TestRegionAndModule:
     def test_region_report(self, capsys):

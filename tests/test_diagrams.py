@@ -163,6 +163,17 @@ class TestEnumeration:
         again = dg.enumerate_basis(2, {0, 1}, cache_dir=str(tmp_path))
         assert first == again
 
+    def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
+        def partial_dump(obj, f, *args, **kwargs):
+            f.write("[")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dg.json, "dump", partial_dump)
+        with pytest.raises(OSError):
+            dg.enumerate_basis(2, {0, 1}, cache_dir=str(tmp_path))
+        # neither the cache file nor the temporary file is left behind
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFiltration:
     def test_identity_counts(self):

@@ -193,6 +193,135 @@ class TestSerialization:
         assert sc.parse("(1+i)*(1-i)") == Scalar.from_int(2)
 
 
+def upoly(coeffs, rest=(0, 0, 0, 0)):
+    """Dense coefficients in u (lowest first) -> LaurentPoly."""
+    return sc.LaurentPoly({(j,) + rest: c for j, c in enumerate(coeffs)
+                           if c != (0, 0)})
+
+
+def gcd_path(n, d):
+    """The general cancellation: polynomial gcd, exact division, monic den."""
+    g = sc._poly_gcd(n, d)
+    if len(g.terms) > 1:
+        n, d = sc._exact_poly_div(n, g), sc._exact_poly_div(d, g)
+    _, lc = d.leading()
+    inv = sc._cinv(lc)
+    return n.scale(inv), d.scale(inv)
+
+
+def rand_gaussian_poly(rng, max_deg=5):
+    coeffs = [(rng.randrange(-3, 4), rng.randrange(-2, 3))
+              for _ in range(rng.randrange(1, max_deg + 2))]
+    if coeffs[-1] == (0, 0):
+        coeffs[-1] = (1, 0)
+    return upoly(coeffs)
+
+
+def binomial(a, c):
+    """u^a - c for a Gaussian unit c."""
+    return upoly([(-c[0], -c[1])] + [(0, 0)] * (a - 1) + [(1, 0)])
+
+
+def lpow(p, k):
+    out = sc.LaurentPoly.const(1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class TestCyclotomicCancel:
+    def test_factor_tables(self):
+        # independent oracle: Phi_m = (u^m - 1) / prod of Phi_d, d | m, d < m
+        phi = {}
+        for m in range(1, 41):
+            q = {0: Fraction(-1), m: Fraction(1)}
+            for d in range(1, m):
+                if m % d == 0:
+                    q = poly_divide(q, phi[d])
+            phi[m] = {e: c for e, c in q.items() if c}
+            factors = sc._cyclotomic_factors(m)
+            assert len(factors) == (2 if m % 4 == 0 else 1)
+            prod = sc.LaurentPoly.const(1)
+            for f in factors:
+                assert f[-1] == (1, 0)
+                prod = prod * upoly(f)
+            assert prod == upoly([(phi[m].get(j, 0), 0) for j in range(max(phi[m]) + 1)])
+            if m % 4 == 0:
+                plus, minus = (upoly(f) for f in factors)
+                assert gcd_path(binomial(m // 4, (0, 1)), plus)[1].is_one()
+                assert gcd_path(binomial(m // 4, (0, -1)), minus)[1].is_one()
+
+    def test_split_factor_example(self):
+        # (u - i)(u + 2) / (u^2 + 1) = (u + 2) / (u + i)
+        n = upoly([(0, -1), (1, 0)]) * upoly([(2, 0), (1, 0)])
+        d = upoly([(1, 0), (0, 0), (1, 0)])
+        got = sc._cancel(n, d)
+        assert got == (upoly([(2, 0), (1, 0)]), upoly([(0, 1), (1, 0)]))
+        assert got == gcd_path(n, d)
+
+    def test_differential_against_gcd(self):
+        rng = random.Random(31337)
+        taken = 0
+        for case in range(200):
+            # denominators of the seminormal form: products of u^a - unit
+            d = sc.LaurentPoly.const(1)
+            for _ in range(rng.randrange(1, 4)):
+                d = d * binomial(rng.randrange(1, 13), rng.choice(UNITS))
+            # numerators sharing some irreducible factors, some repeated
+            n = rand_gaussian_poly(rng)
+            for _ in range(rng.randrange(0, 4)):
+                f = rng.choice(sc._cyclotomic_factors(rng.randrange(1, 25)))
+                n = n * lpow(upoly(f), rng.randrange(1, 3))
+            if case % 4 == 0:
+                n = n + upoly([(1, 0), (0, 1)], rest=(0, 0, 1, 0)) * n  # times 1 + (1+i)*a0
+            if case % 5 == 0:
+                n = n.scale((Fraction(1, 3), 0))
+            d = d.scale(rng.choice(UNITS))
+            dense = sc._u_coefficients(d, sc._cinv(d.leading()[1]))
+            taken += sc._cyclotomic_factorization(dense) is not None
+            assert sc._cancel(n, d) == gcd_path(n, d), case
+        assert taken == 200
+
+    def test_repeated_factors(self):
+        f = upoly([(1, 0), (0, 0), (1, 0)])                   # u^2 + 1
+        g = upoly([(0, -1), (1, 0)])                          # u - i
+        for a in range(4):
+            for b in range(4):
+                n = lpow(g, a) * upoly([(3, 0), (1, 0)])
+                d = lpow(f, b) * lpow(binomial(3, (1, 0)), 2)
+                assert sc._cancel(n, d) == gcd_path(n, d), (a, b)
+
+    def test_other_denominators_fall_back(self):
+        rng = random.Random(4242)
+        u_minus_3 = upoly([(-3, 0), (1, 0)])
+        golden = upoly([(-1, 0), (1, 0), (1, 0)])             # u^2 + u - 1
+        u_plus_a0 = upoly([(1, 0)]) + upoly([(1, 0)], rest=(0, 0, 1, 0))
+        half = upoly([(1, 0), (2, 0)])                        # 2u + 1
+        # self-reciprocal like a cyclotomic product, but its roots are real
+        recip = upoly([(1, 0), (-3, 0), (1, 0)])              # u^2 - 3u + 1
+        for d in (u_minus_3, golden, u_plus_a0, half, recip,
+                  u_minus_3 * binomial(5, (1, 0)), golden * binomial(4, (0, 1)),
+                  recip * binomial(3, (1, 0))):
+            _, lc = d.leading()
+            dense = sc._u_coefficients(d, sc._cinv(lc))
+            assert dense is None or sc._cyclotomic_factorization(dense) is None
+            for _ in range(5):
+                n = rand_gaussian_poly(rng) * (d if rng.random() < 0.5 else u_minus_3)
+                assert sc._cancel(n, d) == gcd_path(n, d)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(sc, "_factor_memo", {})
+        monkeypatch.setattr(sc, "_FACTOR_MEMO_MAX", 4)
+        n = rand_gaussian_poly(random.Random(1)) * upoly([(-1, 0), (1, 0)])
+        for a in range(1, 12):
+            d = binomial(a, (1, 0))
+            assert sc._cancel(n, d) == gcd_path(n, d)
+            assert len(sc._factor_memo) <= 4
+
+
 def rand_scalar(rng, depth=0):
     choice = rng.randrange(8)
     if choice < 3 or depth > 2:
