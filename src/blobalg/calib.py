@@ -14,10 +14,15 @@ The boundary parameters are specialized on construction:
 which realizes t_k^(1/2) t_0^(-1/2) = t^r1 and t_k^(1/2) t_0^(1/2) = -t^r2
 exactly; the wall generator with index k is reconstructed from the commuting
 family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
+
+Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
+`ModRing(p, point)`; the modular presentation check lifts the module's own
+exact matrices entrywise to GF(p).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,77 +41,148 @@ class CalibError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers
+# coefficient rings and the matrix helpers over them
 # ---------------------------------------------------------------------------
 
-def mat_identity(n: int) -> Matrix:
-    return [[ONE if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
+class ExactRing:
+    """The exact field of `Scalar`s: nothing to reduce, nothing to lift."""
+
+    zero = Scalar.zero()
+    one = ONE
+
+    @staticmethod
+    def reduce(x: Scalar) -> Scalar:
+        return x
+
+    @staticmethod
+    def is_zero(x: Scalar) -> bool:
+        return x.is_zero()
+
+    @staticmethod
+    def inv(x: Scalar) -> Scalar:
+        return x.inv()
+
+    @staticmethod
+    def lift(x: Scalar) -> Scalar:
+        return x
 
 
-def mat_zero(n: int) -> Matrix:
-    return [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+EXACT = ExactRing()
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = mat_zero(n)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for l in range(n):
-            x = arow[l]
-            if x.is_zero():
-                continue
-            brow = b[l]
-            for j in range(n):
-                y = brow[j]
-                if not y.is_zero():
+class ModRing:
+    """GF(p) with a `Scalar` lifted by evaluation at `point` (residues for
+    the variables and for i).  Matrix entries are kept reduced to 0..p-1."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int, point: Dict[str, int]):
+        self.p = p
+        self.point = point
+
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    @staticmethod
+    def is_zero(x: int) -> bool:
+        return x == 0
+
+    def inv(self, x: int) -> int:
+        if x % self.p == 0:
+            raise EvalRetry("division by zero at the evaluation point")
+        return pow(x, self.p - 2, self.p)
+
+    def lift(self, x: Scalar) -> int:
+        return 0 if x.is_zero() else eval_mod(x, self.p, self.point)
+
+
+def mat_identity(n: int, ring=EXACT) -> Matrix:
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+
+def mat_zero(n: int, ring=EXACT) -> Matrix:
+    return [[ring.zero] * n for _ in range(n)]
+
+
+def mat_mul(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
+    is_zero, reduce, zero = ring.is_zero, ring.reduce, ring.zero
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
+    out = []
+    for arow in a:
+        orow = [zero] * len(b[0])
+        for x, brow in zip(arow, b_nonzero):
+            if not is_zero(x):
+                for j, y in brow:
                     orow[j] = orow[j] + x * y
+        out.append([reduce(v) for v in orow])
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_add(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
+    reduce = ring.reduce
+    return [[reduce(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_sub(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
+    reduce = ring.reduce
+    return [[reduce(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c: Scalar) -> Matrix:
-    return [[x * c for x in row] for row in a]
+def mat_scale(a: Matrix, c, ring=EXACT) -> Matrix:
+    reduce = ring.reduce
+    return [[reduce(x * c) for x in row] for row in a]
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+def mat_shift(a: Matrix, c, ring=EXACT) -> Matrix:
+    """a - c*I."""
+    out = [row[:] for row in a]
+    for i, row in enumerate(out):
+        row[i] = ring.reduce(row[i] - c)
+    return out
+
+
+def mat_is_zero(a: Matrix, ring=EXACT) -> bool:
+    is_zero = ring.is_zero
+    return all(is_zero(x) for row in a for x in row)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_diag(entries: Sequence[Scalar]) -> Matrix:
-    n = len(entries)
-    out = mat_zero(n)
+def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
+    out = mat_zero(len(entries), ring)
     for i, e in enumerate(entries):
-        out[i][i] = e
+        out[i][i] = ring.reduce(e)
     return out
+
+
+def _x_minus_inv(x, ring=EXACT):
+    """x - 1/x: T - (x - 1/x) is the inverse of a generator T with
+    eigenvalues x and -1/x."""
+    return ring.reduce(x - ring.inv(x))
+
+
+def _tk_matrix(T, W, u, u0, ring=EXACT) -> Matrix:
+    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1 over `ring`."""
+    tk = mat_mul(W[0], mat_shift(T[0], _x_minus_inv(u0, ring), ring), ring)
+    shift = _x_minus_inv(u, ring)
+    for i in range(1, len(W)):
+        tk = mat_mul(T[i], tk, ring)
+        tk = mat_mul(tk, mat_shift(T[i], shift, ring), ring)
+    return tk
 
 
 # ---------------------------------------------------------------------------
 # module specification and construction
 # ---------------------------------------------------------------------------
 
-NONSYMMETRIC = "nonsymmetric-seminormal"
-NUMERIC_SYMMETRIC = "numeric-symmetric"
-
-
 @dataclass(frozen=True)
 class ModuleSpec:
     region: rg.LocalRegion
     z: Scalar = field(default_factory=Scalar.one)
     branch: int = 1
-    normalization: str = NONSYMMETRIC
     require_skew: bool = True
 
     def __post_init__(self):
@@ -115,8 +191,6 @@ class ModuleSpec:
             raise CalibError("specialization needs r2 - r1 and r2 + r1 integral")
         if self.branch not in (1, -1):
             raise CalibError("branch must be +1 or -1")
-        if self.normalization not in (NONSYMMETRIC, NUMERIC_SYMMETRIC):
-            raise CalibError("unknown normalization %r" % self.normalization)
 
     def boundary_images(self):
         unit = (0, self.branch)
@@ -150,11 +224,9 @@ class CalibratedModule:
         self._gammas = [{j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
                         for wc in self._wc]
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
-        self.T = {0: self._t0_matrix()}
-        for i in range(1, self.k):
-            self.T[i] = self._ti_matrix(i)
-        self.gamma0 = [self.z * _prod(self._gammas[m][j].inv()
-                                      for j in range(1, self.k + 1))
+        self.T = {i: self._t_matrix(i) for i in range(self.k)}
+        self.gamma0 = [math.prod((self._gammas[m][j].inv()
+                                  for j in range(1, self.k + 1)), start=self.z)
                        for m in range(self.n)]
         self._tk: Optional[Matrix] = None
         self._e_cache: Dict[object, Matrix] = {}
@@ -168,69 +240,44 @@ class CalibratedModule:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])
 
     # -- generator matrices ---------------------------------------------------
-    def _ti_matrix(self, i: int) -> Matrix:
-        uu = U
+    def _t_matrix(self, i: int) -> Matrix:
+        """Seminormal T_i (T_0 for i = 0) with eigenvalues lam and -1/lam."""
+        lam = self.u0s if i == 0 else U
         out = mat_zero(self.n)
         for m, w in enumerate(self.basis):
-            gi = self.gamma(m, i)
-            gi1 = self.gamma(m, i + 1)
-            ratio = gi * gi1.inv()
-            if ratio.is_one():
-                raise CalibError("coincident neighbor diagonals at %s" % (w,))
-            d = (uu - uu.inv()) / (ONE - ratio)
-            out[m][m] = d
-            partner = _swap_labels(w, i)
-            pm = self.index.get(partner)
+            out[m][m] = d = self._t_diagonal(m, i)
+            pm = self.index.get(_flip_label_one(w) if i == 0 else _swap_labels(w, i))
             if pm is not None:
-                up = self._wc[m][i] < self._wc[m][i + 1]
-                if up:
-                    out[pm][m] = ONE
-                else:
-                    out[pm][m] = -(d - uu) * (d + uu.inv())
+                wc = self._wc[m]
+                up = wc[1] < 0 if i == 0 else wc[i] < wc[i + 1]
+                out[pm][m] = ONE if up else -(d - lam) * (d + lam.inv())
         return out
 
-    def _t0_matrix(self) -> Matrix:
-        out = mat_zero(self.n)
-        u0s, uks = self.u0s, self.uks
-        for m, w in enumerate(self.basis):
-            g1 = self.gamma(m, 1)
-            g1i = g1.inv()
+    def _t_diagonal(self, m: int, i: int) -> Scalar:
+        if i == 0:
+            g1i = self.gamma(m, 1).inv()
             den = ONE - g1i * g1i
             if den.is_zero():
-                raise CalibError("label 1 on the zero diagonal at %s" % (w,))
-            d = ((u0s - u0s.inv()) + (uks - uks.inv()) * g1i) / den
-            out[m][m] = d
-            partner = _flip_label_one(w)
-            pm = self.index.get(partner)
-            if pm is not None:
-                up = self._wc[m][1] < 0
-                if up:
-                    out[pm][m] = ONE
-                else:
-                    out[pm][m] = -(d - u0s) * (d + u0s.inv())
-        return out
+                raise CalibError("label 1 on the zero diagonal at %s"
+                                 % (self.basis[m],))
+            return (_x_minus_inv(self.u0s) + _x_minus_inv(self.uks) * g1i) / den
+        ratio = self.gamma(m, i) * self.gamma(m, i + 1).inv()
+        if ratio.is_one():
+            raise CalibError("coincident neighbor diagonals at %s" % (self.basis[m],))
+        return _x_minus_inv(U) / (ONE - ratio)
 
     # -- derived matrices -----------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
-        if i == 0:
-            shift = self.u0s - self.u0s.inv()
-        else:
-            shift = U - U.inv()
-        return mat_sub(self.T[i], mat_scale(mat_identity(self.n), shift))
+        return mat_shift(self.T[i], _x_minus_inv(self.u0s if i == 0 else U))
 
     def tk_matrix(self) -> Matrix:
         """T_k via conjugating W_1 T_0^-1 back to the right wall."""
         if self._tk is None:
-            m = mat_mul(self.W[0], self.t_inv(0))
-            for i in range(1, self.k):
-                m = mat_mul(self.T[i], m)
-                m = mat_mul(m, self.t_inv(i))
-            self._tk = m
+            self._tk = _tk_matrix(self.T, self.W, U, self.u0s)
         return self._tk
 
     def tk_inv(self) -> Matrix:
-        shift = self.uks - self.uks.inv()
-        return mat_sub(self.tk_matrix(), mat_scale(mat_identity(self.n), shift))
+        return mat_shift(self.tk_matrix(), _x_minus_inv(self.uks))
 
     def e_matrix(self, which) -> Matrix:
         """Images of the abstract cap/cup generators e_0, e_i, e_k, e_0v."""
@@ -241,20 +288,16 @@ class CalibratedModule:
         return mat
 
     def _e_matrix_raw(self, which) -> Matrix:
-        ident = mat_identity(self.n)
         if which == "e0":
-            return mat_scale(mat_sub(self.T[0], mat_scale(ident, self.u0s)),
-                             A0.inv())
+            return mat_scale(mat_shift(self.T[0], self.u0s), A0.inv())
         if which == "ek":
-            return mat_scale(mat_sub(self.tk_matrix(), mat_scale(ident, self.uks)),
-                             AK.inv())
+            return mat_scale(mat_shift(self.tk_matrix(), self.uks), AK.inv())
         if which == "e0v":
-            v = mat_sub(mat_mul(self.W[0], self.t_inv(0)),
-                        mat_scale(ident, self.uks))
+            v = mat_shift(mat_mul(self.W[0], self.t_inv(0)), self.uks)
             return mat_scale(v, AK.inv())
         i = int(which)
         a = Scalar.from_int(wd.DEFAULT_A_SIGN)
-        return mat_scale(mat_sub(self.T[i], mat_scale(ident, U)), a)
+        return mat_scale(mat_shift(self.T[i], U), a)
 
     def evaluate_word(self, expr: wd.GenExpr) -> Matrix:
         """The Scalar-linear combination of word products of generator matrices."""
@@ -337,13 +380,6 @@ def symmetric_matrices(m: CalibratedModule, point: Dict[str, complex]) -> dict:
     return mats
 
 
-def _prod(items) -> Scalar:
-    out = ONE
-    for x in items:
-        out = out * x
-    return out
-
-
 def _swap_labels(filling: rg.Filling, i: int) -> rg.Filling:
     swap = {i: i + 1, i + 1: i, -i: -(i + 1), -(i + 1): -i}
     return tuple(swap.get(v, v) for v in filling)
@@ -405,133 +441,55 @@ def _relations(m: CalibratedModule) -> List[Tuple[str, tuple]]:
 
 
 class _Env:
-    """Generator matrices with ring ops, exact or modular."""
+    """The module's own generator matrices lifted entrywise into `ring`,
+    with T_k built there by the word `CalibratedModule.tk_matrix` uses."""
 
-    def __init__(self, m: CalibratedModule, p: Optional[int] = None,
-                 point: Optional[dict] = None):
-        self.m = m
-        self.p = p
-        self.n = m.n
-        self.point_cache = point
-        if p is None:
-            self.T = dict(m.T)
-            self.Tk = m.tk_matrix()
-            self.W = list(m.W)
-            self.u = U
-            self.u0 = m.u0s
-            self.uk = m.uks
-        else:
-            red = lambda mat: [[eval_mod(x, p, point) for x in row] for row in mat]
-            self.T = {i: red(t) for i, t in m.T.items()}
-            self.W = [red(wmat) for wmat in m.W]
-            self.u = eval_mod(U, p, point)
-            self.u0 = eval_mod(m.u0s, p, point)
-            self.uk = eval_mod(m.uks, p, point)
-            w1t0inv = self.mul(self.W[0], self.sub_scalar(self.T[0], self.frac(self.u0)))
-            tk = w1t0inv
-            for i in range(1, m.k):
-                tk = self.mul(self.T[i], tk)
-                tk = self.mul(tk, self.sub_scalar(self.T[i], self.frac(self.u)))
-            self.Tk = tk
+    def __init__(self, m: CalibratedModule, ring=EXACT):
+        self.ring = ring
+        self.k = m.k
+        lift = ring.lift
 
-    def frac(self, x):
-        """x - 1/x for a ring element."""
-        if self.p is None:
-            return x - x.inv()
-        return (x - pow(x, self.p - 2, self.p)) % self.p
+        def lift_matrix(mat: Matrix) -> Matrix:
+            return [[lift(x) for x in row] for row in mat]
 
-    def inv_scalar(self, x):
-        if self.p is None:
-            return x.inv()
-        return pow(x, self.p - 2, self.p)
-
-    def mul(self, a, b):
-        if self.p is None:
-            return mat_mul(a, b)
-        n = self.n
-        p = self.p
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            arow = a[i]
-            orow = out[i]
-            for l in range(n):
-                x = arow[l]
-                if x:
-                    brow = b[l]
-                    for j in range(n):
-                        if brow[j]:
-                            orow[j] = (orow[j] + x * brow[j]) % p
-        return out
-
-    def sub(self, a, b):
-        if self.p is None:
-            return mat_sub(a, b)
-        return [[(x - y) % self.p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def sub_scalar(self, a, c):
-        if self.p is None:
-            return mat_sub(a, mat_scale(mat_identity(self.n), c))
-        out = [row[:] for row in a]
-        for i in range(self.n):
-            out[i][i] = (out[i][i] - c) % self.p
-        return out
-
-    def scale(self, a, c):
-        if self.p is None:
-            return mat_scale(a, c)
-        return [[x * c % self.p for x in row] for row in a]
-
-    def diag(self, entries):
-        if self.p is None:
-            return mat_diag(list(entries))
-        out = [[0] * self.n for _ in range(self.n)]
-        for i, e in enumerate(entries):
-            out[i][i] = e % self.p
-        return out
-
-    def is_zero(self, a) -> bool:
-        if self.p is None:
-            return mat_is_zero(a)
-        return all(x % self.p == 0 for row in a for x in row)
-
-    def gamma(self, mrow: int, j: int):
-        g = self.m.gamma(mrow, j)
-        if self.p is None:
-            return g
-        return eval_mod(g, self.p, self.point_cache)
+        self.T = {i: lift_matrix(t) for i, t in m.T.items()}
+        self.W = [lift_matrix(w) for w in m.W]
+        self.u, self.u0, self.uk = lift(U), lift(m.u0s), lift(m.uks)
+        self.Tk = _tk_matrix(self.T, self.W, self.u, self.u0, ring)
 
 
 def _check_relation(env: _Env, tag: tuple) -> bool:
-    T, W, Tk = env.T, env.W, env.Tk
+    T, W, Tk, ring = env.T, env.W, env.Tk, env.ring
+
+    def mul(a, b):
+        return mat_mul(a, b, ring)
+
+    def equal(a, b):
+        return mat_is_zero(mat_sub(a, b, ring), ring)
+
+    def diagonal(mat):
+        return [mat[r][r] for r in range(len(mat))]
+
     kind = tag[0]
     if kind == "braid3":
         i, j = tag[1], tag[2]
-        return env.is_zero(env.sub(env.mul(env.mul(T[i], T[j]), T[i]),
-                                   env.mul(env.mul(T[j], T[i]), T[j])))
-    if kind == "braid4":
-        i, j = tag[1], tag[2]
-        ab = env.mul(T[i], T[j])
-        ba = env.mul(T[j], T[i])
-        return env.is_zero(env.sub(env.mul(ab, ab), env.mul(ba, ba)))
-    if kind == "braid4k":
-        a, b = T[env.m.k - 1], Tk
-        ab = env.mul(a, b)
-        ba = env.mul(b, a)
-        return env.is_zero(env.sub(env.mul(ab, ab), env.mul(ba, ba)))
+        return equal(mul(mul(T[i], T[j]), T[i]), mul(mul(T[j], T[i]), T[j]))
+    if kind in ("braid4", "braid4k"):
+        a, b = (T[tag[1]], T[tag[2]]) if kind == "braid4" else (T[env.k - 1], Tk)
+        ab, ba = mul(a, b), mul(b, a)
+        return equal(mul(ab, ab), mul(ba, ba))
     if kind == "commute":
         i, j = tag[1], tag[2]
-        return env.is_zero(env.sub(env.mul(T[i], T[j]), env.mul(T[j], T[i])))
+        return equal(mul(T[i], T[j]), mul(T[j], T[i]))
     if kind == "commutek":
         i = tag[1]
-        return env.is_zero(env.sub(env.mul(T[i], Tk), env.mul(Tk, T[i])))
+        return equal(mul(T[i], Tk), mul(Tk, T[i]))
     if kind == "commuteW":
-        i, j = tag[1], tag[2]
-        wm = W[j - 1]
-        return env.is_zero(env.sub(env.mul(T[i], wm), env.mul(wm, T[i])))
+        i, wm = tag[1], W[tag[2] - 1]
+        return equal(mul(T[i], wm), mul(wm, T[i]))
     if kind == "commuteWW":
-        i, j = tag[1], tag[2]
-        return env.is_zero(env.sub(env.mul(W[i - 1], W[j - 1]),
-                                   env.mul(W[j - 1], W[i - 1])))
+        a, b = W[tag[1] - 1], W[tag[2] - 1]
+        return equal(mul(a, b), mul(b, a))
     if kind == "quad":
         if tag[1] == "k":
             mat, lam = Tk, env.uk
@@ -540,85 +498,50 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         else:
             mat, lam = T[tag[1]], env.u
         # (X - lam)(X + 1/lam) = 0
-        left = env.sub_scalar(mat, lam)
-        right = env.sub_scalar(mat, -env.inv_scalar(lam)) if env.p is None else \
-            env.sub_scalar(mat, (-env.inv_scalar(lam)) % env.p)
-        return env.is_zero(env.mul(left, right))
+        return mat_is_zero(mul(mat_shift(mat, lam, ring),
+                               mat_shift(mat, -ring.inv(lam), ring)), ring)
     if kind in ("c1a", "c1b"):
+        # T_i W_i = W_{i+1} T_i + D and T_i W_{i+1} = W_i T_i - D with D
+        # diagonal: (t - 1/t)(g_i - g_{i+1}) / (1 - g_i/g_{i+1})
         i = tag[1]
-        gi = [env.gamma(mrow, i) for mrow in range(env.n)]
-        gi1 = [env.gamma(mrow, i + 1) for mrow in range(env.n)]
-        if env.p is None:
-            corr = [(x - y) / (ONE - x * y.inv()) for x, y in zip(gi, gi1)]
-        else:
-            p = env.p
-            corr = []
-            for x, y in zip(gi, gi1):
-                den = (1 - x * pow(y, p - 2, p)) % p
-                if den == 0:
-                    raise EvalRetry("vanishing C1 denominator")
-                corr.append((x - y) * pow(den, p - 2, p) % p)
-        fu = env.frac(env.u)
+        fu = _x_minus_inv(env.u, ring)
+        d = mat_diag([fu * (x - y) * ring.inv(ring.one - x * ring.inv(y))
+                      for x, y in zip(diagonal(W[i - 1]), diagonal(W[i]))], ring)
         if kind == "c1a":
-            lhs = env.mul(T[i], W[i - 1])
-            rhs = env.mul(W[i], T[i])
-            diagm = env.diag([env_mul_scalar(env, fu, c) for c in corr])
-        else:
-            lhs = env.mul(T[i], W[i])
-            rhs = env.mul(W[i - 1], T[i])
-            diagm = env.diag([env_mul_scalar(env, fu, env_neg(env, c)) for c in corr])
-        return env.is_zero(env.sub(lhs, env_add(env, rhs, diagm)))
+            return equal(mul(T[i], W[i - 1]), mat_add(mul(W[i], T[i]), d, ring))
+        return equal(mul(T[i], W[i]), mat_sub(mul(W[i - 1], T[i]), d, ring))
     if kind == "c2":
-        g1 = [env.gamma(mrow, 1) for mrow in range(env.n)]
-        if env.p is None:
-            w1inv = env.diag([x.inv() for x in g1])
-            corr = []
-            for x in g1:
-                xi = x.inv()
-                num = (env.frac(env.u0) + env.frac(env.uk) * xi) * (x - xi)
-                corr.append(num / (ONE - xi * xi))
-        else:
-            p = env.p
-            w1inv = env.diag([pow(x, p - 2, p) for x in g1])
-            corr = []
-            for x in g1:
-                xi = pow(x, p - 2, p)
-                den = (1 - xi * xi) % p
-                if den == 0:
-                    raise EvalRetry("vanishing C2 denominator")
-                num = (env.frac(env.u0) + env.frac(env.uk) * xi) * (x - xi)
-                corr.append(num * pow(den, p - 2, p) % p)
-        lhs = env.mul(T[0], W[0])
-        rhs = env_add(env, env.mul(w1inv, T[0]), env.diag(corr))
-        return env.is_zero(env.sub(lhs, rhs))
+        # T_0 W_1 = W_1^-1 T_0 + D with D diagonal:
+        # ((u0 - 1/u0) + (uk - 1/uk)/g_1)(g_1 - 1/g_1) / (1 - g_1^-2)
+        f0, fk = _x_minus_inv(env.u0, ring), _x_minus_inv(env.uk, ring)
+        g1 = diagonal(W[0])
+        g1inv = [ring.inv(x) for x in g1]
+        d = mat_diag([(f0 + fk * xi) * (x - xi) * ring.inv(ring.one - xi * xi)
+                      for x, xi in zip(g1, g1inv)], ring)
+        return equal(mul(T[0], W[0]),
+                     mat_add(mul(mat_diag(g1inv, ring), T[0]), d, ring))
     if kind == "w1word":
         # W_1 = T_1^-1 ... T_{k-1}^-1 Tk T_{k-1} ... T_1 T_0
-        cur = env.Tk
-        for i in range(env.m.k - 1, 0, -1):
-            cur = env.mul(cur, T[i])
-        cur = env.mul(cur, T[0])
-        for i in range(env.m.k - 1, 0, -1):
-            cur = env.mul(env.sub_scalar(T[i], env.frac(env.u)), cur)
-        return env.is_zero(env.sub(cur, W[0]))
+        cur = Tk
+        for i in range(env.k - 1, 0, -1):
+            cur = mul(cur, T[i])
+        cur = mul(cur, T[0])
+        shift = _x_minus_inv(env.u, ring)
+        for i in range(env.k - 1, 0, -1):
+            cur = mul(mat_shift(T[i], shift, ring), cur)
+        return equal(cur, W[0])
     raise CalibError("unknown relation tag %r" % (tag,))
 
 
-def env_add(env: _Env, a, b):
-    if env.p is None:
-        return mat_add(a, b)
-    return [[(x + y) % env.p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def env_neg(env: _Env, c):
-    if env.p is None:
-        return -c
-    return (-c) % env.p
-
-
-def env_mul_scalar(env: _Env, a, b):
-    if env.p is None:
-        return a * b
-    return a * b % env.p
+def _check_all(env: _Env, rels, report: dict, where: dict) -> None:
+    """Check every relation on env; a failure is recorded with `where` in
+    the witness, which names the evaluation for a modular env."""
+    for name, tag in rels:
+        if not _check_relation(env, tag):
+            report["relations"][name] = False
+            report["passed"] = False
+            if report["witness"] is None:
+                report["witness"] = dict(relation=name, **where)
 
 
 def check_presentation(m: CalibratedModule, trials: int = 10,
@@ -627,44 +550,33 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     """Verify the defining relations as matrix identities.
 
     Exact symbolic checking by default for k <= 2, randomized modular
-    evaluation with `trials` points otherwise.  Returns a report dict with
-    per-relation pass/fail and the first failing witness."""
+    evaluation with `trials` points otherwise: the module's own matrices
+    are lifted to GF(p) at a random point.  Returns a report dict with
+    per-relation pass/fail and the first failing witness; a modular witness
+    carries p and the point, so `_check_relation` can replay it."""
     if exact is None:
         exact = m.k <= 2
     if not exact and trials < 1:
         raise CalibError("modular presentation check needs trials >= 1, got %d"
                          % trials)
     rels = _relations(m)
-    report = {"mode": "exact" if exact else "modular", "relations": {},
+    report = {"mode": "exact" if exact else "modular",
+              "relations": {name: True for name, _ in rels},
               "passed": True, "witness": None, "trials": 0 if exact else trials,
               "seed": seed}
     if exact:
-        env = _Env(m)
-        for name, tag in rels:
-            ok = _check_relation(env, tag)
-            report["relations"][name] = ok
-            if not ok and report["witness"] is None:
-                report["passed"] = False
-                report["witness"] = {"relation": name}
+        _check_all(_Env(m), rels, report, {})
         return report
 
     rng = random.Random(seed)
-    for name, _ in rels:
-        report["relations"][name] = True
     for trial in range(trials):
         for attempt in range(20):
             p = random_prime(prime_bits, rng)
             point = random_point(p, rng)
             try:
-                env = _Env(m, p, point)
-                for name, tag in rels:
-                    ok = _check_relation(env, tag)
-                    if not ok:
-                        report["relations"][name] = False
-                        report["passed"] = False
-                        if report["witness"] is None:
-                            report["witness"] = {"relation": name, "p": p,
-                                                 "trial": trial}
+                env = _Env(m, ModRing(p, point))
+                _check_all(env, rels, report,
+                           {"p": p, "trial": trial, "point": point})
                 break
             except EvalRetry:
                 continue
@@ -709,8 +621,7 @@ def _f0v_matrix(m: CalibratedModule) -> Matrix:
     """a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, via the diagonal wall word."""
     a = Scalar.from_int(wd.DEFAULT_A_SIGN)
     ae1 = mat_scale(m.e_matrix(1), a)
-    v = mat_sub(mat_mul(m.W[0], m.t_inv(0)),
-                mat_scale(mat_identity(m.n), m.uks))
+    v = mat_shift(mat_mul(m.W[0], m.t_inv(0)), m.uks)
     first = mat_mul(mat_mul(ae1, v), ae1)
     return mat_sub(first, mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
 

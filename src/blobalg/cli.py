@@ -60,15 +60,11 @@ def cmd_basis(args) -> int:
 
 def cmd_mul(args) -> int:
     x = dg.element_from_json(json.loads(args.x)) if args.x.strip().startswith("{") \
-        else wd.expand_to_tl(_parse_genexpr(args.x, args.k))
+        else wd.expand_to_tl(wd.parse_genexpr(args.x, args.k))
     y = dg.element_from_json(json.loads(args.y)) if args.y.strip().startswith("{") \
-        else wd.expand_to_tl(_parse_genexpr(args.y, args.k))
+        else wd.expand_to_tl(wd.parse_genexpr(args.y, args.k))
     print(json.dumps(dg.element_to_json(x * y)))
     return 0
-
-
-def _parse_genexpr(text: str, k: int) -> wd.GenExpr:
-    return wd.parse_genexpr(text, k)
 
 
 def cmd_region(args) -> int:
@@ -107,7 +103,8 @@ def cmd_module(args) -> int:
     pres = cb.check_presentation(module, trials=args.trials, seed=args.seed)
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
-           "presentation": {"mode": pres["mode"], "passed": pres["passed"]},
+           "presentation": {"mode": pres["mode"], "passed": pres["passed"],
+                            "witness": pres["witness"]},
            "nullity": nul}
     try:
         cc = cb.central_character(module)

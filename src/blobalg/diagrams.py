@@ -67,9 +67,6 @@ class TLDiagram:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other: "TLDiagram") -> bool:
-        return (self.L, self.R, self.pairs) < (other.L, other.R, other.pairs)
-
     def __repr__(self) -> str:
         body = " ".join("%s%d-%s%d" % (a[0], a[1], b[0], b[1]) for a, b in self.pairs)
         return "<TLDiagram k=%d L=%d R=%d %s>" % (self.k, self.L, self.R, body)
@@ -419,10 +416,6 @@ def multiply_diagrams(x: TLDiagram, y: TLDiagram,
     return coeff, result
 
 
-def multiply(x: TLElement, y: TLElement) -> TLElement:
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # basis enumeration
 # ---------------------------------------------------------------------------
@@ -579,16 +572,3 @@ def element_from_json(obj) -> TLElement:
         d = diagram_from_json(term["diagram"])
         coeffs[d] = scalar_from_json(term["coeff"])
     return TLElement(int(obj["k"]), coeffs)
-
-
-def render_diagram(d: TLDiagram) -> str:
-    """Small text picture: dot rows, wall point counts, and the edge list."""
-    top = " ".join("o" for _ in range(d.k))
-    lines = ["%s| %s |%s" % ("L" * (d.L > 0), top, "R" * (d.R > 0)),
-             "%s| %s |%s" % (" " * (d.L > 0), top, " " * (d.R > 0))]
-    if d.L or d.R:
-        lines.append("walls: L=%d R=%d" % (d.L, d.R))
-    lines.append("edges: " + " ".join("%s-%s" % (_node_name(a), _node_name(b))
-                                      for a, b in d.pairs))
-    return "\n".join(lines)
-

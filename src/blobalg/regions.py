@@ -172,12 +172,6 @@ class BoxConfig:
     def diag_of(self, i: int) -> Fraction:
         return dict(self.diag)[i]
 
-    def rel_map(self) -> Dict[Tuple[int, int], bool]:
-        return dict(self.pair_rel)
-
-    def boxes(self) -> List[int]:
-        return [i for i, _ in self.diag]
-
 
 def _box_diagonals(region: LocalRegion) -> Dict[int, Fraction]:
     out = {}

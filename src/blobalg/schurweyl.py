@@ -183,11 +183,10 @@ def specialize_params(params: SWParams, branch: int = 1) -> dict:
             "r1": params.r1, "r2": params.r2}
 
 
-def module_for(params: SWParams, k: int, l: int, branch: int = 1,
-               normalization: str = cb.NONSYMMETRIC) -> cb.CalibratedModule:
+def module_for(params: SWParams, k: int, l: int,
+               branch: int = 1) -> cb.CalibratedModule:
     z, region, _ = lambda_to_region(params, k, l)
-    spec = cb.ModuleSpec(region, z=z, branch=branch, normalization=normalization)
-    return cb.build_module(spec)
+    return cb.build_module(cb.ModuleSpec(region, z=z, branch=branch))
 
 
 def gn_b_values(params: SWParams, k: int, l: int,

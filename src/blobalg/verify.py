@@ -24,7 +24,7 @@ def _report(suite: str, checks: Dict[str, bool], **extra) -> dict:
     return out
 
 
-def suite_relations(k: int = 2, **_) -> dict:
+def suite_relations(k: int = 2) -> dict:
     """The boundary-crossing relation sheet plus the cap-triple relations."""
     checks: Dict[str, bool] = {}
     ae1 = wd.ae(k, 1)
@@ -93,7 +93,7 @@ def suite_relations(k: int = 2, **_) -> dict:
     return _report("relations(k=%d)" % k, checks)
 
 
-def suite_theorem3(k: int = 4, **_) -> dict:
+def suite_theorem3(k: int = 4) -> dict:
     """Central-element expansion: the wall-wrapped diagram identities."""
     checks: Dict[str, bool] = {}
 
@@ -128,7 +128,7 @@ def suite_theorem3(k: int = 4, **_) -> dict:
 
 
 def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
-                       seed: int = 0, **_) -> dict:
+                       seed: int = 0) -> dict:
     """Defining relations on every tensor-space module at level k."""
     params = sw.SWParams(a, b)
     checks: Dict[str, bool] = {}
@@ -145,7 +145,7 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
 
 
 def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
-                         bound=Fraction(7), **_) -> dict:
+                         bound=Fraction(7)) -> dict:
     """Matrix idempotent nullity against the two-row shape predicate over
     the exhaustive skew-region enumeration."""
     params = rg.RegionParams(Fraction(r1), Fraction(r2))

@@ -17,8 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import diagrams as dg
 from .scalars import (A0, AK, ONE, Scalar, U, U0, UK, bb,
-                      parse as parse_scalar, to_json as scalar_to_json,
-                      from_json as scalar_from_json)
+                      parse as parse_scalar)
 
 Letter = Tuple
 Word = Tuple[Letter, ...]
@@ -330,42 +329,6 @@ def _z_expr(k: int) -> GenExpr:
     return total
 
 
-# ---------------------------------------------------------------------------
-# the quotient-defining idempotents
-# ---------------------------------------------------------------------------
-
-def genexpr_to_json(x: GenExpr) -> dict:
-    terms = [{"coeff": scalar_to_json(c),
-              "word": [_letter_name(l) for l in w]}
-             for w, c in sorted(x.terms.items())]
-    return {"k": x.k, "terms": terms}
-
-
-def genexpr_from_json(obj) -> GenExpr:
-    total = GenExpr.zero(int(obj["k"]))
-    for term in obj["terms"]:
-        word = tuple(_letter_from_name(s) for s in term["word"])
-        total = total + GenExpr.word(total.k, word, scalar_from_json(term["coeff"]))
-    return total
-
-
-def _letter_from_name(s: str) -> Letter:
-    m = _LETTER_RE.match(s)
-    if not m:
-        raise WordError("bad letter name %r" % s)
-    kind, idx, inv = m.groups()
-    power = -1 if inv else 1
-    if kind == "E":
-        if inv:
-            raise WordError("cap letters are not invertible: %r" % s)
-        return Ek if idx == "k" else (E0 if idx == "0" else E(int(idx)))
-    if idx == "k":
-        return (Tk if power == 1 else Tkinv)
-    if idx == "0":
-        return (T0 if power == 1 else T0inv)
-    return T(int(idx), power)
-
-
 _LETTER_RE = re.compile(r"^(T|E)(\d+|k)(\^-1)?$")
 
 
@@ -446,6 +409,10 @@ def _parse_factor(token: str, k: int, a_sign: int) -> GenExpr:
         return standard_element(token, k, a_sign)
     return GenExpr.one(k).scale(parse_scalar(token))
 
+
+# ---------------------------------------------------------------------------
+# the quotient-defining idempotents
+# ---------------------------------------------------------------------------
 
 def normalizer(which: str) -> Scalar:
     """Idempotent normalizers; the primed ones (for the eigenvalue-flipped

@@ -9,7 +9,8 @@ from blobalg import calib as cb
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
 from blobalg import words as wd
-from blobalg.scalars import ONE, Scalar, U, bb, qint
+from blobalg.scalars import (ONE, Scalar, U, bb, eval_mod, qint, random_point,
+                             random_prime)
 
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
 SW63 = sw.SWParams(6, 3)
@@ -17,6 +18,15 @@ SW63 = sw.SWParams(6, 3)
 
 def two_row_module(k, l):
     return sw.module_for(SW63, k, l)
+
+
+def perturbed_module(k, l):
+    """A (6,3) module with one off-diagonal entry of T_1 moved by 1."""
+    m = two_row_module(k, l)
+    row, col = next((r, c) for r in range(m.n) for c in range(m.n)
+                    if r != c and not m.T[1][r][c].is_zero())
+    m.T[1][row][col] = m.T[1][row][col] + ONE
+    return m
 
 
 class TestConstruction:
@@ -114,6 +124,54 @@ class TestPresentation:
         assert rep["witness"] is not None
         failing = [name for name, ok in rep["relations"].items() if not ok]
         assert any(name.startswith("H:") for name in failing)
+
+    def test_modular_witness_replays(self):
+        m = perturbed_module(3, 2)
+        rep = cb.check_presentation(m, trials=2, seed=5)
+        assert rep["mode"] == "modular" and not rep["passed"]
+        witness = rep["witness"]
+        # the first trial's point, drawn from the seed, is where it failed
+        rng = random.Random(5)
+        p = random_prime(62, rng)
+        assert (witness["trial"], witness["p"], witness["point"]) == \
+            (0, p, random_point(p, rng))
+        tag = dict(cb._relations(m))[witness["relation"]]
+        env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
+        assert not cb._check_relation(env, tag)
+
+
+class TestRingGenericPath:
+    """The GF(p) path lifts the module's own matrices: it must agree with
+    entrywise evaluation of the exact ones, and with the exact verdicts."""
+
+    @staticmethod
+    def points(count, seed):
+        rng = random.Random(seed)
+        for _ in range(count):
+            p = random_prime(62, rng)
+            yield p, random_point(p, rng)
+
+    def test_lifted_matrices_are_evaluated_exact_matrices(self):
+        for l in (1, 2):
+            m = two_row_module(3, l)
+            for p, point in self.points(2, seed=l):
+                def red(mat):
+                    return [[eval_mod(x, p, point) for x in row] for row in mat]
+                env = cb._Env(m, cb.ModRing(p, point))
+                assert env.T == {i: red(t) for i, t in m.T.items()}
+                assert env.W == [red(w) for w in m.W]
+                assert env.Tk == red(m.tk_matrix())
+
+    def test_exact_and_modular_verdicts_agree(self):
+        modules = [two_row_module(k, l) for k in (1, 2)
+                   for (_l1, l) in sw.level_nodes(SW63, k)
+                   if not sw.zero_multiplicity(SW63, k, l)]
+        modules.append(perturbed_module(2, 2))
+        for m in modules:
+            exact = cb.check_presentation(m, exact=True)
+            modular = cb.check_presentation(m, exact=False, trials=2, seed=4)
+            assert exact["relations"] == modular["relations"], m.region
+        assert not exact["passed"]
 
 
 class TestEvaluateWord:
@@ -273,9 +331,3 @@ class TestNumericSymmetric:
         lhs = mm(mm(mats["T0"], t1), mm(mats["T0"], t1))
         rhs = mm(mm(t1, mats["T0"]), mm(t1, mats["T0"]))
         assert residual(lhs, rhs) < 1e-8
-
-    def test_mode_accepted_in_spec(self):
-        region = rg.LocalRegion((F(7, 2), F(9, 2)), frozenset(), PARAMS)
-        spec = cb.ModuleSpec(region, normalization=cb.NUMERIC_SYMMETRIC)
-        m = cb.build_module(spec)
-        assert m.n > 0

@@ -73,6 +73,7 @@ class TestRegionAndModule:
         assert rc == 0
         blob = json.loads(out)
         assert blob["presentation"]["passed"]
+        assert blob["presentation"]["witness"] is None
         assert blob["nullity"]["is_tl_module"]
 
     def test_decimal_r_values(self, capsys):
