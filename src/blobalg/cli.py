@@ -1,7 +1,9 @@
 """Command-line driver: dimensions, bases, products, regions, modules,
 verification suites, and the tensor-space tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Only the
+workbench's own input errors are usage errors; any other exception is an
+internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import diagrams as dg
 from . import regions as rg
 from . import schurweyl as sw
 from . import words as wd
-from .scalars import render
+from .scalars import ScalarError, render
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -25,6 +27,20 @@ CHECK_FAILED = 1
 def _fail(msg: str) -> int:
     print("error: %s" % msg, file=sys.stderr)
     return USAGE_ERROR
+
+
+def _fractions(text: str):
+    try:
+        return tuple(Fraction(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a comma list of rationals: %r" % text)
+
+
+def _ints(text: str):
+    try:
+        return {int(v) for v in text.split(",")}
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a comma list of integers: %r" % text)
 
 
 def cmd_dims(args) -> int:
@@ -47,8 +63,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    grades = set(int(w) for w in args.grades.split(","))
-    basis = dg.enumerate_basis(args.k, grades, max_wall_grade_bound=args.bound)
+    basis = dg.enumerate_basis(args.k, args.grades, max_wall_grade_bound=args.bound)
     if args.json:
         print(json.dumps([dg.diagram_to_json(d) for d in basis]))
     else:
@@ -59,19 +74,25 @@ def cmd_basis(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    x = dg.element_from_json(json.loads(args.x)) if args.x.strip().startswith("{") \
-        else wd.expand_to_tl(wd.parse_genexpr(args.x, args.k))
-    y = dg.element_from_json(json.loads(args.y)) if args.y.strip().startswith("{") \
-        else wd.expand_to_tl(wd.parse_genexpr(args.y, args.k))
+    factors = []
+    for text in (args.x, args.y):
+        if text.strip().startswith("{"):
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                return _fail("bad element JSON: %s" % exc)
+            factors.append(dg.element_from_json(obj))
+        else:
+            factors.append(wd.expand_to_tl(wd.parse_genexpr(text, args.k)))
+    x, y = factors
     print(json.dumps(dg.element_to_json(x * y)))
     return 0
 
 
 def cmd_region(args) -> int:
-    params = rg.RegionParams(Fraction(args.r1), Fraction(args.r2))
-    c = tuple(Fraction(v) for v in args.c.split(","))
+    params = rg.RegionParams(args.r1, args.r2)
     J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
-    region = rg.LocalRegion(c, J, params)
+    region = rg.LocalRegion(args.c, J, params)
     config = rg.build_config(region)
     zset, pset = region.root_sets()
     out = {
@@ -95,10 +116,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_module(args) -> int:
-    params = rg.RegionParams(Fraction(args.r1), Fraction(args.r2))
-    c = tuple(Fraction(v) for v in args.c.split(","))
+    params = rg.RegionParams(args.r1, args.r2)
     J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
-    region = rg.LocalRegion(c, J, params)
+    region = rg.LocalRegion(args.c, J, params)
     module = cb.build_module(cb.ModuleSpec(region, branch=args.branch))
     pres = cb.check_presentation(module, trials=args.trials, seed=args.seed)
     nul = cb.idempotent_nullity(module)
@@ -138,8 +158,7 @@ def cmd_verify(args) -> int:
         return _fail("relations suite limited to k <= %d" % args.max_k)
     kwargs = {"k": args.k}
     if args.suite == "classification":
-        kwargs.update(r1=Fraction(args.r1), r2=Fraction(args.r2),
-                      bound=Fraction(args.bound_diag))
+        kwargs.update(r1=args.r1, r2=args.r2, bound=args.bound_diag)
     if args.suite == "presentation":
         kwargs.update(trials=args.trials, seed=args.seed)
     report = suite_fns[args.suite](**kwargs)
@@ -189,8 +208,7 @@ def cmd_schurweyl(args) -> int:
 
 def cmd_figure1(args) -> int:
     from . import verify as vf
-    report = vf.suite_classification(k=2, r1=Fraction(args.r1), r2=Fraction(args.r2),
-                                     bound=Fraction(args.bound_diag))
+    report = vf.suite_classification(k=2, r1=args.r1, r2=args.r2, bound=args.bound_diag)
     print(json.dumps(report) if args.json else _render_report(report))
     return 0 if report["passed"] else CHECK_FAILED
 
@@ -217,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("basis", help="enumerate basis diagrams")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grades", default="0,1")
+    p.add_argument("--grades", type=_ints, default="0,1")
     p.add_argument("--bound", type=int, default=4)
     p.set_defaults(fn=cmd_basis)
 
@@ -228,17 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mul)
 
     p = add_parser("region", help="inspect a local region")
-    p.add_argument("--c", required=True, help="comma list, e.g. 1/2,3/2")
+    p.add_argument("--c", type=_fractions, required=True, help="comma list, e.g. 1/2,3/2")
     p.add_argument("--J", default="", help="comma list of roots, e.g. e2,e3-e2")
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r2", required=True)
+    p.add_argument("--r1", type=Fraction, required=True)
+    p.add_argument("--r2", type=Fraction, required=True)
     p.set_defaults(fn=cmd_region)
 
     p = add_parser("module", help="build a calibrated module and check it")
-    p.add_argument("--c", required=True)
+    p.add_argument("--c", type=_fractions, required=True)
     p.add_argument("--J", default="")
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r2", required=True)
+    p.add_argument("--r1", type=Fraction, required=True)
+    p.add_argument("--r2", type=Fraction, required=True)
     p.add_argument("--branch", type=int, default=1, choices=(1, -1))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--matrices", action="store_true")
@@ -249,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "classification"))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--r1", default="3/2")
-    p.add_argument("--r2", default="11/2")
-    p.add_argument("--bound-diag", default="7")
+    p.add_argument("--r1", type=Fraction, default="3/2")
+    p.add_argument("--r2", type=Fraction, default="11/2")
+    p.add_argument("--bound-diag", type=Fraction, default="7")
     p.add_argument("--trials", type=int, default=10)
     p.set_defaults(fn=cmd_verify)
 
@@ -266,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_schurweyl)
 
     p = add_parser("figure1", help="rank-2 classification chart data")
-    p.add_argument("--r1", default="3/2")
-    p.add_argument("--r2", default="11/2")
-    p.add_argument("--bound-diag", default="7")
+    p.add_argument("--r1", type=Fraction, default="3/2")
+    p.add_argument("--r2", type=Fraction, default="11/2")
+    p.add_argument("--bound-diag", type=Fraction, default="7")
     p.set_defaults(fn=cmd_figure1)
     return ap
 
@@ -283,7 +301,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (rg.RegionError, cb.CalibError, dg.DiagramError, wd.WordError,
-            sw.SchurWeylError, ValueError) as exc:
+            sw.SchurWeylError, ScalarError) as exc:
         return _fail(str(exc))
 
 

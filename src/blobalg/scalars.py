@@ -1283,11 +1283,14 @@ class _Tok:
     def take_int(self) -> int:
         self.peek()
         start = self.pos
-        if self.text[self.pos] in "+-":
+        if self.text.startswith(("+", "-"), self.pos):
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ScalarError("expected an integer at %d in %r" % (start, self.text)) from None
 
 
 def parse(text: str) -> Scalar:
@@ -1367,7 +1370,11 @@ def _parse_atom(tok: _Tok) -> Scalar:
         inner = tok.text[start:tok.pos - 1]
         if "," in inner:
             base, s = inner.rsplit(",", 1)
-            return _parse_power(tok, bb(base, Fraction(s.strip())))
+            try:
+                expo = Fraction(s.strip())
+            except ValueError:
+                raise ScalarError("bad bb exponent %r" % s) from None
+            return _parse_power(tok, bb(base, expo))
         return _parse_power(tok, bb(inner))
     if name == "qint":
         if tok.take() != "(":

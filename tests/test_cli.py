@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from blobalg import cli
 
 
@@ -103,3 +105,40 @@ class TestSchurWeyl:
     def test_hypothesis_violation(self, capsys):
         rc, _, err = run(capsys, "schurweyl", "--a", "4", "--b", "3")
         assert rc == 2 and "a > b + 2" in err
+
+
+class TestExitCodes:
+    def usage_exit(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        return exc.value.code, capsys.readouterr().err
+
+    def test_bad_rational_is_usage_error(self, capsys):
+        code, err = self.usage_exit(capsys, "region", "--c", "1,2", "--r1", "abc",
+                                    "--r2", "11/2")
+        assert code == 2 and "--r1" in err
+        code, err = self.usage_exit(capsys, "region", "--c", "1,x", "--r1", "3/2",
+                                    "--r2", "11/2")
+        assert code == 2 and "--c" in err
+
+    def test_bad_grades_is_usage_error(self, capsys):
+        code, err = self.usage_exit(capsys, "basis", "--k", "2", "--grades", "0,x")
+        assert code == 2 and "--grades" in err
+
+    def test_bad_root_and_scalar_are_usage_errors(self, capsys):
+        rc, _, err = run(capsys, "region", "--c", "1,2", "--J", "e2,ex",
+                         "--r1", "3/2", "--r2", "11/2")
+        assert rc == 2 and "ex" in err
+        for text in ("qint(", "bb(t,x)"):
+            rc, _, err = run(capsys, "mul", "--k", "2", text, "T0")
+            assert rc == 2 and "error" in err
+        rc, _, err = run(capsys, "mul", "--k", "2", "{bad", "T0")
+        assert rc == 2 and "JSON" in err
+
+    def test_internal_fault_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "cmd_dims", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["dims", "--k", "1"])

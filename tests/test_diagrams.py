@@ -136,7 +136,56 @@ class TestMultiply:
                 assert coeff == base_coeff and d == base
 
 
+def _reference_matchings(nodes, target_lines):
+    """The unpruned matching search, kept as the oracle for the pruned one."""
+    out, pairs = [], []
+
+    def rec(segments, lines):
+        if lines > target_lines:
+            return
+        if not segments:
+            if lines == target_lines:
+                out.append(list(pairs))
+            return
+        seg, rest = segments[0], segments[1:]
+        if not seg:
+            rec(rest, lines)
+            return
+        a = nodes[seg[0]]
+        for pos in range(1, len(seg), 2):
+            b = nodes[seg[pos]]
+            if a[0] in ("L", "R") and a[0] == b[0]:
+                continue
+            is_line = a[0] in ("L", "R") and b[0] in ("L", "R")
+            pairs.append((a, b))
+            rec((seg[1:pos], seg[pos + 1:]) + rest, lines + (1 if is_line else 0))
+            pairs.pop()
+
+    rec((tuple(range(len(nodes))),), 0)
+    return out
+
+
 class TestEnumeration:
+    def test_matchings_equal_unpruned_search(self):
+        cases = 0
+        for k in range(1, 5):
+            for w in range(0, 5):
+                for L in range(0, 2 * k + 2 * w + 1, 2):
+                    for R in range(0, 2 * k + 2 * w + 1, 2):
+                        nodes = dg._boundary_order(k, L, R)
+                        got = dg._matchings(nodes, w)
+                        assert got == _reference_matchings(nodes, w), (k, w, L, R)
+                        cases += bool(got)
+        assert cases > 100
+
+    def test_dims_row_k6(self, capsys):
+        from blobalg import cli
+        assert cli.main(["dims", "--k", "6", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)[-1]
+        assert row == {"k": 6, "blob_dim": 5748,
+                       "per_grade": {"0": 3900, "1": 1848, "2": 2248,
+                                     "3": 1848, "4": 2248}}
+
     def test_blob_dimensions_small(self):
         for k, expected in [(1, 5), (2, 19), (3, 84)]:
             assert len(dg.enumerate_basis(k, {0, 1})) == expected
@@ -173,6 +222,62 @@ class TestEnumeration:
             dg.enumerate_basis(2, {0, 1}, cache_dir=str(tmp_path))
         # neither the cache file nor the temporary file is left behind
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def fresh_caches():
+    dg._clear_product_caches()
+    yield
+    dg._clear_product_caches()
+
+
+def _cache_state():
+    return dict(dg._PRODUCTS), dict(dg._INTERNED), dict(dg._FOLD_COEFFS)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestProductMemo:
+    def _pairs(self, n, seed):
+        rng = random.Random(seed)
+        pool = dg.enumerate_basis(3, {0, 1, 2})
+        return [(rng.choice(pool), rng.choice(pool)) for _ in range(n)]
+
+    def test_memo_equals_fresh_product(self):
+        pairs = self._pairs(500, 61)
+        memo = [dg.multiply_diagrams(x, y) for x, y in pairs]
+        assert dg._PRODUCTS
+        for (x, y), value in zip(pairs, memo):
+            assert dg.multiply_diagrams(x, y) is dg._PRODUCTS[(x, y)]
+            dg._clear_product_caches()
+            assert dg.multiply_diagrams(x, y) == value
+
+    def test_fold_rng_bypasses_memo(self):
+        x, y = dg.e0_diagram(2), dg.e0_diagram(2)
+        truth = dg.multiply_diagrams(x, y)
+        for a, b in self._pairs(50, 62):
+            dg.multiply_diagrams(a, b)
+        before = _cache_state()
+        for a, b in self._pairs(50, 63) + [(x, y)]:
+            dg.multiply_diagrams(a, b, fold_rng=random.Random(1))
+        assert _cache_state() == before
+        # a wrong memo entry is returned by the memoized path but never
+        # reaches the shuffled one
+        poisoned = (sc.qint(7), dg.identity_diagram(2))
+        dg._PRODUCTS[(x, y)] = poisoned
+        assert dg.multiply_diagrams(x, y) == poisoned
+        assert dg.multiply_diagrams(x, y, fold_rng=random.Random(2)) == truth
+
+    def test_cap_bounds_memo(self, monkeypatch):
+        monkeypatch.setattr(dg, "_PRODUCT_CAP", 8)
+        pairs = self._pairs(200, 64)
+        got = []
+        for x, y in pairs:
+            got.append(dg.multiply_diagrams(x, y))
+            assert len(dg._PRODUCTS) <= 8
+            assert len(dg._FOLD_COEFFS) <= 8
+        monkeypatch.setattr(dg, "_PRODUCT_CAP", 1 << 15)
+        dg._clear_product_caches()
+        assert got == [dg.multiply_diagrams(x, y) for x, y in pairs]
 
 
 class TestFiltration:
