@@ -637,11 +637,28 @@ def diagram_to_json(d: TLDiagram) -> dict:
             "pairs": [[_node_name(a), _node_name(b)] for a, b in d.pairs]}
 
 
+def _json_field(obj, key: str, kind: type, what: str):
+    """obj[key] of a decoded `what` JSON object, checked to be a `kind`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DiagramError("json", "%s JSON needs %r as a %s: %r"
+                           % (what, key, kind.__name__, obj))
+    return value
+
+
 def diagram_from_json(obj) -> TLDiagram:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    pairs = [(_node_parse(a), _node_parse(b)) for a, b in obj["pairs"]]
-    return TLDiagram(int(obj["k"]), int(obj["L"]), int(obj["R"]), pairs)
+    k = _json_field(obj, "k", int, "diagram")
+    L = _json_field(obj, "L", int, "diagram")
+    R = _json_field(obj, "R", int, "diagram")
+    pairs = _json_field(obj, "pairs", list, "diagram")
+    for p in pairs:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not str:
+            raise DiagramError("json", "diagram JSON pairs must be pairs of node names: %r"
+                               % (p,))
+    if 2 * len(pairs) != 2 * k + L + R:  # checked before any node list is built
+        raise DiagramError("degree", "diagram JSON has %d pairs for %d nodes"
+                           % (len(pairs), 2 * k + L + R))
+    return TLDiagram(k, L, R, [(_node_parse(a), _node_parse(b)) for a, b in pairs])
 
 
 def element_to_json(x: TLElement) -> dict:
@@ -651,10 +668,9 @@ def element_to_json(x: TLElement) -> dict:
 
 
 def element_from_json(obj) -> TLElement:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    k = _json_field(obj, "k", int, "element")
     coeffs = {}
-    for term in obj["terms"]:
-        d = diagram_from_json(term["diagram"])
-        coeffs[d] = scalar_from_json(term["coeff"])
-    return TLElement(int(obj["k"]), coeffs)
+    for term in _json_field(obj, "terms", list, "element"):
+        d = diagram_from_json(_json_field(term, "diagram", dict, "element term"))
+        coeffs[d] = scalar_from_json(_json_field(term, "coeff", dict, "element term"))
+    return TLElement(k, coeffs)

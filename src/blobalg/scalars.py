@@ -1,6 +1,6 @@
-"""Exact coefficient field for the two-boundary diagram calculus.
+"""Exact coefficients for the two-boundary diagram calculus.
 
-Scalars are rational functions in five atoms over the Gaussian rationals:
+Scalars are built from five atoms over the Gaussian rationals:
 
     u  = t^(1/2),   u0 = t_0^(1/2),   uk = t_k^(1/2),   a0,   ak.
 
@@ -8,26 +8,27 @@ Exponents of u, u0, uk count half-units of t, t_0, t_k, so any half-integer
 power of the base parameters is a monomial here.  A ``LaurentPoly`` is a
 sparse exponent-vector -> Gaussian-rational map.
 
-A ``Scalar`` is kept in one canonical form, so that equal values are
-structurally equal: ``num / den`` with ``den`` an ordinary polynomial that no
-variable divides, monic (its lexicographically largest term has coefficient
-1) and coprime to ``num``, which carries the whole monomial part and may have
-negative exponents.
+A ``Scalar`` is a Laurent polynomial in the five atoms over Q(i) divided by
+a monic product of Q(i)-irreducible cyclotomic factors in u.  Nothing else
+is needed: the seminormal denominators of the calibrated modules,
+1 - gamma_i/gamma_(i+1) and 1 - gamma_1^-2, are such products once the
+boundary parameters are specialized, and the diagram calculus divides only
+by the monomials a0 and ak.  A new denominator enters through ``inv`` (and
+so ``/``) and through ``Scalar(num, den)``, which ``parse`` and
+``from_json`` reach; any other denominator -- u - 3, 2u + 1, u + a0 --
+raises ScalarError there.
 
-Cancellation removes the common factors of the two polynomial parts.  When
-the monic denominator is a polynomial in u alone with Gaussian-integer
-coefficients that factors into Q(i)-irreducible cyclotomic factors -- the
-case for every calibrated-module entry -- its factorization is found once by
-exact trial division and memoized, and the factors are divided out of the
-numerator as often as they divide both.  Any other denominator is cancelled
-by a polynomial gcd over Z[i] (primitive pseudo-remainder sequences).  Both
-routes give the same canonical form.
+Scalars are kept in one canonical form, so that equal values are
+structurally equal: ``num / den`` with ``den`` such a product (so no
+variable divides it) and coprime to ``num``, which carries the whole
+monomial part and may have negative exponents.  Each denominator is
+factored once by exact trial division and memoized; cancelling divides its
+factors out of the numerator as often as they divide both.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -220,7 +221,7 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery (Gaussian integers, then recursive primitive PRS)
+# Gaussian integers
 # ---------------------------------------------------------------------------
 
 GInt = Tuple[int, int]
@@ -234,350 +235,31 @@ def _gi_norm(a: GInt) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _gi_divmod(a: GInt, b: GInt) -> Tuple[GInt, GInt]:
-    n = _gi_norm(b)
-    xr = a[0] * b[0] + a[1] * b[1]
-    xi = a[1] * b[0] - a[0] * b[1]
-    q = ((2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n))
-    r = (a[0] - (q[0] * b[0] - q[1] * b[1]), a[1] - (q[0] * b[1] + q[1] * b[0]))
-    return q, r
-
-
-def _gi_gcd(a: GInt, b: GInt) -> GInt:
-    while b != (0, 0):
-        _, r = _gi_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _to_gaussian_int_poly(p: LaurentPoly) -> Dict[Expo, GInt]:
-    """Clear rational denominators; exponents are shifted to be nonnegative."""
-    lcm = 1
-    for c in p.terms.values():
-        for fr in c:
-            if fr.denominator != 1:
-                lcm = lcm * fr.denominator // _int_gcd(lcm, fr.denominator)
-    shift = p.min_exponents()
-    out = {}
-    for e, c in p.terms.items():
-        out[_esub(e, shift)] = (int(c[0] * lcm), int(c[1] * lcm))
-    return out
-
-
 def _int_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
 
 
-def _poly_vars(terms: Dict[Expo, GInt]) -> Tuple[int, ...]:
-    used = [False] * NVARS
-    for e in terms:
-        for i in range(NVARS):
-            if e[i]:
-                used[i] = True
-    return tuple(i for i in range(NVARS) if used[i])
-
-
-def _as_univariate(terms: Dict[Expo, GInt], var: int) -> Dict[int, Dict[Expo, GInt]]:
-    out: Dict[int, Dict[Expo, GInt]] = {}
-    for e, c in terms.items():
-        d = e[var]
-        rest = list(e)
-        rest[var] = 0
-        out.setdefault(d, {})[tuple(rest)] = c
-    return out
-
-
-def _from_univariate(coeffs: Dict[int, Dict[Expo, GInt]], var: int) -> Dict[Expo, GInt]:
-    out: Dict[Expo, GInt] = {}
-    for d, terms in coeffs.items():
-        for e, c in terms.items():
-            f = list(e)
-            f[var] = d
-            out[tuple(f)] = c
-    return out
-
-
-def _gp_mul(a: Dict[Expo, GInt], b: Dict[Expo, GInt]) -> Dict[Expo, GInt]:
-    out: Dict[Expo, GInt] = {}
-    for e, c in a.items():
-        for f, d in b.items():
-            g = _eadd(e, f)
-            p = _gi_mul(c, d)
-            if g in out:
-                s = (out[g][0] + p[0], out[g][1] + p[1])
-                if s == (0, 0):
-                    del out[g]
-                else:
-                    out[g] = s
-            else:
-                out[g] = p
-    return out
-
-
-def _gp_sub(a: Dict[Expo, GInt], b: Dict[Expo, GInt]) -> Dict[Expo, GInt]:
-    out = dict(a)
-    for e, c in b.items():
-        if e in out:
-            s = (out[e][0] - c[0], out[e][1] - c[1])
-            if s == (0, 0):
-                del out[e]
-            else:
-                out[e] = s
-        else:
-            out[e] = (-c[0], -c[1])
-    return out
-
-
-def _gp_to_laurent(a: Dict[Expo, GInt]) -> LaurentPoly:
-    return LaurentPoly({e: c for e, c in a.items()})
-
-
-def _gp_gcd(a: Dict[Expo, GInt], b: Dict[Expo, GInt]) -> Dict[Expo, GInt]:
-    """gcd in Z[i][vars] by primitive pseudo-remainder sequences."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    avars = set(_poly_vars(a)) | set(_poly_vars(b))
-    if not avars:
-        return {_ZEXP: _gi_gcd(next(iter(a.values())), next(iter(b.values())))}
-    if len(a) > 1 and len(b) > 1:
-        try:
-            if _coprime_certificate(_gp_to_laurent(a), _gp_to_laurent(b),
-                                    tuple(sorted(avars))):
-                return {_ZEXP: (1, 0)}
-        except EvalRetry:
-            pass
-    var = min(avars,
-              key=lambda v: max(max((e[v] for e in a), default=0),
-                                max((e[v] for e in b), default=0)))
-
-    def content_and_primitive(terms):
-        uni = _as_univariate(terms, var)
-        cont: Optional[Dict[Expo, GInt]] = None
-        for coeff in uni.values():
-            cont = coeff if cont is None else _gp_gcd(cont, coeff)
-            if len(cont) == 1 and _ZEXP in cont and _gi_norm(cont[_ZEXP]) == 1:
-                break
-        assert cont is not None
-        prim = _gp_exact_div(terms, cont)
-        return cont, prim
-
-    ca, pa = content_and_primitive(a)
-    cb, pb = content_and_primitive(b)
-    cg = _gp_gcd(ca, cb)
-
-    # primitive Euclid on the chosen variable, via pseudo-remainders
-    while pb:
-        da = max(e[var] for e in pa)
-        db = max(e[var] for e in pb)
-        if da < db:
-            pa, pb = pb, pa
-            da, db = db, da
-        lb = _from_univariate({0: _as_univariate(pb, var)[db]}, var)
-        rem = pa
-        while rem and max(e[var] for e in rem) >= db:
-            dr = max(e[var] for e in rem)
-            lr = _from_univariate({0: _as_univariate(rem, var)[dr]}, var)
-            mono = [0] * NVARS
-            mono[var] = dr - db
-            rem = _gp_sub(_gp_mul(rem, lb),
-                          _gp_mul(_gp_mul(pb, lr), {tuple(mono): (1, 0)}))
-        if rem:
-            _, rem = content_and_primitive(rem)
-        pa, pb = pb, rem
-    return _gp_mul(cg, pa)
-
-
-def _gp_exact_div(a: Dict[Expo, GInt], b: Dict[Expo, GInt]) -> Dict[Expo, GInt]:
-    """Exact division a / b; b must divide a."""
-    if len(b) == 1:
-        (e, c), = b.items()
-        out = {}
-        for f, d in a.items():
-            q, r = _gi_divmod(d, c)
-            assert r == (0, 0), "non-exact coefficient division"
-            out[_esub(f, e)] = q
-        return out
-    rem = dict(a)
-    out: Dict[Expo, GInt] = {}
-    eb = max(b)
-    cb = b[eb]
-    while rem:
-        ea = max(rem)
-        ca = rem[ea]
-        q, r = _gi_divmod(ca, cb)
-        assert r == (0, 0), "non-exact leading division"
-        e = _esub(ea, eb)
-        out[e] = q
-        rem = _gp_sub(rem, _gp_mul(b, {e: q}))
-    return out
-
-
-def _univariate_gcd(a: LaurentPoly, b: LaurentPoly, var: int) -> LaurentPoly:
-    """Primitive PRS over Z[i] for polynomials in a single variable."""
-    def to_uni(p: LaurentPoly) -> Dict[int, GInt]:
-        lcm = 1
-        for c in p.terms.values():
-            for fr in c:
-                if fr.denominator != 1:
-                    lcm = lcm * fr.denominator // _int_gcd(lcm, fr.denominator)
-        return {e[var]: (int(c[0] * lcm), int(c[1] * lcm))
-                for e, c in p.terms.items()}
-
-    def primitive(f: Dict[int, GInt]) -> Dict[int, GInt]:
-        g = (0, 0)
-        for c in f.values():
-            g = _gi_gcd(g, c)
-            if _gi_norm(g) == 1:
-                return f
-        out = {}
-        for d, c in f.items():
-            q, _ = _gi_divmod(c, g)
-            out[d] = q
-        return out
-
-    def pseudo_mod(f: Dict[int, GInt], g: Dict[int, GInt]) -> Dict[int, GInt]:
-        dg = max(g)
-        lg = g[dg]
-        f = dict(f)
-        while f and max(f) >= dg:
-            df = max(f)
-            lf = f[df]
-            new: Dict[int, GInt] = {}
-            for d, c in f.items():
-                new[d] = _gi_mul(c, lg)
-            for d, c in g.items():
-                e = d + df - dg
-                p = _gi_mul(c, lf)
-                s = (new.get(e, (0, 0))[0] - p[0], new.get(e, (0, 0))[1] - p[1])
-                if s == (0, 0):
-                    new.pop(e, None)
-                else:
-                    new[e] = s
-            f = primitive(new) if new else new
-        return f
-
-    fa, fb = primitive(to_uni(a)), primitive(to_uni(b))
-    while fb:
-        fa, fb = fb, pseudo_mod(fa, fb)
-    out = {}
-    for d, c in fa.items():
-        e = [0] * NVARS
-        e[var] = d
-        out[tuple(e)] = c
-    return LaurentPoly(out)
-
-
-_CERT_PRIME: Optional[int] = None
-_CERT_I: Optional[int] = None
-
-
-def _certificate_setup() -> Tuple[int, int]:
-    global _CERT_PRIME, _CERT_I
-    if _CERT_PRIME is None:
-        rng = random.Random(0x5CA1AB1E)
-        _CERT_PRIME = random_prime(62, rng)
-        _CERT_I = sqrt_minus_one(_CERT_PRIME, rng)
-    return _CERT_PRIME, _CERT_I
-
-
-def _coprime_certificate(a: LaurentPoly, b: LaurentPoly,
-                         variables: Tuple[int, ...]) -> bool:
-    """Deterministically certify gcd(a, b) = 1.
-
-    For each variable v, evaluate all other variables at a modular point.  If
-    the leading v-degrees survive and the univariate images are coprime mod p,
-    no common factor can involve v.  True for every v forces a constant gcd.
-    """
-    p, i_val = _certificate_setup()
-    rng = random.Random(0xACCE55)
-
-    def image(poly: LaurentPoly, var: int, point: Dict[int, int]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for e, c in poly.terms.items():
-            val = (_frac_mod(c[0], p) + i_val * _frac_mod(c[1], p)) % p
-            for j in range(NVARS):
-                if j != var and e[j]:
-                    val = val * pow(point[j], e[j], p) % p
-            d = e[var]
-            out[d] = (out.get(d, 0) + val) % p
-            if out[d] == 0:
-                del out[d]
-        return out
-
-    def uni_gcd_deg(f: Dict[int, int], g: Dict[int, int]) -> int:
-        while g:
-            dg = max(g)
-            inv = pow(g[dg], p - 2, p)
-            g = {d: c * inv % p for d, c in g.items()}
-            f2 = dict(f)
-            while f2 and max(f2) >= dg:
-                df = max(f2)
-                c = f2[df]
-                for d, gc in g.items():
-                    e = d + df - dg
-                    s = (f2.get(e, 0) - c * gc) % p
-                    if s:
-                        f2[e] = s
-                    elif e in f2:
-                        del f2[e]
-            f, g = g, f2
-        return max(f)
-
-    for var in variables:
-        da = a.degree_in(var)
-        db = b.degree_in(var)
-        for _ in range(4):
-            point = {j: rng.randrange(1, p) for j in range(NVARS)}
-            fa = image(a, var, point)
-            fb = image(b, var, point)
-            if fa and fb and max(fa) == da and max(fb) == db:
-                break
-        else:
-            return False
-        if uni_gcd_deg(fa, fb) != 0:
-            return False
-    return True
-
-
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd as an ordinary polynomial (monomial content stripped from inputs)."""
-    variables = tuple(sorted(set(a.variables()) | set(b.variables())))
-    if not variables:
-        return LaurentPoly.const(1)
-    if len(variables) == 1:
-        return _univariate_gcd(a, b, variables[0])
-    try:
-        if _coprime_certificate(a, b, variables):
-            return LaurentPoly.const(1)
-    except EvalRetry:
-        pass
-    ga = _to_gaussian_int_poly(a)
-    gb = _to_gaussian_int_poly(b)
-    g = _gp_gcd(ga, gb)
-    return LaurentPoly(dict(g))
-
-
 # ---------------------------------------------------------------------------
-# cancellation: cyclotomic trial division, gcd fallback
+# denominators and cancellation: cyclotomic trial division
 # ---------------------------------------------------------------------------
 #
 # The seminormal denominators 1 - gamma_i/gamma_(i+1) and 1 - gamma_1^-2 are
 # 1 - (unit)*u^m, so the denominators of the calibrated modules are products
 # of the Q(i)-irreducible cyclotomic factors: Phi_m when 4 does not divide m,
 # and for 4 | m the two halves of Phi_m whose roots z have z^(m/4) = i and
-# z^(m/4) = -i.  Such a denominator is factored once, by exact trial
-# division, and a numerator is cancelled against it by stripping those
-# factors; removing every common irreducible factor is dividing by the gcd.
+# z^(m/4) = -i.  These products are the only denominators a Scalar may have.
+# Each is factored once, by exact trial division, and a numerator is
+# cancelled against it by stripping those factors; removing every common
+# irreducible factor is dividing by the gcd.
 # Dense polynomials below are coefficient lists in u, lowest degree first.
 
 _ZC = (0, 0)
+_MAX_DEGREE = 5000  # denominators of degree >= this in u are rejected
 CycloFactor = Tuple[GInt, ...]  # monic, Gaussian-integer coefficients
-# factors with multiplicities, or None for a denominator of another kind
-Factorization = Optional[Tuple[Tuple[CycloFactor, int], ...]]
+Factors = Tuple[Tuple[CycloFactor, int], ...]  # with multiplicities
+Factorization = Optional[Factors]  # None for a denominator of another kind
 
 
 def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], List[Coeff]]:
@@ -665,8 +347,8 @@ def _factor_cyclotomic(d: List[GInt]) -> Factorization:
     m = 1
     # A factor of Phi_m has degree at least phi(m)/2, and m < 6*phi(m) for
     # every m below 2*10^8, so m < 12*deg(d) reaches every factor that fits
-    # (for degrees below 5000; a factor missed past that leaves a residual,
-    # and the gcd path takes over).
+    # for degrees below _MAX_DEGREE = 5000; a denominator of larger degree
+    # is rejected before it gets here.
     while len(d) > 1 and m < 12 * (len(d) - 1):
         for factor in _cyclotomic_factors(m):
             k = 0
@@ -726,23 +408,30 @@ def _monic(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     return n, d
 
 
+def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], List[GInt], Factors]:
+    """For a polynomial d with zero monomial content and several terms: the
+    inverse of its leading coefficient (None if that is 1), the dense
+    coefficients of the monic d, and their cyclotomic factorization.
+
+    Raises ScalarError if the monic d is not a product of Q(i)-irreducible
+    cyclotomic factors in u: no Scalar has such a denominator."""
+    _, lc = d.leading()
+    inv = _cinv(lc) if lc != (_FR1, _FR0) else None
+    dense = _u_coefficients(d, inv) if d.degree_in(0) < _MAX_DEGREE else None
+    factors = _cyclotomic_factorization(dense) if dense is not None else None
+    if factors is None:
+        raise ScalarError("denominator is not a product of cyclotomic factors in u: %s"
+                          % render(Scalar(d, _normalized=True)))
+    return inv, dense, factors
+
+
 def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     """(n/g, d/g) for g = gcd(n, d), with d/g monic.
 
-    n and d are ordinary polynomials with zero monomial content.  A
-    denominator in u alone whose monic form is a product of Q(i)-irreducible
-    cyclotomic factors is cancelled by stripping those factors from n; any
-    other goes through :func:`_poly_gcd`."""
-    _, lc = d.leading()
-    inv = _cinv(lc) if lc != (_FR1, _FR0) else None
-    dense = _u_coefficients(d, inv)
-    factors = _cyclotomic_factorization(dense) if dense is not None else None
-    if factors is None:
-        g = _poly_gcd(n, d)
-        if len(g.terms) > 1:
-            n = _exact_poly_div(n, g)
-            d = _exact_poly_div(d, g)
-        return _monic(n, d)
+    n and d are ordinary polynomials with zero monomial content, and d has
+    several terms.  The factors of d (see :func:`_denominator_factors`) are
+    stripped from n as often as they divide both."""
+    inv, dense, factors = _denominator_factors(d)
     if inv is not None:
         n = n.scale(inv)
     # n as a polynomial in u over the other variables
@@ -770,7 +459,8 @@ def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
 
 
 class Scalar:
-    """Element of the coefficient field, kept in reduced canonical form."""
+    """A Laurent polynomial over a cyclotomic denominator in u, kept in
+    reduced canonical form."""
 
     __slots__ = ("num", "den")
 
@@ -870,7 +560,8 @@ class Scalar:
         if self.den.is_one() and other.den.is_one():
             return Scalar(self.num * other.num, LaurentPoly.const(1),
                           _normalized=True)
-        # cross-cancellation keeps the product reduced without a full gcd
+        # cross-cancellation keeps the product reduced: each numerator against
+        # the other factor's denominator
         n1, d2 = _cross_reduce(self.num, other.den)
         n2, d1 = _cross_reduce(other.num, self.den)
         num, den = _monic(n1 * n2, d1 * d2)
@@ -883,7 +574,10 @@ class Scalar:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         mono = self.num.min_exponents()
-        num, den = _monic(self.den, self.num.shift(_esub(_ZEXP, mono)))
+        den = self.num.shift(_esub(_ZEXP, mono))
+        if len(den.terms) > 1:
+            _denominator_factors(den)  # raises unless a cyclotomic product
+        num, den = _monic(self.den, den)
         return Scalar(num.shift(_esub(_ZEXP, mono)), den, _normalized=True)
 
     def __pow__(self, n: int) -> "Scalar":
@@ -953,33 +647,13 @@ def _normalize(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Laurent
     n = num.shift(_esub(_ZEXP, mn))
     d = den.shift(_esub(_ZEXP, md))
     # both are ordinary polynomials with zero monomial content now
-    if len(d.terms) > 1 and len(n.terms) > 1:
+    if len(d.terms) > 1:
         n, d = _cancel(n, d)
     else:
         n, d = _monic(n, d)
     # fold the overall monomial into the (Laurent) numerator
     n = n.shift(_esub(mn, md))
     return n, d
-
-
-def _exact_poly_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials (b divides a)."""
-    if b.is_monomial():
-        (e, c), = b.terms.items()
-        inv = _cinv(c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {_esub(f, e): _cmul(d, inv) for f, d in a.terms.items()}
-        return out
-    rem = a
-    out = LaurentPoly.zero()
-    eb, cb = b.leading()
-    cbi = _cinv(cb)
-    while not rem.is_zero():
-        ea, ca = rem.leading()
-        q = LaurentPoly.monomial(_esub(ea, eb), _cmul(ca, cbi))
-        out = out + q
-        rem = rem - b * q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1296,7 +970,10 @@ class _Tok:
 def parse(text: str) -> Scalar:
     """Parse the grammar produced by :func:`render` (plus t, t0, tk sugar)."""
     tok = _Tok(text)
-    val = _parse_sum(tok)
+    try:
+        val = _parse_sum(tok)
+    except ZeroDivisionError:
+        raise ScalarError("division by zero in %r" % text) from None
     if tok.peek():
         raise ScalarError("trailing input at %d in %r" % (tok.pos, text))
     return val
@@ -1405,9 +1082,14 @@ def _frac_out(fr):
 
 
 def _frac_in(v):
+    if type(v) is int:
+        return v
     if isinstance(v, str):
-        return Fraction(*map(int, v.split("/")))
-    return int(v)
+        try:
+            return Fraction(*map(int, v.split("/")))
+        except (ValueError, TypeError, ZeroDivisionError):
+            pass
+    raise ScalarError("scalar JSON: bad coefficient %r" % (v,))
 
 
 def _poly_to_json(p: LaurentPoly):
@@ -1421,8 +1103,11 @@ def _poly_to_json(p: LaurentPoly):
 def _poly_from_json(rows) -> LaurentPoly:
     terms = {}
     for row in rows:
-        re, im, *e = row
-        terms[tuple(int(x) for x in e)] = (_frac_in(re), _frac_in(im))
+        if not (isinstance(row, list) and len(row) == 2 + NVARS
+                and all(type(x) is int for x in row[2:])):
+            raise ScalarError("scalar JSON: a term is [re, im, %d integer exponents], not %r"
+                              % (NVARS, row))
+        terms[tuple(row[2:])] = (_frac_in(row[0]), _frac_in(row[1]))
     return LaurentPoly(terms)
 
 
@@ -1431,6 +1116,11 @@ def to_json(x: Scalar) -> dict:
 
 
 def from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Scalar(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
+    if not (isinstance(obj, dict) and isinstance(obj.get("num"), list)
+            and isinstance(obj.get("den"), list)):
+        raise ScalarError("scalar JSON must be an object with term lists \"num\" and "
+                          "\"den\", not %r" % (obj,))
+    den = _poly_from_json(obj["den"])
+    if den.is_zero():
+        raise ScalarError("scalar JSON has a zero denominator")
+    return Scalar(_poly_from_json(obj["num"]), den)

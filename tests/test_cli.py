@@ -134,6 +134,15 @@ class TestExitCodes:
             assert rc == 2 and "error" in err
         rc, _, err = run(capsys, "mul", "--k", "2", "{bad", "T0")
         assert rc == 2 and "JSON" in err
+        # a denominator outside the scalar domain, and element JSON of the wrong shape
+        term = {"coeff": 1, "diagram": {"k": 1, "L": 0, "R": 0, "pairs": [["T1", "B1"]]}}
+        wrong_row = dict(term, coeff={"num": [[1, 0, 0]], "den": [[1, 0, 0, 0, 0, 0, 0]]})
+        for text, why in (("(1/(u-3))*T0", "cyclotomic"), ("(1/0)*T0", "division by zero"),
+                          ('{"k":1}', "'terms'"),
+                          (json.dumps({"k": 1, "terms": [term]}), "'coeff'"),
+                          (json.dumps({"k": 1, "terms": [wrong_row]}), "scalar JSON")):
+            rc, out, err = run(capsys, "mul", "--k", "1", text, "T0")
+            assert rc == 2 and why in err and not out, text
 
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(args):

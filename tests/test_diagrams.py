@@ -313,6 +313,21 @@ class TestSerialization:
                             dg.e_diagram(2, 1): -bb("t0") / A0})
         assert dg.element_from_json(dg.element_to_json(x)) == x
 
+    def test_wrong_shape_json_rejected(self):
+        ident = dg.diagram_to_json(dg.identity_diagram(1))
+        for obj in (1, [], {"k": 1}, dict(ident, k="1"), dict(ident, L=True),
+                    dict(ident, pairs=[["T1"]]), dict(ident, pairs=[[1, 2]])):
+            with pytest.raises(dg.DiagramError):
+                dg.diagram_from_json(obj)
+        # the pair count is checked before the boundary of a huge k is built
+        with pytest.raises(dg.DiagramError, match="pairs for"):
+            dg.diagram_from_json({"k": 10 ** 5, "L": 0, "R": 0, "pairs": [["T1", "B1"]]})
+        for obj in ({"terms": []}, {"k": 1, "terms": {}}, {"k": 1, "terms": [1]},
+                    {"k": 1, "terms": [{"coeff": sc.to_json(sc.ONE)}]},
+                    {"k": 1, "terms": [{"coeff": 1, "diagram": ident}]}):
+            with pytest.raises(dg.DiagramError):
+                dg.element_from_json(obj)
+
     def test_crossing_json_rejected(self):
         with pytest.raises(dg.DiagramError):
             dg.diagram_from_json({"k": 2, "L": 0, "R": 0,

@@ -61,7 +61,9 @@ class TestFieldOps:
     def test_field_axioms_random(self):
         rng = random.Random(20240)
         for _ in range(150):
-            a, b, c = (rand_scalar(rng) for _ in range(3))
+            # a is invertible: a monomial times cyclotomic binomials and their
+            # inverses; b and c are sums and products of such
+            a, b, c = rand_unit(rng), rand_domain_scalar(rng), rand_domain_scalar(rng)
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
@@ -164,9 +166,9 @@ class TestEvalMod:
     def test_retry_signal(self):
         rng = random.Random(13)
         p = sc.random_prime(62, rng)
-        x = ONE / (U - Scalar.from_int(3))
+        x = ONE / (U - 1)
         pt = sc.random_point(p, rng)
-        pt["u"] = 3
+        pt["u"] = 1
         with pytest.raises(sc.EvalRetry):
             eval_mod(x, p, pt)
 
@@ -185,6 +187,18 @@ class TestSerialization:
             blob = json.dumps(sc.to_json(x))
             assert sc.from_json(json.loads(blob)) == x
 
+    def test_malformed_json_rejected(self):
+        one = [[1, 0, 0, 0, 0, 0, 0]]
+        for obj in (1, "x", [], {"num": one}, {"num": one, "den": 1},
+                    {"num": [[1, 0, 0]], "den": one},
+                    {"num": [[1, 0, 0, 0, 0, True, 0]], "den": one},
+                    {"num": [["1/x", 0, 0, 0, 0, 0, 0]], "den": one},
+                    {"num": [["1/0", 0, 0, 0, 0, 0, 0]], "den": one},
+                    {"num": one, "den": []}):
+            with pytest.raises(sc.ScalarError):
+                sc.from_json(obj)
+        assert sc.from_json({"num": [["1/2", 0, 1, 0, 0, 0, 0]], "den": one}) == U / 2
+
     def test_render_example(self):
         assert sc.render(qint(3)) == "(u^2+1+u^-2)"
 
@@ -199,14 +213,78 @@ def upoly(coeffs, rest=(0, 0, 0, 0)):
                            if c != (0, 0)})
 
 
+def _qi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _qi_inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    re, im = Fraction(a[0]) / n, -Fraction(a[1]) / n
+    return (int(re) if re.denominator == 1 else re, int(im) if im.denominator == 1 else im)
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == (0, 0):
+        a.pop()
+    return a
+
+
+def ref_divmod(a, b):
+    """Quotient and remainder of dense polynomials in u over Q(i): lists of
+    (real, imaginary) pairs, lowest degree first, b nonzero."""
+    a = list(a)
+    q = [(0, 0)] * max(len(a) - len(b) + 1, 0)
+    lead = _qi_inv(b[-1])
+    for base in range(len(a) - len(b), -1, -1):
+        c = _qi_mul(a[base + len(b) - 1], lead)
+        if c == (0, 0):
+            continue
+        q[base] = c
+        for j, x in enumerate(b):
+            y = _qi_mul(c, x)
+            a[base + j] = (a[base + j][0] - y[0], a[base + j][1] - y[1])
+    return _trim(q), _trim(a[:len(b) - 1])
+
+
+def _monic_dense(a):
+    lead = _qi_inv(a[-1])
+    return [_qi_mul(c, lead) for c in a]
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid over Q(i), keeping each remainder monic."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+        if b:
+            b = _monic_dense(b)
+    return _monic_dense(a)
+
+
 def gcd_path(n, d):
-    """The general cancellation: polynomial gcd, exact division, monic den."""
-    g = sc._poly_gcd(n, d)
-    if len(g.terms) > 1:
-        n, d = sc._exact_poly_div(n, g), sc._exact_poly_div(d, g)
-    _, lc = d.leading()
-    inv = sc._cinv(lc)
-    return n.scale(inv), d.scale(inv)
+    """Reference cancellation for a denominator d in u alone: n and d divided
+    by their gcd, the gcd of d and the u-coefficient rows of n (n as a
+    polynomial in u over the other variables), with d made monic."""
+    def dense(terms):
+        return _trim([terms.get(j, (0, 0)) for j in range(max(terms) + 1)])
+
+    rows = {}
+    for e, c in n.terms.items():
+        rows.setdefault(e[1:], {})[e[0]] = c
+    den = dense({e[0]: c for e, c in d.terms.items()})
+    g = den
+    for t in rows.values():
+        g = ref_gcd(g, dense(t))
+    den, r = ref_divmod(den, g)
+    assert not r
+    scale = _qi_inv(den[-1])
+    num = {}
+    for rest, t in rows.items():
+        q, r = ref_divmod(dense(t), g)
+        assert not r
+        num.update({(j,) + rest: _qi_mul(c, scale) for j, c in enumerate(q)})
+    return (sc.LaurentPoly(num),
+            sc.LaurentPoly({(j, 0, 0, 0, 0): _qi_mul(c, scale) for j, c in enumerate(den)}))
 
 
 def rand_gaussian_poly(rng, max_deg=5):
@@ -285,6 +363,18 @@ class TestCyclotomicCancel:
             assert sc._cancel(n, d) == gcd_path(n, d), case
         assert taken == 200
 
+    def test_numerator_rows(self):
+        # a factor of d is cancelled only if it divides every u-row of n
+        f = upoly([(0, -1), (1, 0)])                          # u - i
+        d = upoly([(1, 0), (0, 0), (1, 0)]) * binomial(3, (1, 0))
+        a0 = upoly([(1, 0)], rest=(0, 0, 1, 0))
+        g, h = upoly([(2, 1), (1, 0)]), upoly([(0, 1), (1, 0)])
+        shared, one_row = f * g + a0 * f * h, f * g + a0 * h
+        for n in (shared, one_row):
+            assert sc._cancel(n, d) == gcd_path(n, d)
+        assert sc._cancel(shared, d)[1].degree_in(0) == d.degree_in(0) - 1
+        assert sc._cancel(one_row, d)[1] == d
+
     def test_repeated_factors(self):
         f = upoly([(1, 0), (0, 0), (1, 0)])                   # u^2 + 1
         g = upoly([(0, -1), (1, 0)])                          # u - i
@@ -294,7 +384,7 @@ class TestCyclotomicCancel:
                 d = lpow(f, b) * lpow(binomial(3, (1, 0)), 2)
                 assert sc._cancel(n, d) == gcd_path(n, d), (a, b)
 
-    def test_other_denominators_fall_back(self):
+    def test_other_denominators_rejected(self):
         rng = random.Random(4242)
         u_minus_3 = upoly([(-3, 0), (1, 0)])
         golden = upoly([(-1, 0), (1, 0), (1, 0)])             # u^2 + u - 1
@@ -305,12 +395,26 @@ class TestCyclotomicCancel:
         for d in (u_minus_3, golden, u_plus_a0, half, recip,
                   u_minus_3 * binomial(5, (1, 0)), golden * binomial(4, (0, 1)),
                   recip * binomial(3, (1, 0))):
-            _, lc = d.leading()
-            dense = sc._u_coefficients(d, sc._cinv(lc))
-            assert dense is None or sc._cyclotomic_factorization(dense) is None
+            den = Scalar(d)
+            with pytest.raises(sc.ScalarError, match="cyclotomic"):
+                den.inv()
             for _ in range(5):
+                # a numerator that d divides is rejected too: the given
+                # denominator is checked before anything is cancelled
                 n = rand_gaussian_poly(rng) * (d if rng.random() < 0.5 else u_minus_3)
-                assert sc._cancel(n, d) == gcd_path(n, d)
+                with pytest.raises(sc.ScalarError, match="cyclotomic"):
+                    Scalar(n, d)
+                with pytest.raises(sc.ScalarError, match="cyclotomic"):
+                    sc.parse("(%s)/(%s)" % (sc.render(Scalar(n)), sc.render(den)))
+                with pytest.raises(sc.ScalarError, match="cyclotomic"):
+                    sc.from_json({"num": sc.to_json(Scalar(n))["num"],
+                                  "den": sc.to_json(den)["num"]})
+
+    def test_degree_limit(self):
+        # u^5000 - 1 is a cyclotomic product, but past the stated limit
+        assert (U ** 4 - 1).inv() * (U ** 4 - 1) == ONE
+        with pytest.raises(sc.ScalarError, match="cyclotomic"):
+            (U ** 5000 - 1).inv()
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(sc, "_factor_memo", {})
@@ -332,6 +436,33 @@ def rand_scalar(rng, depth=0):
             coeff=(rng.randrange(-4, 5), rng.randrange(-2, 3)))
     a = rand_scalar(rng, depth + 1)
     b = rand_scalar(rng, depth + 1)
+    if choice < 5:
+        return a + b
+    if choice < 7:
+        return a * b
+    return a - b
+
+
+def rand_unit(rng):
+    """A nonzero monomial times binomials u^a - (unit) and their inverses."""
+    x = Scalar.monomial(
+        u=rng.randrange(-3, 4), u0=rng.randrange(-1, 2),
+        uk=rng.randrange(-1, 2), a0=rng.randrange(-1, 2),
+        ak=rng.randrange(-1, 2),
+        coeff=rng.choice(((1, 0), (-2, 0), (3, 1), (0, -1))))
+    for _ in range(rng.randrange(3)):
+        f = Scalar.monomial(u=rng.randrange(1, 5)) - Scalar.monomial(coeff=rng.choice(UNITS))
+        x = x * f if rng.random() < 0.5 else x / f
+    return x
+
+
+def rand_domain_scalar(rng, depth=0):
+    """Sums, differences and products of `rand_unit`s."""
+    choice = rng.randrange(8)
+    if choice < 3 or depth > 2:
+        return rand_unit(rng)
+    a = rand_domain_scalar(rng, depth + 1)
+    b = rand_domain_scalar(rng, depth + 1)
     if choice < 5:
         return a + b
     if choice < 7:
