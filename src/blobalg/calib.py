@@ -296,7 +296,7 @@ class CalibratedModule:
             v = mat_shift(mat_mul(self.W[0], self.t_inv(0)), self.uks)
             return mat_scale(v, AK.inv())
         i = int(which)
-        a = Scalar.from_int(wd.DEFAULT_A_SIGN)
+        a = Scalar.from_int(wd.A_SIGN)
         return mat_scale(mat_shift(self.T[i], U), a)
 
     def evaluate_word(self, expr: wd.GenExpr) -> Matrix:
@@ -619,7 +619,7 @@ def idempotent_nullity(m: CalibratedModule, use_f_forms: bool = True) -> dict:
 
 def _f0v_matrix(m: CalibratedModule) -> Matrix:
     """a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, via the diagonal wall word."""
-    a = Scalar.from_int(wd.DEFAULT_A_SIGN)
+    a = Scalar.from_int(wd.A_SIGN)
     ae1 = mat_scale(m.e_matrix(1), a)
     v = mat_shift(mat_mul(m.W[0], m.t_inv(0)), m.uks)
     first = mat_mul(mat_mul(ae1, v), ae1)

@@ -43,9 +43,22 @@ def _ints(text: str):
         raise argparse.ArgumentTypeError("not a comma list of integers: %r" % text)
 
 
+def _int_from(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least %d: %d" % (minimum, value))
+        return value
+    return parse
+
+
 def cmd_dims(args) -> int:
-    if args.k < 1 or args.k > args.max_k:
-        return _fail("dims needs 1 <= k <= %d" % args.max_k)
+    if args.k > args.max_k:
+        return _fail("dims needs k <= %d" % args.max_k)
     rows = []
     for k in range(1, args.k + 1):
         basis = dg.enumerate_basis(k, {0, 1}, max_wall_grade_bound=args.bound)
@@ -228,19 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[shared], **kw)
 
     p = add_parser("dims", help="blob-basis dimension table")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--bound", type=int, default=4)
     p.add_argument("--max-k", type=int, default=6)
     p.set_defaults(fn=cmd_dims)
 
     p = add_parser("basis", help="enumerate basis diagrams")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--grades", type=_ints, default="0,1")
     p.add_argument("--bound", type=int, default=4)
     p.set_defaults(fn=cmd_basis)
 
     p = add_parser("mul", help="multiply generator expressions or elements")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(fn=cmd_mul)
@@ -265,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("relations", "theorem3", "presentation",
                                      "classification"))
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_from(1), default=2)
     p.add_argument("--max-k", type=int, default=6)
     p.add_argument("--r1", type=Fraction, default="3/2")
     p.add_argument("--r2", type=Fraction, default="11/2")
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("schurweyl", help="tensor-space tables and graphs")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_int_from(0), default=3)
     p.add_argument("--dims", action="store_true")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--bvalues", action="store_true")

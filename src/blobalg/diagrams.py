@@ -13,6 +13,15 @@ the scalar coefficients of the blob calculus:
 
 where the depth of a return arc counts the attachment points of other
 strands below it on its wall, in the glued picture before any removal.
+
+A diagram is stored as `(k, L, R, partner)`.  The boundary points are
+numbered clockwise as in `_boundary_order` (top left to right, right wall
+down, bottom right to left, left wall up), and `partner[p]` is the position
+joined to position p, so the encoding is canonical by construction.
+`make_diagram` is the only checker: node pairs from outside, including JSON
+and basis-cache files through `diagram_from_json`, reach it.  Products and
+basis-search outputs are valid by construction and are built unchecked.
+`pairs` derives the node pairs for display, JSON and sort keys.
 """
 
 from __future__ import annotations
@@ -20,14 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import Scalar, bb, render as render_scalar, to_json as scalar_to_json, \
     from_json as scalar_from_json
 
 Node = Tuple[str, int]  # ("T", i), ("B", i), ("L", j), ("R", j)
 
-_KIND_ORDER = {"T": 0, "B": 1, "L": 2, "R": 3}
+_KINDS = ("T", "B", "L", "R")
 
 
 class DiagramError(ValueError):
@@ -38,31 +47,24 @@ class DiagramError(ValueError):
         self.reason = reason
 
 
-def _node_key(n: Node) -> Tuple[int, int]:
-    return (_KIND_ORDER[n[0]], n[1])
-
-
 class TLDiagram:
-    """Canonical non-crossing two-boundary diagram."""
+    """Non-crossing two-boundary diagram: `partner[p]` is the boundary
+    position joined to position p.  Built unchecked; `make_diagram` builds
+    one from node pairs and checks them."""
 
-    __slots__ = ("k", "L", "R", "pairs", "_hash")
+    __slots__ = ("k", "L", "R", "partner", "_hash")
 
-    def __init__(self, k: int, L: int, R: int,
-                 pairs: Iterable[Tuple[Node, Node]], _trusted: bool = False):
+    def __init__(self, k: int, L: int, R: int, partner: Tuple[int, ...]):
         self.k = k
         self.L = L
         self.R = R
-        canon = tuple(sorted((tuple(sorted(p, key=_node_key)) for p in pairs),
-                             key=lambda p: (_node_key(p[0]), _node_key(p[1]))))
-        self.pairs = canon
-        self._hash = hash((k, L, R, canon))
-        if not _trusted:
-            _validate(self)
+        self.partner = partner
+        self._hash = hash((k, L, R, partner))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TLDiagram) and self.k == other.k
                 and self.L == other.L and self.R == other.R
-                and self.pairs == other.pairs)
+                and self.partner == other.partner)
 
     def __hash__(self) -> int:
         return self._hash
@@ -71,13 +73,31 @@ class TLDiagram:
         body = " ".join("%s%d-%s%d" % (a[0], a[1], b[0], b[1]) for a, b in self.pairs)
         return "<TLDiagram k=%d L=%d R=%d %s>" % (self.k, self.L, self.R, body)
 
+    @property
+    def pairs(self) -> Tuple[Tuple[Node, Node], ...]:
+        """The node pairs, each pair and the pairs ordered by node kind
+        (T, B, L, R) and index."""
+        k, L, R, partner = self.k, self.L, self.R, self.partner
+        nodes = _boundary_order(k, L, R)
+        n = len(nodes)
+        out = []
+        done = set()
+        # positions of T1..Tk, B1..Bk, L1..LL, R1..RR
+        for p in [*range(k), *range(2 * k + R - 1, k + R - 1, -1),
+                  *range(n - 1, 2 * k + R - 1, -1), *range(k, k + R)]:
+            if p not in done:
+                done.add(partner[p])
+                out.append((nodes[p], nodes[partner[p]]))
+        return tuple(out)
+
     def wall_grade(self) -> int:
-        return sum(1 for a, b in self.pairs if a[0] == "L" and b[0] == "R"
-                   or a[0] == "R" and b[0] == "L")
+        """Number of wall-to-wall lines."""
+        left = 2 * self.k + self.R
+        return sum(1 for p in range(self.k, self.k + self.R) if self.partner[p] >= left)
 
     def through_strands(self) -> int:
-        return sum(1 for a, b in self.pairs
-                   if {a[0], b[0]} == {"T", "B"})
+        k, R = self.k, self.R
+        return sum(1 for p in range(k) if k + R <= self.partner[p] < 2 * k + R)
 
 
 def _boundary_order(k: int, L: int, R: int) -> List[Node]:
@@ -90,57 +110,53 @@ def _boundary_order(k: int, L: int, R: int) -> List[Node]:
     return order
 
 
-def _validate(d: TLDiagram) -> None:
-    if d.L % 2 or d.R % 2:
-        raise DiagramError("wall_parity", "odd wall point count L=%d R=%d" % (d.L, d.R))
-    nodes = _boundary_order(d.k, d.L, d.R)
-    node_set = set(nodes)
-    seen: Set[Node] = set()
-    for a, b in d.pairs:
-        for n in (a, b):
-            if n not in node_set:
-                raise DiagramError("bad_node", "node %r out of range" % (n,))
-            if n in seen:
-                raise DiagramError("degree", "node %r used twice" % (n,))
-            seen.add(n)
-        if a == b:
-            raise DiagramError("degree", "self-paired node %r" % (a,))
-        if a[0] == b[0] and a[0] in ("L", "R"):
-            raise DiagramError("same_wall", "arc %r-%r returns to its wall" % (a, b))
-    if seen != node_set:
-        raise DiagramError("degree", "matching is not perfect (%d of %d nodes)"
-                           % (len(seen), len(node_set)))
-    pos = {n: i for i, n in enumerate(nodes)}
-    chords = sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in d.pairs)
-    stack: List[int] = []
-    for lo, hi in sorted(chords):
-        while stack and stack[-1] < lo:
-            stack.pop()
-        if stack and stack[-1] < hi:
-            raise DiagramError("crossing", "chords interleave")
-        stack.append(hi)
-
-
 def make_diagram(k: int, L: int, R: int,
                  pairs: Iterable[Tuple[Node, Node]]) -> TLDiagram:
-    return TLDiagram(k, L, R, pairs)
+    """The diagram joining the node pairs, checked to be a diagram: even
+    wall counts, a perfect matching of the boundary, no same-wall arc and
+    no crossing."""
+    if L % 2 or R % 2:
+        raise DiagramError("wall_parity", "odd wall point count L=%d R=%d" % (L, R))
+    pos = {n: p for p, n in enumerate(_boundary_order(k, L, R))}
+    partner = [-1] * len(pos)
+    for a, b in pairs:
+        if a == b:
+            raise DiagramError("degree", "self-paired node %r" % (a,))
+        for n in (a, b):
+            if n not in pos:
+                raise DiagramError("bad_node", "node %r out of range" % (n,))
+            if partner[pos[n]] >= 0:
+                raise DiagramError("degree", "node %r used twice" % (n,))
+        if a[0] == b[0] and a[0] in ("L", "R"):
+            raise DiagramError("same_wall", "arc %r-%r returns to its wall" % (a, b))
+        partner[pos[a]], partner[pos[b]] = pos[b], pos[a]
+    if -1 in partner:
+        raise DiagramError("degree", "matching is not perfect (%d of %d nodes)"
+                           % (len(partner) - partner.count(-1), len(partner)))
+    # walking the boundary, an arc must close before any arc opened after it
+    closes: List[int] = []
+    for p, q in enumerate(partner):
+        if q > p:
+            closes.append(q)
+        elif closes.pop() != p:
+            raise DiagramError("crossing", "chords interleave")
+    return TLDiagram(k, L, R, tuple(partner))
 
 
 def identity_diagram(k: int) -> TLDiagram:
-    return TLDiagram(k, 0, 0, [(("T", i), ("B", i)) for i in range(1, k + 1)],
-                     _trusted=True)
+    return make_diagram(k, 0, 0, [(("T", i), ("B", i)) for i in range(1, k + 1)])
 
 
 def e0_diagram(k: int) -> TLDiagram:
     pairs = [(("T", 1), ("L", 1)), (("B", 1), ("L", 2))]
     pairs += [(("T", i), ("B", i)) for i in range(2, k + 1)]
-    return TLDiagram(k, 2, 0, pairs, _trusted=True)
+    return make_diagram(k, 2, 0, pairs)
 
 
 def ek_diagram(k: int) -> TLDiagram:
     pairs = [(("T", k), ("R", 1)), (("B", k), ("R", 2))]
     pairs += [(("T", i), ("B", i)) for i in range(1, k)]
-    return TLDiagram(k, 0, 2, pairs, _trusted=True)
+    return make_diagram(k, 0, 2, pairs)
 
 
 def e_diagram(k: int, i: int) -> TLDiagram:
@@ -148,7 +164,7 @@ def e_diagram(k: int, i: int) -> TLDiagram:
         raise DiagramError("index", "e_%d needs 1 <= i <= k-1 = %d" % (i, k - 1))
     pairs = [(("T", i), ("T", i + 1)), (("B", i), ("B", i + 1))]
     pairs += [(("T", j), ("B", j)) for j in range(1, k + 1) if j not in (i, i + 1)]
-    return TLDiagram(k, 0, 0, pairs, _trusted=True)
+    return make_diagram(k, 0, 0, pairs)
 
 
 def generator(k: int, which) -> TLDiagram:
@@ -356,126 +372,89 @@ def multiply_diagrams(x: TLDiagram, y: TLDiagram,
 
 def _stack(x: TLDiagram, y: TLDiagram) -> Tuple[int, List[Tuple[str, int]], TLDiagram]:
     """Glue x above y; returns the closed-loop count, the (wall, depth) of
-    every removed return arc, and the reduced diagram."""
-    k = x.k
+    every removed return arc, and the reduced diagram.
 
-    adj: Dict[Node, List[Node]] = {}
-
-    def link(a: Node, b: Node) -> None:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    # composite node names: x's walls above y's walls
-    def map_x(n: Node) -> Node:
-        kind, i = n
-        if kind == "T":
-            return ("T", i)
-        if kind == "B":
-            return ("M", i)
-        return ("L" if kind == "L" else "R", i)
-
-    def map_y(n: Node) -> Node:
-        kind, i = n
-        if kind == "T":
-            return ("M", i)
-        if kind == "B":
-            return ("B", i)
-        if kind == "L":
-            return ("L", i + x.L)
-        return ("R", i + x.R)
-
-    for a, b in x.pairs:
-        link(map_x(a), map_x(b))
-    for a, b in y.pairs:
-        link(map_y(a), map_y(b))
-
-    # trace components
-    seen: Set[Node] = set()
-    loops = 0
-    open_paths: List[Tuple[Node, Node]] = []  # endpoint pairs
-
-    for start in list(adj):
-        if start in seen or start[0] == "M":
+    x's bottom point i is y's top point i.  The outer points of the glued
+    picture are numbered like the boundary of one diagram with x's wall
+    points above y's: x's top and right wall, y's right wall, bottom and
+    left wall, then x's left wall.  Removing the return arcs and numbering
+    the surviving points in the same order gives the reduced diagram.
+    """
+    k, px, py = x.k, x.partner, y.partner
+    xb = k + x.R  # x's bottom points are its positions xb .. xb + k - 1
+    flip = xb + k - 1  # x's bottom position flip - i is y's top position i
+    R = x.R + y.R
+    left = 2 * k + R  # the glued left wall starts here
+    n = left + x.L + y.L
+    glued = [-1] * n
+    mid_seen = [False] * k
+    for g in range(n):
+        if glued[g] >= 0:
             continue
-        # walk from an outer endpoint
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == "M":
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        seen.add(cur)
-        open_paths.append((start, cur))
-    for start in adj:
-        if start not in seen:
-            # closed loop through mid nodes only
-            loops += 1
-            prev, cur = start, adj[start][0]
-            seen.add(start)
-            while cur != start:
-                seen.add(cur)
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
-
-    # stable component ids for endpoint ownership
-    comp_of: Dict[Node, int] = {}
-    for idx, (a, b) in enumerate(open_paths):
-        comp_of[a] = idx
-        comp_of[b] = idx
-
-    def wall_positions(side: str) -> List[Node]:
-        total = x.L + y.L if side == "L" else x.R + y.R
-        return [(side, j) for j in range(1, total + 1)]
-
-    arcs: List[Tuple[str, int, int, int]] = []  # (side, low position, comp, depth)
-    survivors: List[int] = []
-    for idx, (a, b) in enumerate(open_paths):
-        if a[0] == b[0] and a[0] in ("L", "R"):
-            side = a[0]
-            low = max(a[1], b[1])
-            arcs.append((side, low, idx, 0))
+        # follow the strand from outer point g across the glued row
+        if g < xb:
+            on_x, p = True, g
+        elif g < left + y.L:
+            on_x, p = False, g - x.R
         else:
-            survivors.append(idx)
+            on_x, p = True, g - y.R - y.L
+        while True:
+            if on_x:
+                q = px[p]
+                if q < xb:
+                    break
+                if q > flip:
+                    q += y.R + y.L
+                    break
+                p = flip - q
+                mid_seen[p] = True
+                on_x = False
+            else:
+                q = py[p]
+                if q >= k:
+                    q += x.R
+                    break
+                mid_seen[q] = True
+                p = flip - q
+                on_x = True
+        glued[g], glued[q] = q, g
 
-    # depths on the frozen picture: other components' points strictly below
-    frozen_arcs: List[Tuple[str, int, int]] = []
-    for side, low, idx, _ in arcs:
-        depth = 0
-        for node in wall_positions(side):
-            if node[1] > low and node in comp_of and comp_of[node] != idx:
-                depth += 1
-        frozen_arcs.append((side, depth, idx))
+    loops = 0
+    for m in range(k):
+        if not mid_seen[m]:
+            loops += 1
+            while not mid_seen[m]:  # y's top arc m-m2, then x's bottom arc
+                m2 = py[m]
+                mid_seen[m] = mid_seen[m2] = True
+                m = flip - px[flip - m2]
 
-    # rebuild the surviving picture
-    arc_ids = {idx for _, _, idx in frozen_arcs}
-    new_left = [n for n in wall_positions("L")
-                if n in comp_of and comp_of[n] not in arc_ids]
-    new_right = [n for n in wall_positions("R")
-                 if n in comp_of and comp_of[n] not in arc_ids]
-    renumber: Dict[Node, Node] = {}
-    for j, n in enumerate(new_left, start=1):
-        renumber[n] = ("L", j)
-    for j, n in enumerate(new_right, start=1):
-        renumber[n] = ("R", j)
-
-    def out_node(n: Node) -> Node:
-        if n[0] in ("L", "R"):
-            return renumber[n]
-        return n
-
-    pairs = [(out_node(open_paths[idx][0]), out_node(open_paths[idx][1]))
-             for idx in survivors]
-    result = TLDiagram(k, len(new_left), len(new_right), pairs)
-    return loops, [(side, depth) for side, depth, _ in frozen_arcs], result
+    arcs: List[Tuple[str, int]] = []
+    removed = [False] * n
+    for g, h in enumerate(glued):
+        # depth: the glued wall points below the arc's lower end
+        if k <= g < h < k + R:
+            arcs.append(("R", k + R - 1 - h))
+        elif left <= g < h:
+            arcs.append(("L", g - left))
+        else:
+            continue
+        removed[g] = removed[h] = True
+    kept = [g for g in range(n) if not removed[g]]
+    new = {g: i for i, g in enumerate(kept)}
+    partner = tuple(new[glued[g]] for g in kept)
+    lost_left, lost_right = sum(removed[left:]), sum(removed[k:k + R])
+    result = TLDiagram(k, x.L + y.L - lost_left, R - lost_right, partner)
+    return loops, arcs, result
 
 
 # ---------------------------------------------------------------------------
 # basis enumeration
 # ---------------------------------------------------------------------------
 
-def _matchings(nodes: List[Node], target_lines: int) -> List[List[Tuple[Node, Node]]]:
-    """Non-crossing perfect matchings of the node cycle with no same-wall
-    arcs and exactly `target_lines` wall-to-wall edges.
+def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
+    """Partner tuples of the non-crossing perfect matchings of the node
+    cycle with no same-wall arcs and exactly `target_lines` wall-to-wall
+    edges.
 
     Each open segment is a contiguous index range [lo, hi) that must be
     matched within itself.  A segment with more than half of its points on
@@ -484,9 +463,9 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[List[Tuple[Node, No
     that cannot reach `target_lines` is cut off before the search enters
     it.  The output list is the same as that of the unpruned search.
     """
-    out: List[List[Tuple[Node, Node]]] = []
-    pairs: List[Tuple[Node, Node]] = []
+    out: List[Tuple[int, ...]] = []
     n = len(nodes)
+    partner = [0] * n
     kinds = [nd[0] for nd in nodes]
     # prefix counts: pre_l[i] = number of left-wall points among nodes[:i]
     pre_l = [0] * (n + 1)
@@ -506,11 +485,11 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[List[Tuple[Node, No
     def rec(segments: Tuple[Tuple[int, int], ...], lines: int, cap: int) -> None:
         # cap: most wall-to-wall edges the open segments can still hold
         if not segments:
-            out.append(list(pairs))
+            out.append(tuple(partner))
             return
         (lo, hi), rest = segments[0], segments[1:]
         cap -= room(lo, hi)
-        a, ka = nodes[lo], kinds[lo]
+        ka = kinds[lo]
         a_wall = ka in ("L", "R")
         for pos in range(lo + 1, hi, 2):
             kb = kinds[pos]
@@ -528,9 +507,8 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[List[Tuple[Node, No
                 segs = ((pos + 1, hi),) + segs
             if lo + 1 < pos:
                 segs = ((lo + 1, pos),) + segs
-            pairs.append((a, nodes[pos]))
+            partner[lo], partner[pos] = pos, lo
             rec(segs, new_lines, cap + inner + outer)
-            pairs.pop()
 
     whole = room(0, n)
     if 0 <= target_lines <= whole:
@@ -563,13 +541,8 @@ def enumerate_basis(k: int, wall_grades: Iterable[int],
                 if rw_tb < 0 or lw_tb + rw_tb > 2 * k:
                     continue
                 nodes = _boundary_order(k, L, R)
-                for pairing in _matchings(nodes, w):
-                    try:
-                        d = TLDiagram(k, L, R, pairing)
-                    except DiagramError:
-                        continue
-                    found.append(d)
-    found = sorted(set(found), key=lambda d: (d.wall_grade(), d.L, d.R, d.pairs))
+                found += [TLDiagram(k, L, R, partner) for partner in _matchings(nodes, w)]
+    found.sort(key=lambda d: (d.wall_grade(), d.L, d.R, d.pairs))
     _cache_store(k, grades, found, cache_dir)
     return found
 
@@ -627,7 +600,7 @@ def _node_name(n: Node) -> str:
 
 def _node_parse(s: str) -> Node:
     kind, index = s[:1], s[1:]
-    if kind not in _KIND_ORDER or not index.isdigit():
+    if kind not in _KINDS or not index.isdigit():
         raise DiagramError("bad_node", "unknown node %r" % s)
     return (kind, int(index))
 
@@ -658,7 +631,7 @@ def diagram_from_json(obj) -> TLDiagram:
     if 2 * len(pairs) != 2 * k + L + R:  # checked before any node list is built
         raise DiagramError("degree", "diagram JSON has %d pairs for %d nodes"
                            % (len(pairs), 2 * k + L + R))
-    return TLDiagram(k, L, R, [(_node_parse(a), _node_parse(b)) for a, b in pairs])
+    return make_diagram(k, L, R, [(_node_parse(a), _node_parse(b)) for a, b in pairs])
 
 
 def element_to_json(x: TLElement) -> dict:

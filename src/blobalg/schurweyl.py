@@ -185,24 +185,25 @@ def specialize_params(params: SWParams, branch: int = 1) -> dict:
 
 def module_for(params: SWParams, k: int, l: int,
                branch: int = 1) -> cb.CalibratedModule:
+    if k < 1:
+        raise SchurWeylError("a module needs k >= 1, got k=%d" % k)
     z, region, _ = lambda_to_region(params, k, l)
     return cb.build_module(cb.ModuleSpec(region, z=z, branch=branch))
 
 
 def gn_b_values(params: SWParams, k: int, l: int,
-                module: Optional[cb.CalibratedModule] = None,
-                omega: Optional[Tuple[int, int]] = None) -> dict:
+                module: Optional[cb.CalibratedModule] = None) -> dict:
     """The blob parameter from the closed two-parameter form, cross-checked
     against the matrix-derived value.
 
-    The exponents omega are read from the boundary specialization; both
-    enter only through [w1+1][w2+1] and symmetric powers, and the pair
-    (-(b+1), -(a+1)) is the one consistent with the product identity
-    a0*ak = -[w1+1][w2+1](q - 1/q)^2 under q = u.
+    The exponents omega = (w1, w2) = (-(b+1), -(a+1)) are read from the
+    boundary specialization; both enter only through [w1+1][w2+1] and
+    symmetric powers, and this pair is the one consistent with the product
+    identity a0*ak = -[w1+1][w2+1](q - 1/q)^2 under q = u.
     """
     if module is None:
         module = module_for(params, k, l)
-    w1, w2 = omega if omega is not None else (-(params.b + 1), -(params.a + 1))
+    w1, w2 = -(params.b + 1), -(params.a + 1)
     spec = module.spec.specialize
     q_minus = U - U.inv()
     denom = q_minus * q_minus * qint_signed(w1 + 1) * qint_signed(w2 + 1)
@@ -220,7 +221,7 @@ def gn_b_values(params: SWParams, k: int, l: int,
         b_gn = -(sym(w1 - w2) + zk) / denom
     # the closed form normalizes the cup products without the inner sign;
     # converting to the diagram normalization costs a^(k-1)
-    b_gn = b_gn * Scalar.from_int(wd.DEFAULT_A_SIGN ** (k - 1))
+    b_gn = b_gn * Scalar.from_int(wd.A_SIGN ** (k - 1))
     bc = cb.b_constant(module)
     report = {
         "omega": (w1, w2),

@@ -38,7 +38,8 @@ def E(i: int) -> Letter:
     return ("E", i)
 
 
-DEFAULT_A_SIGN = -1
+# sign of the cap generators' diagram images: E_i maps to A_SIGN * e_i
+A_SIGN = -1
 
 
 class WordError(ValueError):
@@ -160,21 +161,21 @@ def _check_word(w: Word, k: int) -> None:
 # expansion into the diagram algebra
 # ---------------------------------------------------------------------------
 
-_letter_cache: Dict[Tuple[int, Letter, int], dg.TLElement] = {}
+_letter_cache: Dict[Tuple[int, Letter], dg.TLElement] = {}
 
 
-def letter_element(k: int, letter: Letter, a_sign: int = DEFAULT_A_SIGN) -> dg.TLElement:
-    key = (k, letter, a_sign)
+def letter_element(k: int, letter: Letter) -> dg.TLElement:
+    key = (k, letter)
     if key in _letter_cache:
         return _letter_cache[key]
-    a = Scalar.from_int(a_sign)
     kind = letter[0]
     if kind == "E0":
         el = dg.TLElement.from_diagram(dg.e0_diagram(k))
     elif kind == "Ek":
         el = dg.TLElement.from_diagram(dg.ek_diagram(k))
     elif kind == "E":
-        el = dg.TLElement.from_diagram(dg.e_diagram(k, letter[1]), a)
+        el = dg.TLElement.from_diagram(dg.e_diagram(k, letter[1]),
+                                       Scalar.from_int(A_SIGN))
     elif kind == "T0":
         el = dg.TLElement(k, {dg.e0_diagram(k): A0,
                               dg.identity_diagram(k): U0 ** letter[1]})
@@ -190,23 +191,22 @@ def letter_element(k: int, letter: Letter, a_sign: int = DEFAULT_A_SIGN) -> dg.T
     return el
 
 
-def expand_to_tl(x: GenExpr, a_sign: int = DEFAULT_A_SIGN) -> dg.TLElement:
+def expand_to_tl(x: GenExpr) -> dg.TLElement:
     """Substitute the generators by their diagram images and multiply out."""
     total = dg.TLElement.zero(x.k)
     for w, c in x.terms.items():
         cur = dg.TLElement.one(x.k)
         for letter in w:
-            cur = cur * letter_element(x.k, letter, a_sign)
+            cur = cur * letter_element(x.k, letter)
         total = total + cur.scale(c)
     return total
 
 
-def verify_identity(lhs: GenExpr, rhs: GenExpr,
-                    a_sign: int = DEFAULT_A_SIGN) -> Tuple[bool, dg.TLElement]:
+def verify_identity(lhs: GenExpr, rhs: GenExpr) -> Tuple[bool, dg.TLElement]:
     """Expand both sides to diagrams and compare; returns (equal, difference)."""
     if lhs.k != rhs.k:
         raise WordError("mismatched k")
-    diff = expand_to_tl(lhs, a_sign) - expand_to_tl(rhs, a_sign)
+    diff = expand_to_tl(lhs) - expand_to_tl(rhs)
     return diff.is_zero(), diff
 
 
@@ -240,9 +240,9 @@ def murphy_expr(k: int, j: int, inverse: bool = False) -> GenExpr:
     return GenExpr.word(k, murphy_word(k, j, inverse))
 
 
-def ae(k: int, i: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr:
+def ae(k: int, i: int) -> GenExpr:
     """The cap/cup element a*e_i, whose diagram image carries coefficient 1."""
-    return GenExpr.word(k, [E(i)], Scalar.from_int(a_sign))
+    return GenExpr.word(k, [E(i)], Scalar.from_int(A_SIGN))
 
 
 def a0e0(k: int) -> GenExpr:
@@ -260,12 +260,12 @@ def _product(k: int, factors: Iterable[GenExpr]) -> GenExpr:
     return out
 
 
-def standard_element(name: str, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr:
+def standard_element(name: str, k: int) -> GenExpr:
     """Named elements of the blob-algebra identities; see `STANDARD_NAMES`."""
     even = k % 2 == 0
 
     def e_run(start: int, stop: int) -> List[GenExpr]:
-        return [ae(k, i, a_sign) for i in range(start, stop + 1, 2)]
+        return [ae(k, i) for i in range(start, stop + 1, 2)]
 
     if name == "I1":
         if even:
@@ -279,21 +279,21 @@ def standard_element(name: str, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr
     if name == "Deven":
         if not even:
             raise WordError("Deven needs even k")
-        i1 = standard_element("I1", k, a_sign)
+        i1 = standard_element("I1", k)
         mid = _product(k, [GenExpr.word(k, [T0inv])] + e_run(2, k - 2)
                        + [GenExpr.word(k, [Tk])])
         return i1 * mid * i1
     if name == "Dodd":
         if even:
             raise WordError("Dodd needs odd k")
-        i2 = standard_element("I2", k, a_sign)
+        i2 = standard_element("I2", k)
         mid = _product(k, [GenExpr.word(k, [T(1, -1), T0inv, T(1, -1)])]
                        + e_run(3, k - 2) + [GenExpr.word(k, [Tk])])
         return i2 * mid * i2
     if name in ("Leven", "Meven", "Peven"):
         if not even:
             raise WordError("%s needs even k" % name)
-        i1 = standard_element("I1", k, a_sign)
+        i1 = standard_element("I1", k)
         mid = e_run(2, k - 2)
         if name == "Leven":
             mid = mid + [GenExpr.word(k, [Ek])]
@@ -303,7 +303,7 @@ def standard_element(name: str, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr
     if name in ("Lodd", "Modd", "Podd"):
         if even:
             raise WordError("%s needs odd k" % name)
-        i2 = standard_element("I2", k, a_sign)
+        i2 = standard_element("I2", k)
         if name == "Lodd":
             mid = e_run(3, k - 2) + [GenExpr.word(k, [Ek])]
         elif name == "Modd":
@@ -312,9 +312,9 @@ def standard_element(name: str, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr
             mid = e_run(3, k - 2)
         return i2 * _product(k, mid) * i2
     if name == "ZI1":
-        return _z_expr(k) * standard_element("I1", k, a_sign)
+        return _z_expr(k) * standard_element("I1", k)
     if name == "ZI2":
-        return _z_expr(k) * standard_element("I2", k, a_sign)
+        return _z_expr(k) * standard_element("I2", k)
     raise WordError("unknown standard element %r" % name)
 
 
@@ -332,14 +332,14 @@ def _z_expr(k: int) -> GenExpr:
 _LETTER_RE = re.compile(r"^(T|E)(\d+|k)(\^-1)?$")
 
 
-def parse_genexpr(text: str, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr:
+def parse_genexpr(text: str, k: int) -> GenExpr:
     """Parse sums of * -separated factors: generator letters (T0, T3^-1, Tk,
     E0, E2, Ek), named elements (I1, Deven, ...), and scalar atoms."""
     total = GenExpr.zero(k)
     for sign, chunk in _split_terms(text):
         term = GenExpr.one(k)
         for factor in _split_factors(chunk):
-            term = term * _parse_factor(factor.strip(), k, a_sign)
+            term = term * _parse_factor(factor.strip(), k)
         if sign < 0:
             term = -term
         total = total + term
@@ -387,7 +387,7 @@ def _split_factors(chunk: str):
         yield cur
 
 
-def _parse_factor(token: str, k: int, a_sign: int) -> GenExpr:
+def _parse_factor(token: str, k: int) -> GenExpr:
     m = _LETTER_RE.match(token)
     if m:
         kind, idx, inv = m.groups()
@@ -406,7 +406,7 @@ def _parse_factor(token: str, k: int, a_sign: int) -> GenExpr:
         i = int(idx)
         return GenExpr.word(k, [E0]) if i == 0 else GenExpr.word(k, [E(i)])
     if token in STANDARD_NAMES:
-        return standard_element(token, k, a_sign)
+        return standard_element(token, k)
     return GenExpr.one(k).scale(parse_scalar(token))
 
 
@@ -444,26 +444,25 @@ def e0v_numerator(k: int) -> GenExpr:
     return GenExpr.word(k, _wall_inverse_word(k)) - GenExpr.one(k).scale(UK)
 
 
-def f_element(which, k: int, a_sign: int = DEFAULT_A_SIGN) -> GenExpr:
+def f_element(which, k: int) -> GenExpr:
     """Quotient relators: F_i, F_0, and the wall-reflected F_0v."""
     if which == "F0":
-        ae1 = ae(k, 1, a_sign)
+        ae1 = ae(k, 1)
         return ae1 * a0e0(k) * ae1 - ae1.scale(bb("t0/t"))
     if which == "Fk":
-        aekm1 = ae(k, k - 1, a_sign)
+        aekm1 = ae(k, k - 1)
         return aekm1 * akek(k) * aekm1 - aekm1.scale(bb("tk/t"))
     if which == "F0v":
-        ae1 = ae(k, 1, a_sign)
+        ae1 = ae(k, 1)
         v = e0v_numerator(k)
         return ae1 * v * ae1 - ae1.scale(bb("tk/t"))
     i = int(which)
-    aei = ae(k, i, a_sign)
-    aei1 = ae(k, i + 1, a_sign)
+    aei = ae(k, i)
+    aei1 = ae(k, i + 1)
     return aei * aei1 * aei - aei
 
 
-def idempotent_expr(which: str, k: int, i: int = None,
-                    a_sign: int = DEFAULT_A_SIGN) -> Tuple[GenExpr, Scalar]:
+def idempotent_expr(which: str, k: int, i: int = None) -> Tuple[GenExpr, Scalar]:
     """Numerator and normalizer of the quotient idempotents.
 
     Returns (N*p, N) so that p = (N*p)/N.  The T-letter forms are used for
@@ -508,7 +507,7 @@ def idempotent_expr(which: str, k: int, i: int = None,
         if k < 2:
             raise WordError("boundary idempotents need k >= 2")
         v = e0v_numerator(k)
-        f0v = f_element("F0v", k, a_sign)
+        f0v = f_element("F0v", k)
         if which == "p0v_e12":
             return v * f0v, normalizer("Nk")
         return v * f0v + f0v.scale(bb("tk")), normalizer("Nkp")

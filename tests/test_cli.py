@@ -21,7 +21,11 @@ class TestDims:
         assert "k=1: 5" in out
 
     def test_usage_error(self, capsys):
-        rc, _, err = run(capsys, "dims", "--k", "0")
+        # k < 1 is refused by the argument parser, k above --max-k by the command
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dims", "--k", "0"])
+        assert exc.value.code == 2 and "error" in capsys.readouterr().err
+        rc, _, err = run(capsys, "dims", "--k", "7")
         assert rc == 2 and "error" in err
 
 
@@ -143,6 +147,22 @@ class TestExitCodes:
                           (json.dumps({"k": 1, "terms": [wrong_row]}), "scalar JSON")):
             rc, out, err = run(capsys, "mul", "--k", "1", text, "T0")
             assert rc == 2 and why in err and not out, text
+
+    def test_out_of_range_k_is_usage_error(self, capsys):
+        for argv in (["verify", "presentation", "--k", "0"],
+                     ["verify", "theorem3", "--k", "0"],
+                     ["verify", "classification", "--k", "0"],
+                     ["mul", "--k", "0", "T0", "T0"], ["mul", "--k", "-1", "T0", "T0"],
+                     ["basis", "--k", "0"], ["dims", "--k", "x"],
+                     ["schurweyl", "--a", "6", "--b", "3", "--k", "-1"]):
+            code, err = self.usage_exit(capsys, *argv)
+            assert code == 2 and "--k" in err, argv
+        # level 0 has a dimension table but no modules
+        rc, out, _ = run(capsys, "schurweyl", "--a", "6", "--b", "3", "--k", "0")
+        assert rc == 0 and json.loads(out)["dim_sum_ok"]
+        rc, out, err = run(capsys, "schurweyl", "--a", "6", "--b", "3", "--k", "0",
+                           "--bvalues")
+        assert rc == 2 and "k >= 1" in err and not out
 
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(args):

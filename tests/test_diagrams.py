@@ -1,5 +1,6 @@
 """Diagram engine: canonical forms, the stacking product, enumeration."""
 
+import hashlib
 import json
 import random
 
@@ -44,6 +45,55 @@ class TestMakeDiagram:
         with pytest.raises(dg.DiagramError) as err:
             dg.make_diagram(1, 1, 1, [(T(1), L(1)), (B(1), R(1))])
         assert err.value.reason == "wall_parity"
+
+    def test_bad_node_rejected(self):
+        with pytest.raises(dg.DiagramError) as err:
+            dg.make_diagram(2, 0, 0, [(T(1), B(1)), (T(2), B(3))])
+        assert err.value.reason == "bad_node"
+
+    def test_self_paired_rejected(self):
+        with pytest.raises(dg.DiagramError) as err:
+            dg.make_diagram(1, 0, 0, [(T(1), T(1)), (B(1), B(1))])
+        assert err.value.reason == "degree" and "self-paired" in str(err.value)
+
+    def test_imperfect_matching_rejected(self):
+        with pytest.raises(dg.DiagramError) as err:
+            dg.make_diagram(2, 0, 0, [(T(1), B(1))])
+        assert err.value.reason == "degree"
+
+
+def _seeded_products():
+    """Products of 2,000 seeded basis pairs at k = 2..5."""
+    rng = random.Random(2000)
+    out = []
+    for k in (2, 3, 4, 5):
+        pool = dg.enumerate_basis(k, {0, 1, 2})
+        for _ in range(500):
+            out.append(dg.multiply_diagrams(rng.choice(pool), rng.choice(pool)))
+    return out
+
+
+# sha256 of the lines "render(coeff)|diagram JSON|repr" of `_seeded_products`,
+# recorded with the node-pair encoding (commit b00d301)
+_SEEDED_PRODUCTS_SHA256 = "8b44bd856d83927ad3b96809b4736c1dd1138a8f3643b38c37d6ba9def9b650d"
+
+
+class TestUncheckedBuilders:
+    """The basis search and the product build diagrams without the checks
+    of `make_diagram`; what they build must pass them unchanged."""
+
+    def test_basis_diagrams_pass_the_checks(self):
+        for k in range(1, 5):
+            for d in dg.enumerate_basis(k, {0, 1, 2, 3, 4}):
+                assert dg.make_diagram(d.k, d.L, d.R, d.pairs) == d
+
+    def test_products_pass_the_checks(self):
+        digest = hashlib.sha256()
+        for coeff, d in _seeded_products():
+            assert dg.make_diagram(d.k, d.L, d.R, d.pairs) == d
+            digest.update(("%s|%s|%r\n" % (sc.render(coeff), json.dumps(dg.diagram_to_json(d)),
+                                           d)).encode())
+        assert digest.hexdigest() == _SEEDED_PRODUCTS_SHA256
 
 
 class TestGenerators:
@@ -165,6 +215,14 @@ def _reference_matchings(nodes, target_lines):
     return out
 
 
+def _partner_tuple(nodes, pairs):
+    pos = {n: p for p, n in enumerate(nodes)}
+    partner = [None] * len(nodes)
+    for a, b in pairs:
+        partner[pos[a]], partner[pos[b]] = pos[b], pos[a]
+    return tuple(partner)
+
+
 class TestEnumeration:
     def test_matchings_equal_unpruned_search(self):
         cases = 0
@@ -174,7 +232,9 @@ class TestEnumeration:
                     for R in range(0, 2 * k + 2 * w + 1, 2):
                         nodes = dg._boundary_order(k, L, R)
                         got = dg._matchings(nodes, w)
-                        assert got == _reference_matchings(nodes, w), (k, w, L, R)
+                        want = [_partner_tuple(nodes, pairs)
+                                for pairs in _reference_matchings(nodes, w)]
+                        assert got == want, (k, w, L, R)
                         cases += bool(got)
         assert cases > 100
 
