@@ -17,7 +17,14 @@ family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; the modular presentation check lifts the module's own
-exact matrices entrywise to GF(p).
+exact matrices entrywise to GF(p), each distinct entry once per point, and
+inverts there with pow(x, -1, p).
+
+A matrix is a list of rows, each row a dict {column: entry} holding only the
+nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
+at most two nonzeros per column, so products cost per nonzero entry.  Entries
+are canonical in both rings, so equal matrices compare equal with `==`;
+`mat_entry` reads an entry that may be zero.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from . import words as wd
 from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, bb, eval_mod, qint,
                       random_point, random_prime)
 
-Matrix = List[List[Scalar]]
+Matrix = List[Dict[int, Scalar]]
 
 
 class CalibError(ValueError):
@@ -91,71 +98,93 @@ class ModRing:
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise EvalRetry("division by zero at the evaluation point")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
     def lift(self, x: Scalar) -> int:
-        return 0 if x.is_zero() else eval_mod(x, self.p, self.point)
+        return eval_mod(x, self.p, self.point)
+
+
+def _row(entries: dict, ring=EXACT) -> Dict[int, object]:
+    """A matrix row from {column: value}: values reduced in `ring`, zeros dropped."""
+    reduce, is_zero = ring.reduce, ring.is_zero
+    out = {}
+    for j, v in entries.items():
+        v = reduce(v)
+        if not is_zero(v):
+            out[j] = v
+    return out
+
+
+def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
+    """Entry (r, c) of `a`, which may be zero."""
+    return a[r].get(c, ring.zero)
 
 
 def mat_identity(n: int, ring=EXACT) -> Matrix:
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    return [{i: ring.one} for i in range(n)]
 
 
-def mat_zero(n: int, ring=EXACT) -> Matrix:
-    return [[ring.zero] * n for _ in range(n)]
+def mat_zero(n: int) -> Matrix:
+    return [{} for _ in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
-    is_zero, reduce, zero = ring.is_zero, ring.reduce, ring.zero
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
     out = []
     for arow in a:
-        orow = [zero] * len(b[0])
-        for x, brow in zip(arow, b_nonzero):
-            if not is_zero(x):
-                for j, y in brow:
-                    orow[j] = orow[j] + x * y
-        out.append([reduce(v) for v in orow])
+        acc = {}
+        for i, x in arow.items():
+            for j, y in b[i].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(_row(acc, ring))
     return out
 
 
 def mat_add(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
-    reduce = ring.reduce
-    return [[reduce(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = []
+    for ra, rb in zip(a, b):
+        acc = dict(ra)
+        for j, y in rb.items():
+            acc[j] = acc[j] + y if j in acc else y
+        out.append(_row(acc, ring))
+    return out
 
 
 def mat_sub(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
-    reduce = ring.reduce
-    return [[reduce(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = []
+    for ra, rb in zip(a, b):
+        acc = dict(ra)
+        for j, y in rb.items():
+            acc[j] = acc[j] - y if j in acc else -y
+        out.append(_row(acc, ring))
+    return out
 
 
 def mat_scale(a: Matrix, c, ring=EXACT) -> Matrix:
-    reduce = ring.reduce
-    return [[reduce(x * c) for x in row] for row in a]
+    return [_row({j: x * c for j, x in row.items()}, ring) for row in a]
 
 
 def mat_shift(a: Matrix, c, ring=EXACT) -> Matrix:
     """a - c*I."""
-    out = [row[:] for row in a]
-    for i, row in enumerate(out):
-        row[i] = ring.reduce(row[i] - c)
+    out = []
+    for i, row in enumerate(a):
+        row = dict(row)
+        d = ring.reduce(row.pop(i, ring.zero) - c)
+        if not ring.is_zero(d):
+            row[i] = d
+        out.append(row)
     return out
 
 
-def mat_is_zero(a: Matrix, ring=EXACT) -> bool:
-    is_zero = ring.is_zero
-    return all(is_zero(x) for row in a for x in row)
+def mat_is_zero(a: Matrix) -> bool:
+    return not any(a)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return a == b
 
 
 def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
-    out = mat_zero(len(entries), ring)
-    for i, e in enumerate(entries):
-        out[i][i] = ring.reduce(e)
-    return out
+    return [_row({i: e}, ring) for i, e in enumerate(entries)]
 
 
 def _x_minus_inv(x, ring=EXACT):
@@ -251,7 +280,7 @@ class CalibratedModule:
                 wc = self._wc[m]
                 up = wc[1] < 0 if i == 0 else wc[i] < wc[i + 1]
                 out[pm][m] = ONE if up else -(d - lam) * (d + lam.inv())
-        return out
+        return [_row(row) for row in out]
 
     def _t_diagonal(self, m: int, i: int) -> Scalar:
         if i == 0:
@@ -364,14 +393,14 @@ def symmetric_matrices(m: CalibratedModule, point: Dict[str, complex]) -> dict:
             else:
                 partner = _swap_labels(w, i)
                 lam_p, lam_m = u, 1 / u
-            d = eval_complex(m.T[i][col][col], full_point)
+            d = eval_complex(mat_entry(m.T[i], col, col), full_point)
             out[col][col] = d
             pm = m.index.get(partner)
             if pm is not None:
                 out[pm][col] = cmath.sqrt(-(d - lam_p) * (d + lam_m))
         return out
 
-    mats = {"W%d" % (i + 1): [[eval_complex(m.W[i][r][c], full_point)
+    mats = {"W%d" % (i + 1): [[eval_complex(mat_entry(m.W[i], r, c), full_point)
                                for c in range(n)] for r in range(n)]
             for i in range(m.k)}
     mats["T0"] = sym_matrix(0)
@@ -442,15 +471,22 @@ def _relations(m: CalibratedModule) -> List[Tuple[str, tuple]]:
 
 class _Env:
     """The module's own generator matrices lifted entrywise into `ring`,
-    with T_k built there by the word `CalibratedModule.tk_matrix` uses."""
+    with T_k built there by the word `CalibratedModule.tk_matrix` uses.
+    Each distinct entry is lifted once: the generators share few values."""
 
     def __init__(self, m: CalibratedModule, ring=EXACT):
         self.ring = ring
         self.k = m.k
-        lift = ring.lift
+        lifted: Dict[Scalar, object] = {}
+
+        def lift(x: Scalar):
+            v = lifted.get(x)
+            if v is None:
+                v = lifted[x] = ring.lift(x)
+            return v
 
         def lift_matrix(mat: Matrix) -> Matrix:
-            return [[lift(x) for x in row] for row in mat]
+            return [_row({j: lift(x) for j, x in row.items()}, ring) for row in mat]
 
         self.T = {i: lift_matrix(t) for i, t in m.T.items()}
         self.W = [lift_matrix(w) for w in m.W]
@@ -464,32 +500,29 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
     def mul(a, b):
         return mat_mul(a, b, ring)
 
-    def equal(a, b):
-        return mat_is_zero(mat_sub(a, b, ring), ring)
-
     def diagonal(mat):
-        return [mat[r][r] for r in range(len(mat))]
+        return [mat_entry(mat, r, r, ring) for r in range(len(mat))]
 
     kind = tag[0]
     if kind == "braid3":
         i, j = tag[1], tag[2]
-        return equal(mul(mul(T[i], T[j]), T[i]), mul(mul(T[j], T[i]), T[j]))
+        return mat_eq(mul(mul(T[i], T[j]), T[i]), mul(mul(T[j], T[i]), T[j]))
     if kind in ("braid4", "braid4k"):
         a, b = (T[tag[1]], T[tag[2]]) if kind == "braid4" else (T[env.k - 1], Tk)
         ab, ba = mul(a, b), mul(b, a)
-        return equal(mul(ab, ab), mul(ba, ba))
+        return mat_eq(mul(ab, ab), mul(ba, ba))
     if kind == "commute":
         i, j = tag[1], tag[2]
-        return equal(mul(T[i], T[j]), mul(T[j], T[i]))
+        return mat_eq(mul(T[i], T[j]), mul(T[j], T[i]))
     if kind == "commutek":
         i = tag[1]
-        return equal(mul(T[i], Tk), mul(Tk, T[i]))
+        return mat_eq(mul(T[i], Tk), mul(Tk, T[i]))
     if kind == "commuteW":
         i, wm = tag[1], W[tag[2] - 1]
-        return equal(mul(T[i], wm), mul(wm, T[i]))
+        return mat_eq(mul(T[i], wm), mul(wm, T[i]))
     if kind == "commuteWW":
         a, b = W[tag[1] - 1], W[tag[2] - 1]
-        return equal(mul(a, b), mul(b, a))
+        return mat_eq(mul(a, b), mul(b, a))
     if kind == "quad":
         if tag[1] == "k":
             mat, lam = Tk, env.uk
@@ -499,7 +532,7 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
             mat, lam = T[tag[1]], env.u
         # (X - lam)(X + 1/lam) = 0
         return mat_is_zero(mul(mat_shift(mat, lam, ring),
-                               mat_shift(mat, -ring.inv(lam), ring)), ring)
+                               mat_shift(mat, -ring.inv(lam), ring)))
     if kind in ("c1a", "c1b"):
         # T_i W_i = W_{i+1} T_i + D and T_i W_{i+1} = W_i T_i - D with D
         # diagonal: (t - 1/t)(g_i - g_{i+1}) / (1 - g_i/g_{i+1})
@@ -508,8 +541,8 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         d = mat_diag([fu * (x - y) * ring.inv(ring.one - x * ring.inv(y))
                       for x, y in zip(diagonal(W[i - 1]), diagonal(W[i]))], ring)
         if kind == "c1a":
-            return equal(mul(T[i], W[i - 1]), mat_add(mul(W[i], T[i]), d, ring))
-        return equal(mul(T[i], W[i]), mat_sub(mul(W[i - 1], T[i]), d, ring))
+            return mat_eq(mul(T[i], W[i - 1]), mat_add(mul(W[i], T[i]), d, ring))
+        return mat_eq(mul(T[i], W[i]), mat_sub(mul(W[i - 1], T[i]), d, ring))
     if kind == "c2":
         # T_0 W_1 = W_1^-1 T_0 + D with D diagonal:
         # ((u0 - 1/u0) + (uk - 1/uk)/g_1)(g_1 - 1/g_1) / (1 - g_1^-2)
@@ -518,8 +551,8 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         g1inv = [ring.inv(x) for x in g1]
         d = mat_diag([(f0 + fk * xi) * (x - xi) * ring.inv(ring.one - xi * xi)
                       for x, xi in zip(g1, g1inv)], ring)
-        return equal(mul(T[0], W[0]),
-                     mat_add(mul(mat_diag(g1inv, ring), T[0]), d, ring))
+        return mat_eq(mul(T[0], W[0]),
+                      mat_add(mul(mat_diag(g1inv, ring), T[0]), d, ring))
     if kind == "w1word":
         # W_1 = T_1^-1 ... T_{k-1}^-1 Tk T_{k-1} ... T_1 T_0
         cur = Tk
@@ -529,7 +562,7 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         shift = _x_minus_inv(env.u, ring)
         for i in range(env.k - 1, 0, -1):
             cur = mul(mat_shift(T[i], shift, ring), cur)
-        return equal(cur, W[0])
+        return mat_eq(cur, W[0])
     raise CalibError("unknown relation tag %r" % (tag,))
 
 
@@ -644,12 +677,10 @@ def central_character(m: CalibratedModule) -> dict:
     total = mat_zero(m.n)
     for i in range(m.k):
         wmat = m.W[i]
-        winv = mat_diag([wmat[j][j].inv() for j in range(m.n)])
+        winv = mat_diag([mat_entry(wmat, j, j).inv() for j in range(m.n)])
         total = mat_add(total, mat_add(wmat, winv))
-    z0 = total[0][0]
-    scalar = all(total[i][i] == z0 for i in range(m.n)) and \
-        all(total[i][j].is_zero() for i in range(m.n) for j in range(m.n) if i != j)
-    if not scalar:
+    z0 = mat_entry(total, 0, 0)
+    if not mat_eq(total, mat_scale(mat_identity(m.n), z0)):
         raise CalibError("central element does not act by a scalar")
     report = {"z": z0, "scalar": True}
     c0 = _two_row_start(m.region)

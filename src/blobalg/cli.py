@@ -149,11 +149,15 @@ def cmd_module(args) -> int:
         bc = cb.b_constant(module)
         out["b"] = render(bc["b"]) if bc["b"] is not None else None
     if args.matrices:
+        n = module.n
+
+        def dense(mat):
+            return [[render(cb.mat_entry(mat, r, c)) for c in range(n)]
+                    for r in range(n)]
+
         out["matrices"] = {
-            "T0": [[render(x) for x in row] for row in module.T[0]],
-            **{"T%d" % i: [[render(x) for x in row] for row in module.T[i]]
-               for i in range(1, module.k)},
-            "W": [[render(module.W[i][j][j]) for j in range(module.n)]
+            **{"T%d" % i: dense(module.T[i]) for i in range(module.k)},
+            "W": [[render(cb.mat_entry(module.W[i], j, j)) for j in range(n)]
                   for i in range(module.k)],
         }
     print(json.dumps(out))

@@ -284,42 +284,38 @@ def _filling_constraints(config: BoxConfig) -> List[Tuple[int, int]]:
 def enumerate_fillings(config: BoxConfig) -> List[Filling]:
     """All standard fillings, as value tuples on the positive boxes."""
     k = config.k
-    less = _filling_constraints(config)
     sides = dict(config.marker_side)
-
-    # constraints indexed by the positive box they mention
-    def value(assign: Dict[int, int], b: int) -> Optional[int]:
-        if abs(b) in assign:
-            v = assign[abs(b)]
-            return v if b > 0 else -v
-        return None
-
     order = sorted(range(1, k + 1), key=lambda i: (config.diag_of(i), i))
+    place = {b: pos for pos, b in enumerate(order)}
+    # each constraint S(p) < S(q) is tested once, when the later-placed of
+    # its two boxes is set: the earlier boxes keep their values below it
+    checks: Dict[int, List[Tuple[int, int]]] = {b: [] for b in order}
+    for p, q in _filling_constraints(config):
+        checks[max(abs(p), abs(q), key=place.__getitem__)].append((p, q))
     results: List[Filling] = []
     assign: Dict[int, int] = {}
 
+    def value(b: int) -> int:
+        return assign[b] if b > 0 else -assign[-b]
+
     def consistent(b: int) -> bool:
-        for p, q in less:
-            vp = value(assign, p)
-            vq = value(assign, q)
-            if vp is not None and vq is not None and not vp < vq:
+        for p, q in checks[b]:
+            if not value(p) < value(q):
                 return False
-        side = sides.get(b)
-        if side == "NW" and assign[b] > 0:
-            return False
-        if side == "SE" and assign[b] < 0:
-            return False
         return True
 
     def rec(pos: int, used: FrozenSet[int]) -> None:
-        if pos == len(order):
+        if pos == k:
             results.append(tuple(assign[i] for i in range(1, k + 1)))
             return
         b = order[pos]
+        side = sides.get(b)
         for m in range(1, k + 1):
             if m in used:
                 continue
             for v in (-m, m):
+                if (side == "NW" and v > 0) or (side == "SE" and v < 0):
+                    continue
                 assign[b] = v
                 if consistent(b):
                     rec(pos + 1, used | {m})

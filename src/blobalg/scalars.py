@@ -822,7 +822,7 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     den = eval_poly(x.den)
     if den == 0:
         raise EvalRetry("denominator vanished at the evaluation point")
-    return eval_poly(x.num) * pow(den, p - 2, p) % p
+    return eval_poly(x.num) * pow(den, -1, p) % p
 
 
 def eval_complex(x: Scalar, point: Dict[str, complex]) -> complex:
@@ -848,7 +848,7 @@ def _frac_mod(fr, p: int) -> int:
     d = fr.denominator % p
     if d == 0:
         raise EvalRetry("rational coefficient denominator divisible by p")
-    return fr.numerator % p * pow(d, p - 2, p) % p
+    return fr.numerator % p * pow(d, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

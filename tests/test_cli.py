@@ -1,5 +1,6 @@
 """Command-line surface: exit codes and output contracts."""
 
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,21 @@ class TestRegionAndModule:
         assert blob["presentation"]["passed"]
         assert blob["presentation"]["witness"] is None
         assert blob["nullity"]["is_tl_module"]
+
+    def test_module_matrices(self, capsys):
+        # the dense grid of the sparse generators, zero entries included;
+        # the digest was recorded when the matrices were stored dense
+        rc, out, _ = run(capsys, "module", "--c", "7/2,9/2,11/2", "--J", "",
+                         "--r1", "3/2", "--r2", "11/2", "--trials", "2",
+                         "--matrices")
+        assert rc == 0
+        blob = json.loads(out)
+        mats = blob["matrices"]
+        assert blob["dim"] == 7 and sorted(mats) == ["T0", "T1", "T2", "W"]
+        assert "0" in mats["T1"][0]
+        text = json.dumps(mats, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == \
+            "172246958f94384595fb3cd99654790d31354a938521b077b53ad66290a6a095"
 
     def test_decimal_r_values(self, capsys):
         rc, out, _ = run(capsys, "--json", "region", "--c", "1,2",
