@@ -66,6 +66,11 @@ class ExactRing:
         return x.is_zero()
 
     @staticmethod
+    def row(entries: dict) -> Dict[int, Scalar]:
+        """A matrix row from {column: value}, zeros dropped."""
+        return {j: v for j, v in entries.items() if not v.is_zero()}
+
+    @staticmethod
     def inv(x: Scalar) -> Scalar:
         return x.inv()
 
@@ -95,6 +100,11 @@ class ModRing:
     def is_zero(x: int) -> bool:
         return x == 0
 
+    def row(self, entries: dict) -> Dict[int, int]:
+        """A matrix row from {column: value}: values reduced, zeros dropped."""
+        p = self.p
+        return {j: r for j, v in entries.items() if (r := v % p)}
+
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise EvalRetry("division by zero at the evaluation point")
@@ -102,17 +112,6 @@ class ModRing:
 
     def lift(self, x: Scalar) -> int:
         return eval_mod(x, self.p, self.point)
-
-
-def _row(entries: dict, ring=EXACT) -> Dict[int, object]:
-    """A matrix row from {column: value}: values reduced in `ring`, zeros dropped."""
-    reduce, is_zero = ring.reduce, ring.is_zero
-    out = {}
-    for j, v in entries.items():
-        v = reduce(v)
-        if not is_zero(v):
-            out[j] = v
-    return out
 
 
 def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
@@ -135,7 +134,7 @@ def mat_mul(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
         for i, x in arow.items():
             for j, y in b[i].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(_row(acc, ring))
+        out.append(ring.row(acc))
     return out
 
 
@@ -145,7 +144,7 @@ def mat_add(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
         acc = dict(ra)
         for j, y in rb.items():
             acc[j] = acc[j] + y if j in acc else y
-        out.append(_row(acc, ring))
+        out.append(ring.row(acc))
     return out
 
 
@@ -155,12 +154,12 @@ def mat_sub(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
         acc = dict(ra)
         for j, y in rb.items():
             acc[j] = acc[j] - y if j in acc else -y
-        out.append(_row(acc, ring))
+        out.append(ring.row(acc))
     return out
 
 
 def mat_scale(a: Matrix, c, ring=EXACT) -> Matrix:
-    return [_row({j: x * c for j, x in row.items()}, ring) for row in a]
+    return [ring.row({j: x * c for j, x in row.items()}) for row in a]
 
 
 def mat_shift(a: Matrix, c, ring=EXACT) -> Matrix:
@@ -184,7 +183,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
-    return [_row({i: e}, ring) for i, e in enumerate(entries)]
+    return [ring.row({i: e}) for i, e in enumerate(entries)]
 
 
 def _x_minus_inv(x, ring=EXACT):
@@ -280,7 +279,7 @@ class CalibratedModule:
                 wc = self._wc[m]
                 up = wc[1] < 0 if i == 0 else wc[i] < wc[i + 1]
                 out[pm][m] = ONE if up else -(d - lam) * (d + lam.inv())
-        return [_row(row) for row in out]
+        return [EXACT.row(row) for row in out]
 
     def _t_diagonal(self, m: int, i: int) -> Scalar:
         if i == 0:
@@ -486,7 +485,7 @@ class _Env:
             return v
 
         def lift_matrix(mat: Matrix) -> Matrix:
-            return [_row({j: lift(x) for j, x in row.items()}, ring) for row in mat]
+            return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
 
         self.T = {i: lift_matrix(t) for i, t in m.T.items()}
         self.W = [lift_matrix(w) for w in m.W]
@@ -622,14 +621,13 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
 # idempotent nullity, central character, b-constant
 # ---------------------------------------------------------------------------
 
-def idempotent_nullity(m: CalibratedModule, use_f_forms: bool = True) -> dict:
+def idempotent_nullity(m: CalibratedModule) -> dict:
     """Evaluate the quotient idempotent combinations; all zero iff the
     module factors through the diagram-algebra quotient.
 
     The boundary pair differences N0*(p - p') and Nk*(p - p') equal the
-    relators F0 and F0v up to the unit factors [[t0]] and [[tk]]; by default
-    the cheaper relator form is evaluated (the equality is pinned by tests),
-    `use_f_forms=False` evaluates the idempotent words verbatim."""
+    relators F0 and F0v up to the unit factors [[t0]] and [[tk]]; the
+    cheaper relator form is evaluated (the equality is pinned by tests)."""
     k = m.k
     report = {"vanish": {}, "is_tl_module": True}
     for i in range(1, k - 1):
@@ -637,13 +635,8 @@ def idempotent_nullity(m: CalibratedModule, use_f_forms: bool = True) -> dict:
         mat = m.evaluate_word(num)
         report["vanish"]["p_%d_111" % i] = mat_is_zero(mat)
     if k >= 2:
-        if use_f_forms:
-            f0 = m.evaluate_word(wd.f_element("F0", k))
-            report["vanish"]["p0_pair"] = mat_is_zero(f0)
-        else:
-            n_e12, _ = wd.idempotent_expr("p0_e12", k)
-            n_12e, _ = wd.idempotent_expr("p0_12e", k)
-            report["vanish"]["p0_pair"] = mat_is_zero(m.evaluate_word(n_12e - n_e12))
+        f0 = m.evaluate_word(wd.f_element("F0", k))
+        report["vanish"]["p0_pair"] = mat_is_zero(f0)
         f0v = _f0v_matrix(m)
         report["vanish"]["p0v_pair"] = mat_is_zero(f0v)
     report["is_tl_module"] = all(report["vanish"].values())

@@ -114,7 +114,7 @@ def cmd_region(args) -> int:
         "P": sorted(map(rg.render_root, pset)),
         "fillings": [list(f) for f in rg.enumerate_fillings(config)],
         "skew": rg.is_skew(region, config),
-        "tl_shape": rg.is_tl_shape(region, config),
+        "tl_shape": rg.is_tl_shape(region),
         "vanishing": {k2: v for k2, v in rg.vanishing_predicates(region, config).items()
                       if k2 != "witnesses"},
     }

@@ -403,7 +403,7 @@ def _two_row_rel(placement, root: Root) -> bool:
     return r1_ <= r2_ - 1
 
 
-def is_tl_shape(region: LocalRegion, config: Optional[BoxConfig] = None) -> bool:
+def is_tl_shape(region: LocalRegion) -> bool:
     """True iff the configuration is a 180-degree symmetric two-row shape."""
     k = region.k
     c = region.c

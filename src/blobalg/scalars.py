@@ -14,8 +14,8 @@ is needed: the seminormal denominators of the calibrated modules,
 1 - gamma_i/gamma_(i+1) and 1 - gamma_1^-2, are such products once the
 boundary parameters are specialized, and the diagram calculus divides only
 by the monomials a0 and ak.  A new denominator enters through ``inv`` (and
-so ``/``) and through ``Scalar(num, den)``, which ``parse`` and
-``from_json`` reach; any other denominator -- u - 3, 2u + 1, u + a0 --
+so ``/`` and ``parse``) and through ``Scalar(num, den)``, which
+``from_json`` reaches; any other denominator -- u - 3, 2u + 1, u + a0 --
 raises ScalarError there.
 
 Scalars are kept in one canonical form, so that equal values are
@@ -24,14 +24,20 @@ variable divides it) and coprime to ``num``, which carries the whole
 monomial part and may have negative exponents.  Each denominator is
 factored once by exact trial division and memoized; cancelling divides its
 factors out of the numerator as often as they divide both.
+
+All expression text -- scalars, the bases of ``bb`` and, through a name
+resolver, the generator expressions of ``words`` -- is read by one reader,
+``parse``, which evaluates a Python syntax tree of a few node kinds.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
+import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 NVARS = 5
 VAR_NAMES = ("u", "u0", "uk", "a0", "ak")
@@ -256,7 +262,7 @@ def _int_gcd(a: int, b: int) -> int:
 # Dense polynomials below are coefficient lists in u, lowest degree first.
 
 _ZC = (0, 0)
-_MAX_DEGREE = 5000  # denominators of degree >= this in u are rejected
+_MAX_DEGREE = 512  # denominators of degree >= this in u are rejected
 CycloFactor = Tuple[GInt, ...]  # monic, Gaussian-integer coefficients
 Factors = Tuple[Tuple[CycloFactor, int], ...]  # with multiplicities
 Factorization = Optional[Factors]  # None for a denominator of another kind
@@ -346,9 +352,10 @@ def _factor_cyclotomic(d: List[GInt]) -> Factorization:
     out = []
     m = 1
     # A factor of Phi_m has degree at least phi(m)/2, and m < 6*phi(m) for
-    # every m below 2*10^8, so m < 12*deg(d) reaches every factor that fits
-    # for degrees below _MAX_DEGREE = 5000; a denominator of larger degree
-    # is rejected before it gets here.
+    # every m below 2*10^8, so m < 12*deg(d) reaches every factor that fits.
+    # The trial divisions grow with the square of the degree, so a
+    # denominator of degree _MAX_DEGREE = 512 or more is rejected before it
+    # gets here.
     while len(d) > 1 and m < 12 * (len(d) - 1):
         for factor in _cyclotomic_factors(m):
             k = 0
@@ -420,8 +427,9 @@ def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], List[GInt], F
     dense = _u_coefficients(d, inv) if d.degree_in(0) < _MAX_DEGREE else None
     factors = _cyclotomic_factorization(dense) if dense is not None else None
     if factors is None:
-        raise ScalarError("denominator is not a product of cyclotomic factors in u: %s"
-                          % render(Scalar(d, _normalized=True)))
+        raise ScalarError("denominator is not a product of cyclotomic factors in u "
+                          "of degree below %d: %s"
+                          % (_MAX_DEGREE, render(Scalar(d, _normalized=True))))
     return inv, dense, factors
 
 
@@ -515,15 +523,17 @@ class Scalar:
         return self.den.is_one() and self.num.is_monomial()
 
     # -- arithmetic ----------------------------------------------------------
+    # Any operand but a Scalar, int or Fraction gets NotImplemented.
     def _coerce(other):
         if isinstance(other, int):
             return Scalar.from_int(other)
         if isinstance(other, Fraction):
             return Scalar(LaurentPoly.const(other), _normalized=True)
-        return other
+        return None
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        other = Scalar._coerce(other)
+        if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
+            return NotImplemented
         if self.num.is_zero():
             return other
         if other.num.is_zero():
@@ -539,22 +549,21 @@ class Scalar:
                       self.den * other.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-Scalar._coerce(other))
+        if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
+            return NotImplemented
+        return self + (-other)
 
-    def __radd__(self, other) -> "Scalar":
-        return Scalar._coerce(other) + self
+    __radd__ = __add__
 
     def __rsub__(self, other) -> "Scalar":
-        return Scalar._coerce(other) - self
-
-    def __rmul__(self, other) -> "Scalar":
-        return Scalar._coerce(other) * self
+        return NotImplemented if (other := Scalar._coerce(other)) is None else other - self
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        other = Scalar._coerce(other)
+        if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
+            return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return Scalar.zero()
         if self.den.is_one() and other.den.is_one():
@@ -568,7 +577,11 @@ class Scalar:
         return Scalar(num, den, _normalized=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        return self * Scalar._coerce(other).inv()
+        if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
+            return NotImplemented
+        return self * other.inv()
+
+    __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if self.num.is_zero():
@@ -669,45 +682,15 @@ ONE = Scalar.one()
 ZERO = Scalar.zero()
 I = Scalar.i()
 
-# exponent vectors of the base parameters, in half-units of t, t_0, t_k
-BASE_EXPONENTS = {
-    "t": (2, 0, 0, 0, 0),
-    "t0": (0, 2, 0, 0, 0),
-    "tk": (0, 0, 2, 0, 0),
-    "u": (1, 0, 0, 0, 0),
-    "u0": (0, 1, 0, 0, 0),
-    "uk": (0, 0, 1, 0, 0),
-}
-
 
 def monomial_base(spec) -> Expo:
-    """Exponent vector for a composite monomial like 't0*tk/t'."""
-    if isinstance(spec, Scalar):
-        if not spec.is_monomial():
-            raise ScalarError("bb base must be a monomial")
-        (e, c), = spec.num.terms.items()
-        if c != (_FR1, _FR0):
-            raise ScalarError("bb base must have coefficient 1")
-        return e
-    expo = [0] * NVARS
-    text = str(spec).replace(" ", "")
-    sign = 1
-    token = ""
-    for ch in text + "*":
-        if ch in "*/":
-            if token:
-                name, _, pw = token.partition("^")
-                if name not in BASE_EXPONENTS:
-                    raise ScalarError("unknown base symbol %r" % name)
-                p = int(pw) if pw else 1
-                base = BASE_EXPONENTS[name]
-                for j in range(NVARS):
-                    expo[j] += sign * p * base[j]
-            token = ""
-            sign = -1 if ch == "/" else 1
-        else:
-            token += ch
-    return tuple(expo)
+    """Exponent vector of a monomial with coefficient 1: a Scalar, or text
+    such as 't0*tk/t' read by :func:`parse`."""
+    spec = parse(spec) if isinstance(spec, str) else spec
+    if not (isinstance(spec, Scalar) and spec.is_monomial()
+            and (_FR1, _FR0) in spec.num.terms.values()):
+        raise ScalarError("bb base must be a monomial with coefficient 1")
+    return next(iter(spec.num.terms))
 
 
 def bb(base, s=1) -> Scalar:
@@ -717,14 +700,12 @@ def bb(base, s=1) -> Scalar:
     vector, or a monomial Scalar); `s` may be any half-integer for which the
     half-power of base**s stays in the field.
     """
-    if isinstance(base, tuple):
-        e = base
-    else:
-        e = monomial_base(base)
+    e = base if isinstance(base, tuple) else monomial_base(base)
     s = Fraction(s)
     half = [Fraction(x) * s / 2 for x in e]
     if any(h.denominator != 1 for h in half):
-        raise ScalarError("half-power of %r^%s is not in the field" % (base, s))
+        raise ScalarError("half-power of (%s)^%s is not in the field"
+                          % (render(Scalar.monomial(*e)), s))
     expo = tuple(int(h) for h in half)
     if expo == _ZEXP:
         return Scalar.from_int(2)
@@ -931,146 +912,91 @@ def render(x: Scalar) -> str:
     return "(%s)/(%s)" % (ns, _render_poly(den))
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def take_name(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def take_int(self) -> int:
-        self.peek()
-        start = self.pos
-        if self.text.startswith(("+", "-"), self.pos):
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:
-            raise ScalarError("expected an integer at %d in %r" % (start, self.text)) from None
+# the names a scalar expression may use: t = u^2, t0 = u0^2, tk = uk^2
+ATOMS = {"u": U, "u0": U0, "uk": UK, "a0": A0, "ak": AK, "i": I,
+         "t": U * U, "t0": U0 * U0, "tk": UK * UK}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_MAX_NESTING = 100
 
 
-def parse(text: str) -> Scalar:
-    """Parse the grammar produced by :func:`render` (plus t, t0, tk sugar)."""
-    tok = _Tok(text)
+def _quote(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def parse(text: str, resolve: Callable[[str], object] = ATOMS.get):
+    """Read expression text, such as :func:`render` writes: integer
+    literals, names, unary + and -, + - * /, integer powers (^ or **), and
+    the calls bb(base[, s]) and qint(n).
+
+    `resolve` maps a name to its value, or to None if it is unknown; by
+    default it knows `ATOMS`.  The values need only support the operators,
+    so the same reader serves generator expressions.  Python's parser reads
+    the text into a syntax tree whose nodes are evaluated here; nothing is
+    compiled or run.  Any other node, a syntax error and nesting deeper than
+    _MAX_NESTING (or a sum of some thousand terms) raise ScalarError."""
+    source = text.strip().replace("^", "**")
     try:
-        val = _parse_sum(tok)
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ScalarError("cannot read %s: %s" % (_quote(text), exc.args[0])) from None
+    except (RecursionError, MemoryError):  # how Python's parser reports deep nesting
+        raise ScalarError("%s is nested too deeply" % _quote(text)) from None
+    try:
+        return _evaluate(tree.body, source, resolve, 0)
     except ZeroDivisionError:
-        raise ScalarError("division by zero in %r" % text) from None
-    if tok.peek():
-        raise ScalarError("trailing input at %d in %r" % (tok.pos, text))
-    return val
+        raise ScalarError("division by zero in %s" % _quote(text)) from None
 
 
-def _parse_sum(tok: _Tok) -> Scalar:
-    total = _parse_product(tok)
-    while tok.peek() and tok.peek() in "+-":
-        op = tok.take()
-        term = _parse_product(tok)
-        total = total + term if op == "+" else total - term
-    return total
+def _evaluate(node: ast.AST, source: str, resolve, depth: int):
+    if depth > _MAX_NESTING:
+        raise ScalarError("expression nested more than %d deep" % _MAX_NESTING)
+    depth += 1
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Scalar.from_int(node.value)
+    if isinstance(node, ast.Name):
+        value = resolve(node.id)
+        if value is None:
+            raise ScalarError("unknown symbol %r" % node.id)
+        return value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _evaluate(node.operand, source, resolve, depth)
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        # the left-nested chain a + b - c ... is walked, not recursed into
+        chain = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            chain.append(node)
+            node = node.left
+        value = _evaluate(node, source, resolve, depth)
+        for link in reversed(chain):
+            op = type(link.op)
+            # an exponent is an integer, a divisor a scalar
+            right = _evaluate(link.right, source, ATOMS.get if op is ast.Pow else resolve,
+                              depth)
+            if op is ast.Pow:
+                right = _rational(right, True)
+            elif op is ast.Div and not isinstance(right, Scalar):
+                raise ScalarError("only a scalar can divide")
+            value = _BINOPS[op](value, right)
+        return value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords \
+            and (node.func.id, len(node.args)) in (("qint", 1), ("bb", 1), ("bb", 2)):
+        args = [_evaluate(a, source, ATOMS.get, depth) for a in node.args]
+        if node.func.id == "qint":
+            return qint(_rational(args[0], True))
+        return bb(args[0], *(_rational(s, False) for s in args[1:]))
+    raise ScalarError("%s is not allowed in an expression"
+                      % _quote(ast.get_source_segment(source, node) or type(node).__name__))
 
 
-def _parse_product(tok: _Tok) -> Scalar:
-    val = _parse_atom(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "*":
-            tok.take()
-            val = val * _parse_atom(tok)
-        elif ch == "/":
-            tok.take()
-            val = val / _parse_atom(tok)
-        else:
-            return val
-
-
-_ATOM_SCALARS = {
-    "u": ("u", 1), "u0": ("u0", 1), "uk": ("uk", 1),
-    "a0": ("a0", 1), "ak": ("ak", 1),
-    "t": ("u", 2), "t0": ("u0", 2), "tk": ("uk", 2),
-}
-
-
-def _parse_atom(tok: _Tok) -> Scalar:
-    ch = tok.peek()
-    if ch == "(":
-        tok.take()
-        val = _parse_sum(tok)
-        if tok.take() != ")":
-            raise ScalarError("expected ')'")
-        return _parse_power(tok, val)
-    if ch == "-":
-        tok.take()
-        return -_parse_atom(tok)
-    if ch == "+":
-        tok.take()
-        return _parse_atom(tok)
-    if ch.isdigit():
-        n = tok.take_int()
-        return _parse_power(tok, Scalar.from_int(n))
-    name = tok.take_name()
-    if not name:
-        raise ScalarError("expected atom at %d" % tok.pos)
-    if name == "i":
-        return _parse_power(tok, Scalar.i())
-    if name == "bb":
-        if tok.take() != "(":
-            raise ScalarError("bb requires '('")
-        depth = 1
-        start = tok.pos
-        while depth:
-            ch = tok.take()
-            if not ch:
-                raise ScalarError("unterminated bb(...)")
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-        inner = tok.text[start:tok.pos - 1]
-        if "," in inner:
-            base, s = inner.rsplit(",", 1)
-            try:
-                expo = Fraction(s.strip())
-            except ValueError:
-                raise ScalarError("bad bb exponent %r" % s) from None
-            return _parse_power(tok, bb(base, expo))
-        return _parse_power(tok, bb(inner))
-    if name == "qint":
-        if tok.take() != "(":
-            raise ScalarError("qint requires '('")
-        n = tok.take_int()
-        if tok.take() != ")":
-            raise ScalarError("qint requires ')'")
-        return _parse_power(tok, qint(n))
-    if name in _ATOM_SCALARS:
-        var, mult = _ATOM_SCALARS[name]
-        return _parse_power(tok, Scalar.var(var, mult))
-    raise ScalarError("unknown symbol %r" % name)
-
-
-def _parse_power(tok: _Tok, val: Scalar) -> Scalar:
-    if tok.peek() == "^":
-        tok.take()
-        return val ** tok.take_int()
-    return val
+def _rational(x: Scalar, whole: bool):
+    """The rational constant x (an int if `whole`), or a ScalarError."""
+    c = Fraction(x.num.terms.get(_ZEXP, (0, 0))[0])
+    if x != Scalar._coerce(c) or (whole and c.denominator != 1):
+        raise ScalarError("expected %s, not %s" % ("an integer" if whole else "a rational",
+                                                   render(x)))
+    return int(c) if whole else c
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ Words are never rewritten; all identities are checked after expanding into
 the diagram algebra (or into module matrices).  The boundary letters expand
 with their own symbols a0, ak, while the inner cap/cup letter carries the
 global sign `a` with a*a = 1, so that Ti -> (inner diagram) + u.
+
+Text is read by the scalar reader with the letters and the named elements
+as extra names; a Scalar operand of + - * is a multiple of the empty word.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import diagrams as dg
-from .scalars import (A0, AK, ONE, Scalar, U, U0, UK, bb,
+from .scalars import (A0, AK, ATOMS, ONE, Scalar, U, U0, UK, bb,
                       parse as parse_scalar)
 
 Letter = Tuple
@@ -72,7 +74,12 @@ class GenExpr:
     def word(k: int, letters: Iterable[Letter], coeff: Scalar = None) -> "GenExpr":
         return GenExpr(k, {tuple(letters): coeff if coeff is not None else ONE})
 
+    # A Scalar operand of + - * is a multiple of the empty word.
+    def _expr(self, other) -> "GenExpr":
+        return other if isinstance(other, GenExpr) else GenExpr(self.k, {(): other})
+
     def __add__(self, other: "GenExpr") -> "GenExpr":
+        other = self._expr(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out[w] + c if w in out else c
@@ -90,9 +97,26 @@ class GenExpr:
         return r
 
     def __sub__(self, other: "GenExpr") -> "GenExpr":
-        return self + (-other)
+        return self + (-self._expr(other))
+
+    def __rsub__(self, other: Scalar) -> "GenExpr":
+        return -self + other
+
+    def __truediv__(self, other: Scalar) -> "GenExpr":
+        return self.scale(other.inv())
+
+    def __pow__(self, n: int) -> "GenExpr":
+        """A power n >= 0, or the inverse of a single T letter."""
+        if n == -1 and len(self.terms) == 1:
+            (w, c), = self.terms.items()
+            if len(w) == 1 and c.is_one():
+                return GenExpr.word(self.k, [_invert_letter(w[0])])
+        if n < 0:
+            raise WordError("only a single T letter has a power -1")
+        return _product(self.k, [self] * n)
 
     def __mul__(self, other: "GenExpr") -> "GenExpr":
+        other = self._expr(other)
         out: Dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -109,6 +133,10 @@ class GenExpr:
         r = GenExpr(self.k)
         r.terms = out
         return r
+
+    # a Scalar commutes with every word
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "GenExpr":
         if c.is_zero():
@@ -233,7 +261,7 @@ def _invert_letter(letter: Letter) -> Letter:
         return (letter[0], -letter[1])
     if letter[0] == "T":
         return ("T", letter[1], -letter[2])
-    raise WordError("letter %r is not invertible" % (letter,))
+    raise WordError("letter %s is not invertible" % _letter_name(letter))
 
 
 def murphy_expr(k: int, j: int, inverse: bool = False) -> GenExpr:
@@ -329,85 +357,30 @@ def _z_expr(k: int) -> GenExpr:
     return total
 
 
-_LETTER_RE = re.compile(r"^(T|E)(\d+|k)(\^-1)?$")
+def _letter(name: str) -> Optional[Letter]:
+    """The generator letter named T0, Ti, Tk, E0, Ei or Ek, else None."""
+    kind, idx = name[:1], name[1:]
+    if kind not in ("T", "E") or not (idx == "k" or idx.isdigit() and len(idx) < 9):
+        return None
+    i = idx if idx == "k" else int(idx)
+    if i in ("k", 0):
+        return {"Tk": Tk, "Ek": Ek, "T0": T0, "E0": E0}[kind + str(i)]
+    return T(i) if kind == "T" else E(i)
 
 
 def parse_genexpr(text: str, k: int) -> GenExpr:
-    """Parse sums of * -separated factors: generator letters (T0, T3^-1, Tk,
-    E0, E2, Ek), named elements (I1, Deven, ...), and scalar atoms."""
-    total = GenExpr.zero(k)
-    for sign, chunk in _split_terms(text):
-        term = GenExpr.one(k)
-        for factor in _split_factors(chunk):
-            term = term * _parse_factor(factor.strip(), k)
-        if sign < 0:
-            term = -term
-        total = total + term
-    return total
+    """Read a generator expression with :func:`blobalg.scalars.parse`.
+    Besides the scalar atoms, a name is a generator letter (T0, T3, Tk, E0,
+    E2, Ek; a T letter also to the power -1) or a named element of
+    `STANDARD_NAMES`, built only when the text uses it."""
+    def resolve(name: str):
+        if name in STANDARD_NAMES:
+            return standard_element(name, k)
+        letter = _letter(name)
+        return GenExpr.word(k, [letter]) if letter else ATOMS.get(name)
 
-
-def _split_terms(text: str):
-    depth = 0
-    cur = ""
-    sign = 1
-    prev = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if (depth == 0 and ch in "+-" and cur.strip()
-                and prev not in "*/^+-"):
-            yield sign, cur
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        else:
-            cur += ch
-        if not ch.isspace():
-            prev = ch
-    if cur.strip():
-        yield sign, cur
-
-
-def _split_factors(chunk: str):
-    depth = 0
-    cur = ""
-    for ch in chunk:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch == "*":
-            if cur.strip():
-                yield cur
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        yield cur
-
-
-def _parse_factor(token: str, k: int) -> GenExpr:
-    m = _LETTER_RE.match(token)
-    if m:
-        kind, idx, inv = m.groups()
-        power = -1 if inv else 1
-        if kind == "T":
-            if idx == "k":
-                return GenExpr.word(k, [Tk if power == 1 else Tkinv])
-            i = int(idx)
-            if i == 0:
-                return GenExpr.word(k, [T0 if power == 1 else T0inv])
-            return GenExpr.word(k, [T(i, power)])
-        if inv:
-            raise WordError("cap generators are not invertible: %r" % token)
-        if idx == "k":
-            return GenExpr.word(k, [Ek])
-        i = int(idx)
-        return GenExpr.word(k, [E0]) if i == 0 else GenExpr.word(k, [E(i)])
-    if token in STANDARD_NAMES:
-        return standard_element(token, k)
-    return GenExpr.one(k).scale(parse_scalar(token))
+    value = parse_scalar(text, resolve)
+    return value if isinstance(value, GenExpr) else GenExpr.one(k).scale(value)
 
 
 # ---------------------------------------------------------------------------

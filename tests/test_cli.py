@@ -183,6 +183,20 @@ class TestExitCodes:
                            "--bvalues")
         assert rc == 2 and "k >= 1" in err and not out
 
+    def test_bad_expressions_are_usage_errors(self, capsys):
+        deep = "-" * 10000 + "T1"
+        for text, why in (("qint(", "never closed"), ("bb(t,x)", "'x'"),
+                          ("(1/0)*T0", "division by zero"),
+                          ("(1/(u-3))*T0", "cyclotomic"), ("E1^-1", "invertible"),
+                          ("T1 T2", "syntax"), ("1.5*T1", "'1.5'"), ("u.num", "u.num"),
+                          ("__import__('os')", "__import__"), ("T5", "T5"),
+                          (deep, "nested")):
+            rc, out, err = run(capsys, "mul", "--k", "3", "--", text, "T0")
+            assert rc == 2 and why in err and not out, text[:50]
+            assert len(err) < 200
+        rc, out, _ = run(capsys, "mul", "--k", "4", "--", "-(T1+T2)*T3", "E1")
+        assert rc == 0 and json.loads(out)["terms"]
+
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(args):
             raise ValueError("internal fault")

@@ -60,7 +60,7 @@ class TestSmallExampleConfig:
 
     def test_not_skew_and_not_two_row(self):
         assert not rg.is_skew(self.region, self.config)
-        assert not rg.is_tl_shape(self.region, self.config)
+        assert not rg.is_tl_shape(self.region)
 
     def test_alternative_j(self):
         params = rg.RegionParams(1, 3)
@@ -78,7 +78,7 @@ class TestTwoRowShapes:
         config = rg.build_config(region)
         assert len(rg.enumerate_fillings(config)) == 7
         assert rg.is_skew(region, config)
-        assert rg.is_tl_shape(region, config)
+        assert rg.is_tl_shape(region)
 
     def test_k1_two_fillings(self):
         region = rg.LocalRegion((F(1, 2),), frozenset(), PARAMS)
@@ -92,7 +92,7 @@ class TestTwoRowShapes:
     def test_aligned_rectangle_not_skew(self):
         region = rg.two_row_region(3, F(-1, 2), PARAMS)
         config = rg.build_config(region)
-        assert rg.is_tl_shape(region, config)
+        assert rg.is_tl_shape(region)
         assert not rg.is_skew(region, config)
 
     def test_two_row_canonical_data(self):

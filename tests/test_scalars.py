@@ -207,6 +207,51 @@ class TestSerialization:
         assert sc.parse("(1+i)*(1-i)") == Scalar.from_int(2)
 
 
+class TestReader:
+    # the exponent vectors of every bb string base used in src/blobalg
+    BASES = {"t": (2, 0, 0, 0, 0), "t0": (0, 2, 0, 0, 0), "tk": (0, 0, 2, 0, 0),
+             "t0/t": (-2, 2, 0, 0, 0), "tk/t": (-2, 0, 2, 0, 0),
+             "t0*tk/t": (-2, 2, 2, 0, 0), "t0/tk": (0, 2, -2, 0, 0)}
+
+    def test_bb_bases(self):
+        for text, expo in self.BASES.items():
+            assert sc.monomial_base(text) == expo
+            assert sc.parse("bb(%s)" % text) == bb(text)
+        assert sc.parse("bb(t, 3)") == bb("t", 3) == bb((2, 0, 0, 0, 0), 3)
+        assert sc.parse("bb(t0^2, 1/2)") == bb("t0") == U0 + U0.inv()
+
+    def test_grammar(self):
+        assert sc.parse("-u^2") == -(U * U)
+        assert sc.parse("u**2 / 2^-1") == 2 * U * U
+        assert sc.parse(" +u - -u0 ") == U + U0
+        assert sc.parse("qint(3)*t0") == qint(3) * U0 ** 2
+        assert sc.parse("1/(u^4-1)") == (U ** 4 - 1).inv()
+
+    def test_rejected(self):
+        deep = "-" * 10000 + "u"
+        for text in ("qint(", "bb(t,x)", "qint(-1)", "qint(1, 2)", "bb(t, s=1)",
+                     "u^u", "u^(1/2)", "bb(2*t)", "bb(t, 3/2)", "1.5*u", "u.num",
+                     "__import__('os')", "[u]", "u < 1", "u % 2", "u u", "", "x",
+                     "(" * 300 + "u" + ")" * 300, "-(" * 150 + "u" + ")" * 150, deep):
+            with pytest.raises(sc.ScalarError) as exc:
+                sc.parse(text)
+            assert len(str(exc.value)) < 120, text[:50]
+        with pytest.raises(sc.ScalarError, match="division by zero"):
+            sc.parse("1/(u-u)")
+
+    def test_degree_limit(self):
+        # u^1000 - 1 is a cyclotomic product, but past the degree limit
+        with pytest.raises(sc.ScalarError, match="degree below"):
+            sc.parse("1/(u^1000-1)")
+
+    def test_foreign_operand(self):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__",
+                   "__radd__", "__rsub__", "__rmul__"):
+            assert getattr(U, op)("u") is NotImplemented
+        with pytest.raises(TypeError):
+            U + "u"
+
+
 def upoly(coeffs, rest=(0, 0, 0, 0)):
     """Dense coefficients in u (lowest first) -> LaurentPoly."""
     return sc.LaurentPoly({(j,) + rest: c for j, c in enumerate(coeffs)

@@ -124,7 +124,7 @@ class TestLambdaToRegion:
                     continue
                 _, region, config = sw.lambda_to_region(P63, k, l)
                 assert rg.is_skew(region, config)
-                assert rg.is_tl_shape(region, config)
+                assert rg.is_tl_shape(region)
 
     def test_first_row_endpoints(self):
         # shifted contents of the first row run from r2-l to r2-1+k-l

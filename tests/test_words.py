@@ -3,6 +3,7 @@
 import pytest
 
 from blobalg import diagrams as dg
+from blobalg import scalars as sc
 from blobalg import words as wd
 from blobalg.scalars import A0, AK, ONE, Scalar, U, U0, UK, bb
 
@@ -153,3 +154,26 @@ class TestParser:
     def test_scalar_factors(self):
         g = wd.parse_genexpr("2*E0 - E0", 2)
         assert g == G(2, [wd.E0])
+
+    def test_signs_and_parentheses(self):
+        t1, t2, t3 = (G(4, [wd.T(i)]) for i in (1, 2, 3))
+        assert wd.parse_genexpr("-T1", 4) == -t1
+        assert wd.parse_genexpr("T1*-T2", 4) == -(t1 * t2)
+        assert wd.parse_genexpr("(T1+T2)*T3", 4) == t1 * t3 + t2 * t3
+        assert wd.parse_genexpr("-(T1+T2)*T3", 4) == -(t1 * t3 + t2 * t3)
+
+    def test_scalar_arithmetic(self):
+        t1, t2 = G(4, [wd.T(1)]), G(4, [wd.T(2)])
+        assert wd.parse_genexpr("u*T1*T2 - T2*T1/u", 4) \
+            == (t1 * t2).scale(U) - (t2 * t1).scale(U.inv())
+        assert wd.parse_genexpr("1 + T1^2 - u", 4) == wd.GenExpr.one(4).scale(ONE - U) + t1 * t1
+        assert wd.parse_genexpr("Tk^-1*T0^-1", 4) == G(4, [wd.Tkinv, wd.T0inv])
+
+    def test_rejected(self):
+        for text, k in (("E1^-1", 4), ("(2*T1)^-1", 4), ("T1^-2", 4), ("T1 T2", 4),
+                        ("1.5*T1", 4), ("u/T1", 4), ("T1/T2", 4), ("T1^T1", 4),
+                        ("T5", 3), ("Deven", 3), ("x*T1", 4), ("u.num", 4),
+                        ("__import__('os')", 4), ("-" * 10000 + "T1", 4),
+                        ("T" + "9" * 5000, 4)):
+            with pytest.raises((wd.WordError, sc.ScalarError)):
+                wd.parse_genexpr(text, k)
