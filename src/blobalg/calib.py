@@ -241,7 +241,7 @@ class CalibratedModule:
         self.basis: List[rg.Filling] = rg.enumerate_fillings(self.config)
         if not self.basis:
             raise CalibError("region has no standard fillings")
-        if spec.require_skew and not rg.is_skew(spec.region, self.config):
+        if spec.require_skew and not rg._fillings_skew(self.config, self.basis):
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)

@@ -59,13 +59,13 @@ def _int_from(minimum: int):
 def cmd_dims(args) -> int:
     if args.k > args.max_k:
         return _fail("dims needs k <= %d" % args.max_k)
+    if args.bound < 1:
+        return _fail("dims needs --bound >= 1: the blob basis has wall grades 0 and 1")
     rows = []
     for k in range(1, args.k + 1):
-        basis = dg.enumerate_basis(k, {0, 1}, max_wall_grade_bound=args.bound)
-        per_grade = {}
-        for w in range(0, args.bound + 1):
-            per_grade[w] = len(dg.enumerate_basis(k, {w}, max_wall_grade_bound=args.bound))
-        rows.append({"k": k, "blob_dim": len(basis), "per_grade": per_grade})
+        per_grade = {w: len(dg.enumerate_basis(k, {w}, max_wall_grade_bound=args.bound))
+                     for w in range(0, args.bound + 1)}
+        rows.append({"k": k, "blob_dim": per_grade[0] + per_grade[1], "per_grade": per_grade})
     if args.json:
         print(json.dumps(rows))
     else:
@@ -108,12 +108,13 @@ def cmd_region(args) -> int:
     region = rg.LocalRegion(args.c, J, params)
     config = rg.build_config(region)
     zset, pset = region.root_sets()
+    fillings = rg.enumerate_fillings(config)
     out = {
         "region": rg.region_to_json(region),
         "Z": sorted(map(rg.render_root, zset)),
         "P": sorted(map(rg.render_root, pset)),
-        "fillings": [list(f) for f in rg.enumerate_fillings(config)],
-        "skew": rg.is_skew(region, config),
+        "fillings": [list(f) for f in fillings],
+        "skew": rg._fillings_skew(config, fillings),
         "tl_shape": rg.is_tl_shape(region),
         "vanishing": {k2: v for k2, v in rg.vanishing_predicates(region, config).items()
                       if k2 != "witnesses"},

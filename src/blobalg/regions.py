@@ -7,6 +7,15 @@ markings on the four diagonals +-r1, +-r2; its standard fillings are the
 symmetric bijective labelings obeying the diagonal and marking rules, and
 they index the basis of the corresponding calibrated module.
 
+Fillings come from one walk over signed order ideals.  Each constraint
+S(p) < S(q) puts p below q and, mirrored, -q below -p.  The values
+-k, ..., -1 are handed out in increasing order, each to a box x with
+neither x nor -x filled, everything below x filled, and a marker side that
+allows S(x) < 0; the positive values follow from S(-x) = -S(x).  The
+number of completions depends only on the set I of boxes filled so far,
+so it is memoized on I: `count_fillings` reads it at the empty set, and
+`enumerate_fillings` enters only sets with a completion.
+
 Roots are tagged tuples: ("e", i) for eps_i, ("d", i, j) for eps_j - eps_i
 and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.
 """
@@ -16,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import floor
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Root = Tuple
@@ -170,9 +181,6 @@ class BoxConfig:
     marker_side: Tuple[Tuple[int, str], ...]
     placement: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...] = field(compare=False)
 
-    def diag_of(self, i: int) -> Fraction:
-        return dict(self.diag)[i]
-
 
 def _box_diagonals(region: LocalRegion) -> Dict[int, Fraction]:
     out = {}
@@ -269,59 +277,64 @@ Filling = Tuple[int, ...]  # values S(box_1), ..., S(box_k)
 
 def _filling_constraints(config: BoxConfig) -> List[Tuple[int, int]]:
     """Pairs (p, q) of box indices with S(p) < S(q) required."""
-    less: List[Tuple[int, int]] = []
-    for _, boxes in config.same_diag:
-        for b1, b2 in zip(boxes, boxes[1:]):
-            less.append((b1, b2))
-    for (p, q), is_nw in config.pair_rel:
-        if is_nw:
-            less.append((p, q))
-        else:
-            less.append((q, p))
-    return less
+    less = [(b1, b2) for _, boxes in config.same_diag for b1, b2 in zip(boxes, boxes[1:])]
+    return less + [(p, q) if is_nw else (q, p) for (p, q), is_nw in config.pair_rel]
+
+
+def _ideal_walk(config: BoxConfig):
+    """`steps(I)`, the pairs (x, I + x) for the boxes x that may take the
+    next negative value, and the memoized `count(I)` of completions."""
+    k = config.k
+    bit = {x: 1 << (x - 1 if x > 0 else k - x - 1) for x in range(-k, k + 1) if x}
+    below = dict.fromkeys(bit, 0)
+    for p, q in _filling_constraints(config):
+        below[q] |= bit[p]
+        below[-p] |= bit[-q]  # S(p) < S(q) is S(-q) < S(-p)
+    # "NW" is S(b) < 0, so -b never takes a negative value; "SE" bars b
+    barred = {b if side == "SE" else -b for b, side in config.marker_side}
+    moves = [(x, bit[x], bit[x] | bit[-x], below[x]) for x in sorted(bit) if x not in barred]
+
+    def steps(ideal: int) -> List[Tuple[int, int]]:
+        return [(x, ideal | b) for x, b, pair, need in moves
+                if not ideal & pair and ideal & need == need]
+
+    @lru_cache(maxsize=None)
+    def count(ideal: int) -> int:
+        if ideal.bit_count() == k:
+            return 1
+        return sum(count(nxt) for _, nxt in steps(ideal))
+
+    return steps, count
+
+
+def count_fillings(config: BoxConfig) -> int:
+    """The number of standard fillings: the walk's memoized count, nothing listed."""
+    return _ideal_walk(config)[1](0)
 
 
 def enumerate_fillings(config: BoxConfig) -> List[Filling]:
-    """All standard fillings, as value tuples on the positive boxes."""
+    """All standard fillings, as value tuples on the positive boxes.
+
+    The walk enters only ideals whose count is nonzero, so every path it
+    takes ends in a filling."""
     k = config.k
-    sides = dict(config.marker_side)
-    order = sorted(range(1, k + 1), key=lambda i: (config.diag_of(i), i))
-    place = {b: pos for pos, b in enumerate(order)}
-    # each constraint S(p) < S(q) is tested once, when the later-placed of
-    # its two boxes is set: the earlier boxes keep their values below it
-    checks: Dict[int, List[Tuple[int, int]]] = {b: [] for b in order}
-    for p, q in _filling_constraints(config):
-        checks[max(abs(p), abs(q), key=place.__getitem__)].append((p, q))
+    steps, count = _ideal_walk(config)
     results: List[Filling] = []
-    assign: Dict[int, int] = {}
+    path: List[int] = []
 
-    def value(b: int) -> int:
-        return assign[b] if b > 0 else -assign[-b]
-
-    def consistent(b: int) -> bool:
-        for p, q in checks[b]:
-            if not value(p) < value(q):
-                return False
-        return True
-
-    def rec(pos: int, used: FrozenSet[int]) -> None:
-        if pos == k:
-            results.append(tuple(assign[i] for i in range(1, k + 1)))
+    def rec(ideal: int) -> None:
+        if len(path) == k:
+            value = {x: v for v, x in enumerate(path, start=-k)}
+            value.update({-x: -v for x, v in value.items()})
+            results.append(tuple(value[i] for i in range(1, k + 1)))
             return
-        b = order[pos]
-        side = sides.get(b)
-        for m in range(1, k + 1):
-            if m in used:
-                continue
-            for v in (-m, m):
-                if (side == "NW" and v > 0) or (side == "SE" and v < 0):
-                    continue
-                assign[b] = v
-                if consistent(b):
-                    rec(pos + 1, used | {m})
-        del assign[b]
+        for x, nxt in steps(ideal):
+            if count(nxt):
+                path.append(x)
+                rec(nxt)
+                path.pop()
 
-    rec(0, frozenset())
+    rec(0)
     return sorted(results)
 
 
@@ -339,8 +352,13 @@ def is_skew(region: LocalRegion, config: Optional[BoxConfig] = None) -> bool:
     """True iff every filling avoids the degenerate label coincidences."""
     if config is None:
         config = build_config(region)
-    k = region.k
-    for filling in enumerate_fillings(config):
+    return _fillings_skew(config, enumerate_fillings(config))
+
+
+def _fillings_skew(config: BoxConfig, fillings: Iterable[Filling]) -> bool:
+    """`is_skew` on fillings already listed."""
+    k = config.k
+    for filling in fillings:
         wc = wc_vector(config, filling)
         if wc[1] == 0:
             return False
@@ -415,14 +433,8 @@ def is_tl_shape(region: LocalRegion) -> bool:
         if expected_c != c:
             continue
         # the full diagonal multisets agree by symmetry; compare relations
-        ok = True
-        for root in pset:
-            if root[0] == "e":
-                continue
-            if _two_row_rel(placement, root) != (root in region.J):
-                ok = False
-                break
-        if not ok:
+        if any(_two_row_rel(placement, root) != (root in region.J)
+               for root in pset if root[0] != "e"):
             continue
         # same-diagonal scan order must match the index assignment
         diag = _box_diagonals(region)
@@ -456,37 +468,23 @@ def vanishing_predicates(region: LocalRegion,
     report = {"fillings": len(fillings)}
     witnesses = {}
 
-    inner_ok = True
-    inner_witness = None
-    for filling in fillings:
-        wc = wc_vector(config, filling)
-        for i in range(1, k - 1):
-            if not (wc[i] == wc[i + 1] - 1 or wc[i] == wc[i + 2] - 1
-                    or wc[i + 1] == wc[i + 2] - 1):
-                inner_ok = False
-                inner_witness = (filling, i)
-                break
-        if not inner_ok:
-            break
-    report["p_i_111"] = inner_ok
-    witnesses["p_i_111"] = inner_witness
+    wcs = [wc_vector(config, filling) for filling in fillings]
+    witnesses["p_i_111"] = next(
+        ((filling, i) for filling, wc in zip(fillings, wcs) for i in range(1, k - 1)
+         if not (wc[i] == wc[i + 1] - 1 or wc[i] == wc[i + 2] - 1
+                 or wc[i + 1] == wc[i + 2] - 1)), None)
+    report["p_i_111"] = witnesses["p_i_111"] is None
 
     for name, pick in _BOUNDARY_CASES.items():
         if k < 2:
             report[name] = True
             continue
         v1, v2 = pick(r1, r2)
-        ok = True
-        witness = None
-        for filling in fillings:
-            wc = wc_vector(config, filling)
-            if not (wc[1] in (v1, v2) or wc[2] in (v1, v2)
-                    or wc[2] == wc[1] + 1 or wc[2] == -wc[1] + 1):
-                ok = False
-                witness = filling
-                break
-        report[name] = ok
-        witnesses[name] = witness
+        witnesses[name] = next(
+            (filling for filling, wc in zip(fillings, wcs)
+             if not (wc[1] in (v1, v2) or wc[2] in (v1, v2)
+                     or wc[2] == wc[1] + 1 or wc[2] == -wc[1] + 1)), None)
+        report[name] = witnesses[name] is None
     report["is_tl_module"] = all(report[n] for n in
                                  ("p_i_111",) + tuple(_BOUNDARY_CASES))
     report["witnesses"] = {n: w for n, w in witnesses.items() if w is not None}
@@ -506,11 +504,7 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound,
     seen = set()
     for cls in classes:
         start = Fraction(0) if cls == "integer" else HALF
-        values = []
-        v = start
-        while v <= bound:
-            values.append(v)
-            v += 1
+        values = [start + n for n in range(floor(bound - start) + 1)]
         for c in _sorted_tuples(values, k):
             region0 = LocalRegion(c, frozenset(), params)
             _, pset = region0.root_sets()
@@ -526,9 +520,10 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound,
                     config = build_config(region)
                 except RegionError:
                     continue
-                if not enumerate_fillings(config):
+                fillings = enumerate_fillings(config)
+                if not fillings:
                     continue
-                if require_skew and not is_skew(region, config):
+                if require_skew and not _fillings_skew(config, fillings):
                     continue
                 found.append(region)
     return found

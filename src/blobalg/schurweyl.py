@@ -165,7 +165,7 @@ def dim_B(params: SWParams, k: int, l: int, method: str = "formula") -> int:
         if zero_multiplicity(params, k, l):
             return 0
         _, _, config = lambda_to_region(params, k, l)
-        return len(rg.enumerate_fillings(config))
+        return rg.count_fillings(config)
     raise SchurWeylError("unknown method %r" % method)
 
 
@@ -254,7 +254,7 @@ def sw_table(params: SWParams, k: int) -> List[dict]:
             row["zero"] = True
         else:
             z, region, config = lambda_to_region(params, k, l)
-            row["dim_fillings"] = len(rg.enumerate_fillings(config))
+            row["dim_fillings"] = rg.count_fillings(config)
             row["z"] = render(z)
             row["region"] = rg.region_to_json(region)
         rows.append(row)

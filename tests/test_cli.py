@@ -28,6 +28,9 @@ class TestDims:
         assert exc.value.code == 2 and "error" in capsys.readouterr().err
         rc, _, err = run(capsys, "dims", "--k", "7")
         assert rc == 2 and "error" in err
+        # blob_dim adds the grade-0 and grade-1 counts, so both must exist
+        rc, out, err = run(capsys, "dims", "--k", "3", "--bound", "0")
+        assert rc == 2 and "--bound" in err and not out
 
 
 class TestBasisAndMul:
@@ -46,6 +49,10 @@ class TestBasisAndMul:
 class TestVerify:
     def test_theorem3(self, capsys):
         rc, out, _ = run(capsys, "verify", "theorem3", "--k", "4")
+        assert rc == 0 and "result: pass" in out
+
+    def test_theorem3_k6(self, capsys):
+        rc, out, _ = run(capsys, "verify", "theorem3", "--k", "6")
         assert rc == 0 and "result: pass" in out
 
     def test_relations_refusal(self, capsys):

@@ -1,10 +1,12 @@
 """Box-configuration combinatorics: root sets, fillings, shape predicates."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
 from blobalg import regions as rg
+from blobalg import schurweyl as sw
 
 
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
@@ -69,6 +71,55 @@ class TestSmallExampleConfig:
                                 params)
         config = rg.build_config(region)
         assert rg.enumerate_fillings(config)
+
+
+def _chart_configs(k, params, bound):
+    """The configuration of every (c, J) with c_i <= bound that builds,
+    with or without fillings."""
+    for start in (F(0), F(1, 2)):
+        values = [start + n for n in range(bound + 1) if start + n <= bound]
+        for c in rg._sorted_tuples(values, k):
+            _, pset = rg.compute_root_sets(c, params)
+            proots = sorted(pset, key=rg.root_sort_key)
+            for mask in range(1 << len(proots)):
+                J = frozenset(r for b, r in enumerate(proots) if mask >> b & 1)
+                try:
+                    yield rg.build_config(rg.LocalRegion(c, J, params))
+                except rg.RegionError:
+                    pass
+
+
+@pytest.fixture(scope="module")
+def walk_corpus():
+    """Every nonzero (6,3) node at k <= 9, and every buildable region of the
+    rank-2 and rank-3 charts at diagonal bound 5 for (r1, r2) = (3/2, 11/2)
+    and of the rank-3 chart for (1, 4): 677 configurations."""
+    p63 = sw.SWParams(6, 3)
+    configs = [sw.lambda_to_region(p63, k, l)[2] for k in range(10)
+               for _, l in sw.level_nodes(p63, k) if not sw.zero_multiplicity(p63, k, l)]
+    for params, ranks in ((PARAMS, (2, 3)), (rg.RegionParams(1, 4), (3,))):
+        for k in ranks:
+            configs += _chart_configs(k, params, 5)
+    return configs
+
+
+# sha256 of the lines `repr(enumerate_fillings(config))` over `walk_corpus`,
+# recorded with the backtracking search the ideal walk replaced (commit cc6e484)
+_WALK_CORPUS_SHA256 = "23492024bbd075d73d3c4fa31dc0bde9383258deee1bf200a3283bf1d3194868"
+
+
+class TestFillingWalk:
+    def test_count_equals_listing(self, walk_corpus):
+        assert len(walk_corpus) == 677
+        counts = [rg.count_fillings(c) for c in walk_corpus]
+        assert counts == [len(rg.enumerate_fillings(c)) for c in walk_corpus]
+        assert sum(counts) == 8774 and counts.count(0) > 0
+
+    def test_listing_digest(self, walk_corpus):
+        digest = hashlib.sha256()
+        for config in walk_corpus:
+            digest.update((repr(rg.enumerate_fillings(config)) + "\n").encode())
+        assert digest.hexdigest() == _WALK_CORPUS_SHA256
 
 
 class TestTwoRowShapes:

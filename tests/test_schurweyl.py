@@ -57,7 +57,7 @@ class TestDimensions:
             _f(P63, 9, 8, c) for c in range(0, 4))
 
     def test_three_methods_agree(self):
-        for k in range(7):
+        for k in range(13):
             for (_l1, l) in sw.level_nodes(P63, k):
                 p = sw.dim_B(P63, k, l, "paths")
                 f = sw.dim_B(P63, k, l, "formula")
