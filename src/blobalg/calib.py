@@ -17,8 +17,18 @@ family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; the modular presentation check lifts the module's own
-exact matrices entrywise to GF(p), each distinct entry once per point, and
-inverts there with pow(x, -1, p).
+exact matrices entrywise to Z/p, each distinct entry once per point, and
+inverts there with pow(x, -1, p), a list of inverses at a time.
+
+The modular check draws its trials (p_t, point_t) from the seed, then makes
+one pass over Z/P, P the product of the trial primes, at the point that is
+the CRT combination of the trial points: by the Chinese remainder theorem
+that pass computes every trial's residues at once, so each trial keeps its
+own Schwartz-Zippel bound (entry degree over p_t).  A trial whose point
+leaves a denominator or an inverse without a value is discarded and
+replaced by the next draw; trials that drew the same prime go to a further
+pass, since CRT combines coprime moduli only.  A relation that fails over P
+is replayed at each trial's own prime, so a witness is a single-prime point.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
@@ -37,8 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, bb, eval_mod, qint,
-                      random_point, random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, _inv_mod, bb,
+                      eval_mod, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -75,6 +85,10 @@ class ExactRing:
         return x.inv()
 
     @staticmethod
+    def inv_all(xs: Sequence[Scalar]) -> List[Scalar]:
+        return [x.inv() for x in xs]
+
+    @staticmethod
     def lift(x: Scalar) -> Scalar:
         return x
 
@@ -83,8 +97,10 @@ EXACT = ExactRing()
 
 
 class ModRing:
-    """GF(p) with a `Scalar` lifted by evaluation at `point` (residues for
-    the variables and for i).  Matrix entries are kept reduced to 0..p-1."""
+    """Z/p, for p a prime or a product of distinct primes, with a `Scalar`
+    lifted by evaluation at `point` (residues for the variables and for i).
+    Matrix entries are kept reduced to 0..p-1.  Inverting a non-unit raises
+    `EvalRetry` carrying its residue."""
 
     zero = 0
     one = 1
@@ -106,9 +122,23 @@ class ModRing:
         return {j: r for j, v in entries.items() if (r := v % p)}
 
     def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise EvalRetry("division by zero at the evaluation point")
-        return pow(x, -1, self.p)
+        return _inv_mod(x, self.p)
+
+    def inv_all(self, xs: Sequence[int]) -> List[int]:
+        """[inv(x) for x in xs] with one modular inverse (Montgomery's
+        trick): invert the product, then peel the factors off."""
+        p = self.p
+        prefix = []
+        acc = 1
+        for x in xs:
+            prefix.append(acc)
+            acc = acc * x % p
+        inv = self.inv(acc)
+        out = [0] * len(prefix)
+        for j in range(len(prefix) - 1, -1, -1):
+            out[j] = inv * prefix[j] % p
+            inv = inv * xs[j] % p
+        return out
 
     def lift(self, x: Scalar) -> int:
         return eval_mod(x, self.p, self.point)
@@ -537,8 +567,9 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         # diagonal: (t - 1/t)(g_i - g_{i+1}) / (1 - g_i/g_{i+1})
         i = tag[1]
         fu = _x_minus_inv(env.u, ring)
-        d = mat_diag([fu * (x - y) * ring.inv(ring.one - x * ring.inv(y))
-                      for x, y in zip(diagonal(W[i - 1]), diagonal(W[i]))], ring)
+        xs, ys = diagonal(W[i - 1]), diagonal(W[i])
+        dens = ring.inv_all([ring.one - x * yi for x, yi in zip(xs, ring.inv_all(ys))])
+        d = mat_diag([fu * (x - y) * di for x, y, di in zip(xs, ys, dens)], ring)
         if kind == "c1a":
             return mat_eq(mul(T[i], W[i - 1]), mat_add(mul(W[i], T[i]), d, ring))
         return mat_eq(mul(T[i], W[i]), mat_sub(mul(W[i - 1], T[i]), d, ring))
@@ -547,9 +578,10 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         # ((u0 - 1/u0) + (uk - 1/uk)/g_1)(g_1 - 1/g_1) / (1 - g_1^-2)
         f0, fk = _x_minus_inv(env.u0, ring), _x_minus_inv(env.uk, ring)
         g1 = diagonal(W[0])
-        g1inv = [ring.inv(x) for x in g1]
-        d = mat_diag([(f0 + fk * xi) * (x - xi) * ring.inv(ring.one - xi * xi)
-                      for x, xi in zip(g1, g1inv)], ring)
+        g1inv = ring.inv_all(g1)
+        dens = ring.inv_all([ring.one - xi * xi for xi in g1inv])
+        d = mat_diag([(f0 + fk * xi) * (x - xi) * di
+                      for x, xi, di in zip(g1, g1inv, dens)], ring)
         return mat_eq(mul(T[0], W[0]),
                       mat_add(mul(mat_diag(g1inv, ring), T[0]), d, ring))
     if kind == "w1word":
@@ -565,15 +597,83 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
     raise CalibError("unknown relation tag %r" % (tag,))
 
 
-def _check_all(env: _Env, rels, report: dict, where: dict) -> None:
-    """Check every relation on env; a failure is recorded with `where` in
-    the witness, which names the evaluation for a modular env."""
-    for name, tag in rels:
-        if not _check_relation(env, tag):
-            report["relations"][name] = False
-            report["passed"] = False
-            if report["witness"] is None:
-                report["witness"] = dict(relation=name, **where)
+def _failing(env: _Env, rels) -> List[str]:
+    """Names of the relations that fail on env, in order."""
+    return [name for name, tag in rels if not _check_relation(env, tag)]
+
+
+_ATTEMPTS = 20  # consecutive unusable points before the check gives up
+# primes per pass: a product modulo P costs more than linearly in the size
+# of P, so past about ten 62-bit primes a pass costs more per trial
+_PASS_PRIMES = 10
+
+
+def _crt_ring(cands: Sequence[Tuple[int, Dict[str, int]]]) -> ModRing:
+    """Z/P for P the product of the candidates' distinct primes, at the
+    point that reduces to each candidate's point mod its prime."""
+    big = math.prod(p for p, _ in cands)
+    basis = [(big // p) * pow(big // p, -1, p) for p, _ in cands]
+    point = {name: sum(pt[name] * e for (_, pt), e in zip(cands, basis)) % big
+             for name in cands[0][1]}
+    return ModRing(big, point)
+
+
+def _modular_trials(m: CalibratedModule, rels, trials: int,
+                    rng: random.Random, prime_bits: int):
+    """The first `trials` usable (p, point) candidates drawn from rng, the
+    number of unusable ones drawn before them, and for each usable one the
+    relations that failed over its pass: a superset of its own failures.
+
+    Candidates are checked together, one pass per set of at most
+    `_PASS_PRIMES` distinct primes; an `EvalRetry` in a pass discards the
+    candidates whose primes divide its residue, and the passes are redone
+    with the next draws in their place.  A candidate is usable exactly when
+    its own single-prime check raises no `EvalRetry`, so these are the
+    points a trial-by-trial loop keeps."""
+    drawn: List[Tuple[int, Dict[str, int]]] = []
+    bad = set()
+    while True:
+        usable = [j for j in range(len(drawn)) if j not in bad]
+        while len(usable) < trials:
+            p = random_prime(prime_bits, rng)
+            drawn.append((p, random_point(p, rng)))
+            usable.append(len(drawn) - 1)
+        passes: List[Dict[int, int]] = []  # prime -> candidate
+        for j in usable:
+            group = next((g for g in passes if drawn[j][0] not in g
+                          and len(g) < _PASS_PRIMES), None)
+            if group is None:
+                passes.append(group := {})
+            group[drawn[j][0]] = j
+        failing = {}
+        for group in passes:
+            try:
+                env = _Env(m, _crt_ring([drawn[j] for j in group.values()]))
+                names = _failing(env, rels)
+            except EvalRetry as exc:
+                bad.update(j for p, j in group.items() if exc.residue % p == 0)
+                break
+            failing.update(dict.fromkeys(group.values(), names))
+        else:
+            return ([drawn[j] for j in usable], len(bad),
+                    [failing[j] for j in usable])
+        run = 0
+        for j in range(len(drawn)):
+            run = run + 1 if j in bad else 0
+            if run == _ATTEMPTS:
+                raise CalibError("could not find a usable evaluation point")
+
+
+def _replay_witness(m: CalibratedModule, tags: dict, points, suspects):
+    """The first failing relation at the first failing trial, found by
+    replaying each suspect relation at the trial's own prime and point."""
+    for trial, ((p, point), names) in enumerate(zip(points, suspects)):
+        if names:
+            env = _Env(m, ModRing(p, point))
+            for name in names:
+                if not _check_relation(env, tags[name]):
+                    return dict(relation=name, p=p, trial=trial, point=point)
+    return None
 
 
 def check_presentation(m: CalibratedModule, trials: int = 10,
@@ -583,9 +683,12 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
 
     Exact symbolic checking by default for k <= 2, randomized modular
     evaluation with `trials` points otherwise: the module's own matrices
-    are lifted to GF(p) at a random point.  Returns a report dict with
-    per-relation pass/fail and the first failing witness; a modular witness
-    carries p and the point, so `_check_relation` can replay it."""
+    are lifted to GF(p) at a random point for each trial, all trials in
+    one pass over the product of their primes.  Returns a report dict with
+    per-relation pass/fail, the first failing witness (the first failing
+    relation at the first failing trial), the trial primes and the number
+    of discarded candidate points; a modular witness carries p and the
+    point, so `_check_relation` can replay it."""
     if exact is None:
         exact = m.k <= 2
     if not exact and trials < 1:
@@ -595,25 +698,20 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     report = {"mode": "exact" if exact else "modular",
               "relations": {name: True for name, _ in rels},
               "passed": True, "witness": None, "trials": 0 if exact else trials,
-              "seed": seed}
+              "seed": seed, "primes": [], "discarded": 0}
     if exact:
-        _check_all(_Env(m), rels, report, {})
-        return report
-
-    rng = random.Random(seed)
-    for trial in range(trials):
-        for attempt in range(20):
-            p = random_prime(prime_bits, rng)
-            point = random_point(p, rng)
-            try:
-                env = _Env(m, ModRing(p, point))
-                _check_all(env, rels, report,
-                           {"p": p, "trial": trial, "point": point})
-                break
-            except EvalRetry:
-                continue
-        else:
-            raise CalibError("could not find a usable evaluation point")
+        failing = _failing(_Env(m), rels)
+        if failing:
+            report["witness"] = {"relation": failing[0]}
+    else:
+        points, report["discarded"], suspects = _modular_trials(
+            m, rels, trials, random.Random(seed), prime_bits)
+        report["primes"] = [p for p, _ in points]
+        failing = [name for name, _ in rels if any(name in s for s in suspects)]
+        report["witness"] = _replay_witness(m, dict(rels), points, suspects)
+    for name in failing:
+        report["relations"][name] = False
+    report["passed"] = not failing
     return report
 
 

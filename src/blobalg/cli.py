@@ -116,7 +116,7 @@ def cmd_region(args) -> int:
         "fillings": [list(f) for f in fillings],
         "skew": rg._fillings_skew(config, fillings),
         "tl_shape": rg.is_tl_shape(region),
-        "vanishing": {k2: v for k2, v in rg.vanishing_predicates(region, config).items()
+        "vanishing": {k2: v for k2, v in rg._vanishing(region, config, fillings).items()
                       if k2 != "witnesses"},
     }
     if args.json:
@@ -137,8 +137,8 @@ def cmd_module(args) -> int:
     pres = cb.check_presentation(module, trials=args.trials, seed=args.seed)
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
-           "presentation": {"mode": pres["mode"], "passed": pres["passed"],
-                            "witness": pres["witness"]},
+           "presentation": {key: pres[key] for key in
+                            ("mode", "passed", "witness", "trials", "seed", "primes")},
            "nullity": nul}
     try:
         cc = cb.central_character(module)

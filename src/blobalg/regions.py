@@ -462,8 +462,13 @@ def vanishing_predicates(region: LocalRegion,
     """Per-idempotent report of the combinatorial annihilation conditions."""
     if config is None:
         config = build_config(region)
+    return _vanishing(region, config, enumerate_fillings(config))
+
+
+def _vanishing(region: LocalRegion, config: BoxConfig,
+               fillings: List[Filling]) -> dict:
+    """`vanishing_predicates` on the region's filling list, already listed."""
     k = region.k
-    fillings = enumerate_fillings(config)
     r1, r2 = region.params.r1, region.params.r2
     report = {"fillings": len(fillings)}
     witnesses = {}

@@ -57,7 +57,14 @@ class ScalarError(ValueError):
 
 
 class EvalRetry(ScalarError):
-    """A denominator vanished at the chosen evaluation point; pick a new one."""
+    """A denominator or an inverse is not a unit at the chosen evaluation
+    point; pick a new one.  `residue` is the offending value modulo the
+    modulus: over a product of primes, the primes dividing it are the ones
+    whose points failed."""
+
+    def __init__(self, message: str, residue: int):
+        super().__init__(message)
+        self.residue = residue
 
 
 def _cadd(a: Coeff, b: Coeff) -> Coeff:
@@ -782,7 +789,10 @@ def random_point(p: int, rng: random.Random) -> Dict[str, int]:
 
 
 def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
-    """Evaluate x at unit residues mod p; raises EvalRetry on a zero denominator."""
+    """Evaluate x at unit residues mod p, a prime or a product of distinct
+    primes (then the point holds CRT combinations, and the value is the CRT
+    combination of the values mod each prime); raises EvalRetry on a
+    denominator that is not a unit mod p."""
     i_val = point["i"]
     if i_val * i_val % p != p - 1:
         raise ScalarError("point['i'] is not a square root of -1 mod p")
@@ -800,10 +810,7 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
             total = (total + term) % p
         return total
 
-    den = eval_poly(x.den)
-    if den == 0:
-        raise EvalRetry("denominator vanished at the evaluation point")
-    return eval_poly(x.num) * pow(den, -1, p) % p
+    return eval_poly(x.num) * _inv_mod(eval_poly(x.den), p) % p
 
 
 def eval_complex(x: Scalar, point: Dict[str, complex]) -> complex:
@@ -826,10 +833,16 @@ def eval_complex(x: Scalar, point: Dict[str, complex]) -> complex:
 def _frac_mod(fr, p: int) -> int:
     if isinstance(fr, int):
         return fr % p
-    d = fr.denominator % p
-    if d == 0:
-        raise EvalRetry("rational coefficient denominator divisible by p")
-    return fr.numerator % p * pow(d, -1, p) % p
+    return fr.numerator * _inv_mod(fr.denominator, p) % p
+
+
+def _inv_mod(x: int, p: int) -> int:
+    """The inverse of x mod p; EvalRetry, carrying x mod p, when x is not a
+    unit, i.e. when a prime dividing p divides x."""
+    try:
+        return pow(x, -1, p)
+    except ValueError:
+        raise EvalRetry("not a unit at the evaluation point", x % p) from None
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
         module = cb.build_module(cb.ModuleSpec(region))
         matrix_tl = cb.idempotent_nullity(module)["is_tl_module"]
         shape_tl = rg.is_tl_shape(region)
-        cond_tl = rg.vanishing_predicates(region)["is_tl_module"]
+        cond_tl = rg._vanishing(region, module.config, module.basis)["is_tl_module"]
         label = "c=%s J={%s}" % (",".join(str(v) for v in region.c),
                                  ",".join(rg.render_root(x) for x in
                                           sorted(region.J, key=rg.root_sort_key)))

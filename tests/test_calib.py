@@ -9,8 +9,8 @@ from blobalg import calib as cb
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
 from blobalg import words as wd
-from blobalg.scalars import (ONE, Scalar, U, bb, eval_mod, qint, random_point,
-                             random_prime)
+from blobalg.scalars import (ONE, EvalRetry, Scalar, U, bb, eval_mod, qint,
+                             random_point, random_prime)
 
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
 SW63 = sw.SWParams(6, 3)
@@ -30,6 +30,38 @@ def perturbed_module(k, l, at_zero=False):
                     if r != c and (c not in t1[r]) == at_zero)
     t1[row][col] = cb.mat_entry(t1, row, col) + (U if at_zero else ONE)
     return m
+
+
+def reference_presentation(m, trials, seed, prime_bits):
+    """The modular check trial by trial, one prime at a time, as it was
+    before all trials shared one pass; a trial's failures are recorded only
+    once its whole check has run at a usable point."""
+    rels = cb._relations(m)
+    report = {"mode": "modular", "relations": {name: True for name, _ in rels},
+              "passed": True, "witness": None, "trials": trials, "seed": seed,
+              "primes": [], "discarded": 0}
+    rng = random.Random(seed)
+    for trial in range(trials):
+        for _attempt in range(20):
+            p = random_prime(prime_bits, rng)
+            point = random_point(p, rng)
+            try:
+                env = cb._Env(m, cb.ModRing(p, point))
+                failing = [name for name, tag in rels
+                           if not cb._check_relation(env, tag)]
+                break
+            except EvalRetry:
+                report["discarded"] += 1
+        else:
+            raise cb.CalibError("could not find a usable evaluation point")
+        report["primes"].append(p)
+        for name in failing:
+            report["relations"][name] = False
+            report["passed"] = False
+        if failing and report["witness"] is None:
+            report["witness"] = dict(relation=failing[0], p=p, trial=trial,
+                                     point=point)
+    return report
 
 
 class TestMatrixHelpers:
@@ -121,6 +153,24 @@ class TestMatrixHelpers:
                                                     for row in da for x in row)
                     assert cb.mat_eq(a, b) == (da == db)
                     assert cb.mat_eq(a, self.sparse([row[:] for row in da], ring))
+
+    def test_inv_all_is_elementwise_inv(self):
+        ring = cb.ModRing(101 * 103, {})
+        rng = random.Random(12)
+        units = [x for x in (rng.randrange(-ring.p, 2 * ring.p) for _ in range(40))
+                 if x % 101 and x % 103]
+        assert ring.inv_all(units) == [ring.inv(x) for x in units]
+        assert ring.inv_all([]) == []
+        pool = [x for x in self.POOL if not x.is_zero()]
+        assert cb.EXACT.inv_all(pool) == [x.inv() for x in pool]
+        # a non-unit raises, and its residue names the primes it is zero at
+        for bad, primes in ((0, {101, 103}), (101 * 7, {101}), (-103, {103})):
+            with pytest.raises(EvalRetry):
+                ring.inv(bad)
+            for xs in ([bad], units[:3] + [bad] + units[3:6]):
+                with pytest.raises(EvalRetry) as exc:
+                    ring.inv_all(xs)
+                assert {q for q in (101, 103) if exc.value.residue % q == 0} == primes
 
 
 class TestConstruction:
@@ -235,6 +285,65 @@ class TestPresentation:
             tag = dict(cb._relations(m))[witness["relation"]]
             env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
             assert not cb._check_relation(env, tag)
+
+
+class TestOnePass:
+    """All trials in one pass over the product of their primes must report
+    what the trial-by-trial loop reports, down to the witness, the primes
+    and the number of discarded points."""
+
+    @staticmethod
+    def modules():
+        mods = [two_row_module(3, l) for (_l1, l) in sw.level_nodes(SW63, 3)
+                if not sw.zero_multiplicity(SW63, 3, l)]
+        return mods + [perturbed_module(3, 2), perturbed_module(3, 2, at_zero=True)]
+
+    def test_equals_trial_by_trial_loop(self):
+        discarded = repeated = witnesses = 0
+        for m in self.modules():
+            tags = dict(cb._relations(m))
+            # 23 trials take three passes of at most ten primes
+            for seed, trials in [(s, 10) for s in range(5)] + [(5, 23)]:
+                for bits in (62, 12):
+                    args = dict(trials=trials, seed=seed, prime_bits=bits)
+                    ref = reference_presentation(m, **args)
+                    rep = cb.check_presentation(m, exact=False, **args)
+                    assert rep == ref, (m.region, seed, bits)
+                    if bits == 12:
+                        discarded += rep["discarded"]
+                        repeated += len(set(rep["primes"])) < len(rep["primes"])
+                    witness = rep["witness"]
+                    if witness is not None:
+                        witnesses += 1
+                        assert rep["primes"][witness["trial"]] == witness["p"]
+                        env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
+                        assert not cb._check_relation(env, tags[witness["relation"]])
+        # 12-bit primes exercise the discarding and the second pass
+        assert discarded and repeated
+        assert witnesses == 2 * 6 * 2
+
+    def test_witness_skips_a_passing_trial(self):
+        # T_1 moved by the first trial's prime q is wrong everywhere but mod q,
+        # so the first trial passes and the witness names a later one
+        q = random_prime(12, random.Random(0))
+        m = two_row_module(3, 2)
+        t1 = m.T[1]
+        row, col = next((r, c) for r in range(m.n) for c in t1[r] if r != c)
+        t1[row][col] = t1[row][col] + Scalar.from_int(q)
+        rep = cb.check_presentation(m, trials=10, seed=0, prime_bits=12)
+        assert rep == reference_presentation(m, 10, 0, 12)
+        assert rep["primes"][0] == q and not rep["passed"]
+        assert rep["witness"]["trial"] == rep["primes"].index(
+            next(p for p in rep["primes"] if p != q))
+
+    def test_too_many_unusable_points(self, monkeypatch):
+        # a point that never works ends the check with CalibError, as the
+        # trial-by-trial loop did after 20 consecutive unusable points
+        def never(x, p, point):
+            raise EvalRetry("forced", 0)
+        monkeypatch.setattr(cb, "eval_mod", never)
+        with pytest.raises(cb.CalibError):
+            cb.check_presentation(two_row_module(3, 2), trials=3, seed=1)
 
 
 class TestRingGenericPath:

@@ -66,6 +66,16 @@ class TestVerify:
         blob = json.loads(out)
         assert blob["passed"] and blob["seed"] == 0
 
+    def test_presentation_k6(self, capsys):
+        # every module at k = 6, the two 56-dimensional ones included
+        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "6",
+                         "--trials", "10")
+        assert rc == 0
+        blob = json.loads(out)
+        assert blob["passed"] and blob["mode"] == "modular" and blob["trials"] == 10
+        assert len(blob["checks"]) == 8 and all(blob["checks"].values())
+        assert sum("(dim 56)" in name for name in blob["checks"]) == 2
+
     def test_presentation_zero_trials_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
                            "--trials", "0")
@@ -81,14 +91,33 @@ class TestRegionAndModule:
         assert blob["skew"] and blob["tl_shape"]
         assert len(blob["fillings"]) == 7
 
+    def test_region_lists_fillings_once(self, capsys, monkeypatch):
+        from blobalg import regions as rg
+        listed = []
+        listing = rg.enumerate_fillings
+        monkeypatch.setattr(rg, "enumerate_fillings",
+                            lambda config: listed.append(config) or listing(config))
+        rc, out, _ = run(capsys, "--json", "region", "--c", "7/2,9/2,11/2",
+                         "--J", "", "--r1", "3/2", "--r2", "11/2")
+        assert rc == 0 and len(listed) == 1
+        assert json.loads(out)["vanishing"]["fillings"] == 7
+
     def test_module_report(self, capsys):
         rc, out, _ = run(capsys, "module", "--c", "7/2,9/2", "--J", "",
                          "--r1", "3/2", "--r2", "11/2", "--trials", "2")
         assert rc == 0
         blob = json.loads(out)
-        assert blob["presentation"]["passed"]
-        assert blob["presentation"]["witness"] is None
+        pres = blob["presentation"]
+        assert pres["passed"] and pres["witness"] is None
+        assert pres["mode"] == "exact" and pres["primes"] == []
         assert blob["nullity"]["is_tl_module"]
+        rc, out, _ = run(capsys, "module", "--c", "7/2,9/2,11/2", "--J", "",
+                         "--r1", "3/2", "--r2", "11/2", "--trials", "3",
+                         "--seed", "4")
+        assert rc == 0
+        pres = json.loads(out)["presentation"]
+        assert pres["mode"] == "modular" and pres["passed"]
+        assert (pres["trials"], pres["seed"], len(pres["primes"])) == (3, 4, 3)
 
     def test_module_matrices(self, capsys):
         # the dense grid of the sparse generators, zero entries included;

@@ -163,6 +163,39 @@ class TestEvalMod:
         pt = sc.random_point(p, rng)
         assert eval_mod(x, p, pt) != eval_mod(y, p, pt)
 
+    def test_product_modulus_is_crt(self):
+        # modulo p*q, at the CRT combination of a point mod p and one mod q,
+        # eval_mod gives the CRT combination of the two values
+        rng = random.Random(14)
+        p = sc.random_prime(62, rng)
+        q = next(x for x in iter(lambda: sc.random_prime(62, rng), None) if x != p)
+        pt_p, pt_q = sc.random_point(p, rng), sc.random_point(q, rng)
+        n = p * q
+        e_p, e_q = q * pow(q, -1, p), p * pow(p, -1, q)
+
+        def crt(a, b):
+            return (a * e_p + b * e_q) % n
+
+        pt = {name: crt(pt_p[name], pt_q[name]) for name in pt_p}
+        checked = 0
+        for x in [rand_scalar(rng) for _ in range(40)] + [ONE / (U - 1), qint(4) / qint(2)]:
+            try:
+                vp, vq = eval_mod(x, p, pt_p), eval_mod(x, q, pt_q)
+            except sc.EvalRetry:
+                continue
+            assert eval_mod(x, n, pt) == crt(vp, vq)
+            checked += 1
+        assert checked > 30
+        # a denominator zero mod p only: the residue names p, not q
+        pt_p["u"] = 1
+        pt = {name: crt(pt_p[name], pt_q[name]) for name in pt_p}
+        with pytest.raises(sc.EvalRetry) as exc:
+            eval_mod(ONE / (U - 1), n, pt)
+        assert exc.value.residue % p == 0 and exc.value.residue % q != 0
+        with pytest.raises(sc.EvalRetry) as exc:
+            eval_mod(Scalar.from_int(Fraction(1, q)), n, pt)
+        assert exc.value.residue % q == 0 and exc.value.residue % p != 0
+
     def test_retry_signal(self):
         rng = random.Random(13)
         p = sc.random_prime(62, rng)
