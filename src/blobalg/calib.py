@@ -6,6 +6,9 @@ inner generators act with the seminormal diagonal entries and an
 off-diagonal pair normalized so the quadratic relations hold without square
 roots: the entry out of the filling whose moved label sits on the lower
 diagonal is 1, the return entry is the radicand of the textbook square root.
+The textbook symmetric form is stated exactly, without those roots:
+`symmetric_form` returns the diagonal G with G T_i = T_i^t G, over the
+exact field or over GF(p), and conjugating by G^(1/2) symmetrizes the T_i.
 
 The boundary parameters are specialized on construction:
 
@@ -39,6 +42,7 @@ are canonical in both rings, so equal matrices compare equal with `==`;
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -282,7 +286,9 @@ class CalibratedModule:
         self._gammas = [{j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
                         for wc in self._wc]
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
-        self.T = {i: self._t_matrix(i) for i in range(self.k)}
+        diagonals: dict = {}
+        radicands: dict = {}
+        self.T = {i: self._t_matrix(i, diagonals, radicands) for i in range(self.k)}
         self.gamma0 = [math.prod((self._gammas[m][j].inv()
                                   for j in range(1, self.k + 1)), start=self.z)
                        for m in range(self.n)]
@@ -298,17 +304,25 @@ class CalibratedModule:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])
 
     # -- generator matrices ---------------------------------------------------
-    def _t_matrix(self, i: int) -> Matrix:
-        """Seminormal T_i (T_0 for i = 0) with eigenvalues lam and -1/lam."""
+    def _t_matrix(self, i: int, diagonals: dict, radicands: dict) -> Matrix:
+        """Seminormal T_i (T_0 for i = 0) with eigenvalues lam and -1/lam.
+        The diagonal entry and the radicand depend only on gamma_1 (i = 0)
+        or on gamma_i / gamma_(i+1), so each distinct one is computed once
+        and kept under the contents it depends on."""
         lam = self.u0s if i == 0 else U
         out = mat_zero(self.n)
         for m, w in enumerate(self.basis):
-            out[m][m] = d = self._t_diagonal(m, i)
+            wc = self._wc[m]
+            key = (i == 0, wc[1] if i == 0 else wc[i] - wc[i + 1])
+            if key not in diagonals:
+                diagonals[key] = self._t_diagonal(m, i)
+            out[m][m] = d = diagonals[key]
             pm = self.index.get(_flip_label_one(w) if i == 0 else _swap_labels(w, i))
             if pm is not None:
-                wc = self._wc[m]
                 up = wc[1] < 0 if i == 0 else wc[i] < wc[i + 1]
-                out[pm][m] = ONE if up else -(d - lam) * (d + lam.inv())
+                if not up and key not in radicands:
+                    radicands[key] = -(d - lam) * (d + lam.inv())
+                out[pm][m] = ONE if up else radicands[key]
         return [EXACT.row(row) for row in out]
 
     def _t_diagonal(self, m: int, i: int) -> Scalar:
@@ -396,46 +410,36 @@ class CalibratedModule:
         raise CalibError("unknown letter %r" % (letter,))
 
 
-def symmetric_matrices(m: CalibratedModule, point: Dict[str, complex]) -> dict:
-    """The textbook square-root normalization, available numerically.
+def symmetric_form(m: CalibratedModule, ring=EXACT):
+    """The diagonal G with G T_i = T_i^t G for i = 0..k-1, one (numerator,
+    denominator) pair over `ring` per filling, or None when no invertible
+    diagonal G exists; conjugating by G^(1/2) symmetrizes the T_i.
 
-    Returns complex generator matrices at the given value of u (with a0, ak
-    and i filled in); the off-diagonal entries are the symmetric square
-    roots, so the matrices represent the same module in a rescaled basis."""
-    import cmath
-
-    from .scalars import eval_complex
-    full_point = {"u": complex(point["u"]), "u0": 1.0, "uk": 1.0,
-                  "a0": complex(point.get("a0", 1.0)),
-                  "ak": complex(point.get("ak", 1.0))}
-    n = m.n
-    u = full_point["u"]
-    u0 = eval_complex(m.u0s, full_point)
-    uk = eval_complex(m.uks, full_point)
-
-    def sym_matrix(i: int) -> List[List[complex]]:
-        out = [[0j] * n for _ in range(n)]
-        for col, w in enumerate(m.basis):
-            if i == 0:
-                partner = _flip_label_one(w)
-                lam_p, lam_m = u0, 1 / u0
-            else:
-                partner = _swap_labels(w, i)
-                lam_p, lam_m = u, 1 / u
-            d = eval_complex(mat_entry(m.T[i], col, col), full_point)
-            out[col][col] = d
-            pm = m.index.get(partner)
-            if pm is not None:
-                out[pm][col] = cmath.sqrt(-(d - lam_p) * (d + lam_m))
-        return out
-
-    mats = {"W%d" % (i + 1): [[eval_complex(mat_entry(m.W[i], r, c), full_point)
-                               for c in range(n)] for r in range(n)]
-            for i in range(m.k)}
-    mats["T0"] = sym_matrix(0)
-    for i in range(1, m.k):
-        mats["T%d" % i] = sym_matrix(i)
-    return mats
+    Along a spanning forest of the nonzero off-diagonal entries, g_b =
+    g_a T[a][b] / T[b][a] is kept as a pair, so nothing is inverted; then
+    every entry must satisfy N_a D_b T[a][b] = T[b][a] N_b D_a.  The zero
+    pattern is read from the exact matrices, so over GF(p) None is certain
+    and only a form can be wrong (where an entry vanishes at the point)."""
+    if any(a not in t[b] for t in m.T.values() for a, row in enumerate(t) for b in row):
+        return None
+    lift = functools.cache(ring.lift)
+    edges = [[(b, lift(x), lift(t[b][a])) for t in m.T.values()
+              for b, x in t[a].items() if b != a] for a in range(m.n)]
+    form: list = [None] * m.n
+    for root in range(m.n):
+        if form[root] is None:
+            form[root], stack = (ring.one, ring.one), [root]
+            while stack:
+                a = stack.pop()
+                na, da = form[a]
+                for b, tab, tba in edges[a]:
+                    if form[b] is None:
+                        form[b] = (ring.reduce(na * tab), ring.reduce(da * tba))
+                        stack.append(b)
+                    nb, db = form[b]
+                    if ring.reduce(na * db * tab) != ring.reduce(tba * nb * da):
+                        return None
+    return form
 
 
 def _swap_labels(filling: rg.Filling, i: int) -> rg.Filling:
@@ -506,13 +510,7 @@ class _Env:
     def __init__(self, m: CalibratedModule, ring=EXACT):
         self.ring = ring
         self.k = m.k
-        lifted: Dict[Scalar, object] = {}
-
-        def lift(x: Scalar):
-            v = lifted.get(x)
-            if v is None:
-                v = lifted[x] = ring.lift(x)
-            return v
+        lift = functools.cache(ring.lift)
 
         def lift_matrix(mat: Matrix) -> Matrix:
             return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]

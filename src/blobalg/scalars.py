@@ -792,42 +792,33 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     """Evaluate x at unit residues mod p, a prime or a product of distinct
     primes (then the point holds CRT combinations, and the value is the CRT
     combination of the values mod each prime); raises EvalRetry on a
-    denominator that is not a unit mod p."""
+    denominator that is not a unit mod p.  Each variable with a negative
+    exponent is inverted once per call."""
     i_val = point["i"]
     if i_val * i_val % p != p - 1:
         raise ScalarError("point['i'] is not a square root of -1 mod p")
+    inverses: Dict[str, int] = {}
 
     def eval_poly(poly: LaurentPoly) -> int:
         total = 0
         for e, c in poly.terms.items():
             term = (_frac_mod(c[0], p) + i_val * _frac_mod(c[1], p)) % p
             for var, name in enumerate(VAR_NAMES):
-                if e[var]:
+                power = e[var]
+                if power:
                     v = point[name] % p
                     if v == 0:
                         raise ScalarError("point assigns 0 to %s" % name)
-                    term = term * pow(v, e[var], p) % p
+                    if power < 0:
+                        if name not in inverses:
+                            inverses[name] = _inv_mod(v, p)
+                        v, power = inverses[name], -power
+                    term = term * pow(v, power, p) % p
             total = (total + term) % p
         return total
 
-    return eval_poly(x.num) * _inv_mod(eval_poly(x.den), p) % p
-
-
-def eval_complex(x: Scalar, point: Dict[str, complex]) -> complex:
-    """Numeric evaluation at complex values of the variables (i maps to 1j)."""
-    def poly(pp: LaurentPoly) -> complex:
-        total = 0j
-        for e, c in pp.terms.items():
-            term = complex(c[0]) + 1j * complex(c[1])
-            for var, name in enumerate(VAR_NAMES):
-                if e[var]:
-                    term *= point[name] ** e[var]
-            total += term
-        return total
-    den = poly(x.den)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanishes at the numeric point")
-    return poly(x.num) / den
+    num, den = eval_poly(x.num), eval_poly(x.den)
+    return num if den == 1 else num * _inv_mod(den, p) % p
 
 
 def _frac_mod(fr, p: int) -> int:

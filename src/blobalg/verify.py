@@ -129,19 +129,24 @@ def suite_theorem3(k: int = 4) -> dict:
 
 def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
                        seed: int = 0) -> dict:
-    """Defining relations on every tensor-space module at level k."""
+    """Defining relations on every tensor-space module at level k.  The
+    report states what ran: the mode and trial count of the modules' own
+    checks (0 trials when exact) and each module's trial primes."""
     params = sw.SWParams(a, b)
     checks: Dict[str, bool] = {}
-    mode = None
+    primes: Dict[str, list] = {}
+    mode, ran = None, 0
     for (_l1, l) in sw.level_nodes(params, k):
         if sw.zero_multiplicity(params, k, l):
             continue
         module = sw.module_for(params, k, l)
         rep = cb.check_presentation(module, trials=trials, seed=seed)
-        mode = rep["mode"]
-        checks["l=%d(dim %d)" % (l, module.n)] = rep["passed"]
+        mode, ran = rep["mode"], rep["trials"]
+        label = "l=%d(dim %d)" % (l, module.n)
+        checks[label] = rep["passed"]
+        primes[label] = rep["primes"]
     return _report("presentation(k=%d,%s)" % (k, mode), checks,
-                   trials=trials, seed=seed, mode=mode)
+                   trials=ran, seed=seed, mode=mode, primes=primes)
 
 
 def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),

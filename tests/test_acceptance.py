@@ -73,7 +73,8 @@ def test_05_module_presentations():
     for k in (1, 2, 3, 4):
         trials = 10 if k >= 3 else 0
         rep = vf.suite_presentation(k=k, trials=10, seed=SEED)
-        ok = ok and rep["passed"]
+        ok = ok and rep["passed"] and rep["trials"] == trials
+        ok = ok and all(len(primes) == trials for primes in rep["primes"].values())
         detail.append("k=%d:%s" % (k, rep["mode"]))
     verdict(5, "calibrated module relations", ok,
             "%s seed=%d" % (",".join(detail), SEED))

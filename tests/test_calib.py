@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -208,18 +209,22 @@ class TestConstruction:
             assert m.T[0][col][col] == expected
 
     def test_quadratic_off_diagonal_product(self):
-        # the two off-diagonal entries multiply to the square of the
-        # textbook square-root entry
-        m = two_row_module(2, 2)
-        for i in (1,):
-            mat = m.T[i]
-            for colw, w in enumerate(m.basis):
-                partner = cb._swap_labels(w, i)
-                if partner in m.index:
-                    pm = m.index[partner]
-                    d = mat[colw][colw]
-                    rad = -(d - U) * (d + U.inv())
-                    assert mat[pm][colw] * mat[colw][pm] == rad
+        # each entry is the formula at its own filling, though a module
+        # computes each distinct diagonal and radicand once; the two
+        # off-diagonal entries multiply to the square of the textbook
+        # square-root entry
+        for k, l in ((2, 2), (3, 2), (4, 3)):
+            m = two_row_module(k, l)
+            for i, mat in m.T.items():
+                lam = m.u0s if i == 0 else U
+                for colw, w in enumerate(m.basis):
+                    d = m._t_diagonal(colw, i)
+                    assert mat[colw][colw] == d
+                    pm = m.index.get(cb._flip_label_one(w) if i == 0
+                                     else cb._swap_labels(w, i))
+                    if pm is not None:
+                        rad = -(d - lam) * (d + lam.inv())
+                        assert mat[pm][colw] * mat[colw][pm] == rad
 
     def test_non_skew_rejected(self):
         region = rg.LocalRegion((0,), frozenset(), PARAMS)
@@ -518,27 +523,130 @@ class TestCharactersAndB:
         assert not bc["defined"] and bc["b"] is None
 
 
-class TestNumericSymmetric:
-    def test_relations_numerically(self):
+def transpose(a):
+    out = [{} for _ in a]
+    for r, row in enumerate(a):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def on_cycle(m, a, b):
+    """Whether a and b stay connected in the partner graph (the nonzero
+    off-diagonal entries of the T_i) once the edge between them is cut."""
+    nbrs = [set() for _ in range(m.n)]
+    for t in m.T.values():
+        for r, row in enumerate(t):
+            nbrs[r].update(c for c in row if c != r and {r, c} != {a, b})
+    seen, stack = {a}, [a]
+    while stack:
+        for c in nbrs[stack.pop()] - seen:
+            seen.add(c)
+            stack.append(c)
+    return b in seen
+
+
+class TestSymmetricForm:
+    """`symmetric_form` returns G = diag(N_a / D_a) with G T_i = T_i^t G:
+    exact where that is cheap, modulo one seeded 62-bit prime beyond."""
+
+    @staticmethod
+    def ring():
+        rng = random.Random(13)
+        p = random_prime(62, rng)
+        return cb.ModRing(p, random_point(p, rng))
+
+    @staticmethod
+    def nonzero_modules(k):
+        return [two_row_module(k, l) for (_l1, l) in sw.level_nodes(SW63, k)
+                if not sw.zero_multiplicity(SW63, k, l)]
+
+    @staticmethod
+    def assert_symmetrizes(m, form, ring):
+        # N T_i D = D T_i^t N for the diagonal N, D: G T_i = T_i^t G cleared
+        # of denominators, checked with the matrix helpers over the ring
+        assert form is not None and len(form) == m.n, m.region
+        assert not any(ring.is_zero(x) for pair in form for x in pair)
+        nums = cb.mat_diag([n for n, _ in form], ring)
+        dens = cb.mat_diag([d for _, d in form], ring)
+        for i, t in m.T.items():
+            t = [ring.row({c: ring.lift(x) for c, x in row.items()}) for row in t]
+            lhs = cb.mat_mul(cb.mat_mul(nums, t, ring), dens, ring)
+            rhs = cb.mat_mul(cb.mat_mul(dens, transpose(t), ring), nums, ring)
+            assert lhs == rhs, (m.region, i)
+
+    def test_exact_on_two_row_modules(self):
+        for k in (1, 2, 3, 4):
+            for m in self.nonzero_modules(k):
+                self.assert_symmetrizes(m, cb.symmetric_form(m), cb.EXACT)
+
+    def test_exact_on_rank2_chart(self):
+        # the form is found exactly; the products that confirm it are taken
+        # mod p, since the exact ones cost three times the search
+        ring = self.ring()
+        regions = [r for r in rg.enumerate_regions(2, PARAMS, F(5)) if rg.is_skew(r)]
+        assert len(regions) == 34
+        for region in regions:
+            m = cb.build_module(cb.ModuleSpec(region))
+            form = cb.symmetric_form(m)
+            assert form is not None, region
+            self.assert_symmetrizes(
+                m, [(ring.lift(n), ring.lift(d)) for n, d in form], ring)
+
+    def test_modular_k5_to_7(self):
+        ring = self.ring()
+        for k in (5, 6, 7):
+            for m in self.nonzero_modules(k):
+                self.assert_symmetrizes(m, cb.symmetric_form(m, ring), ring)
+
+    def test_entry_off_the_pattern_fails(self):
+        ring = self.ring()
+        m = perturbed_module(3, 2, at_zero=True)
+        assert cb.symmetric_form(m) is None
+        assert cb.symmetric_form(m, ring) is None
+        # at every place where T_1 and its transpose are zero, including
+        # those where the entry is the walk's first way into its column
+        m = two_row_module(3, 2)
+        t1 = m.T[1]
+        for r, c in [(r, c) for r in range(m.n) for c in range(m.n)
+                     if r != c and c not in t1[r] and r not in t1[c]]:
+            t1[r][c] = U
+            assert cb.symmetric_form(m, ring) is None, (r, c)
+            del t1[r][c]
+        self.assert_symmetrizes(m, cb.symmetric_form(m, ring), ring)
+        # a triangular T_0: the walk's only way into filling 1 has a zero
+        # return entry, so only the pattern shows that no G exists
+        tri = SimpleNamespace(n=2, T={0: [{0: ONE, 1: U}, {1: ONE}]})
+        assert cb.symmetric_form(tri) is None
+        assert cb.symmetric_form(tri, ring) is None
+
+    def test_doubled_entry_fails_exactly_on_cycles(self):
+        # a doubled entry on a cycle of the partner graph breaks the
+        # consistency around it; on a bridge it only rescales one side
+        m = two_row_module(4, 3)
+        ring = self.ring()
+        entries = [(t, r, c) for t in m.T.values()
+                   for r, row in enumerate(t) for c in row if r != c]
+        cycles = 0
+        for t, r, c in entries:
+            cyc = on_cycle(m, r, c)
+            x = t[r][c]
+            t[r][c] = x + x
+            assert (cb.symmetric_form(m, ring) is None) == cyc, (r, c)
+            if cyc and not cycles:  # the first one exactly as well
+                assert cb.symmetric_form(m) is None
+            cycles += cyc
+            t[r][c] = x
+        assert (len(entries), cycles) == (38, 32)
+        self.assert_symmetrizes(m, cb.symmetric_form(m, ring), ring)
+
+    def test_doubled_bridge_entry_fails_the_presentation(self):
+        # every entry of the (2,2) module lies on a bridge: the doubled
+        # entry is still symmetrizable, and the relations catch it
         m = two_row_module(2, 2)
-        mats = cb.symmetric_matrices(m, {"u": 0.83 + 0.21j})
-        n = m.n
-        u = 0.83 + 0.21j
-
-        def mm(a, b):
-            return [[sum(a[i][l] * b[l][j] for l in range(n))
-                     for j in range(n)] for i in range(n)]
-
-        def residual(a, b):
-            return max(abs(a[i][j] - b[i][j]) for i in range(n) for j in range(n))
-
-        t1 = mats["T1"]
-        quad = mm(t1, t1)
-        lin = [[(u - 1 / u) * t1[i][j] + (1 if i == j else 0)
-                for j in range(n)] for i in range(n)]
-        assert residual(quad, lin) < 1e-10
-        assert max(abs(t1[i][j] - t1[j][i]) for i in range(n)
-                   for j in range(n)) < 1e-10
-        lhs = mm(mm(mats["T0"], t1), mm(mats["T0"], t1))
-        rhs = mm(mm(t1, mats["T0"]), mm(t1, mats["T0"]))
-        assert residual(lhs, rhs) < 1e-8
+        t1 = m.T[1]
+        r, c = next((r, c) for r, row in enumerate(t1) for c in row if r != c)
+        assert not on_cycle(m, r, c)
+        t1[r][c] = t1[r][c] + t1[r][c]
+        assert cb.symmetric_form(m) is not None
+        assert not cb.check_presentation(m, exact=False, trials=1)["passed"]

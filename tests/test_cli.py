@@ -65,6 +65,9 @@ class TestVerify:
         assert rc == 0
         blob = json.loads(out)
         assert blob["passed"] and blob["seed"] == 0
+        # k = 1 is checked exactly: no trials ran, whatever --trials said
+        assert blob["mode"] == "exact" and blob["trials"] == 0
+        assert blob["primes"] and not any(blob["primes"].values())
 
     def test_presentation_k6(self, capsys):
         # every module at k = 6, the two 56-dimensional ones included
@@ -75,6 +78,7 @@ class TestVerify:
         assert blob["passed"] and blob["mode"] == "modular" and blob["trials"] == 10
         assert len(blob["checks"]) == 8 and all(blob["checks"].values())
         assert sum("(dim 56)" in name for name in blob["checks"]) == 2
+        assert all(len(primes) == 10 for primes in blob["primes"].values())
 
     def test_presentation_zero_trials_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
