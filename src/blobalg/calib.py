@@ -19,19 +19,26 @@ exactly; the wall generator with index k is reconstructed from the commuting
 family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
-`ModRing(p, point)`; the modular presentation check lifts the module's own
-exact matrices entrywise to Z/p, each distinct entry once per point, and
-inverts there with pow(x, -1, p), a list of inverses at a time.
+`ModRing(p, point)`; a ring only reduces, compares with zero, builds rows
+and lifts, and never divides.  The modular presentation check lifts the
+module's own exact matrices entrywise to Z/p, each distinct entry once per
+point, together with the exact shifts u - 1/u, u0 - 1/u0 and uk - 1/uk.
+The relations are checked in inverse-free (Bernstein) form: the quadratic
+relation as X (X - (lam - 1/lam)) = 1, C1 as
+T_i W_i = W_(i+1) T_i - (u - 1/u) W_(i+1) and
+T_i W_(i+1) = W_i T_i + (u - 1/u) W_(i+1), and C2 multiplied through by
+the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 +
+(uk - 1/uk) W_1.
 
 The modular check draws its trials (p_t, point_t) from the seed, then makes
 one pass over Z/P, P the product of the trial primes, at the point that is
 the CRT combination of the trial points: by the Chinese remainder theorem
 that pass computes every trial's residues at once, so each trial keeps its
 own Schwartz-Zippel bound (entry degree over p_t).  A trial whose point
-leaves a denominator or an inverse without a value is discarded and
-replaced by the next draw; trials that drew the same prime go to a further
-pass, since CRT combines coprime moduli only.  A relation that fails over P
-is replayed at each trial's own prime, so a witness is a single-prime point.
+leaves an entry's denominator without a value is discarded and replaced
+by the next draw; trials that drew the same prime go to a further pass,
+since CRT combines coprime moduli only.  A relation that fails over P is
+replayed at each trial's own prime, so a witness is a single-prime point.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
@@ -51,8 +58,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, _inv_mod, bb,
-                      eval_mod, qint, random_point, random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, bb, eval_mod, qint,
+                      random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -85,14 +92,6 @@ class ExactRing:
         return {j: v for j, v in entries.items() if not v.is_zero()}
 
     @staticmethod
-    def inv(x: Scalar) -> Scalar:
-        return x.inv()
-
-    @staticmethod
-    def inv_all(xs: Sequence[Scalar]) -> List[Scalar]:
-        return [x.inv() for x in xs]
-
-    @staticmethod
     def lift(x: Scalar) -> Scalar:
         return x
 
@@ -103,8 +102,9 @@ EXACT = ExactRing()
 class ModRing:
     """Z/p, for p a prime or a product of distinct primes, with a `Scalar`
     lifted by evaluation at `point` (residues for the variables and for i).
-    Matrix entries are kept reduced to 0..p-1.  Inverting a non-unit raises
-    `EvalRetry` carrying its residue."""
+    Matrix entries are kept reduced to 0..p-1.  Lifting a `Scalar` whose
+    denominator has no value at the point raises `EvalRetry` carrying the
+    residue."""
 
     zero = 0
     one = 1
@@ -124,25 +124,6 @@ class ModRing:
         """A matrix row from {column: value}: values reduced, zeros dropped."""
         p = self.p
         return {j: r for j, v in entries.items() if (r := v % p)}
-
-    def inv(self, x: int) -> int:
-        return _inv_mod(x, self.p)
-
-    def inv_all(self, xs: Sequence[int]) -> List[int]:
-        """[inv(x) for x in xs] with one modular inverse (Montgomery's
-        trick): invert the product, then peel the factors off."""
-        p = self.p
-        prefix = []
-        acc = 1
-        for x in xs:
-            prefix.append(acc)
-            acc = acc * x % p
-        inv = self.inv(acc)
-        out = [0] * len(prefix)
-        for j in range(len(prefix) - 1, -1, -1):
-            out[j] = inv * prefix[j] % p
-            inv = inv * xs[j] % p
-        return out
 
     def lift(self, x: Scalar) -> int:
         return eval_mod(x, self.p, self.point)
@@ -220,16 +201,10 @@ def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
     return [ring.row({i: e}) for i, e in enumerate(entries)]
 
 
-def _x_minus_inv(x, ring=EXACT):
-    """x - 1/x: T - (x - 1/x) is the inverse of a generator T with
-    eigenvalues x and -1/x."""
-    return ring.reduce(x - ring.inv(x))
-
-
-def _tk_matrix(T, W, u, u0, ring=EXACT) -> Matrix:
-    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1 over `ring`."""
-    tk = mat_mul(W[0], mat_shift(T[0], _x_minus_inv(u0, ring), ring), ring)
-    shift = _x_minus_inv(u, ring)
+def _tk_matrix(T, W, shift, shift0, ring=EXACT) -> Matrix:
+    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1 over `ring`,
+    given the shifts u - 1/u and u0 - 1/u0 that invert T_i and T_0."""
+    tk = mat_mul(W[0], mat_shift(T[0], shift0, ring), ring)
     for i in range(1, len(W)):
         tk = mat_mul(T[i], tk, ring)
         tk = mat_mul(tk, mat_shift(T[i], shift, ring), ring)
@@ -281,6 +256,9 @@ class CalibratedModule:
         self.n = len(self.basis)
         self.u0s = spec.specialize(Scalar.var("u0"))
         self.uks = spec.specialize(Scalar.var("uk"))
+        # the shifts x - 1/x: T - (x - 1/x) inverts a generator T with
+        # eigenvalues x and -1/x, for x = u (T_i), u0 (T_0) and uk (T_k)
+        self.fu, self.f0, self.fk = (x - x.inv() for x in (U, self.u0s, self.uks))
         self.z = spec.z
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
         self._gammas = [{j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
@@ -332,27 +310,27 @@ class CalibratedModule:
             if den.is_zero():
                 raise CalibError("label 1 on the zero diagonal at %s"
                                  % (self.basis[m],))
-            return (_x_minus_inv(self.u0s) + _x_minus_inv(self.uks) * g1i) / den
+            return (self.f0 + self.fk * g1i) / den
         ratio = self.gamma(m, i) * self.gamma(m, i + 1).inv()
         if ratio.is_one():
             raise CalibError("coincident neighbor diagonals at %s" % (self.basis[m],))
-        return _x_minus_inv(U) / (ONE - ratio)
+        return self.fu / (ONE - ratio)
 
     # -- derived matrices -----------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
-        return mat_shift(self.T[i], _x_minus_inv(self.u0s if i == 0 else U))
+        return mat_shift(self.T[i], self.f0 if i == 0 else self.fu)
 
     def tk_matrix(self) -> Matrix:
         """T_k via conjugating W_1 T_0^-1 back to the right wall."""
         if self._tk is None:
-            self._tk = _tk_matrix(self.T, self.W, U, self.u0s)
+            self._tk = _tk_matrix(self.T, self.W, self.fu, self.f0)
         return self._tk
 
     def tk_inv(self) -> Matrix:
-        return mat_shift(self.tk_matrix(), _x_minus_inv(self.uks))
+        return mat_shift(self.tk_matrix(), self.fk)
 
     def e_matrix(self, which) -> Matrix:
-        """Images of the abstract cap/cup generators e_0, e_i, e_k, e_0v."""
+        """Images of the abstract cap/cup generators e_0, e_i, e_k."""
         if which in self._e_cache:
             return self._e_cache[which]
         mat = self._e_matrix_raw(which)
@@ -364,9 +342,6 @@ class CalibratedModule:
             return mat_scale(mat_shift(self.T[0], self.u0s), A0.inv())
         if which == "ek":
             return mat_scale(mat_shift(self.tk_matrix(), self.uks), AK.inv())
-        if which == "e0v":
-            v = mat_shift(mat_mul(self.W[0], self.t_inv(0)), self.uks)
-            return mat_scale(v, AK.inv())
         i = int(which)
         a = Scalar.from_int(wd.A_SIGN)
         return mat_scale(mat_shift(self.T[i], U), a)
@@ -505,7 +480,9 @@ def _relations(m: CalibratedModule) -> List[Tuple[str, tuple]]:
 class _Env:
     """The module's own generator matrices lifted entrywise into `ring`,
     with T_k built there by the word `CalibratedModule.tk_matrix` uses.
-    Each distinct entry is lifted once: the generators share few values."""
+    Each distinct entry is lifted once: the generators share few values.
+    The shifts u - 1/u, u0 - 1/u0 and uk - 1/uk are lifted like entries,
+    so lifting is the only step that can raise `EvalRetry`."""
 
     def __init__(self, m: CalibratedModule, ring=EXACT):
         self.ring = ring
@@ -517,8 +494,8 @@ class _Env:
 
         self.T = {i: lift_matrix(t) for i, t in m.T.items()}
         self.W = [lift_matrix(w) for w in m.W]
-        self.u, self.u0, self.uk = lift(U), lift(m.u0s), lift(m.uks)
-        self.Tk = _tk_matrix(self.T, self.W, self.u, self.u0, ring)
+        self.fu, self.f0, self.fk = lift(m.fu), lift(m.f0), lift(m.fk)
+        self.Tk = _tk_matrix(self.T, self.W, self.fu, self.f0, ring)
 
 
 def _check_relation(env: _Env, tag: tuple) -> bool:
@@ -526,9 +503,6 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
 
     def mul(a, b):
         return mat_mul(a, b, ring)
-
-    def diagonal(mat):
-        return [mat_entry(mat, r, r, ring) for r in range(len(mat))]
 
     kind = tag[0]
     if kind == "braid3":
@@ -552,45 +526,37 @@ def _check_relation(env: _Env, tag: tuple) -> bool:
         return mat_eq(mul(a, b), mul(b, a))
     if kind == "quad":
         if tag[1] == "k":
-            mat, lam = Tk, env.uk
+            mat, shift = Tk, env.fk
         elif tag[1] == 0:
-            mat, lam = T[0], env.u0
+            mat, shift = T[0], env.f0
         else:
-            mat, lam = T[tag[1]], env.u
-        # (X - lam)(X + 1/lam) = 0
-        return mat_is_zero(mul(mat_shift(mat, lam, ring),
-                               mat_shift(mat, -ring.inv(lam), ring)))
+            mat, shift = T[tag[1]], env.fu
+        # (X - lam)(X + 1/lam) = 0, that is X (X - (lam - 1/lam)) = 1
+        return mat_eq(mul(mat, mat_shift(mat, shift, ring)),
+                      mat_identity(len(mat), ring))
     if kind in ("c1a", "c1b"):
-        # T_i W_i = W_{i+1} T_i + D and T_i W_{i+1} = W_i T_i - D with D
-        # diagonal: (t - 1/t)(g_i - g_{i+1}) / (1 - g_i/g_{i+1})
+        # T_i W_i = W_{i+1} T_i - (u - 1/u) W_{i+1} and
+        # T_i W_{i+1} = W_i T_i + (u - 1/u) W_{i+1}
         i = tag[1]
-        fu = _x_minus_inv(env.u, ring)
-        xs, ys = diagonal(W[i - 1]), diagonal(W[i])
-        dens = ring.inv_all([ring.one - x * yi for x, yi in zip(xs, ring.inv_all(ys))])
-        d = mat_diag([fu * (x - y) * di for x, y, di in zip(xs, ys, dens)], ring)
+        d = mat_scale(W[i], env.fu, ring)
         if kind == "c1a":
-            return mat_eq(mul(T[i], W[i - 1]), mat_add(mul(W[i], T[i]), d, ring))
-        return mat_eq(mul(T[i], W[i]), mat_sub(mul(W[i - 1], T[i]), d, ring))
+            return mat_eq(mul(T[i], W[i - 1]), mat_sub(mul(W[i], T[i]), d, ring))
+        return mat_eq(mul(T[i], W[i]), mat_add(mul(W[i - 1], T[i]), d, ring))
     if kind == "c2":
-        # T_0 W_1 = W_1^-1 T_0 + D with D diagonal:
-        # ((u0 - 1/u0) + (uk - 1/uk)/g_1)(g_1 - 1/g_1) / (1 - g_1^-2)
-        f0, fk = _x_minus_inv(env.u0, ring), _x_minus_inv(env.uk, ring)
-        g1 = diagonal(W[0])
-        g1inv = ring.inv_all(g1)
-        dens = ring.inv_all([ring.one - xi * xi for xi in g1inv])
-        d = mat_diag([(f0 + fk * xi) * (x - xi) * di
-                      for x, xi, di in zip(g1, g1inv, dens)], ring)
-        return mat_eq(mul(T[0], W[0]),
-                      mat_add(mul(mat_diag(g1inv, ring), T[0]), d, ring))
+        # T_0 W_1 = W_1^-1 T_0 + (u0 - 1/u0) W_1 + (uk - 1/uk), times W_1
+        # on the left: W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 + (uk - 1/uk) W_1
+        w1 = W[0]
+        rhs = mat_add(mat_scale(mul(w1, w1), env.f0, ring),
+                      mat_scale(w1, env.fk, ring), ring)
+        return mat_eq(mul(mul(w1, T[0]), w1), mat_add(T[0], rhs, ring))
     if kind == "w1word":
         # W_1 = T_1^-1 ... T_{k-1}^-1 Tk T_{k-1} ... T_1 T_0
         cur = Tk
         for i in range(env.k - 1, 0, -1):
             cur = mul(cur, T[i])
         cur = mul(cur, T[0])
-        shift = _x_minus_inv(env.u, ring)
         for i in range(env.k - 1, 0, -1):
-            cur = mul(mat_shift(T[i], shift, ring), cur)
+            cur = mul(mat_shift(T[i], env.fu, ring), cur)
         return mat_eq(cur, W[0])
     raise CalibError("unknown relation tag %r" % (tag,))
 
@@ -647,11 +613,10 @@ def _modular_trials(m: CalibratedModule, rels, trials: int,
         for group in passes:
             try:
                 env = _Env(m, _crt_ring([drawn[j] for j in group.values()]))
-                names = _failing(env, rels)
             except EvalRetry as exc:
                 bad.update(j for p, j in group.items() if exc.residue % p == 0)
                 break
-            failing.update(dict.fromkeys(group.values(), names))
+            failing.update(dict.fromkeys(group.values(), _failing(env, rels)))
         else:
             return ([drawn[j] for j in usable], len(bad),
                     [failing[j] for j in usable])
@@ -772,7 +737,7 @@ def central_character(m: CalibratedModule) -> dict:
     if not mat_eq(total, mat_scale(mat_identity(m.n), z0)):
         raise CalibError("central element does not act by a scalar")
     report = {"z": z0, "scalar": True}
-    c0 = _two_row_start(m.region)
+    c0 = rg.two_row_start(m.region)
     if c0 is not None:
         theta2 = int(2 * c0) + m.k - 1  # twice theta, theta = c0 + (k-1)/2
         closed = -(Scalar.monomial(u=theta2) + Scalar.monomial(u=-theta2)) * qint(m.k)
@@ -782,17 +747,6 @@ def central_character(m: CalibratedModule) -> dict:
             if theta2 % 2 == 0 else None
         report["matches_unscaled_bracket"] = (unscaled == z0) if unscaled is not None else False
     return report
-
-
-def _two_row_start(region: rg.LocalRegion) -> Optional[Fraction]:
-    if not rg.is_tl_shape(region):
-        return None
-    k = region.k
-    for c0 in (region.c[-1] - (k - 1), -region.c[-1]):
-        placement = rg._two_row_placement(k, c0)
-        if tuple(sorted(placement[i][0] for i in range(1, k + 1))) == region.c:
-            return c0
-    return None
 
 
 def b_constant(m: CalibratedModule) -> dict:

@@ -137,6 +137,7 @@ def cmd_module(args) -> int:
     pres = cb.check_presentation(module, trials=args.trials, seed=args.seed)
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
+           "symmetrizable": cb.symmetric_form(module) is not None,
            "presentation": {key: pres[key] for key in
                             ("mode", "passed", "witness", "trials", "seed", "primes")},
            "nullity": nul}
@@ -185,9 +186,17 @@ def cmd_verify(args) -> int:
 
 
 def _render_report(report: dict) -> str:
+    """The suite, what ran (mode, trials and seed, where the report states
+    them), each check with its trial primes, and the result."""
     lines = ["suite: %s" % report["suite"]]
+    primes = report.get("primes", {})
+    if "mode" in report:
+        lines.append("mode: %s  trials: %d  seed: %d"
+                     % (report["mode"], report["trials"], report["seed"]))
     for name, ok in report["checks"].items():
         lines.append("  %-50s %s" % (name, "pass" if ok else "FAIL"))
+        if primes.get(name):
+            lines.append("    primes: %s" % " ".join(map(str, primes[name])))
     lines.append("result: %s" % ("pass" if report["passed"] else "FAIL"))
     return "\n".join(lines)
 

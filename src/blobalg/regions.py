@@ -423,11 +423,17 @@ def _two_row_rel(placement, root: Root) -> bool:
 
 def is_tl_shape(region: LocalRegion) -> bool:
     """True iff the configuration is a 180-degree symmetric two-row shape."""
+    return two_row_start(region) is not None
+
+
+def two_row_start(region: LocalRegion) -> Optional[Fraction]:
+    """The first-row start c0 of the two-row shape whose weight vector,
+    relations and same-diagonal scan order are the region's, or None when
+    the region is not a two-row shape."""
     k = region.k
     c = region.c
-    candidates = {c[-1] - (k - 1), -c[-1]}
-    zset, pset = region.root_sets()
-    for c0 in candidates:
+    _, pset = region.root_sets()
+    for c0 in (c[-1] - (k - 1), -c[-1]):
         placement = _two_row_placement(k, c0)
         expected_c = tuple(sorted(placement[i][0] for i in range(1, k + 1)))
         if expected_c != c:
@@ -445,8 +451,8 @@ def is_tl_shape(region: LocalRegion) -> bool:
         for b, (d, r, _) in sorted(placement.items(), key=lambda t: (t[1][0], t[1][1])):
             target.setdefault(d, []).append(b)
         if by_diag == target:
-            return True
-    return False
+            return c0
+    return None
 
 
 _BOUNDARY_CASES = {

@@ -155,24 +155,6 @@ class TestMatrixHelpers:
                     assert cb.mat_eq(a, b) == (da == db)
                     assert cb.mat_eq(a, self.sparse([row[:] for row in da], ring))
 
-    def test_inv_all_is_elementwise_inv(self):
-        ring = cb.ModRing(101 * 103, {})
-        rng = random.Random(12)
-        units = [x for x in (rng.randrange(-ring.p, 2 * ring.p) for _ in range(40))
-                 if x % 101 and x % 103]
-        assert ring.inv_all(units) == [ring.inv(x) for x in units]
-        assert ring.inv_all([]) == []
-        pool = [x for x in self.POOL if not x.is_zero()]
-        assert cb.EXACT.inv_all(pool) == [x.inv() for x in pool]
-        # a non-unit raises, and its residue names the primes it is zero at
-        for bad, primes in ((0, {101, 103}), (101 * 7, {101}), (-103, {103})):
-            with pytest.raises(EvalRetry):
-                ring.inv(bad)
-            for xs in ([bad], units[:3] + [bad] + units[3:6]):
-                with pytest.raises(EvalRetry) as exc:
-                    ring.inv_all(xs)
-                assert {q for q in (101, 103) if exc.value.residue % q == 0} == primes
-
 
 class TestConstruction:
     def test_dimension_is_filling_count(self):
@@ -290,6 +272,43 @@ class TestPresentation:
             tag = dict(cb._relations(m))[witness["relation"]]
             env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
             assert not cb._check_relation(env, tag)
+
+
+class TestBernsteinForm:
+    """C1 and C2 are checked without dividing.  The seminormal diagonals
+    they were once checked against, (u - 1/u)(g_i - g_(i+1)) /
+    (1 - g_i/g_(i+1)) and ((u0 - 1/u0) + (uk - 1/uk)/g_1)(g_1 - 1/g_1) /
+    (1 - g_1^-2), are exactly the terms of the inverse-free forms."""
+
+    @staticmethod
+    def modules():
+        mods = [two_row_module(k, l) for k in (1, 2, 3, 4)
+                for (_l1, l) in sw.level_nodes(SW63, k)
+                if not sw.zero_multiplicity(SW63, k, l)]
+        mods += [cb.build_module(cb.ModuleSpec(r))
+                 for r in rg.enumerate_regions(2, PARAMS, F(5)) if rg.is_skew(r)]
+        assert len(mods) == 25 + 34
+        return mods
+
+    def test_seminormal_diagonals_are_the_inverse_free_terms(self):
+        for m in self.modules():
+            for col in range(m.n):
+                g = [m.gamma(col, j) for j in range(1, m.k + 1)]
+                for x, y in zip(g, g[1:]):
+                    assert m.fu * (x - y) / (ONE - x / y) == -m.fu * y, m.region
+                g1 = g[0]
+                old = (m.f0 + m.fk / g1) * (g1 - g1.inv()) / (ONE - g1 ** -2)
+                assert old == m.f0 * g1 + m.fk, m.region
+
+    def test_perturbed_weight_fails_its_cross_relation(self):
+        # W_1 is checked by C2 and W_2 by the C1 pair; both stay exact
+        for w, relation in ((0, "C2:T0W1"), (1, "C1:T1W2")):
+            m = two_row_module(2, 2)
+            m.W[w][0][0] = m.W[w][0][0] * U
+            failing = [name for name, ok in
+                       cb.check_presentation(m, exact=True)["relations"].items()
+                       if not ok]
+            assert relation in failing, failing
 
 
 class TestOnePass:
@@ -521,6 +540,21 @@ class TestCharactersAndB:
         m = two_row_module(2, 0)
         bc = cb.b_constant(m)
         assert not bc["defined"] and bc["b"] is None
+
+    def test_theta_on_rank2_chart(self):
+        # theta = c0 + (k-1)/2 for the region's two-row start c0; on every
+        # skew two-row region of the chart that start is the first one whose
+        # weight vector alone matches, as central_character once read it
+        regions = [r for r in rg.enumerate_regions(2, PARAMS, F(5))
+                   if rg.is_skew(r) and rg.is_tl_shape(r)]
+        assert len(regions) == 10
+        for region in regions:
+            c0 = next(s for s in (region.c[-1] - 1, -region.c[-1])
+                      if tuple(sorted(rg._two_row_placement(2, s)[i][0]
+                                      for i in (1, 2))) == region.c)
+            rep = cb.central_character(cb.build_module(cb.ModuleSpec(region)))
+            assert rep["theta"] == c0 + F(1, 2), region
+            assert rep["matches_convention"], region
 
 
 def transpose(a):

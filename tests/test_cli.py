@@ -80,6 +80,19 @@ class TestVerify:
         assert sum("(dim 56)" in name for name in blob["checks"]) == 2
         assert all(len(primes) == 10 for primes in blob["primes"].values())
 
+    def test_presentation_text_states_what_ran(self, capsys):
+        rc, out, _ = run(capsys, "verify", "presentation", "--k", "3",
+                         "--trials", "2", "--seed", "7")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[1] == "mode: modular  trials: 2  seed: 7"
+        primes = [line.split()[1:] for line in lines if "primes:" in line]
+        assert len(primes) == 7 and all(len(ps) == 2 for ps in primes)
+        rc, out, _ = run(capsys, "verify", "presentation", "--k", "2")
+        assert rc == 0
+        assert out.splitlines()[1] == "mode: exact  trials: 0  seed: 0"
+        assert "primes:" not in out
+
     def test_presentation_zero_trials_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
                            "--trials", "0")
@@ -122,6 +135,17 @@ class TestRegionAndModule:
         pres = json.loads(out)["presentation"]
         assert pres["mode"] == "modular" and pres["passed"]
         assert (pres["trials"], pres["seed"], len(pres["primes"])) == (3, 4, 3)
+
+    def test_module_symmetrizable(self, capsys, monkeypatch):
+        argv = ("module", "--c", "7/2,9/2,11/2", "--J", "", "--r1", "3/2",
+                "--r2", "11/2", "--trials", "2")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and json.loads(out)["symmetrizable"] is True
+        # the field is symmetric_form's verdict on the module
+        from blobalg import calib as cb
+        monkeypatch.setattr(cb, "symmetric_form", lambda m: None)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and json.loads(out)["symmetrizable"] is False
 
     def test_module_matrices(self, capsys):
         # the dense grid of the sparse generators, zero entries included;

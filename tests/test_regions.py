@@ -166,6 +166,28 @@ class TestTwoRowShapes:
         assert rg.is_tl_shape(plain)
         assert not rg.is_skew(plain)
 
+    def test_two_row_start_checks_more_than_weights(self):
+        # both candidate starts 0 and -3 give the weight vector (0,1,2,3);
+        # only -3 gives its relations and same-diagonal scan order
+        region = rg.LocalRegion((0, 1, 2, 3), frozenset(),
+                                rg.RegionParams(F(3, 2), F(7, 2)))
+        assert rg.is_tl_shape(region) and not rg.is_skew(region)
+        assert rg.two_row_start(region) == -3
+
+    def test_two_row_start_rebuilds_the_region(self):
+        # the canonical two-row region at the start, with the region's own
+        # marker roots, is the region
+        params = rg.RegionParams(F(1, 2), F(5, 2))
+        for k in (1, 2, 3, 4):
+            for region in rg.enumerate_regions(k, params, F(5)):
+                c0 = rg.two_row_start(region)
+                if c0 is None:
+                    assert not rg.is_tl_shape(region)
+                    continue
+                assert rg.is_tl_shape(region)
+                markers = [r for r in region.J if r[0] == "e"]
+                assert rg.two_row_region(k, c0, params, markers) == region
+
 
 class TestVanishing:
     def test_two_row_passes(self):
