@@ -23,7 +23,11 @@ structurally equal: ``num / den`` with ``den`` such a product (so no
 variable divides it) and coprime to ``num``, which carries the whole
 monomial part and may have negative exponents.  Each denominator is
 factored once by exact trial division and memoized; cancelling divides its
-factors out of the numerator as often as they divide both.
+factors out of the numerator as often as they divide both.  A sum is formed
+over the least common multiple of the two denominators, which their
+factorizations give directly, and only a factor of the same multiplicity
+in both can cancel from it; the denominators of sums and products are
+built from their known factors and remembered with them.
 
 All expression text -- scalars, the bases of ``bb`` and, through a name
 resolver, the generator expressions of ``words`` -- is read by one reader,
@@ -265,7 +269,8 @@ def _int_gcd(a: int, b: int) -> int:
 # z^(m/4) = -i.  These products are the only denominators a Scalar may have.
 # Each is factored once, by exact trial division, and a numerator is
 # cancelled against it by stripping those factors; removing every common
-# irreducible factor is dividing by the gcd.
+# irreducible factor is dividing by the gcd.  Sums and products combine the
+# factorizations of their operands instead of factoring a new denominator.
 # Dense polynomials below are coefficient lists in u, lowest degree first.
 
 _ZC = (0, 0)
@@ -422,10 +427,10 @@ def _monic(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     return n, d
 
 
-def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], List[GInt], Factors]:
+def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], Factors]:
     """For a polynomial d with zero monomial content and several terms: the
-    inverse of its leading coefficient (None if that is 1), the dense
-    coefficients of the monic d, and their cyclotomic factorization.
+    inverse of its leading coefficient (None if that is 1) and the
+    cyclotomic factorization of the monic d.
 
     Raises ScalarError if the monic d is not a product of Q(i)-irreducible
     cyclotomic factors in u: no Scalar has such a denominator."""
@@ -437,7 +442,52 @@ def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], List[GInt], F
         raise ScalarError("denominator is not a product of cyclotomic factors in u "
                           "of degree below %d: %s"
                           % (_MAX_DEGREE, render(Scalar(d, _normalized=True))))
-    return inv, dense, factors
+    return inv, factors
+
+
+# Denominators built from known factors: each factor tuple (in sorted order,
+# with multiplicities) maps to one shared polynomial, and the id of that
+# polynomial maps back to its factors, so that a Scalar made by + or * finds
+# its denominator's factorization without rebuilding the memo key.  A
+# polynomial in _products is alive, so no other object can share its id.
+_products: Dict[Factors, LaurentPoly] = {}
+_product_factors: Dict[int, Dict[CycloFactor, int]] = {}
+
+
+def _denominator(factors: Dict[CycloFactor, int]) -> LaurentPoly:
+    """prod f^k over the factors f with multiplicity k > 0, shared: do not
+    mutate it.  Bounded to the most recent `_FACTOR_MEMO_MAX` products."""
+    key = tuple(sorted((f, k) for f, k in factors.items() if k))
+    try:
+        return _products[key]
+    except KeyError:
+        pass
+    dense: List[GInt] = [(1, 0)]
+    for f, k in key:
+        for _ in range(k):
+            out = [_ZC] * (len(dense) + len(f) - 1)
+            for i, (ar, ai) in enumerate(dense):
+                if ar or ai:
+                    for j, (br, bi) in enumerate(f):
+                        xr, xi = out[i + j]
+                        out[i + j] = (xr + ar * br - ai * bi, xi + ar * bi + ai * br)
+            dense = out
+    den = LaurentPoly.__new__(LaurentPoly)
+    den.terms = {(j, 0, 0, 0, 0): c for j, c in enumerate(dense) if c[0] or c[1]}
+    if len(_products) >= _FACTOR_MEMO_MAX:
+        del _product_factors[id(_products.pop(next(iter(_products))))]
+    _products[key] = den
+    _product_factors[id(den)] = dict(key)
+    return den
+
+
+def _factors_of(d: LaurentPoly) -> Dict[CycloFactor, int]:
+    """The factorization of a canonical (monic) denominator, empty for 1;
+    shared: do not mutate it."""
+    if d.is_one():
+        return {}
+    factors = _product_factors.get(id(d))
+    return dict(_denominator_factors(d)[1]) if factors is None else factors
 
 
 def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
@@ -446,31 +496,75 @@ def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     n and d are ordinary polynomials with zero monomial content, and d has
     several terms.  The factors of d (see :func:`_denominator_factors`) are
     stripped from n as often as they divide both."""
-    inv, dense, factors = _denominator_factors(d)
-    if inv is not None:
-        n = n.scale(inv)
+    inv, factors = _denominator_factors(d)
+    n, left = _strip(n if inv is None else n.scale(inv), dict(factors))
+    return n, _denominator(left)
+
+
+def _strip(n: LaurentPoly, factors: Dict[CycloFactor, int]
+           ) -> Tuple[LaurentPoly, Dict[CycloFactor, int]]:
+    """n/g for the largest product g of `factors`, each at most at its
+    multiplicity, that divides n, and the factors left over.  n is an
+    ordinary polynomial with zero monomial content."""
     # n as a polynomial in u over the other variables
     rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
     for e, c in n.terms.items():
         rows.setdefault(e[1:], {})[e[0]] = c
     groups = {r: [t.get(j, _ZC) for j in range(max(t) + 1)] for r, t in rows.items()}
-    stripped = False
-    for factor, k in factors:
+    left = dict(factors)
+    for factor, k in factors.items():
         for _ in range(k):
-            quotients = [_divide_out(factor, a) for a in groups.values()]
-            if None in quotients:
+            quotients = _divide_rows(factor, groups)
+            if quotients is None:
                 break
-            groups = dict(zip(groups, quotients))
-            dense, _ = _dense_divmod(dense, factor)
-            stripped = True
-    if not stripped:
-        return n, (d if inv is None else d.scale(inv))
+            groups = quotients
+            left[factor] -= 1
+    if left == factors:
+        return n, left
     num = LaurentPoly.__new__(LaurentPoly)
     num.terms = {(j,) + r: c for r, a in groups.items()
                  for j, c in enumerate(a) if c[0] or c[1]}
-    den = LaurentPoly.__new__(LaurentPoly)
-    den.terms = {(j, 0, 0, 0, 0): c for j, c in enumerate(dense) if c[0] or c[1]}
-    return num, den
+    return num, left
+
+
+def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], List[Coeff]]
+                 ) -> Optional[Dict[Tuple[int, ...], List[Coeff]]]:
+    """Each row divided by `factor`, or None as soon as one row is not."""
+    out = {}
+    for r, a in groups.items():
+        q = _divide_out(factor, a)
+        if q is None:
+            return None
+        out[r] = q
+    return out
+
+
+def _sum_over_lcm(n1: LaurentPoly, d1: LaurentPoly,
+                  n2: LaurentPoly, d2: LaurentPoly) -> "Scalar":
+    """n1/d1 + n2/d2 for reduced fractions, over the least common multiple
+    L of d1 and d2 (Henrici 1956; Knuth, TAOCP 4.5.1).
+
+    L takes each factor at its larger multiplicity, and each numerator is
+    multiplied by its cofactor L/d.  A factor whose multiplicities differ
+    divides exactly one of the two products, since n1 and n2 are prime to
+    their denominators, and so not the sum: only a factor of the same
+    multiplicity in d1 and d2 can cancel."""
+    f1, f2 = _factors_of(d1), _factors_of(d2)
+    lcm = dict(f1)
+    for f, k in f2.items():
+        if k > lcm.get(f, 0):
+            lcm[f] = k
+    num = (n1 * _denominator({f: k - f1.get(f, 0) for f, k in lcm.items()})
+           + n2 * _denominator({f: k - f2.get(f, 0) for f, k in lcm.items()}))
+    if num.is_zero():
+        return Scalar.zero()
+    shared = {f: k for f, k in f1.items() if f2.get(f) == k}
+    if shared:
+        mono = num.min_exponents()
+        num, left = _strip(num.shift(_esub(_ZEXP, mono)), shared)
+        num = num.shift(mono)
+        lcm.update(left)
+    return Scalar(num, _denominator(lcm), _normalized=True)
 
 
 class Scalar:
@@ -550,10 +644,7 @@ class Scalar:
             if s.is_zero():
                 return Scalar.zero()
             return Scalar(s, LaurentPoly.const(1), _normalized=True)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        return _sum_over_lcm(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
@@ -577,11 +668,13 @@ class Scalar:
             return Scalar(self.num * other.num, LaurentPoly.const(1),
                           _normalized=True)
         # cross-cancellation keeps the product reduced: each numerator against
-        # the other factor's denominator
-        n1, d2 = _cross_reduce(self.num, other.den)
-        n2, d1 = _cross_reduce(other.num, self.den)
-        num, den = _monic(n1 * n2, d1 * d2)
-        return Scalar(num, den, _normalized=True)
+        # the other factor's denominator; the product's denominator is built
+        # from the factors left
+        n1, f2 = _cross_reduce(self.num, other.den)
+        n2, f1 = _cross_reduce(other.num, self.den)
+        for f, k in f2.items():
+            f1[f] = f1.get(f, 0) + k
+        return Scalar(n1 * n2, _denominator(f1), _normalized=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
@@ -640,13 +733,16 @@ class Scalar:
         return Scalar(sub_poly(self.num), sub_poly(self.den))
 
 
-def _cross_reduce(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the common factors of num's polynomial part and the monic den."""
-    if den.is_one() or len(num.terms) == 1:
-        return num, den
+def _cross_reduce(num: LaurentPoly, den: LaurentPoly
+                  ) -> Tuple[LaurentPoly, Dict[CycloFactor, int]]:
+    """Cancel the common factors of num's polynomial part and the canonical
+    den: num over the factors of den that are left."""
+    factors = _factors_of(den)
+    if not factors or len(num.terms) == 1:
+        return num, dict(factors)
     mono = num.min_exponents()
-    npoly, den = _cancel(num.shift(_esub(_ZEXP, mono)), den)
-    return npoly.shift(mono), den
+    npoly, left = _strip(num.shift(_esub(_ZEXP, mono)), factors)
+    return npoly.shift(mono), left
 
 
 def _unit_pow(g: Coeff, n: int) -> Coeff:
@@ -793,29 +889,49 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     primes (then the point holds CRT combinations, and the value is the CRT
     combination of the values mod each prime); raises EvalRetry on a
     denominator that is not a unit mod p.  Each variable with a negative
-    exponent is inverted once per call."""
+    exponent is inverted once per call.
+
+    The terms are read in their stored order, so the same term raises on a
+    bad point as in a term-by-term sum, and summed by their u-exponent; the
+    sums are then combined in Horner form, from the highest u-exponent down,
+    multiplying by the power of u that bridges each gap."""
     i_val = point["i"]
     if i_val * i_val % p != p - 1:
         raise ScalarError("point['i'] is not a square root of -1 mod p")
-    inverses: Dict[str, int] = {}
+    inverses: Dict[int, int] = {}
+
+    def base(var: int, power: int) -> int:
+        """The residue whose |power|-th power is the variable's power-th."""
+        v = point[VAR_NAMES[var]] % p
+        if v == 0:
+            raise ScalarError("point assigns 0 to %s" % VAR_NAMES[var])
+        if power > 0:
+            return v
+        if var not in inverses:
+            inverses[var] = _inv_mod(v, p)
+        return inverses[var]
 
     def eval_poly(poly: LaurentPoly) -> int:
-        total = 0
+        by_u: Dict[int, int] = {}
         for e, c in poly.terms.items():
             term = (_frac_mod(c[0], p) + i_val * _frac_mod(c[1], p)) % p
-            for var, name in enumerate(VAR_NAMES):
+            for var in range(NVARS):
                 power = e[var]
                 if power:
-                    v = point[name] % p
-                    if v == 0:
-                        raise ScalarError("point assigns 0 to %s" % name)
-                    if power < 0:
-                        if name not in inverses:
-                            inverses[name] = _inv_mod(v, p)
-                        v, power = inverses[name], -power
-                    term = term * pow(v, power, p) % p
-            total = (total + term) % p
-        return total
+                    v = base(var, power)
+                    if var:
+                        term = term * pow(v, abs(power), p) % p
+            by_u[e[0]] = by_u.get(e[0], 0) + term
+        if not by_u:
+            return 0
+        exps = sorted(by_u, reverse=True)
+        total = 0
+        for high, low in zip(exps, exps[1:]):
+            total = (total + by_u[high]) * pow(base(0, 1), high - low, p) % p
+        total += by_u[exps[-1]]
+        if exps[-1]:
+            total *= pow(base(0, exps[-1]), abs(exps[-1]), p)
+        return total % p
 
     num, den = eval_poly(x.num), eval_poly(x.den)
     return num if den == 1 else num * _inv_mod(den, p) % p

@@ -120,6 +120,39 @@ class TestBracketsAndQint:
             assert qint(2 * s) / qint(s) == bb("t", s)
 
 
+def term_by_term_eval_mod(x, p, point):
+    """eval_mod as it was before the Horner form: each term's own powers,
+    every variable with a negative exponent inverted once."""
+    i_val = point["i"]
+    inverses = {}
+
+    def eval_poly(poly):
+        total = 0
+        for e, c in poly.terms.items():
+            term = (sc._frac_mod(c[0], p) + i_val * sc._frac_mod(c[1], p)) % p
+            for var, name in enumerate(sc.VAR_NAMES):
+                power = e[var]
+                if power:
+                    v = point[name] % p
+                    if power < 0:
+                        if name not in inverses:
+                            inverses[name] = sc._inv_mod(v, p)
+                        v, power = inverses[name], -power
+                    term = term * pow(v, power, p) % p
+            total = (total + term) % p
+        return total
+
+    num, den = eval_poly(x.num), eval_poly(x.den)
+    return num if den == 1 else num * sc._inv_mod(den, p) % p
+
+
+def eval_outcome(f, x, p, point):
+    try:
+        return f(x, p, point)
+    except sc.EvalRetry as exc:
+        return ("retry", exc.residue)
+
+
 class TestEvalMod:
     def test_zero_and_one(self):
         rng = random.Random(5)
@@ -195,6 +228,44 @@ class TestEvalMod:
         with pytest.raises(sc.EvalRetry) as exc:
             eval_mod(Scalar.from_int(Fraction(1, q)), n, pt)
         assert exc.value.residue % q == 0 and exc.value.residue % p != 0
+
+    def test_horner_equals_term_by_term(self):
+        # the (6,3) module entries at k = 3..5, modulo single primes and
+        # products of three, down to the residue an EvalRetry carries
+        from blobalg import schurweyl as sw
+        p63 = sw.SWParams(6, 3)
+        entries = {}
+        for k in (3, 4, 5):
+            for _l1, l in sw.level_nodes(p63, k):
+                if sw.zero_multiplicity(p63, k, l):
+                    continue
+                m = sw.module_for(p63, k, l)
+                for mat in list(m.T.values()) + list(m.W):
+                    for row in mat:
+                        for x in row.values():
+                            entries[sc.render(x)] = x
+                for x in (m.fu, m.f0, m.fk):
+                    entries[sc.render(x)] = x
+        assert len(entries) > 50
+        rng = random.Random(21)
+        retries = 0
+        for bits in (62, 12, 8):
+            for _ in range(4):
+                primes = []
+                while len(primes) < 3:
+                    if (q := sc.random_prime(bits, rng)) not in primes:
+                        primes.append(q)
+                points = [sc.random_point(q, rng) for q in primes]
+                n = primes[0] * primes[1] * primes[2]
+                crt = {name: sum(pt[name] * (n // q) * pow(n // q, -1, q)
+                                 for q, pt in zip(primes, points)) % n
+                       for name in points[0]}
+                for x in entries.values():
+                    for q, pt in list(zip(primes, points)) + [(n, crt)]:
+                        got = eval_outcome(eval_mod, x, q, pt)
+                        assert got == eval_outcome(term_by_term_eval_mod, x, q, pt)
+                        retries += isinstance(got, tuple)
+        assert retries > 0
 
     def test_retry_signal(self):
         rng = random.Random(13)
@@ -496,12 +567,170 @@ class TestCyclotomicCancel:
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(sc, "_factor_memo", {})
+        monkeypatch.setattr(sc, "_products", {})
+        monkeypatch.setattr(sc, "_product_factors", {})
         monkeypatch.setattr(sc, "_FACTOR_MEMO_MAX", 4)
         n = rand_gaussian_poly(random.Random(1)) * upoly([(-1, 0), (1, 0)])
+        total = Scalar.zero()
         for a in range(1, 12):
             d = binomial(a, (1, 0))
             assert sc._cancel(n, d) == gcd_path(n, d)
+            total = total + Scalar(n, d)
             assert len(sc._factor_memo) <= 4
+            assert len(sc._products) == len(sc._product_factors) <= 4
+        want = Scalar.zero()
+        for a in range(1, 12):
+            want = cross_multiplied_sum(want, Scalar(n, binomial(a, (1, 0))))
+        assert total.num.terms == want.num.terms and total.den.terms == want.den.terms
+
+
+def cross_multiplied_sum(a, b):
+    """a + b as it was formed before sums over the lcm: the cross-multiplied
+    numerator over the product of the denominators, then normalized."""
+    return Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def rand_numerator(rng):
+    """Terms with negative u-exponents and in u0, a0 and ak; some rational."""
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        e = (rng.randrange(-4, 5), rng.choice((0, 0, 1, -1)), 0,
+             rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 1, -1)))
+        c = (rng.randrange(-3, 4), rng.randrange(-2, 3))
+        terms[e] = (Fraction(c[0], 3), c[1]) if rng.random() < 0.2 else c
+    p = sc.LaurentPoly(terms)
+    return sc.LaurentPoly.const(1) if p.is_zero() else p
+
+
+def factor_product(factors):
+    out = sc.LaurentPoly.const(1)
+    for f, k in factors:
+        out = out * lpow(upoly(f), k)
+    return out
+
+
+def rand_factors(rng, pool):
+    """Up to three distinct factors of `pool`, each to a power 1 or 2."""
+    return [(f, rng.randrange(1, 3)) for f in rng.sample(pool, rng.randrange(0, 4))]
+
+
+CYCLO_POOL = [f for m in range(1, 13) for f in sc._cyclotomic_factors(m)]
+U2_MINUS_I, U2_PLUS_I = sc._cyclotomic_factors(8)  # the Q(i)-halves of Phi_8
+
+
+class TestSumOverLcm:
+    """Sums over the lcm of the factored denominators are structurally the
+    normalized cross-multiplied sums."""
+
+    @staticmethod
+    def check(a, b):
+        for x, y in ((a, b), (a, -b)):
+            got, want = x + y, cross_multiplied_sum(x, y)
+            assert got.num.terms == want.num.terms, (x, y)
+            assert got.den.terms == want.den.terms, (x, y)
+        return a + b
+
+    def scalar(self, rng, factors):
+        return Scalar(rand_numerator(rng), factor_product(factors))
+
+    def test_random_denominators(self):
+        rng = random.Random(15)
+        for _ in range(150):
+            a = self.scalar(rng, rand_factors(rng, CYCLO_POOL))
+            b = self.scalar(rng, rand_factors(rng, CYCLO_POOL))
+            self.check(a, b)
+            self.check(a, a * Scalar(rand_numerator(rng)))
+        for _ in range(60):
+            self.check(rand_domain_scalar(rng), rand_domain_scalar(rng))
+
+    def test_disjoint_factors(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            fs = rng.sample(CYCLO_POOL, 4)
+            a = self.scalar(rng, [(fs[0], rng.randrange(1, 3)), (fs[1], 1)])
+            b = self.scalar(rng, [(fs[2], 1), (fs[3], rng.randrange(1, 3))])
+            assert self.check(a, b).den == a.den * b.den
+
+    def test_equal_multiplicity_cancels(self):
+        # b = s - a, with s free of f: in a + b = s, f cancels
+        rng = random.Random(17)
+        cancelled = 0
+        for _ in range(60):
+            f, g, h = rng.sample(CYCLO_POOL, 3)
+            a = self.scalar(rng, [(f, rng.randrange(1, 3)), (g, 1)])
+            s = self.scalar(rng, [(g, rng.randrange(0, 3)), (h, 1)])
+            b = cross_multiplied_sum(s, -a)
+            assert self.check(a, b) == s
+            assert multiplicity(f, s.den) == 0
+            cancelled += multiplicity(f, a.den) == multiplicity(f, b.den) > 0
+        assert cancelled >= 55
+
+    def test_unequal_multiplicity(self):
+        rng = random.Random(18)
+        unequal = 0
+        for _ in range(60):
+            f, g = rng.sample(CYCLO_POOL, 2)
+            k = rng.randrange(1, 3)
+            a = self.scalar(rng, [(f, k)])
+            b = self.scalar(rng, [(f, k + rng.randrange(1, 3)), (g, 1)])
+            s = self.check(a, b)
+            ka, kb = multiplicity(f, a.den), multiplicity(f, b.den)
+            if 0 < ka != kb > 0:
+                unequal += 1
+                assert multiplicity(f, s.den) == max(ka, kb)
+        assert unequal >= 55
+
+    def test_both_halves_of_phi8(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            a = self.scalar(rng, [(U2_MINUS_I, rng.randrange(1, 3))])
+            b = self.scalar(rng, [(U2_PLUS_I, rng.randrange(1, 3))])
+            c = self.scalar(rng, [(U2_MINUS_I, 1), (U2_PLUS_I, 1)])
+            self.check(a, b)
+            self.check(a, c)
+            self.check(c, b)
+
+    def test_exact_zero_and_unit_denominator(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            a = self.scalar(rng, rand_factors(rng, CYCLO_POOL))
+            assert (a - a).is_zero() and (a + (-a)).is_zero()
+            assert self.check(a, -a).is_zero()
+            one_den = Scalar(rand_numerator(rng))
+            assert one_den.den.is_one()
+            self.check(a, one_den)
+            self.check(one_den, a)
+
+    def test_rank2_chart_digest(self):
+        # the nullity reports and relator matrices of the 34 skew regions of
+        # the rank-2 chart at bound 5, recorded when every sum was still
+        # formed over the product of the denominators
+        import hashlib
+        from blobalg import calib as cb
+        from blobalg import regions as rg
+        params = rg.RegionParams(Fraction(3, 2), Fraction(11, 2))
+        regions = [r for r in rg.enumerate_regions(2, params, Fraction(5)) if rg.is_skew(r)]
+        assert len(regions) == 34
+        h = hashlib.sha256()
+        for r in regions:
+            m = cb.build_module(cb.ModuleSpec(r))
+            entries = {name: [sorted((c, sc.to_json(x)) for c, x in row.items())
+                              for row in mat]
+                       for name, mat in cb.f_matrices(m).items()}
+            h.update(json.dumps([str(r.c), sorted(map(str, r.J)),
+                                 cb.idempotent_nullity(m), entries],
+                                sort_keys=True).encode())
+        assert h.hexdigest() == \
+            "0f44826a7187ab654927d8f23a82f2678c87631cb9d41c13e3cb7438bae054cd"
+
+
+def multiplicity(f, den):
+    """How often the cyclotomic factor f divides the denominator den."""
+    dense = [den.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(den.degree_in(0) + 1)]
+    k = 0
+    while (dense := sc._divide_out(f, dense)) is not None:
+        k += 1
+    return k
 
 
 def rand_scalar(rng, depth=0):
