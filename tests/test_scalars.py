@@ -724,6 +724,30 @@ class TestSumOverLcm:
             "0f44826a7187ab654927d8f23a82f2678c87631cb9d41c13e3cb7438bae054cd"
 
 
+def test_canonical_form_digest():
+    # every entry of T_0..T_(k-1), W_1..W_k and T_k on the 25 nonzero (6,3)
+    # modules at k <= 4, in canonical JSON form: a change of how a Scalar
+    # stores its value must leave this form as it is
+    import hashlib
+    from blobalg import schurweyl as sw
+    p63 = sw.SWParams(6, 3)
+    h = hashlib.sha256()
+    modules = 0
+    for k in range(1, 5):
+        for _l1, l in sw.level_nodes(p63, k):
+            if sw.zero_multiplicity(p63, k, l):
+                continue
+            m = sw.module_for(p63, k, l)
+            modules += 1
+            for mat in [m.T[i] for i in range(k)] + list(m.W) + [m.tk_matrix()]:
+                for row in mat:
+                    for col in sorted(row):
+                        h.update(json.dumps([col, sc.to_json(row[col])]).encode())
+    assert modules == 25
+    assert h.hexdigest() == \
+        "26436d8eb590042df76a10c9f9eb84373ade005fe2bf859c9f380fb4eae63ade"
+
+
 def multiplicity(f, den):
     """How often the cyclotomic factor f divides the denominator den."""
     dense = [den.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(den.degree_in(0) + 1)]
