@@ -171,8 +171,6 @@ def cmd_verify(args) -> int:
     suite_fns = {"relations": vf.suite_relations, "theorem3": vf.suite_theorem3,
                  "presentation": vf.suite_presentation,
                  "classification": vf.suite_classification}
-    if args.suite not in suite_fns:
-        return _fail("unknown suite %r" % args.suite)
     if args.suite == "relations" and args.k > args.max_k:
         return _fail("relations suite limited to k <= %d" % args.max_k)
     kwargs = {"k": args.k}
@@ -202,6 +200,12 @@ def _render_report(report: dict) -> str:
 
 
 def cmd_schurweyl(args) -> int:
+    # --out is the graph's file; without it the graph alone is printed
+    if args.out and not args.dot:
+        return _fail("--out names the file for --dot")
+    if args.dot and not args.out and (args.dims or args.bvalues):
+        return _fail("--dot prints only the graph: give --out FILE to add "
+                     "--dims or --bvalues")
     try:
         params = sw.SWParams(args.a, args.b)
     except sw.SchurWeylError as exc:

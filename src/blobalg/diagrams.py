@@ -177,14 +177,6 @@ def generator(k: int, which) -> TLDiagram:
     return e_diagram(k, int(which))
 
 
-def through_strands(d: TLDiagram) -> int:
-    return d.through_strands()
-
-
-def filtration_member(d: TLDiagram, j: int) -> bool:
-    return d.through_strands() <= j
-
-
 # ---------------------------------------------------------------------------
 # linear combinations
 # ---------------------------------------------------------------------------

@@ -19,15 +19,18 @@ so ``/`` and ``parse``) and through ``Scalar(num, den)``, which
 raises ScalarError there.
 
 Scalars are kept in one canonical form, so that equal values are
-structurally equal: ``num / den`` with ``den`` such a product (so no
-variable divides it) and coprime to ``num``, which carries the whole
-monomial part and may have negative exponents.  Each denominator is
-factored once by exact trial division and memoized; cancelling divides its
-factors out of the numerator as often as they divide both.  A sum is formed
-over the least common multiple of the two denominators, which their
-factorizations give directly, and only a factor of the same multiplicity
-in both can cancel from it; the denominators of sums and products are
-built from their known factors and remembered with them.
+structurally equal: ``num / den`` with the denominator such a product (so
+no variable divides it) and coprime to ``num``, which carries the whole
+monomial part and may have negative exponents.  ``den`` holds the
+denominator as its factorization, a sorted tuple of (factor, multiplicity)
+pairs, ``()`` for 1; it is multiplied out only to evaluate, render or
+serialize, and for the cofactors of a sum.  A new denominator is factored
+by exact trial division, and cancelling divides its factors out of the
+numerator as often as they divide both.  A sum is formed over the least
+common multiple of the two denominators, which their factorizations give
+directly, and only a factor of the same multiplicity in both can cancel
+from it; a product merges the multiplicities left after cross-cancelling.
+Two bounded caches keep the most recent factorizations and expansions.
 
 All expression text -- scalars, the bases of ``bb`` and, through a name
 resolver, the generator expressions of ``words`` -- is read by one reader,
@@ -40,6 +43,7 @@ import ast
 import functools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -267,17 +271,16 @@ def _int_gcd(a: int, b: int) -> int:
 # of the Q(i)-irreducible cyclotomic factors: Phi_m when 4 does not divide m,
 # and for 4 | m the two halves of Phi_m whose roots z have z^(m/4) = i and
 # z^(m/4) = -i.  These products are the only denominators a Scalar may have.
-# Each is factored once, by exact trial division, and a numerator is
-# cancelled against it by stripping those factors; removing every common
-# irreducible factor is dividing by the gcd.  Sums and products combine the
+# Each is factored by exact trial division, and a numerator is cancelled
+# against it by stripping those factors; removing every common irreducible
+# factor is dividing by the gcd.  Sums and products combine the
 # factorizations of their operands instead of factoring a new denominator.
 # Dense polynomials below are coefficient lists in u, lowest degree first.
 
 _ZC = (0, 0)
 _MAX_DEGREE = 512  # denominators of degree >= this in u are rejected
 CycloFactor = Tuple[GInt, ...]  # monic, Gaussian-integer coefficients
-Factors = Tuple[Tuple[CycloFactor, int], ...]  # with multiplicities
-Factorization = Optional[Factors]  # None for a denominator of another kind
+Factors = Tuple[Tuple[CycloFactor, int], ...]  # sorted, with multiplicities
 
 
 def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], List[Coeff]]:
@@ -351,9 +354,13 @@ def _cyclotomic_factors(m: int) -> Tuple[CycloFactor, ...]:
                  for sigma in (1, -1))
 
 
-def _factor_cyclotomic(d: List[GInt]) -> Factorization:
+_FACTOR_MEMO_MAX = 1024  # the size of each of the two caches below
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO_MAX)
+def _factor_cyclotomic(d: Tuple[GInt, ...]) -> Optional[Factors]:
     """Factor the monic `d` into Q(i)-irreducible cyclotomic factors with
-    multiplicities, or None if it is not such a product."""
+    multiplicities, sorted, or None if it is not such a product."""
     # Roots of unity have 1/conj(z) = z, so the conjugate reversal of such a
     # product is conj(d(0)) * d, and d(0) is a unit.
     top = len(d) - 1
@@ -378,92 +385,15 @@ def _factor_cyclotomic(d: List[GInt]) -> Factorization:
             if k:
                 out.append((factor, k))
         m += 1
-    return tuple(out) if len(d) == 1 else None
+    return tuple(sorted(out)) if len(d) == 1 else None
 
 
-_FACTOR_MEMO_MAX = 1024
-_factor_memo: Dict[object, Factorization] = {}
-
-
-def _cyclotomic_factorization(d: List[GInt]) -> Factorization:
-    """Memoized :func:`_factor_cyclotomic`, bounded to the most recent
-    `_FACTOR_MEMO_MAX` denominators."""
-    flat = [x for c in d for x in c]
-    try:
-        key = bytes(x + 128 for x in flat)  # compact when coefficients are small
-    except ValueError:
-        key = tuple(flat)
-    try:
-        return _factor_memo[key]
-    except KeyError:
-        pass
-    out = _factor_cyclotomic(d)
-    if len(_factor_memo) >= _FACTOR_MEMO_MAX:
-        del _factor_memo[next(iter(_factor_memo))]
-    _factor_memo[key] = out
-    return out
-
-
-def _u_coefficients(d: LaurentPoly, scale: Optional[Coeff]) -> Optional[List[GInt]]:
-    """Dense coefficients of d*scale if d is in u alone and they are
-    Gaussian integers, else None."""
-    out = [_ZC] * (d.degree_in(0) + 1)
-    for e, c in d.terms.items():
-        if e[1] or e[2] or e[3] or e[4]:
-            return None
-        re, im = _cmul(c, scale) if scale is not None else c
-        if re.denominator != 1 or im.denominator != 1:
-            return None
-        out[e[0]] = (int(re), int(im))
-    return out
-
-
-def _monic(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    _, lc = d.leading()
-    if lc != (_FR1, _FR0):
-        inv = _cinv(lc)
-        d = d.scale(inv)
-        n = n.scale(inv)
-    return n, d
-
-
-def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], Factors]:
-    """For a polynomial d with zero monomial content and several terms: the
-    inverse of its leading coefficient (None if that is 1) and the
-    cyclotomic factorization of the monic d.
-
-    Raises ScalarError if the monic d is not a product of Q(i)-irreducible
-    cyclotomic factors in u: no Scalar has such a denominator."""
-    _, lc = d.leading()
-    inv = _cinv(lc) if lc != (_FR1, _FR0) else None
-    dense = _u_coefficients(d, inv) if d.degree_in(0) < _MAX_DEGREE else None
-    factors = _cyclotomic_factorization(dense) if dense is not None else None
-    if factors is None:
-        raise ScalarError("denominator is not a product of cyclotomic factors in u "
-                          "of degree below %d: %s"
-                          % (_MAX_DEGREE, render(Scalar(d, _normalized=True))))
-    return inv, factors
-
-
-# Denominators built from known factors: each factor tuple (in sorted order,
-# with multiplicities) maps to one shared polynomial, and the id of that
-# polynomial maps back to its factors, so that a Scalar made by + or * finds
-# its denominator's factorization without rebuilding the memo key.  A
-# polynomial in _products is alive, so no other object can share its id.
-_products: Dict[Factors, LaurentPoly] = {}
-_product_factors: Dict[int, Dict[CycloFactor, int]] = {}
-
-
-def _denominator(factors: Dict[CycloFactor, int]) -> LaurentPoly:
-    """prod f^k over the factors f with multiplicity k > 0, shared: do not
-    mutate it.  Bounded to the most recent `_FACTOR_MEMO_MAX` products."""
-    key = tuple(sorted((f, k) for f, k in factors.items() if k))
-    try:
-        return _products[key]
-    except KeyError:
-        pass
+@functools.lru_cache(maxsize=_FACTOR_MEMO_MAX)
+def _expand(factors: Factors) -> LaurentPoly:
+    """The denominator prod f^k over `factors`, 1 for (); shared: do not
+    mutate it."""
     dense: List[GInt] = [(1, 0)]
-    for f, k in key:
+    for f, k in factors:
         for _ in range(k):
             out = [_ZC] * (len(dense) + len(f) - 1)
             for i, (ar, ai) in enumerate(dense):
@@ -474,57 +404,84 @@ def _denominator(factors: Dict[CycloFactor, int]) -> LaurentPoly:
             dense = out
     den = LaurentPoly.__new__(LaurentPoly)
     den.terms = {(j, 0, 0, 0, 0): c for j, c in enumerate(dense) if c[0] or c[1]}
-    if len(_products) >= _FACTOR_MEMO_MAX:
-        del _product_factors[id(_products.pop(next(iter(_products))))]
-    _products[key] = den
-    _product_factors[id(den)] = dict(key)
     return den
 
 
-def _factors_of(d: LaurentPoly) -> Dict[CycloFactor, int]:
-    """The factorization of a canonical (monic) denominator, empty for 1;
-    shared: do not mutate it."""
-    if d.is_one():
-        return {}
-    factors = _product_factors.get(id(d))
-    return dict(_denominator_factors(d)[1]) if factors is None else factors
+def _sorted(counts: Counter) -> Factors:
+    """A factorization in canonical form, sorted by factor, from the result
+    of Counter arithmetic (which keeps only positive multiplicities)."""
+    return tuple(sorted(counts.items()))
 
 
-def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """(n/g, d/g) for g = gcd(n, d), with d/g monic.
+def _u_coefficients(d: LaurentPoly, scale: Optional[Coeff]) -> Optional[Tuple[GInt, ...]]:
+    """Dense coefficients of d*scale if d is in u alone and they are
+    Gaussian integers, else None."""
+    out = [_ZC] * (d.degree_in(0) + 1)
+    for e, c in d.terms.items():
+        if e[1] or e[2] or e[3] or e[4]:
+            return None
+        re, im = _cmul(c, scale) if scale is not None else c
+        if re.denominator != 1 or im.denominator != 1:
+            return None
+        out[e[0]] = (int(re), int(im))
+    return tuple(out)
 
-    n and d are ordinary polynomials with zero monomial content, and d has
-    several terms.  The factors of d (see :func:`_denominator_factors`) are
-    stripped from n as often as they divide both."""
+
+def _denominator_factors(d: LaurentPoly) -> Tuple[Optional[Coeff], Factors]:
+    """For a nonzero polynomial d with zero monomial content: the inverse of
+    its leading coefficient (None if that is 1) and the factorization of the
+    monic d, () for a constant.
+
+    Raises ScalarError if the monic d is not a product of Q(i)-irreducible
+    cyclotomic factors in u: no Scalar has such a denominator."""
+    _, lc = d.leading()
+    inv = _cinv(lc) if lc != (_FR1, _FR0) else None
+    if len(d.terms) == 1:
+        return inv, ()
+    dense = _u_coefficients(d, inv) if d.degree_in(0) < _MAX_DEGREE else None
+    factors = _factor_cyclotomic(dense) if dense is not None else None
+    if factors is None:
+        raise ScalarError("denominator is not a product of cyclotomic factors in u "
+                          "of degree below %d: %s"
+                          % (_MAX_DEGREE, render(Scalar(d, _normalized=True))))
+    return inv, factors
+
+
+def _cancel(n: LaurentPoly, d: LaurentPoly) -> Tuple[LaurentPoly, Factors]:
+    """n/g over the factorization of the monic d/g, for g = gcd(n, d).
+
+    n and d are ordinary polynomials with zero monomial content.  The
+    factors of d (see :func:`_denominator_factors`) are stripped from n as
+    often as they divide both."""
     inv, factors = _denominator_factors(d)
-    n, left = _strip(n if inv is None else n.scale(inv), dict(factors))
-    return n, _denominator(left)
+    return _strip(n if inv is None else n.scale(inv), factors)
 
 
-def _strip(n: LaurentPoly, factors: Dict[CycloFactor, int]
-           ) -> Tuple[LaurentPoly, Dict[CycloFactor, int]]:
+def _strip(n: LaurentPoly, factors: Factors) -> Tuple[LaurentPoly, Factors]:
     """n/g for the largest product g of `factors`, each at most at its
-    multiplicity, that divides n, and the factors left over.  n is an
-    ordinary polynomial with zero monomial content."""
-    # n as a polynomial in u over the other variables
+    multiplicity, that divides the Laurent polynomial n, and the factors
+    left over."""
+    if not factors or len(n.terms) == 1:
+        return n, factors
+    # n as a polynomial in u over the other variables, u^lo factored out
+    lo = min(e[0] for e in n.terms)
     rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
     for e, c in n.terms.items():
-        rows.setdefault(e[1:], {})[e[0]] = c
+        rows.setdefault(e[1:], {})[e[0] - lo] = c
     groups = {r: [t.get(j, _ZC) for j in range(max(t) + 1)] for r, t in rows.items()}
-    left = dict(factors)
-    for factor, k in factors.items():
-        for _ in range(k):
-            quotients = _divide_rows(factor, groups)
-            if quotients is None:
-                break
-            groups = quotients
-            left[factor] -= 1
-    if left == factors:
-        return n, left
+    left = []
+    for factor, k in factors:
+        j = 0
+        while j < k and (quotients := _divide_rows(factor, groups)) is not None:
+            groups, j = quotients, j + 1
+        if j < k:
+            left.append((factor, k - j))
+    if left == list(factors):
+        return n, factors
     num = LaurentPoly.__new__(LaurentPoly)
-    num.terms = {(j,) + r: c for r, a in groups.items()
+    num.terms = {(j + lo,) + r: c for r, a in groups.items()
                  for j, c in enumerate(a) if c[0] or c[1]}
-    return num, left
+    return num, tuple(left)
 
 
 def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], List[Coeff]]
@@ -539,50 +496,47 @@ def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], List[Coeff]]
     return out
 
 
-def _sum_over_lcm(n1: LaurentPoly, d1: LaurentPoly,
-                  n2: LaurentPoly, d2: LaurentPoly) -> "Scalar":
-    """n1/d1 + n2/d2 for reduced fractions, over the least common multiple
-    L of d1 and d2 (Henrici 1956; Knuth, TAOCP 4.5.1).
+def _sum_over_lcm(n1: LaurentPoly, f1: Factors, n2: LaurentPoly, f2: Factors) -> "Scalar":
+    """n1/d1 + n2/d2 for reduced fractions with denominators factored as f1
+    and f2, over their least common multiple L (Henrici 1956; Knuth, TAOCP
+    4.5.1).
 
     L takes each factor at its larger multiplicity, and each numerator is
     multiplied by its cofactor L/d.  A factor whose multiplicities differ
     divides exactly one of the two products, since n1 and n2 are prime to
     their denominators, and so not the sum: only a factor of the same
     multiplicity in d1 and d2 can cancel."""
-    f1, f2 = _factors_of(d1), _factors_of(d2)
-    lcm = dict(f1)
-    for f, k in f2.items():
-        if k > lcm.get(f, 0):
-            lcm[f] = k
-    num = (n1 * _denominator({f: k - f1.get(f, 0) for f, k in lcm.items()})
-           + n2 * _denominator({f: k - f2.get(f, 0) for f, k in lcm.items()}))
+    c1, c2 = Counter(dict(f1)), Counter(dict(f2))
+    lcm = c1 | c2
+    num = n1 * _expand(_sorted(lcm - c1)) + n2 * _expand(_sorted(lcm - c2))
     if num.is_zero():
         return Scalar.zero()
-    shared = {f: k for f, k in f1.items() if f2.get(f) == k}
-    if shared:
-        mono = num.min_exponents()
-        num, left = _strip(num.shift(_esub(_ZEXP, mono)), shared)
-        num = num.shift(mono)
-        lcm.update(left)
-    return Scalar(num, _denominator(lcm), _normalized=True)
+    shared = tuple((f, k) for f, k in f1 if c2[f] == k)
+    num, left = _strip(num, shared)
+    return Scalar(num, _sorted(lcm - Counter(dict(shared)) + Counter(dict(left))),
+                  _normalized=True)
 
 
 class Scalar:
     """A Laurent polynomial over a cyclotomic denominator in u, kept in
-    reduced canonical form."""
+    reduced canonical form: `num` and the factorization `den` of the
+    denominator, () for 1.
+
+    `Scalar(num, den)` reduces num/den for polynomials num and den (1 if
+    omitted); with `_normalized` set, num and den are already canonical and
+    den is a factorization."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Optional[LaurentPoly] = None,
-                 _normalized: bool = False):
+    def __init__(self, num: LaurentPoly, den=None, _normalized: bool = False):
+        if _normalized:
+            self.num = num
+            self.den = () if den is None else den
+            return
         if den is None:
             den = LaurentPoly.const(1)
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
         self.num, self.den = _normalize(num, den)
 
     # -- constructors ------------------------------------------------------
@@ -618,10 +572,10 @@ class Scalar:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.den.is_one() and self.num.is_one()
+        return not self.den and self.num.is_one()
 
     def is_monomial(self) -> bool:
-        return self.den.is_one() and self.num.is_monomial()
+        return not self.den and self.num.is_monomial()
 
     # -- arithmetic ----------------------------------------------------------
     # Any operand but a Scalar, int or Fraction gets NotImplemented.
@@ -639,11 +593,11 @@ class Scalar:
             return other
         if other.num.is_zero():
             return self
-        if self.den.is_one() and other.den.is_one():
+        if not self.den and not other.den:
             s = self.num + other.num
             if s.is_zero():
                 return Scalar.zero()
-            return Scalar(s, LaurentPoly.const(1), _normalized=True)
+            return Scalar(s, (), _normalized=True)
         return _sum_over_lcm(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
@@ -664,17 +618,15 @@ class Scalar:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return Scalar.zero()
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num * other.num, LaurentPoly.const(1),
-                          _normalized=True)
+        if not self.den and not other.den:
+            return Scalar(self.num * other.num, (), _normalized=True)
         # cross-cancellation keeps the product reduced: each numerator against
-        # the other factor's denominator; the product's denominator is built
-        # from the factors left
-        n1, f2 = _cross_reduce(self.num, other.den)
-        n2, f1 = _cross_reduce(other.num, self.den)
-        for f, k in f2.items():
-            f1[f] = f1.get(f, 0) + k
-        return Scalar(n1 * n2, _denominator(f1), _normalized=True)
+        # the other factor's denominator; the product's denominator is made
+        # of the factors left
+        n1, f2 = _strip(self.num, other.den)
+        n2, f1 = _strip(other.num, self.den)
+        return Scalar(n1 * n2, _sorted(Counter(dict(f1)) + Counter(dict(f2))),
+                      _normalized=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:
@@ -686,12 +638,10 @@ class Scalar:
     def inv(self) -> "Scalar":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        mono = self.num.min_exponents()
-        den = self.num.shift(_esub(_ZEXP, mono))
-        if len(den.terms) > 1:
-            _denominator_factors(den)  # raises unless a cyclotomic product
-        num, den = _monic(self.den, den)
-        return Scalar(num.shift(_esub(_ZEXP, mono)), den, _normalized=True)
+        mono = _esub(_ZEXP, self.num.min_exponents())
+        inv, factors = _denominator_factors(self.num.shift(mono))
+        num = _expand(self.den).shift(mono)
+        return Scalar(num if inv is None else num.scale(inv), factors, _normalized=True)
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -730,19 +680,7 @@ class Scalar:
                 expo = (e[0] + m0 * e[1] + mk * e[2], 0, 0, e[3], e[4])
                 out = out + LaurentPoly.monomial(expo, coeff)
             return out
-        return Scalar(sub_poly(self.num), sub_poly(self.den))
-
-
-def _cross_reduce(num: LaurentPoly, den: LaurentPoly
-                  ) -> Tuple[LaurentPoly, Dict[CycloFactor, int]]:
-    """Cancel the common factors of num's polynomial part and the canonical
-    den: num over the factors of den that are left."""
-    factors = _factors_of(den)
-    if not factors or len(num.terms) == 1:
-        return num, dict(factors)
-    mono = num.min_exponents()
-    npoly, left = _strip(num.shift(_esub(_ZEXP, mono)), factors)
-    return npoly.shift(mono), left
+        return Scalar(sub_poly(self.num), sub_poly(_expand(self.den)))
 
 
 def _unit_pow(g: Coeff, n: int) -> Coeff:
@@ -755,21 +693,15 @@ def _unit_pow(g: Coeff, n: int) -> Coeff:
     return out
 
 
-def _normalize(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
+def _normalize(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Factors]:
     if num.is_zero():
-        return LaurentPoly.zero(), LaurentPoly.const(1)
+        return LaurentPoly.zero(), ()
     mn = num.min_exponents()
     md = den.min_exponents()
-    n = num.shift(_esub(_ZEXP, mn))
-    d = den.shift(_esub(_ZEXP, md))
-    # both are ordinary polynomials with zero monomial content now
-    if len(d.terms) > 1:
-        n, d = _cancel(n, d)
-    else:
-        n, d = _monic(n, d)
+    # both are ordinary polynomials with zero monomial content once shifted
+    n, factors = _cancel(num.shift(_esub(_ZEXP, mn)), den.shift(_esub(_ZEXP, md)))
     # fold the overall monomial into the (Laurent) numerator
-    n = n.shift(_esub(mn, md))
-    return n, d
+    return n.shift(_esub(mn, md)), factors
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +865,8 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
             total *= pow(base(0, exps[-1]), abs(exps[-1]), p)
         return total % p
 
-    num, den = eval_poly(x.num), eval_poly(x.den)
-    return num if den == 1 else num * _inv_mod(den, p) % p
+    num = eval_poly(x.num)
+    return num * _inv_mod(eval_poly(_expand(x.den)), p) % p if x.den else num
 
 
 def _frac_mod(fr, p: int) -> int:
@@ -1001,15 +933,16 @@ def _render_poly(p: LaurentPoly) -> str:
 
 def _integerized(x: Scalar) -> Tuple[LaurentPoly, LaurentPoly]:
     """Rescale num/den by a common rational so both have Gaussian-integer coefficients."""
+    den = _expand(x.den)
     lcm = 1
-    for poly in (x.num, x.den):
+    for poly in (x.num, den):
         for c in poly.terms.values():
             for fr in c:
                 if fr.denominator != 1:
                     lcm = lcm * fr.denominator // _int_gcd(lcm, fr.denominator)
     scale = (lcm, 0)
     num = x.num.scale(scale)
-    den = x.den.scale(scale)
+    den = den.scale(scale)
     g = 0
     for poly in (num, den):
         for c in poly.terms.values():
@@ -1158,7 +1091,7 @@ def _poly_from_json(rows) -> LaurentPoly:
 
 
 def to_json(x: Scalar) -> dict:
-    return {"num": _poly_to_json(x.num), "den": _poly_to_json(x.den)}
+    return {"num": _poly_to_json(x.num), "den": _poly_to_json(_expand(x.den))}
 
 
 def from_json(obj) -> Scalar:

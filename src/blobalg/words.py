@@ -145,9 +145,6 @@ class GenExpr:
         r.terms = {w: x * c for w, x in self.terms.items()}
         return r
 
-    def word_count(self) -> int:
-        return len(self.terms)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GenExpr) and self.k == other.k
                 and self.terms == other.terms)

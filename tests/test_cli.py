@@ -186,6 +186,23 @@ class TestSchurWeyl:
         text = out_path.read_text()
         assert text.startswith("digraph") and '"9:' in text
 
+    def test_dot_with_tables(self, capsys, tmp_path):
+        # the graph goes to --out, the tables to standard output
+        out_path = tmp_path / "graph.dot"
+        rc, out, _ = run(capsys, "schurweyl", "--a", "6", "--b", "3", "--k", "2",
+                         "--dot", "--bvalues", "--out", str(out_path))
+        assert rc == 0 and out_path.read_text().startswith("digraph")
+        assert json.loads(out)["b_values"]
+
+    def test_ignored_options_are_usage_errors(self, capsys, tmp_path):
+        out_path = tmp_path / "x.dot"
+        for extra in (["--dot", "--bvalues"], ["--dot", "--dims"],
+                      ["--bvalues", "--out", str(out_path)], ["--out", str(out_path)]):
+            rc, out, err = run(capsys, "schurweyl", "--a", "6", "--b", "3", "--k", "2",
+                               *extra)
+            assert rc == 2 and "--out" in err and not out, extra
+        assert not out_path.exists()
+
     def test_hypothesis_violation(self, capsys):
         rc, _, err = run(capsys, "schurweyl", "--a", "4", "--b", "3")
         assert rc == 2 and "a > b + 2" in err

@@ -32,7 +32,7 @@ def poly_divide(num, den):
 
 
 def u_poly(x: Scalar):
-    assert x.den.is_one()
+    assert sc._expand(x.den).is_one()
     return {e[0]: Fraction(c[0]) for e, c in x.num.terms.items()}
 
 
@@ -142,7 +142,7 @@ def term_by_term_eval_mod(x, p, point):
             total = (total + term) % p
         return total
 
-    num, den = eval_poly(x.num), eval_poly(x.den)
+    num, den = eval_poly(x.num), eval_poly(sc._expand(x.den))
     return num if den == 1 else num * sc._inv_mod(den, p) % p
 
 
@@ -485,7 +485,7 @@ class TestCyclotomicCancel:
         # (u - i)(u + 2) / (u^2 + 1) = (u + 2) / (u + i)
         n = upoly([(0, -1), (1, 0)]) * upoly([(2, 0), (1, 0)])
         d = upoly([(1, 0), (0, 0), (1, 0)])
-        got = sc._cancel(n, d)
+        got = cancel(n, d)
         assert got == (upoly([(2, 0), (1, 0)]), upoly([(0, 1), (1, 0)]))
         assert got == gcd_path(n, d)
 
@@ -508,8 +508,8 @@ class TestCyclotomicCancel:
                 n = n.scale((Fraction(1, 3), 0))
             d = d.scale(rng.choice(UNITS))
             dense = sc._u_coefficients(d, sc._cinv(d.leading()[1]))
-            taken += sc._cyclotomic_factorization(dense) is not None
-            assert sc._cancel(n, d) == gcd_path(n, d), case
+            taken += sc._factor_cyclotomic(dense) is not None
+            assert cancel(n, d) == gcd_path(n, d), case
         assert taken == 200
 
     def test_numerator_rows(self):
@@ -520,9 +520,9 @@ class TestCyclotomicCancel:
         g, h = upoly([(2, 1), (1, 0)]), upoly([(0, 1), (1, 0)])
         shared, one_row = f * g + a0 * f * h, f * g + a0 * h
         for n in (shared, one_row):
-            assert sc._cancel(n, d) == gcd_path(n, d)
-        assert sc._cancel(shared, d)[1].degree_in(0) == d.degree_in(0) - 1
-        assert sc._cancel(one_row, d)[1] == d
+            assert cancel(n, d) == gcd_path(n, d)
+        assert cancel(shared, d)[1].degree_in(0) == d.degree_in(0) - 1
+        assert cancel(one_row, d)[1] == d
 
     def test_repeated_factors(self):
         f = upoly([(1, 0), (0, 0), (1, 0)])                   # u^2 + 1
@@ -531,7 +531,7 @@ class TestCyclotomicCancel:
             for b in range(4):
                 n = lpow(g, a) * upoly([(3, 0), (1, 0)])
                 d = lpow(f, b) * lpow(binomial(3, (1, 0)), 2)
-                assert sc._cancel(n, d) == gcd_path(n, d), (a, b)
+                assert cancel(n, d) == gcd_path(n, d), (a, b)
 
     def test_other_denominators_rejected(self):
         rng = random.Random(4242)
@@ -565,29 +565,45 @@ class TestCyclotomicCancel:
         with pytest.raises(sc.ScalarError, match="cyclotomic"):
             (U ** 5000 - 1).inv()
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(sc, "_factor_memo", {})
-        monkeypatch.setattr(sc, "_products", {})
-        monkeypatch.setattr(sc, "_product_factors", {})
-        monkeypatch.setattr(sc, "_FACTOR_MEMO_MAX", 4)
+    def test_memo_is_bounded(self):
+        # both caches hold at most _FACTOR_MEMO_MAX entries, however many
+        # distinct denominators pass through them
+        caches = (sc._factor_cyclotomic, sc._expand)
+        for cache in caches:
+            assert cache.cache_info().maxsize == sc._FACTOR_MEMO_MAX
         n = rand_gaussian_poly(random.Random(1)) * upoly([(-1, 0), (1, 0)])
         total = Scalar.zero()
         for a in range(1, 12):
             d = binomial(a, (1, 0))
-            assert sc._cancel(n, d) == gcd_path(n, d)
+            assert cancel(n, d) == gcd_path(n, d)
             total = total + Scalar(n, d)
-            assert len(sc._factor_memo) <= 4
-            assert len(sc._products) == len(sc._product_factors) <= 4
         want = Scalar.zero()
         for a in range(1, 12):
             want = cross_multiplied_sum(want, Scalar(n, binomial(a, (1, 0))))
-        assert total.num.terms == want.num.terms and total.den.terms == want.den.terms
+        assert total.num.terms == want.num.terms
+        assert sc._expand(total.den).terms == sc._expand(want.den).terms
+        # more distinct keys than fit: u + c for |c| > 1 is no cyclotomic
+        # product, and the products of distinct pool factors are distinct
+        pool = CYCLO_POOL[:11]
+        for c in range(2, sc._FACTOR_MEMO_MAX + 12):
+            sc._factor_cyclotomic(((c, 0), (1, 0)))
+        for mask in range(1, sc._FACTOR_MEMO_MAX + 12):
+            sc._expand(tuple(sorted((f, 1) for j, f in enumerate(pool) if mask >> j & 1)))
+        for cache in caches:
+            assert cache.cache_info().currsize == sc._FACTOR_MEMO_MAX
+
+
+def cancel(n, d):
+    """`sc._cancel` with the denominator left expanded."""
+    n, factors = sc._cancel(n, d)
+    return n, sc._expand(factors)
 
 
 def cross_multiplied_sum(a, b):
     """a + b as it was formed before sums over the lcm: the cross-multiplied
     numerator over the product of the denominators, then normalized."""
-    return Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+    a_den, b_den = sc._expand(a.den), sc._expand(b.den)
+    return Scalar(a.num * b_den + b.num * a_den, a_den * b_den)
 
 
 def rand_numerator(rng):
@@ -627,7 +643,7 @@ class TestSumOverLcm:
         for x, y in ((a, b), (a, -b)):
             got, want = x + y, cross_multiplied_sum(x, y)
             assert got.num.terms == want.num.terms, (x, y)
-            assert got.den.terms == want.den.terms, (x, y)
+            assert sc._expand(got.den).terms == sc._expand(want.den).terms, (x, y)
         return a + b
 
     def scalar(self, rng, factors):
@@ -649,7 +665,8 @@ class TestSumOverLcm:
             fs = rng.sample(CYCLO_POOL, 4)
             a = self.scalar(rng, [(fs[0], rng.randrange(1, 3)), (fs[1], 1)])
             b = self.scalar(rng, [(fs[2], 1), (fs[3], rng.randrange(1, 3))])
-            assert self.check(a, b).den == a.den * b.den
+            assert sc._expand(self.check(a, b).den) == \
+                sc._expand(a.den) * sc._expand(b.den)
 
     def test_equal_multiplicity_cancels(self):
         # b = s - a, with s free of f: in a + b = s, f cancels
@@ -697,7 +714,7 @@ class TestSumOverLcm:
             assert (a - a).is_zero() and (a + (-a)).is_zero()
             assert self.check(a, -a).is_zero()
             one_den = Scalar(rand_numerator(rng))
-            assert one_den.den.is_one()
+            assert sc._expand(one_den.den).is_one()
             self.check(a, one_den)
             self.check(one_den, a)
 
@@ -749,7 +766,9 @@ def test_canonical_form_digest():
 
 
 def multiplicity(f, den):
-    """How often the cyclotomic factor f divides the denominator den."""
+    """How often the cyclotomic factor f divides the denominator whose
+    factorization is den."""
+    den = sc._expand(den)
     dense = [den.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(den.degree_in(0) + 1)]
     k = 0
     while (dense := sc._divide_out(f, dense)) is not None:

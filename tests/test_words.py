@@ -76,11 +76,11 @@ class TestStandardElements:
 class TestIdempotents:
     def test_inner_word_count(self):
         num, n = wd.idempotent_expr("p_i_111", 3, i=1)
-        assert num.word_count() == 6
+        assert len(num.terms) == 6
 
     def test_boundary_word_count(self):
         num, _ = wd.idempotent_expr("p0_e12", 2)
-        assert num.word_count() == 8
+        assert len(num.terms) == 8
 
     def test_normalizers(self):
         t, t0, tk = U * U, U0 * U0, UK * UK
