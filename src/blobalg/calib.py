@@ -271,8 +271,9 @@ class CalibratedModule:
                                   for j in range(1, self.k + 1)), start=self.z)
                        for m in range(self.n)]
         self._tk: Optional[Matrix] = None
+        self._t_inv: Dict[int, Matrix] = {}
         self._e_cache: Dict[object, Matrix] = {}
-        self._word_cache: Dict[tuple, Matrix] = {}
+        self._word_cache: Dict[Tuple[tuple, Optional[int]], Matrix] = {}
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
@@ -318,7 +319,9 @@ class CalibratedModule:
 
     # -- derived matrices -----------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
-        return mat_shift(self.T[i], self.f0 if i == 0 else self.fu)
+        if i not in self._t_inv:
+            self._t_inv[i] = mat_shift(self.T[i], self.f0 if i == 0 else self.fu)
+        return self._t_inv[i]
 
     def tk_matrix(self) -> Matrix:
         """T_k via conjugating W_1 T_0^-1 back to the right wall."""
@@ -346,25 +349,29 @@ class CalibratedModule:
         a = Scalar.from_int(wd.A_SIGN)
         return mat_scale(mat_shift(self.T[i], U), a)
 
-    def evaluate_word(self, expr: wd.GenExpr) -> Matrix:
-        """The Scalar-linear combination of word products of generator matrices."""
+    def evaluate_word(self, expr: wd.GenExpr, row: Optional[int] = None) -> Matrix:
+        """The Scalar-linear combination of word products of generator
+        matrices; with `row`, the one-row matrix of its row `row`."""
         if expr.k != self.k:
             raise CalibError("expression k=%d on module k=%d" % (expr.k, self.k))
-        total = mat_zero(self.n)
+        total = mat_zero(self.n if row is None else 1)
         for word, coeff in expr.terms.items():
             total = mat_add(total,
-                            mat_scale(self._word_matrix(word),
+                            mat_scale(self._word_matrix(word, row),
                                       self.spec.specialize(coeff)))
         return total
 
-    def _word_matrix(self, word: tuple) -> Matrix:
+    def _word_matrix(self, word: tuple, row: Optional[int] = None) -> Matrix:
+        """The product of the word's letter matrices; with `row`, the
+        one-row matrix e_row times that product."""
         if not word:
-            return mat_identity(self.n)
-        if word in self._word_cache:
-            return self._word_cache[word]
-        mat = mat_mul(self._word_matrix(word[:-1]), self._letter_matrix(word[-1]))
+            return mat_identity(self.n) if row is None else [{row: ONE}]
+        key = (word, row)
+        if key in self._word_cache:
+            return self._word_cache[key]
+        mat = mat_mul(self._word_matrix(word[:-1], row), self._letter_matrix(word[-1]))
         if len(self._word_cache) < 4096:
-            self._word_cache[word] = mat
+            self._word_cache[key] = mat
         return mat
 
     def _letter_matrix(self, letter) -> Matrix:
@@ -688,29 +695,33 @@ def idempotent_nullity(m: CalibratedModule) -> dict:
 
     The boundary pair differences N0*(p - p') and Nk*(p - p') equal the
     relators F0 and F0v up to the unit factors [[t0]] and [[tk]]; the
-    cheaper relator form is evaluated (the equality is pinned by tests)."""
-    k = m.k
-    report = {"vanish": {}, "is_tl_module": True}
-    for i in range(1, k - 1):
-        num, _ = wd.idempotent_expr("p_i_111", k, i=i)
-        mat = m.evaluate_word(num)
-        report["vanish"]["p_%d_111" % i] = mat_is_zero(mat)
-    if k >= 2:
-        f0 = m.evaluate_word(wd.f_element("F0", k))
-        report["vanish"]["p0_pair"] = mat_is_zero(f0)
-        f0v = _f0v_matrix(m)
-        report["vanish"]["p0v_pair"] = mat_is_zero(f0v)
-    report["is_tl_module"] = all(report["vanish"].values())
-    return report
+    cheaper relator form is evaluated (the equality is pinned by tests).
+
+    Each relator is computed one row at a time, row e_r times the relator
+    for r = 0, 1, ..., n-1, and is decided exactly: it does not vanish at
+    its first nonzero row, and it vanishes once every row is zero."""
+    relators = {}
+    for i in range(1, m.k - 1):
+        num, _ = wd.idempotent_expr("p_i_111", m.k, i=i)
+        relators["p_%d_111" % i] = functools.partial(m.evaluate_word, num)
+    if m.k >= 2:
+        relators["p0_pair"] = functools.partial(m.evaluate_word, wd.f_element("F0", m.k))
+        relators["p0v_pair"] = functools.partial(_f0v_matrix, m)
+    vanish = {name: all(mat_is_zero(relator(row=r)) for r in range(m.n))
+              for name, relator in relators.items()}
+    return {"vanish": vanish, "is_tl_module": all(vanish.values())}
 
 
-def _f0v_matrix(m: CalibratedModule) -> Matrix:
-    """a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, via the diagonal wall word."""
+def _f0v_matrix(m: CalibratedModule, row: Optional[int] = None) -> Matrix:
+    """a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, via the diagonal wall word
+    a_k e_0v = W_1 T_0^-1 - uk, multiplied out from the left; with `row`,
+    the one-row matrix of its row `row`, from that row of the leftmost a e_1."""
     a = Scalar.from_int(wd.A_SIGN)
-    ae1 = mat_scale(m.e_matrix(1), a)
-    v = mat_shift(mat_mul(m.W[0], m.t_inv(0)), m.uks)
-    first = mat_mul(mat_mul(ae1, v), ae1)
-    return mat_sub(first, mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
+    e1 = m.e_matrix(1)
+    ae1 = mat_scale(e1 if row is None else [e1[row]], a)
+    first = mat_sub(mat_mul(mat_mul(ae1, m.W[0]), m.t_inv(0)), mat_scale(ae1, m.uks))
+    return mat_sub(mat_scale(mat_mul(first, e1), a),
+                   mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
 
 
 def f_matrices(m: CalibratedModule) -> Dict[str, Matrix]:

@@ -166,18 +166,36 @@ def cmd_module(args) -> int:
     return 0 if pres["passed"] else CHECK_FAILED
 
 
+# each suite's own options of `verify`, with their defaults; any other
+# suite refuses them
+VERIFY_OPTIONS = {
+    "relations": {"max_k": 6},
+    "presentation": {"trials": 10},
+    "classification": {"r1": Fraction(3, 2), "r2": Fraction(11, 2),
+                       "bound_diag": Fraction(7)},
+}
+
+
 def cmd_verify(args) -> int:
     from . import verify as vf
     suite_fns = {"relations": vf.suite_relations, "theorem3": vf.suite_theorem3,
                  "presentation": vf.suite_presentation,
                  "classification": vf.suite_classification}
-    if args.suite == "relations" and args.k > args.max_k:
-        return _fail("relations suite limited to k <= %d" % args.max_k)
+    given = vars(args)
+    for suite, options in VERIFY_OPTIONS.items():
+        for name in options:
+            if name in given and suite != args.suite:
+                return _fail("--%s is an option of verify %s only"
+                             % (name.replace("_", "-"), suite))
+    opts = {name: given.get(name, default)
+            for name, default in VERIFY_OPTIONS.get(args.suite, {}).items()}
+    if args.suite == "relations" and args.k > opts["max_k"]:
+        return _fail("relations suite limited to k <= %d" % opts["max_k"])
     kwargs = {"k": args.k}
     if args.suite == "classification":
-        kwargs.update(r1=args.r1, r2=args.r2, bound=args.bound_diag)
+        kwargs.update(r1=opts["r1"], r2=opts["r2"], bound=opts["bound_diag"])
     if args.suite == "presentation":
-        kwargs.update(trials=args.trials, seed=args.seed)
+        kwargs.update(trials=opts["trials"], seed=args.seed)
     report = suite_fns[args.suite](**kwargs)
     print(json.dumps(report) if args.json else _render_report(report))
     return 0 if report["passed"] else CHECK_FAILED
@@ -297,11 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("relations", "theorem3", "presentation",
                                      "classification"))
     p.add_argument("--k", type=_int_from(1), default=2)
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--r1", type=Fraction, default="3/2")
-    p.add_argument("--r2", type=Fraction, default="11/2")
-    p.add_argument("--bound-diag", type=Fraction, default="7")
-    p.add_argument("--trials", type=int, default=10)
+    # a suite's own options are left unset when omitted, so that another
+    # suite can refuse them (VERIFY_OPTIONS holds the defaults)
+    unset = argparse.SUPPRESS
+    p.add_argument("--max-k", type=int, default=unset, help="relations only")
+    p.add_argument("--r1", type=Fraction, default=unset, help="classification only")
+    p.add_argument("--r2", type=Fraction, default=unset, help="classification only")
+    p.add_argument("--bound-diag", type=Fraction, default=unset,
+                   help="classification only")
+    p.add_argument("--trials", type=int, default=unset, help="presentation only")
     p.set_defaults(fn=cmd_verify)
 
     p = add_parser("schurweyl", help="tensor-space tables and graphs")

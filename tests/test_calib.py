@@ -9,6 +9,7 @@ import pytest
 from blobalg import calib as cb
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
+from blobalg import verify as vf
 from blobalg import words as wd
 from blobalg.scalars import (ONE, EvalRetry, Scalar, U, bb, eval_mod, qint,
                              random_point, random_prime)
@@ -512,6 +513,91 @@ class TestIdempotents:
         rep = cb.idempotent_nullity(m)
         assert not rep["vanish"]["p_1_111"]
         assert not rep["is_tl_module"]
+
+
+def reference_relators(m):
+    """The relators idempotent_nullity decides, each built in full, as they
+    were before it decided them row by row; F0v is multiplied out in the
+    order it had then, through the matrix of W_1 T_0^-1 - uk."""
+    out = {}
+    for i in range(1, m.k - 1):
+        num, _ = wd.idempotent_expr("p_i_111", m.k, i=i)
+        out["p_%d_111" % i] = m.evaluate_word(num)
+    if m.k >= 2:
+        out["p0_pair"] = m.evaluate_word(wd.f_element("F0", m.k))
+        a = Scalar.from_int(wd.A_SIGN)
+        ae1 = cb.mat_scale(m.e_matrix(1), a)
+        v = cb.mat_shift(cb.mat_mul(m.W[0], m.t_inv(0)), m.uks)
+        out["p0v_pair"] = cb.mat_sub(cb.mat_mul(cb.mat_mul(ae1, v), ae1),
+                                     cb.mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
+    return out
+
+
+def reference_nullity(m):
+    """The oracle: which relators vanish, read off the full matrices."""
+    return {name: cb.mat_is_zero(mat) for name, mat in reference_relators(m).items()}
+
+
+def skew_regions(k, r1, r2, bound):
+    params = rg.RegionParams(F(r1), F(r2))
+    return [r for r in rg.enumerate_regions(k, params, F(bound)) if rg.is_skew(r)]
+
+
+class TestRowByRowNullity:
+    """idempotent_nullity decides each relator row by row; the verdicts
+    equal the full-matrix oracle's, and every row is the full matrix's."""
+
+    def assert_oracle(self, regions):
+        for region in regions:
+            m = cb.build_module(cb.ModuleSpec(region))
+            rep = cb.idempotent_nullity(m)
+            want = reference_nullity(m)
+            assert rep["vanish"] == want, region
+            assert rep["is_tl_module"] == all(want.values()), region
+
+    @pytest.mark.parametrize("r1, r2, count", [(F(3, 2), F(11, 2), 34), (1, 4, 40)])
+    def test_rank2_charts_match_oracle(self, r1, r2, count):
+        regions = skew_regions(2, r1, r2, 5)
+        assert len(regions) == count
+        self.assert_oracle(regions)
+
+    def test_rank3_sample_matches_oracle(self):
+        # all 9 quotient regions of the rank-3 chart at bound 5, and a
+        # seeded sample of the others
+        regions = skew_regions(3, F(3, 2), F(11, 2), 5)
+        quotient = [r for r in regions if rg.is_tl_shape(r)]
+        others = [r for r in regions if not rg.is_tl_shape(r)]
+        assert len(regions) == 70 and len(quotient) == 9
+        self.assert_oracle(quotient + random.Random(3).sample(others, 8))
+
+    def modules(self):
+        yield cb.build_module(cb.ModuleSpec(rg.LocalRegion(
+            TestIdempotents.FULL_REGION, frozenset(), PARAMS)))
+        yield cb.build_module(cb.ModuleSpec(rg.LocalRegion(
+            (F(3, 2), F(5, 2)), frozenset({("e", 1)}), PARAMS)))
+        yield two_row_module(3, 2)
+        yield cb.build_module(cb.ModuleSpec(next(
+            r for r in skew_regions(3, F(3, 2), F(11, 2), 5) if not rg.is_tl_shape(r))))
+
+    def test_rows_are_rows_of_the_full_matrix(self):
+        for m in self.modules():
+            exprs = [wd.f_element("F0", m.k), wd.f_element("Fk", m.k),
+                     wd.GenExpr.word(m.k, [wd.T0inv, wd.T(1, -1), wd.E0]),
+                     wd.GenExpr.one(m.k)]
+            exprs += [wd.idempotent_expr("p_i_111", m.k, i=i)[0]
+                      for i in range(1, m.k - 1)]
+            fulls = [m.evaluate_word(expr) for expr in exprs]
+            f0v = reference_relators(m)["p0v_pair"]
+            assert cb._f0v_matrix(m) == f0v
+            for r in range(m.n):
+                for expr, full in zip(exprs, fulls):
+                    assert m.evaluate_word(expr, row=r) == [full[r]], (m.region, r)
+                assert cb._f0v_matrix(m, row=r) == [f0v[r]], (m.region, r)
+
+    def test_rank3_chart(self):
+        rep = vf.suite_classification(k=3, r1=F(3, 2), r2=F(11, 2), bound=F(7))
+        assert rep["passed"] and rep["regions"] == len(rep["checks"]) == 217
+        assert len(rep["blue"]) == 15
 
 
 class TestCharactersAndB:

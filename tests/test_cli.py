@@ -98,6 +98,31 @@ class TestVerify:
                            "--trials", "0")
         assert rc == 2 and "trials" in err and "pass" not in out
 
+    def test_other_suites_options_are_usage_errors(self, capsys):
+        for argv, option in (
+                (["theorem3", "--trials", "5"], "--trials"),
+                (["relations", "--r1", "1"], "--r1"),
+                (["classification", "--bound-diag", "3", "--trials", "9"], "--trials"),
+                (["presentation", "--r2", "3"], "--r2"),
+                (["presentation", "--bound-diag", "3"], "--bound-diag"),
+                (["classification", "--max-k", "9"], "--max-k"),
+                (["theorem3", "--max-k", "9"], "--max-k")):
+            rc, out, err = run(capsys, "verify", *argv, "--k", "2")
+            assert rc == 2 and option in err and not out, argv
+
+    def test_suite_options_and_defaults(self, capsys):
+        rc, out, _ = run(capsys, "--json", "verify", "classification", "--k", "2",
+                         "--r1", "1", "--r2", "4", "--bound-diag", "5")
+        blob = json.loads(out)
+        assert rc == 0 and blob["passed"] and len(blob["checks"]) == 40
+        # omitted, the chart is (3/2, 11/2) at diagonal bound 7
+        rc, out, _ = run(capsys, "--json", "verify", "classification", "--k", "2")
+        blob = json.loads(out)
+        assert rc == 0 and blob["passed"] and len(blob["checks"]) == 71
+        assert run(capsys, "verify", "relations", "--k", "3", "--max-k", "2")[0] == 2
+        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "3")
+        assert rc == 0 and json.loads(out)["trials"] == 10
+
 
 class TestRegionAndModule:
     def test_region_report(self, capsys):
