@@ -20,15 +20,19 @@ family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; a ring only reduces, compares with zero, builds rows
-and lifts, and never divides.  The modular presentation check lifts the
-module's own exact matrices entrywise to Z/p, each distinct entry once per
-point, together with the exact shifts u - 1/u, u0 - 1/u0 and uk - 1/uk.
-The relations are checked in inverse-free (Bernstein) form: the quadratic
-relation as X (X - (lam - 1/lam)) = 1, C1 as
+and lifts, and never divides.  `m.over(ring)` is the module with its T, W
+and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted entrywise into the ring.
+One evaluator, `evaluate_word`, multiplies out generator words over the
+module's ring, in the letters of `words` and a diagonal letter W(j).
+
+Each relation is a pair of generator expressions (`_relations`), which a
+module satisfies when both evaluate to the same matrix, in inverse-free
+(Bernstein) form: the quadratic relation as X X = (lam - 1/lam) X + 1, C1 as
 T_i W_i = W_(i+1) T_i - (u - 1/u) W_(i+1) and
 T_i W_(i+1) = W_i T_i + (u - 1/u) W_(i+1), and C2 multiplied through by
 the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 +
-(uk - 1/uk) W_1.
+(uk - 1/uk) W_1.  A presentation check runs on a fresh copy, exact or
+lifted to Z/p, so it sees a change made to `m.T` after construction.
 
 The modular check draws its trials (p_t, point_t) from the seed, then makes
 one pass over Z/P, P the product of the trial primes, at the point that is
@@ -49,17 +53,18 @@ are canonical in both rings, so equal matrices compare equal with `==`;
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, bb, eval_mod, qint,
-                      random_point, random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, bb,
+                      eval_mod, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -201,19 +206,21 @@ def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
     return [ring.row({i: e}) for i, e in enumerate(entries)]
 
 
-def _tk_matrix(T, W, shift, shift0, ring=EXACT) -> Matrix:
-    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1 over `ring`,
-    given the shifts u - 1/u and u0 - 1/u0 that invert T_i and T_0."""
-    tk = mat_mul(W[0], mat_shift(T[0], shift0, ring), ring)
-    for i in range(1, len(W)):
-        tk = mat_mul(T[i], tk, ring)
-        tk = mat_mul(tk, mat_shift(T[i], shift, ring), ring)
-    return tk
-
-
 # ---------------------------------------------------------------------------
 # module specification and construction
 # ---------------------------------------------------------------------------
+
+# the shifts x - 1/x: T - (x - 1/x) inverts a generator T with eigenvalues
+# x and -1/x, for x = u (T_i), u0 (T_0) and uk (T_k)
+_SHIFT = {x: x - x.inv() for x in (U, U0, UK)}
+
+
+@functools.lru_cache(maxsize=1024)
+def _specialize(x: Scalar, u0_img, uk_img) -> Scalar:
+    if {VAR_INDEX["u0"], VAR_INDEX["uk"]}.isdisjoint(x.num.variables()):
+        return x  # only a numerator holds u0 or uk
+    return x.substitute_boundary(u0_img, uk_img)
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -235,8 +242,8 @@ class ModuleSpec:
         return (unit, int(r2 - r1)), (unit, int(r2 + r1))
 
     def specialize(self, x: Scalar) -> Scalar:
-        u0_img, uk_img = self.boundary_images()
-        return x.substitute_boundary(u0_img, uk_img)
+        """x at the boundary images, once for all specs that share them."""
+        return _specialize(x, *self.boundary_images())
 
 
 class CalibratedModule:
@@ -254,11 +261,8 @@ class CalibratedModule:
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
-        self.u0s = spec.specialize(Scalar.var("u0"))
-        self.uks = spec.specialize(Scalar.var("uk"))
-        # the shifts x - 1/x: T - (x - 1/x) inverts a generator T with
-        # eigenvalues x and -1/x, for x = u (T_i), u0 (T_0) and uk (T_k)
-        self.fu, self.f0, self.fk = (x - x.inv() for x in (U, self.u0s, self.uks))
+        self.u0s, self.uks = spec.specialize(U0), spec.specialize(UK)
+        self.fu, self.f0, self.fk = (spec.specialize(_SHIFT[x]) for x in (U, U0, UK))
         self.z = spec.z
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
         self._gammas = [{j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
@@ -270,10 +274,31 @@ class CalibratedModule:
         self.gamma0 = [math.prod((self._gammas[m][j].inv()
                                   for j in range(1, self.k + 1)), start=self.z)
                        for m in range(self.n)]
-        self._tk: Optional[Matrix] = None
-        self._t_inv: Dict[int, Matrix] = {}
-        self._e_cache: Dict[object, Matrix] = {}
-        self._word_cache: Dict[Tuple[tuple, Optional[int]], Matrix] = {}
+        self.ring, self._lift = EXACT, EXACT.lift
+        self._letters: Dict[wd.Letter, Matrix] = {}
+        self._word_cache: Dict[Tuple[tuple, int], Matrix] = {}
+
+    def over(self, ring) -> "CalibratedModule":
+        """A copy with empty caches whose T and W are the module's as they
+        are now, each distinct entry lifted into `ring` once; its letters
+        and words read coefficients through `_coeff`, lifted there once, so
+        lifting is the only step of their evaluation that can raise
+        `EvalRetry`.  The exact attributes u0s, uks, fu, f0, fk stay exact."""
+        lift = functools.cache(ring.lift)
+
+        def lift_matrix(mat: Matrix) -> Matrix:
+            return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
+
+        out = copy.copy(self)
+        out.ring, out._lift = ring, lift
+        out.T = {i: lift_matrix(t) for i, t in self.T.items()}
+        out.W = [lift_matrix(w) for w in self.W]
+        out._letters, out._word_cache = {}, {}
+        return out
+
+    def _coeff(self, c: Scalar):
+        """The coefficient c at the boundary parameters, in the ring."""
+        return self._lift(self.spec.specialize(c))
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
@@ -317,79 +342,108 @@ class CalibratedModule:
             raise CalibError("coincident neighbor diagonals at %s" % (self.basis[m],))
         return self.fu / (ONE - ratio)
 
-    # -- derived matrices -----------------------------------------------------
+    # -- words ----------------------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
-        if i not in self._t_inv:
-            self._t_inv[i] = mat_shift(self.T[i], self.f0 if i == 0 else self.fu)
-        return self._t_inv[i]
+        return self._letter(wd.T0inv if i == 0 else wd.T(i, -1))
 
     def tk_matrix(self) -> Matrix:
         """T_k via conjugating W_1 T_0^-1 back to the right wall."""
-        if self._tk is None:
-            self._tk = _tk_matrix(self.T, self.W, self.fu, self.f0)
-        return self._tk
+        return self._letter(wd.Tk)
 
     def tk_inv(self) -> Matrix:
-        return mat_shift(self.tk_matrix(), self.fk)
+        return self._letter(wd.Tkinv)
 
     def e_matrix(self, which) -> Matrix:
         """Images of the abstract cap/cup generators e_0, e_i, e_k."""
-        if which in self._e_cache:
-            return self._e_cache[which]
-        mat = self._e_matrix_raw(which)
-        self._e_cache[which] = mat
+        return self._letter({"e0": wd.E0, "ek": wd.Ek}.get(which) or wd.E(int(which)))
+
+    def _letter(self, letter) -> Matrix:
+        """A letter's matrix, built once per module: W_j, T_i, T_0, T_k
+        from its word `_tk_word`, an inverse as T - (x - 1/x) and a cap/cup
+        as a multiple of T - x, for T with eigenvalues x and -1/x."""
+        if letter in self._letters:
+            return self._letters[letter]
+        kind, ring = letter[0], self.ring
+        if kind == "W":
+            mat = self.W[letter[1] - 1]
+        else:
+            if kind in ("T0", "E0"):
+                base, x, cap = self.T[0], U0, A0.inv()
+            elif kind in ("Tk", "Ek"):
+                base, x, cap = self._word_matrix(_tk_word(self.k)), UK, AK.inv()
+            elif kind in ("T", "E"):
+                base, x, cap = self.T[letter[1]], U, Scalar.from_int(wd.A_SIGN)
+            else:
+                raise CalibError("unknown letter %r" % (letter,))
+            if kind[0] == "E":
+                mat = mat_scale(mat_shift(base, self._coeff(x), ring), self._coeff(cap), ring)
+            elif letter[-1] == 1:
+                mat = base
+            else:
+                mat = mat_shift(base, self._coeff(_SHIFT[x]), ring)
+        self._letters[letter] = mat
         return mat
 
-    def _e_matrix_raw(self, which) -> Matrix:
-        if which == "e0":
-            return mat_scale(mat_shift(self.T[0], self.u0s), A0.inv())
-        if which == "ek":
-            return mat_scale(mat_shift(self.tk_matrix(), self.uks), AK.inv())
-        i = int(which)
-        a = Scalar.from_int(wd.A_SIGN)
-        return mat_scale(mat_shift(self.T[i], U), a)
-
     def evaluate_word(self, expr: wd.GenExpr, row: Optional[int] = None) -> Matrix:
-        """The Scalar-linear combination of word products of generator
-        matrices; with `row`, the one-row matrix of its row `row`."""
+        """The linear combination of word products of generator matrices,
+        over the module's ring; with `row`, the one-row matrix of its row
+        `row`.  The result may share rows with the letter matrices or the
+        cached row products: copy it before changing it."""
         if expr.k != self.k:
             raise CalibError("expression k=%d on module k=%d" % (expr.k, self.k))
-        total = mat_zero(self.n if row is None else 1)
+        ring = self.ring
+        total = None
         for word, coeff in expr.terms.items():
-            total = mat_add(total,
-                            mat_scale(self._word_matrix(word, row),
-                                      self.spec.specialize(coeff)))
-        return total
+            mat = self._word_matrix(word, row)
+            if not coeff.is_one():
+                mat = mat_scale(mat, self._coeff(coeff), ring)
+            total = mat if total is None else mat_add(total, mat, ring)
+        return mat_zero(self.n if row is None else 1) if total is None else total
 
     def _word_matrix(self, word: tuple, row: Optional[int] = None) -> Matrix:
         """The product of the word's letter matrices; with `row`, the
-        one-row matrix e_row times that product."""
+        one-row matrix e_row times that product.
+
+        A row takes the letters from the left, and its products are kept:
+        a relator's terms and rows share their prefixes.  A whole word is
+        the square of its half, or grows from its middle outwards one
+        letter at a time, alternately on the left and on the right, so
+        that a dense T_k meets its sparse neighbours before any longer
+        product; its products are not kept, since a dense one holds n^2
+        entries."""
+        ring = self.ring
         if not word:
-            return mat_identity(self.n) if row is None else [{row: ONE}]
+            return mat_identity(self.n, ring) if row is None else [{row: ring.one}]
+        if len(word) == 1:
+            letter = self._letter(word[0])
+            return letter if row is None else [letter[row]]
+        if row is None:
+            half = len(word) // 2
+            if word[:half] == word[half:]:
+                mat = self._word_matrix(word[:half])
+                return mat_mul(mat, mat, ring)
+            if len(word) % 2 == 0:
+                return mat_mul(self._letter(word[0]), self._word_matrix(word[1:]), ring)
+            return mat_mul(self._word_matrix(word[:-1]), self._letter(word[-1]), ring)
         key = (word, row)
         if key in self._word_cache:
             return self._word_cache[key]
-        mat = mat_mul(self._word_matrix(word[:-1], row), self._letter_matrix(word[-1]))
+        mat = mat_mul(self._word_matrix(word[:-1], row), self._letter(word[-1]), ring)
         if len(self._word_cache) < 4096:
             self._word_cache[key] = mat
         return mat
 
-    def _letter_matrix(self, letter) -> Matrix:
-        kind = letter[0]
-        if kind == "T0":
-            return self.T[0] if letter[1] == 1 else self.t_inv(0)
-        if kind == "Tk":
-            return self.tk_matrix() if letter[1] == 1 else self.tk_inv()
-        if kind == "T":
-            i = letter[1]
-            return self.T[i] if letter[2] == 1 else self.t_inv(i)
-        if kind == "E0":
-            return self.e_matrix("e0")
-        if kind == "Ek":
-            return self.e_matrix("ek")
-        if kind == "E":
-            return self.e_matrix(letter[1])
-        raise CalibError("unknown letter %r" % (letter,))
+
+def W(j: int) -> wd.Letter:
+    """The letter of the diagonal W_j, which only module matrices evaluate;
+    the diagram side expands W_j into T letters (`words.murphy_word`)."""
+    return ("W", j)
+
+
+def _tk_word(k: int) -> wd.Word:
+    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1."""
+    return tuple([wd.T(i) for i in range(k - 1, 0, -1)] + [W(1), wd.T0inv]
+                 + [wd.T(i, -1) for i in range(1, k)])
 
 
 def symmetric_form(m: CalibratedModule, ring=EXACT):
@@ -441,136 +495,73 @@ def build_module(spec: ModuleSpec) -> CalibratedModule:
 # presentation checking
 # ---------------------------------------------------------------------------
 
-def _relations(m: CalibratedModule) -> List[Tuple[str, tuple]]:
-    """Named relations as (label, checker tag) pairs; the tags are
-    interpreted by _check_relation over an exact or modular environment."""
-    k = m.k
-    rels: List[Tuple[str, tuple]] = []
+@functools.cache
+def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
+    """The named relations as (name, lhs, rhs) generator expressions over the
+    letters T_0, T_i, T_k, their inverses and the diagonal W_j; a module
+    satisfies one when both sides evaluate to the same matrix."""
+    def w(*letters):
+        return wd.GenExpr.word(k, letters)
+
+    def t(i):
+        return wd.T0 if i == 0 else wd.T(i)
+
+    def commute(a, b):
+        return w(a, b), w(b, a)
+
+    fu, f0, fk = _SHIFT[U], _SHIFT[U0], _SHIFT[UK]
+    rels = []
     for i in range(1, k - 1):
         rels.append(("B1:T%dT%dT%d" % (i, i + 1, i),
-                     ("braid3", i, i + 1)))
+                     w(t(i), t(i + 1), t(i)), w(t(i + 1), t(i), t(i + 1))))
     for i in range(1, k):
         for j in range(i + 2, k):
-            rels.append(("B1:T%dT%d" % (i, j), ("commute", i, j)))
+            rels.append(("B1:T%dT%d" % (i, j), *commute(t(i), t(j))))
         if i >= 2:
-            rels.append(("B1:T0T%d" % i, ("commute", 0, i)))
+            rels.append(("B1:T0T%d" % i, *commute(t(0), t(i))))
     if k >= 2:
-        rels.append(("B1:T0T1T0T1", ("braid4", 0, 1)))
+        rels.append(("B1:T0T1T0T1", w(t(0), t(1), t(0), t(1)), w(t(1), t(0), t(1), t(0))))
     for i in range(0, k):
         for j in range(1, k + 1):
             if i == 0 and j != 1:
-                rels.append(("B3:T0W%d" % j, ("commuteW", 0, j)))
+                rels.append(("B3:T0W%d" % j, *commute(t(0), W(j))))
             if i >= 1 and j not in (i, i + 1):
-                rels.append(("B4:T%dW%d" % (i, j), ("commuteW", i, j)))
+                rels.append(("B4:T%dW%d" % (i, j), *commute(t(i), W(j))))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            rels.append(("B2:W%dW%d" % (i, j), ("commuteWW", i, j)))
-    rels.append(("H:T0", ("quad", 0)))
+            rels.append(("B2:W%dW%d" % (i, j), *commute(W(i), W(j))))
+    # the quadratic relations (X - x)(X + 1/x) = 0 as X X = (x - 1/x) X + 1
+    rels.append(("H:T0", w(t(0), t(0)), f0 * w(t(0)) + ONE))
     for i in range(1, k):
-        rels.append(("H:T%d" % i, ("quad", i)))
-    rels.append(("H:Tk", ("quad", "k")))
+        rels.append(("H:T%d" % i, w(t(i), t(i)), fu * w(t(i)) + ONE))
+    rels.append(("H:Tk", w(wd.Tk, wd.Tk), fk * w(wd.Tk) + ONE))
     for i in range(1, k):
-        rels.append(("C1:T%dW%d" % (i, i), ("c1a", i)))
-        rels.append(("C1:T%dW%d" % (i, i + 1), ("c1b", i)))
-    rels.append(("C2:T0W1", ("c2",)))
+        rels.append(("C1:T%dW%d" % (i, i), w(t(i), W(i)),
+                     w(W(i + 1), t(i)) - fu * w(W(i + 1))))
+        rels.append(("C1:T%dW%d" % (i, i + 1), w(t(i), W(i + 1)),
+                     w(W(i), t(i)) + fu * w(W(i + 1))))
+    # T_0 W_1 = W_1^-1 T_0 + (u0 - 1/u0) W_1 + (uk - 1/uk), times W_1 on
+    # the left
+    rels.append(("C2:T0W1", w(W(1), t(0), W(1)),
+                 w(t(0)) + f0 * w(W(1), W(1)) + fk * w(W(1))))
     # wall-generator consistency
     if k >= 2:
-        rels.append(("ext:T%dTkT%dTk" % (k - 1, k - 1), ("braid4k",)))
+        rels.append(("ext:T%dTkT%dTk" % (k - 1, k - 1),
+                     w(t(k - 1), wd.Tk, t(k - 1), wd.Tk),
+                     w(wd.Tk, t(k - 1), wd.Tk, t(k - 1))))
     for i in range(1, k - 1):
-        rels.append(("ext:TkT%d" % i, ("commutek", i)))
+        rels.append(("ext:TkT%d" % i, *commute(t(i), wd.Tk)))
     if k >= 2:
-        rels.append(("ext:TkT0", ("commutek", 0)))
-    rels.append(("ext:W1word", ("w1word",)))
-    return rels
+        rels.append(("ext:TkT0", *commute(t(0), wd.Tk)))
+    # W_1 = T_1^-1 ... T_{k-1}^-1 T_k T_{k-1} ... T_1 T_0
+    rels.append(("ext:W1word", wd.murphy_expr(k, 1), w(W(1))))
+    return tuple(rels)
 
 
-class _Env:
-    """The module's own generator matrices lifted entrywise into `ring`,
-    with T_k built there by the word `CalibratedModule.tk_matrix` uses.
-    Each distinct entry is lifted once: the generators share few values.
-    The shifts u - 1/u, u0 - 1/u0 and uk - 1/uk are lifted like entries,
-    so lifting is the only step that can raise `EvalRetry`."""
-
-    def __init__(self, m: CalibratedModule, ring=EXACT):
-        self.ring = ring
-        self.k = m.k
-        lift = functools.cache(ring.lift)
-
-        def lift_matrix(mat: Matrix) -> Matrix:
-            return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
-
-        self.T = {i: lift_matrix(t) for i, t in m.T.items()}
-        self.W = [lift_matrix(w) for w in m.W]
-        self.fu, self.f0, self.fk = lift(m.fu), lift(m.f0), lift(m.fk)
-        self.Tk = _tk_matrix(self.T, self.W, self.fu, self.f0, ring)
-
-
-def _check_relation(env: _Env, tag: tuple) -> bool:
-    T, W, Tk, ring = env.T, env.W, env.Tk, env.ring
-
-    def mul(a, b):
-        return mat_mul(a, b, ring)
-
-    kind = tag[0]
-    if kind == "braid3":
-        i, j = tag[1], tag[2]
-        return mat_eq(mul(mul(T[i], T[j]), T[i]), mul(mul(T[j], T[i]), T[j]))
-    if kind in ("braid4", "braid4k"):
-        a, b = (T[tag[1]], T[tag[2]]) if kind == "braid4" else (T[env.k - 1], Tk)
-        ab, ba = mul(a, b), mul(b, a)
-        return mat_eq(mul(ab, ab), mul(ba, ba))
-    if kind == "commute":
-        i, j = tag[1], tag[2]
-        return mat_eq(mul(T[i], T[j]), mul(T[j], T[i]))
-    if kind == "commutek":
-        i = tag[1]
-        return mat_eq(mul(T[i], Tk), mul(Tk, T[i]))
-    if kind == "commuteW":
-        i, wm = tag[1], W[tag[2] - 1]
-        return mat_eq(mul(T[i], wm), mul(wm, T[i]))
-    if kind == "commuteWW":
-        a, b = W[tag[1] - 1], W[tag[2] - 1]
-        return mat_eq(mul(a, b), mul(b, a))
-    if kind == "quad":
-        if tag[1] == "k":
-            mat, shift = Tk, env.fk
-        elif tag[1] == 0:
-            mat, shift = T[0], env.f0
-        else:
-            mat, shift = T[tag[1]], env.fu
-        # (X - lam)(X + 1/lam) = 0, that is X (X - (lam - 1/lam)) = 1
-        return mat_eq(mul(mat, mat_shift(mat, shift, ring)),
-                      mat_identity(len(mat), ring))
-    if kind in ("c1a", "c1b"):
-        # T_i W_i = W_{i+1} T_i - (u - 1/u) W_{i+1} and
-        # T_i W_{i+1} = W_i T_i + (u - 1/u) W_{i+1}
-        i = tag[1]
-        d = mat_scale(W[i], env.fu, ring)
-        if kind == "c1a":
-            return mat_eq(mul(T[i], W[i - 1]), mat_sub(mul(W[i], T[i]), d, ring))
-        return mat_eq(mul(T[i], W[i]), mat_add(mul(W[i - 1], T[i]), d, ring))
-    if kind == "c2":
-        # T_0 W_1 = W_1^-1 T_0 + (u0 - 1/u0) W_1 + (uk - 1/uk), times W_1
-        # on the left: W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 + (uk - 1/uk) W_1
-        w1 = W[0]
-        rhs = mat_add(mat_scale(mul(w1, w1), env.f0, ring),
-                      mat_scale(w1, env.fk, ring), ring)
-        return mat_eq(mul(mul(w1, T[0]), w1), mat_add(T[0], rhs, ring))
-    if kind == "w1word":
-        # W_1 = T_1^-1 ... T_{k-1}^-1 Tk T_{k-1} ... T_1 T_0
-        cur = Tk
-        for i in range(env.k - 1, 0, -1):
-            cur = mul(cur, T[i])
-        cur = mul(cur, T[0])
-        for i in range(env.k - 1, 0, -1):
-            cur = mul(mat_shift(T[i], env.fu, ring), cur)
-        return mat_eq(cur, W[0])
-    raise CalibError("unknown relation tag %r" % (tag,))
-
-
-def _failing(env: _Env, rels) -> List[str]:
-    """Names of the relations that fail on env, in order."""
-    return [name for name, tag in rels if not _check_relation(env, tag)]
+def _failing(m: CalibratedModule, rels) -> Iterator[str]:
+    """Names of the relations that fail on m, in order, checked lazily."""
+    return (name for name, lhs, rhs in rels
+            if m.evaluate_word(lhs) != m.evaluate_word(rhs))
 
 
 _ATTEMPTS = 20  # consecutive unusable points before the check gives up
@@ -619,11 +610,12 @@ def _modular_trials(m: CalibratedModule, rels, trials: int,
         failing = {}
         for group in passes:
             try:
-                env = _Env(m, _crt_ring([drawn[j] for j in group.values()]))
+                fails = list(_failing(
+                    m.over(_crt_ring([drawn[j] for j in group.values()])), rels))
             except EvalRetry as exc:
                 bad.update(j for p, j in group.items() if exc.residue % p == 0)
                 break
-            failing.update(dict.fromkeys(group.values(), _failing(env, rels)))
+            failing.update(dict.fromkeys(group.values(), fails))
         else:
             return ([drawn[j] for j in usable], len(bad),
                     [failing[j] for j in usable])
@@ -634,15 +626,15 @@ def _modular_trials(m: CalibratedModule, rels, trials: int,
                 raise CalibError("could not find a usable evaluation point")
 
 
-def _replay_witness(m: CalibratedModule, tags: dict, points, suspects):
+def _replay_witness(m: CalibratedModule, rels, points, suspects):
     """The first failing relation at the first failing trial, found by
     replaying each suspect relation at the trial's own prime and point."""
     for trial, ((p, point), names) in enumerate(zip(points, suspects)):
         if names:
-            env = _Env(m, ModRing(p, point))
-            for name in names:
-                if not _check_relation(env, tags[name]):
-                    return dict(relation=name, p=p, trial=trial, point=point)
+            name = next(_failing(m.over(ModRing(p, point)),
+                                 [r for r in rels if r[0] in names]), None)
+            if name is not None:
+                return dict(relation=name, p=p, trial=trial, point=point)
     return None
 
 
@@ -658,27 +650,27 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     per-relation pass/fail, the first failing witness (the first failing
     relation at the first failing trial), the trial primes and the number
     of discarded candidate points; a modular witness carries p and the
-    point, so `_check_relation` can replay it."""
+    point, so the relation can be replayed over `m.over(ModRing(p, point))`."""
     if exact is None:
         exact = m.k <= 2
     if not exact and trials < 1:
         raise CalibError("modular presentation check needs trials >= 1, got %d"
                          % trials)
-    rels = _relations(m)
+    rels = _relations(m.k)
     report = {"mode": "exact" if exact else "modular",
-              "relations": {name: True for name, _ in rels},
+              "relations": {name: True for name, _, _ in rels},
               "passed": True, "witness": None, "trials": 0 if exact else trials,
               "seed": seed, "primes": [], "discarded": 0}
     if exact:
-        failing = _failing(_Env(m), rels)
+        failing = list(_failing(m.over(EXACT), rels))
         if failing:
             report["witness"] = {"relation": failing[0]}
     else:
         points, report["discarded"], suspects = _modular_trials(
             m, rels, trials, random.Random(seed), prime_bits)
         report["primes"] = [p for p, _ in points]
-        failing = [name for name, _ in rels if any(name in s for s in suspects)]
-        report["witness"] = _replay_witness(m, dict(rels), points, suspects)
+        failing = [name for name, _, _ in rels if any(name in s for s in suspects)]
+        report["witness"] = _replay_witness(m, rels, points, suspects)
     for name in failing:
         report["relations"][name] = False
     report["passed"] = not failing
@@ -703,25 +695,20 @@ def idempotent_nullity(m: CalibratedModule) -> dict:
     relators = {}
     for i in range(1, m.k - 1):
         num, _ = wd.idempotent_expr("p_i_111", m.k, i=i)
-        relators["p_%d_111" % i] = functools.partial(m.evaluate_word, num)
+        relators["p_%d_111" % i] = num
     if m.k >= 2:
-        relators["p0_pair"] = functools.partial(m.evaluate_word, wd.f_element("F0", m.k))
-        relators["p0v_pair"] = functools.partial(_f0v_matrix, m)
-    vanish = {name: all(mat_is_zero(relator(row=r)) for r in range(m.n))
-              for name, relator in relators.items()}
+        relators["p0_pair"] = wd.f_element("F0", m.k)
+        relators["p0v_pair"] = _f0v_expr(m.k)
+    vanish = {name: all(mat_is_zero(m.evaluate_word(expr, row=r)) for r in range(m.n))
+              for name, expr in relators.items()}
     return {"vanish": vanish, "is_tl_module": all(vanish.values())}
 
 
-def _f0v_matrix(m: CalibratedModule, row: Optional[int] = None) -> Matrix:
-    """a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, via the diagonal wall word
-    a_k e_0v = W_1 T_0^-1 - uk, multiplied out from the left; with `row`,
-    the one-row matrix of its row `row`, from that row of the leftmost a e_1."""
-    a = Scalar.from_int(wd.A_SIGN)
-    e1 = m.e_matrix(1)
-    ae1 = mat_scale(e1 if row is None else [e1[row]], a)
-    first = mat_sub(mat_mul(mat_mul(ae1, m.W[0]), m.t_inv(0)), mat_scale(ae1, m.uks))
-    return mat_sub(mat_scale(mat_mul(first, e1), a),
-                   mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
+def _f0v_expr(k: int) -> wd.GenExpr:
+    """F0v = a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, with a_k e_0v = W_1 T_0^-1 - uk."""
+    ae1 = wd.ae(k, 1)
+    e0v = wd.GenExpr.word(k, [W(1), wd.T0inv]) - UK
+    return ae1 * e0v * ae1 - ae1.scale(bb("tk/t"))
 
 
 def f_matrices(m: CalibratedModule) -> Dict[str, Matrix]:
@@ -732,7 +719,7 @@ def f_matrices(m: CalibratedModule) -> Dict[str, Matrix]:
     if m.k >= 2:
         out["F0"] = m.evaluate_word(wd.f_element("F0", m.k))
         out["Fk"] = m.evaluate_word(wd.f_element("Fk", m.k))
-        out["F0v"] = _f0v_matrix(m)
+        out["F0v"] = m.evaluate_word(_f0v_expr(m.k))
     return out
 
 

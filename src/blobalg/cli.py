@@ -134,7 +134,7 @@ def cmd_module(args) -> int:
     J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
     region = rg.LocalRegion(args.c, J, params)
     module = cb.build_module(cb.ModuleSpec(region, branch=args.branch))
-    pres = cb.check_presentation(module, trials=args.trials, seed=args.seed)
+    pres = cb.check_presentation(module, args.trials, seed=getattr(args, "seed", 0))
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
            "symmetrizable": cb.symmetric_form(module) is not None,
@@ -170,7 +170,7 @@ def cmd_module(args) -> int:
 # suite refuses them
 VERIFY_OPTIONS = {
     "relations": {"max_k": 6},
-    "presentation": {"trials": 10},
+    "presentation": {"trials": 10, "seed": 0},
     "classification": {"r1": Fraction(3, 2), "r2": Fraction(11, 2),
                        "bound_diag": Fraction(7)},
 }
@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
     if args.suite == "classification":
         kwargs.update(r1=opts["r1"], r2=opts["r2"], bound=opts["bound_diag"])
     if args.suite == "presentation":
-        kwargs.update(trials=opts["trials"], seed=args.seed)
+        kwargs.update(trials=opts["trials"], seed=opts["seed"])
     report = suite_fns[args.suite](**kwargs)
     print(json.dumps(report) if args.json else _render_report(report))
     return 0 if report["passed"] else CHECK_FAILED
@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="blobalg",
                                  description="two-boundary Temperley-Lieb workbench")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    # --seed is left unset when omitted, so that a command can refuse it
+    ap.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                    help="seed for randomized checks (verify presentation, module)")
     # the same flags are accepted after the subcommand without clobbering
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -350,7 +352,8 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         ap.print_help()
         return USAGE_ERROR
-    # propagate globals set before the subcommand
+    if "seed" in vars(args) and args.command not in ("module", "verify"):
+        return _fail("--seed is an option of verify presentation and module only")
     try:
         return args.fn(args)
     except (rg.RegionError, cb.CalibError, dg.DiagramError, wd.WordError,

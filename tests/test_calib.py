@@ -1,5 +1,6 @@
 """Calibrated module matrices: construction, relations, nullity, characters."""
 
+import functools
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -38,7 +39,7 @@ def reference_presentation(m, trials, seed, prime_bits):
     """The modular check trial by trial, one prime at a time, as it was
     before all trials shared one pass; a trial's failures are recorded only
     once its whole check has run at a usable point."""
-    rels = cb._relations(m)
+    rels = reference_tags(m)
     report = {"mode": "modular", "relations": {name: True for name, _ in rels},
               "passed": True, "witness": None, "trials": trials, "seed": seed,
               "primes": [], "discarded": 0}
@@ -48,9 +49,9 @@ def reference_presentation(m, trials, seed, prime_bits):
             p = random_prime(prime_bits, rng)
             point = random_point(p, rng)
             try:
-                env = cb._Env(m, cb.ModRing(p, point))
+                env = ReferenceEnv(m, cb.ModRing(p, point))
                 failing = [name for name, tag in rels
-                           if not cb._check_relation(env, tag)]
+                           if not reference_check(env, tag)]
                 break
             except EvalRetry:
                 report["discarded"] += 1
@@ -64,6 +65,147 @@ def reference_presentation(m, trials, seed, prime_bits):
             report["witness"] = dict(relation=failing[0], p=p, trial=trial,
                                      point=point)
     return report
+
+
+# The relation-tag interpreter that checked the presentation before the
+# relations were written as generator words: each relation a tag, each tag a
+# hand-written product over the module's matrices lifted into the ring.  It
+# is the oracle for the word relations, relation by relation.
+
+def reference_tags(m):
+    """The named relations as (label, tag) pairs, in the report's order."""
+    k = m.k
+    rels = []
+    for i in range(1, k - 1):
+        rels.append(("B1:T%dT%dT%d" % (i, i + 1, i), ("braid3", i, i + 1)))
+    for i in range(1, k):
+        for j in range(i + 2, k):
+            rels.append(("B1:T%dT%d" % (i, j), ("commute", i, j)))
+        if i >= 2:
+            rels.append(("B1:T0T%d" % i, ("commute", 0, i)))
+    if k >= 2:
+        rels.append(("B1:T0T1T0T1", ("braid4", 0, 1)))
+    for i in range(0, k):
+        for j in range(1, k + 1):
+            if i == 0 and j != 1:
+                rels.append(("B3:T0W%d" % j, ("commuteW", 0, j)))
+            if i >= 1 and j not in (i, i + 1):
+                rels.append(("B4:T%dW%d" % (i, j), ("commuteW", i, j)))
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            rels.append(("B2:W%dW%d" % (i, j), ("commuteWW", i, j)))
+    rels.append(("H:T0", ("quad", 0)))
+    for i in range(1, k):
+        rels.append(("H:T%d" % i, ("quad", i)))
+    rels.append(("H:Tk", ("quad", "k")))
+    for i in range(1, k):
+        rels.append(("C1:T%dW%d" % (i, i), ("c1a", i)))
+        rels.append(("C1:T%dW%d" % (i, i + 1), ("c1b", i)))
+    rels.append(("C2:T0W1", ("c2",)))
+    if k >= 2:
+        rels.append(("ext:T%dTkT%dTk" % (k - 1, k - 1), ("braid4k",)))
+    for i in range(1, k - 1):
+        rels.append(("ext:TkT%d" % i, ("commutek", i)))
+    if k >= 2:
+        rels.append(("ext:TkT0", ("commutek", 0)))
+    rels.append(("ext:W1word", ("w1word",)))
+    return rels
+
+
+class ReferenceEnv:
+    """The module's generator matrices lifted entrywise into `ring`, with
+    T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1 built there."""
+
+    def __init__(self, m, ring=cb.EXACT):
+        self.ring = ring
+        self.k = m.k
+        lift = functools.cache(ring.lift)
+
+        def lift_matrix(mat):
+            return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
+
+        self.T = {i: lift_matrix(t) for i, t in m.T.items()}
+        self.W = [lift_matrix(w) for w in m.W]
+        self.fu, self.f0, self.fk = lift(m.fu), lift(m.f0), lift(m.fk)
+        tk = cb.mat_mul(self.W[0], cb.mat_shift(self.T[0], self.f0, ring), ring)
+        for i in range(1, len(self.W)):
+            tk = cb.mat_mul(self.T[i], tk, ring)
+            tk = cb.mat_mul(tk, cb.mat_shift(self.T[i], self.fu, ring), ring)
+        self.Tk = tk
+
+
+def reference_check(env, tag):
+    T, W, Tk, ring = env.T, env.W, env.Tk, env.ring
+
+    def mul(a, b):
+        return cb.mat_mul(a, b, ring)
+
+    kind = tag[0]
+    if kind == "braid3":
+        i, j = tag[1], tag[2]
+        return mul(mul(T[i], T[j]), T[i]) == mul(mul(T[j], T[i]), T[j])
+    if kind in ("braid4", "braid4k"):
+        a, b = (T[tag[1]], T[tag[2]]) if kind == "braid4" else (T[env.k - 1], Tk)
+        ab, ba = mul(a, b), mul(b, a)
+        return mul(ab, ab) == mul(ba, ba)
+    if kind == "commute":
+        i, j = tag[1], tag[2]
+        return mul(T[i], T[j]) == mul(T[j], T[i])
+    if kind == "commutek":
+        i = tag[1]
+        return mul(T[i], Tk) == mul(Tk, T[i])
+    if kind == "commuteW":
+        i, wm = tag[1], W[tag[2] - 1]
+        return mul(T[i], wm) == mul(wm, T[i])
+    if kind == "commuteWW":
+        a, b = W[tag[1] - 1], W[tag[2] - 1]
+        return mul(a, b) == mul(b, a)
+    if kind == "quad":
+        if tag[1] == "k":
+            mat, shift = Tk, env.fk
+        elif tag[1] == 0:
+            mat, shift = T[0], env.f0
+        else:
+            mat, shift = T[tag[1]], env.fu
+        # (X - lam)(X + 1/lam) = 0, that is X (X - (lam - 1/lam)) = 1
+        return mul(mat, cb.mat_shift(mat, shift, ring)) == cb.mat_identity(len(mat), ring)
+    if kind in ("c1a", "c1b"):
+        # T_i W_i = W_{i+1} T_i - (u - 1/u) W_{i+1} and
+        # T_i W_{i+1} = W_i T_i + (u - 1/u) W_{i+1}
+        i = tag[1]
+        d = cb.mat_scale(W[i], env.fu, ring)
+        if kind == "c1a":
+            return mul(T[i], W[i - 1]) == cb.mat_sub(mul(W[i], T[i]), d, ring)
+        return mul(T[i], W[i]) == cb.mat_add(mul(W[i - 1], T[i]), d, ring)
+    if kind == "c2":
+        # W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 + (uk - 1/uk) W_1
+        w1 = W[0]
+        rhs = cb.mat_add(cb.mat_scale(mul(w1, w1), env.f0, ring),
+                         cb.mat_scale(w1, env.fk, ring), ring)
+        return mul(mul(w1, T[0]), w1) == cb.mat_add(T[0], rhs, ring)
+    if kind == "w1word":
+        # W_1 = T_1^-1 ... T_{k-1}^-1 Tk T_{k-1} ... T_1 T_0
+        cur = Tk
+        for i in range(env.k - 1, 0, -1):
+            cur = mul(cur, T[i])
+        cur = mul(cur, T[0])
+        for i in range(env.k - 1, 0, -1):
+            cur = mul(cb.mat_shift(T[i], env.fu, ring), cur)
+        return cur == W[0]
+    raise ValueError("unknown relation tag %r" % (tag,))
+
+
+def word_verdicts(m, ring=cb.EXACT):
+    """(name, holds) for each word relation, in order, over m lifted into ring."""
+    lifted = m.over(ring)
+    return [(name, lifted.evaluate_word(lhs) == lifted.evaluate_word(rhs))
+            for name, lhs, rhs in cb._relations(m.k)]
+
+
+def replays(m, witness):
+    """Whether the witness's relation fails at its own prime and point."""
+    ring = cb.ModRing(witness["p"], witness["point"])
+    return (witness["relation"], False) in word_verdicts(m, ring)
 
 
 class TestMatrixHelpers:
@@ -270,9 +412,7 @@ class TestPresentation:
             p = random_prime(62, rng)
             assert (witness["trial"], witness["p"], witness["point"]) == \
                 (0, p, random_point(p, rng))
-            tag = dict(cb._relations(m))[witness["relation"]]
-            env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
-            assert not cb._check_relation(env, tag)
+            assert replays(m, witness)
 
 
 class TestBernsteinForm:
@@ -326,7 +466,6 @@ class TestOnePass:
     def test_equals_trial_by_trial_loop(self):
         discarded = repeated = witnesses = 0
         for m in self.modules():
-            tags = dict(cb._relations(m))
             # 23 trials take three passes of at most ten primes
             for seed, trials in [(s, 10) for s in range(5)] + [(5, 23)]:
                 for bits in (62, 12):
@@ -341,8 +480,7 @@ class TestOnePass:
                     if witness is not None:
                         witnesses += 1
                         assert rep["primes"][witness["trial"]] == witness["p"]
-                        env = cb._Env(m, cb.ModRing(witness["p"], witness["point"]))
-                        assert not cb._check_relation(env, tags[witness["relation"]])
+                        assert replays(m, witness)
         # 12-bit primes exercise the discarding and the second pass
         assert discarded and repeated
         assert witnesses == 2 * 6 * 2
@@ -390,10 +528,10 @@ class TestRingGenericPath:
                     # rows of nonzero residues, as the lifted matrices store them
                     return [{c: v for c, x in row.items()
                              if (v := eval_mod(x, p, point))} for row in mat]
-                env = cb._Env(m, cb.ModRing(p, point))
+                env = m.over(cb.ModRing(p, point))
                 assert env.T == {i: red(t) for i, t in m.T.items()}
                 assert env.W == [red(w) for w in m.W]
-                assert env.Tk == red(m.tk_matrix())
+                assert env.tk_matrix() == red(m.tk_matrix())
 
     def test_exact_and_modular_verdicts_agree(self):
         modules = [two_row_module(k, l) for k in (1, 2)
@@ -405,6 +543,52 @@ class TestRingGenericPath:
             modular = cb.check_presentation(m, exact=False, trials=2, seed=4)
             assert exact["relations"] == modular["relations"], m.region
             assert exact["passed"] == (m not in modules[-2:])
+
+
+class TestRelationsAsWords:
+    """The relations written as generator words give the tag interpreter's
+    verdict on every relation, in the same order: exactly at k <= 2, at two
+    seeded GF(p) points for k <= 5, and on both kinds of perturbed module."""
+
+    @staticmethod
+    def nonzero_modules(k):
+        return [two_row_module(k, l) for (_l1, l) in sw.level_nodes(SW63, k)
+                if not sw.zero_multiplicity(SW63, k, l)]
+
+    @staticmethod
+    def assert_agree(m, ring=cb.EXACT):
+        got = word_verdicts(m, ring)
+        env = ReferenceEnv(m, ring)
+        assert got == [(name, reference_check(env, tag))
+                       for name, tag in reference_tags(m)], m.region
+        return got
+
+    @staticmethod
+    def rings(seed):
+        rng = random.Random(seed)
+        for _ in range(2):
+            p = random_prime(62, rng)
+            yield cb.ModRing(p, random_point(p, rng))
+
+    def test_exact_k_le_2(self):
+        mods = self.nonzero_modules(1) + self.nonzero_modules(2)
+        assert mods
+        for m in mods:
+            assert all(ok for _, ok in self.assert_agree(m)), m.region
+
+    def test_two_points_k_le_5(self):
+        for k in range(1, 6):
+            for m in self.nonzero_modules(k):
+                for ring in self.rings(seed=k):
+                    assert all(ok for _, ok in self.assert_agree(m, ring)), m.region
+
+    def test_perturbed_modules(self):
+        for at_zero in (False, True):
+            verdicts = [self.assert_agree(perturbed_module(2, 2, at_zero))]
+            m = perturbed_module(3, 2, at_zero)
+            verdicts += [self.assert_agree(m, ring) for ring in self.rings(seed=7)]
+            for got in verdicts:
+                assert ("H:T1", False) in got
 
 
 class TestEvaluateWord:
@@ -475,7 +659,7 @@ class TestIdempotents:
             nev, _ = wd.idempotent_expr("p0v_e12", 2)
             ntv, _ = wd.idempotent_expr("p0v_12e", 2)
             deltav = m.evaluate_word(ntv - nev)
-            f0v = cb._f0v_matrix(m)
+            f0v = m.evaluate_word(cb._f0v_expr(2))
             assert cb.mat_eq(deltav, cb.mat_scale(f0v, m.spec.specialize(bb("tk"))))
 
     def test_nullity_modes_agree(self):
@@ -588,11 +772,12 @@ class TestRowByRowNullity:
                       for i in range(1, m.k - 1)]
             fulls = [m.evaluate_word(expr) for expr in exprs]
             f0v = reference_relators(m)["p0v_pair"]
-            assert cb._f0v_matrix(m) == f0v
+            assert m.evaluate_word(cb._f0v_expr(m.k)) == f0v
             for r in range(m.n):
                 for expr, full in zip(exprs, fulls):
                     assert m.evaluate_word(expr, row=r) == [full[r]], (m.region, r)
-                assert cb._f0v_matrix(m, row=r) == [f0v[r]], (m.region, r)
+                assert m.evaluate_word(cb._f0v_expr(m.k), row=r) == [f0v[r]], \
+                    (m.region, r)
 
     def test_rank3_chart(self):
         rep = vf.suite_classification(k=3, r1=F(3, 2), r2=F(11, 2), bound=F(7))

@@ -110,6 +110,27 @@ class TestVerify:
             rc, out, err = run(capsys, "verify", *argv, "--k", "2")
             assert rc == 2 and option in err and not out, argv
 
+    def test_seed_where_nothing_reads_it_is_usage_error(self, capsys):
+        for argv in (["verify", "theorem3", "--k", "2", "--seed", "5"],
+                     ["--seed", "5", "verify", "classification", "--k", "2"],
+                     ["--seed", "5", "figure1"],
+                     ["dims", "--k", "3", "--seed", "4"],
+                     ["--seed", "4", "basis", "--k", "1"]):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and "--seed" in err and not out, argv
+
+    def test_seed_before_or_after_the_subcommand(self, capsys):
+        for argv in (["--seed", "3", "verify", "presentation"],
+                     ["verify", "presentation", "--seed", "3"]):
+            rc, out, _ = run(capsys, "--json", *argv, "--k", "3", "--trials", "2")
+            assert rc == 0 and json.loads(out)["seed"] == 3, argv
+        module = ["module", "--c", "7/2,9/2,11/2", "--J", "", "--r1", "3/2",
+                  "--r2", "11/2", "--trials", "2"]
+        for argv in (["--seed", "6"] + module, module + ["--seed", "6"], module):
+            rc, out, _ = run(capsys, *argv)
+            seed = json.loads(out)["presentation"]["seed"]
+            assert rc == 0 and seed == (6 if "--seed" in argv else 0), argv
+
     def test_suite_options_and_defaults(self, capsys):
         rc, out, _ = run(capsys, "--json", "verify", "classification", "--k", "2",
                          "--r1", "1", "--r2", "4", "--bound-diag", "5")
