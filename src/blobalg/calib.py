@@ -6,6 +6,8 @@ inner generators act with the seminormal diagonal entries and an
 off-diagonal pair normalized so the quadratic relations hold without square
 roots: the entry out of the filling whose moved label sits on the lower
 diagonal is 1, the return entry is the radicand of the textbook square root.
+Both depend only on one local content and the boundary images, so
+`_seminormal` computes each once for all modules, in a bounded cache.
 The textbook symmetric form is stated exactly, without those roots:
 `symmetric_form` returns the diagonal G with G T_i = T_i^t G, over the
 exact field or over GF(p), and conjugating by G^(1/2) symmetrizes the T_i.
@@ -21,7 +23,9 @@ family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; a ring only reduces, compares with zero, builds rows
 and lifts, and never divides.  `m.over(ring)` is the module with its T, W
-and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted entrywise into the ring.
+and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted into the ring; over Z/p
+the distinct entries of T and W take one modular inverse between them
+(`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words` and a diagonal letter W(j).
 
@@ -63,8 +67,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, bb,
-                      eval_mod, qint, random_point, random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, _inv_mod,
+                      bb, eval_mod, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -100,6 +104,10 @@ class ExactRing:
     def lift(x: Scalar) -> Scalar:
         return x
 
+    @staticmethod
+    def lift_many(entries: Sequence[Scalar]) -> List[Scalar]:
+        return list(entries)
+
 
 EXACT = ExactRing()
 
@@ -132,6 +140,29 @@ class ModRing:
 
     def lift(self, x: Scalar) -> int:
         return eval_mod(x, self.p, self.point)
+
+    def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
+        """`lift` of each entry with one modular inverse for them all: each
+        entry is n / q for polynomials n and q (`Scalar.cleared`), and the
+        distinct q are inverted together (Montgomery's trick).  When their
+        product is not a unit, the entries are lifted one by one in order,
+        so the `EvalRetry` carries the residue that `lift` gives."""
+        p, point = self.p, self.point
+        try:
+            cleared = [x.cleared() for x in entries]
+            dens = list(dict.fromkeys(q for _, q in cleared))
+            values = [eval_mod(q, p, point) for q in dens]
+            prefix = [1]
+            for v in values:
+                prefix.append(prefix[-1] * v % p)
+            inv = _inv_mod(prefix[-1], p)
+            inverse = {}
+            for j in range(len(dens) - 1, -1, -1):
+                inverse[dens[j]] = inv * prefix[j] % p
+                inv = inv * values[j] % p
+            return [eval_mod(n, p, point) * inverse[q] % p for n, q in cleared]
+        except EvalRetry:
+            return [self.lift(x) for x in entries]
 
 
 def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
@@ -246,6 +277,36 @@ class ModuleSpec:
         return _specialize(x, *self.boundary_images())
 
 
+@functools.lru_cache(maxsize=1024)
+def _seminormal(kind: str, content: Fraction, images) -> Tuple[Scalar, Scalar]:
+    """The seminormal entries of T_0 (kind "T0") or T_i (kind "T") on a
+    filling: the diagonal entry d, and the entry from the filling to its
+    partner.  They depend only on the boundary images and the local
+    content, c = wc_1 for T_0 and c = wc_i - wc_(i+1) for T_i:
+
+        T_0:  d = ((u0 - 1/u0) + (uk - 1/uk) / g_1) / (1 - g_1^-2),  g_1 = -u^(2c),
+        T_i:  d = (u - 1/u) / (1 - u^(2c)).
+
+    The entry to the partner is 1 for c < 0, where the moved label sits on
+    the lower diagonal, and the radicand -(d - lam)(d + 1/lam), lam = u0
+    or u, for c > 0.  Both are computed once for all modules that share
+    them."""
+    if kind == "T0":
+        lam = _specialize(U0, *images)
+        g1i = -Scalar.monomial(u=-int(2 * content))
+        den = ONE - g1i * g1i
+        if den.is_zero():
+            raise CalibError("label 1 on the zero diagonal")
+        d = (_specialize(_SHIFT[U0], *images) + _specialize(_SHIFT[UK], *images) * g1i) / den
+    else:
+        lam = U
+        ratio = Scalar.monomial(u=int(2 * content))
+        if ratio.is_one():
+            raise CalibError("coincident neighbor diagonals")
+        d = _SHIFT[U] / (ONE - ratio)
+    return d, -(d - lam) * (d + lam.inv()) if content > 0 else ONE
+
+
 class CalibratedModule:
     """Exact generator matrices on the standard-filling basis."""
 
@@ -265,34 +326,29 @@ class CalibratedModule:
         self.fu, self.f0, self.fk = (spec.specialize(_SHIFT[x]) for x in (U, U0, UK))
         self.z = spec.z
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
-        self._gammas = [{j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
-                        for wc in self._wc]
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
-        diagonals: dict = {}
-        radicands: dict = {}
-        self.T = {i: self._t_matrix(i, diagonals, radicands) for i in range(self.k)}
-        self.gamma0 = [math.prod((self._gammas[m][j].inv()
-                                  for j in range(1, self.k + 1)), start=self.z)
-                       for m in range(self.n)]
+        self.T = {i: self._t_matrix(i) for i in range(self.k)}
         self.ring, self._lift = EXACT, EXACT.lift
         self._letters: Dict[wd.Letter, Matrix] = {}
         self._word_cache: Dict[Tuple[tuple, int], Matrix] = {}
 
     def over(self, ring) -> "CalibratedModule":
         """A copy with empty caches whose T and W are the module's as they
-        are now, each distinct entry lifted into `ring` once; its letters
-        and words read coefficients through `_coeff`, lifted there once, so
-        lifting is the only step of their evaluation that can raise
-        `EvalRetry`.  The exact attributes u0s, uks, fu, f0, fk stay exact."""
-        lift = functools.cache(ring.lift)
-
-        def lift_matrix(mat: Matrix) -> Matrix:
-            return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
-
+        are now, their distinct entries lifted into `ring` by one
+        `lift_many`; its letters and words read coefficients through
+        `_coeff`, each lifted there once, so lifting is the only step of
+        their evaluation that can raise `EvalRetry`.  The exact attributes
+        u0s, uks, fu, f0, fk stay exact."""
+        index: Dict[Scalar, int] = {}
+        shapes = [[{j: index.setdefault(x, len(index)) for j, x in row.items()}
+                   for row in mat] for mat in (*self.T.values(), *self.W)]
+        values = ring.lift_many(list(index))
+        lifted = [[ring.row({j: values[e] for j, e in row.items()}) for row in mat]
+                  for mat in shapes]
         out = copy.copy(self)
-        out.ring, out._lift = ring, lift
-        out.T = {i: lift_matrix(t) for i, t in self.T.items()}
-        out.W = [lift_matrix(w) for w in self.W]
+        out.ring, out._lift = ring, functools.cache(ring.lift)
+        out.T = dict(zip(self.T, lifted))
+        out.W = lifted[len(self.T):]
         out._letters, out._word_cache = {}, {}
         return out
 
@@ -302,45 +358,48 @@ class CalibratedModule:
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
-        return self._gammas[m][label]
+        """gamma_label = -u^(2 wc_label) on filling m."""
+        return -Scalar.monomial(u=int(2 * self._wc[m][label]))
+
+    @functools.cached_property
+    def gamma0(self) -> List[Scalar]:
+        """gamma_0 = z / (gamma_1 ... gamma_k) = z (-1)^k u^(-2 sum_j wc_j)
+        on each filling, for j = 1..k."""
+        labels = range(1, self.k + 1)
+        return [self.z * Scalar.monomial(u=-int(2 * sum(wc[j] for j in labels)),
+                                         coeff=((-1) ** self.k, 0))
+                for wc in self._wc]
 
     def _w_matrix(self, i: int) -> Matrix:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])
 
     # -- generator matrices ---------------------------------------------------
-    def _t_matrix(self, i: int, diagonals: dict, radicands: dict) -> Matrix:
-        """Seminormal T_i (T_0 for i = 0) with eigenvalues lam and -1/lam.
-        The diagonal entry and the radicand depend only on gamma_1 (i = 0)
-        or on gamma_i / gamma_(i+1), so each distinct one is computed once
-        and kept under the contents it depends on."""
-        lam = self.u0s if i == 0 else U
+    def _t_matrix(self, i: int) -> Matrix:
+        """Seminormal T_i (T_0 for i = 0) with eigenvalues lam and -1/lam:
+        on each filling the diagonal entry, and the off-diagonal pair to the
+        filling with labels i, i+1 swapped (label 1 negated for T_0): 1 out
+        of the filling whose moved label sits on the lower diagonal and the
+        radicand back."""
         out = mat_zero(self.n)
         for m, w in enumerate(self.basis):
-            wc = self._wc[m]
-            key = (i == 0, wc[1] if i == 0 else wc[i] - wc[i + 1])
-            if key not in diagonals:
-                diagonals[key] = self._t_diagonal(m, i)
-            out[m][m] = d = diagonals[key]
+            out[m][m], partner = self._t_entries(m, i)
             pm = self.index.get(_flip_label_one(w) if i == 0 else _swap_labels(w, i))
             if pm is not None:
-                up = wc[1] < 0 if i == 0 else wc[i] < wc[i + 1]
-                if not up and key not in radicands:
-                    radicands[key] = -(d - lam) * (d + lam.inv())
-                out[pm][m] = ONE if up else radicands[key]
+                out[pm][m] = partner
         return [EXACT.row(row) for row in out]
 
+    def _t_entries(self, m: int, i: int) -> Tuple[Scalar, Scalar]:
+        """`_seminormal` at filling m, whose error names the filling."""
+        wc = self._wc[m]
+        content = wc[1] if i == 0 else wc[i] - wc[i + 1]
+        try:
+            return _seminormal("T0" if i == 0 else "T", content,
+                               self.spec.boundary_images())
+        except CalibError as exc:
+            raise CalibError("%s at %s" % (exc, self.basis[m])) from None
+
     def _t_diagonal(self, m: int, i: int) -> Scalar:
-        if i == 0:
-            g1i = self.gamma(m, 1).inv()
-            den = ONE - g1i * g1i
-            if den.is_zero():
-                raise CalibError("label 1 on the zero diagonal at %s"
-                                 % (self.basis[m],))
-            return (self.f0 + self.fk * g1i) / den
-        ratio = self.gamma(m, i) * self.gamma(m, i + 1).inv()
-        if ratio.is_one():
-            raise CalibError("coincident neighbor diagonals at %s" % (self.basis[m],))
-        return self.fu / (ONE - ratio)
+        return self._t_entries(m, i)[0]
 
     # -- words ----------------------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
@@ -564,6 +623,7 @@ def _failing(m: CalibratedModule, rels) -> Iterator[str]:
             if m.evaluate_word(lhs) != m.evaluate_word(rhs))
 
 
+EXACT_MAX_K = 2  # presentations up to this k are checked exactly by default
 _ATTEMPTS = 20  # consecutive unusable points before the check gives up
 # primes per pass: a product modulo P costs more than linearly in the size
 # of P, so past about ten 62-bit primes a pass costs more per trial
@@ -643,7 +703,7 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
                        seed: int = 0, prime_bits: int = 62) -> dict:
     """Verify the defining relations as matrix identities.
 
-    Exact symbolic checking by default for k <= 2, randomized modular
+    Exact symbolic checking by default for k <= EXACT_MAX_K, randomized modular
     evaluation with `trials` points otherwise: the module's own matrices
     are lifted to GF(p) at a random point for each trial, all trials in
     one pass over the product of their primes.  Returns a report dict with
@@ -652,7 +712,7 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     of discarded candidate points; a modular witness carries p and the
     point, so the relation can be replayed over `m.over(ModRing(p, point))`."""
     if exact is None:
-        exact = m.k <= 2
+        exact = m.k <= EXACT_MAX_K
     if not exact and trials < 1:
         raise CalibError("modular presentation check needs trials >= 1, got %d"
                          % trials)

@@ -129,12 +129,25 @@ def cmd_region(args) -> int:
     return 0
 
 
+def _exact_refusal(args, k: int):
+    """The usage error for --trials or --seed where the presentation at
+    level k is checked exactly, which reads neither; None elsewhere."""
+    given = [name for name in ("trials", "seed") if name in vars(args)]
+    if k <= cb.EXACT_MAX_K and given:
+        return "--%s is not read at k=%d: the presentation is checked exactly" % (given[0], k)
+    return None
+
+
 def cmd_module(args) -> int:
+    refusal = _exact_refusal(args, len(args.c))
+    if refusal:
+        return _fail(refusal)
     params = rg.RegionParams(args.r1, args.r2)
     J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
     region = rg.LocalRegion(args.c, J, params)
     module = cb.build_module(cb.ModuleSpec(region, branch=args.branch))
-    pres = cb.check_presentation(module, args.trials, seed=getattr(args, "seed", 0))
+    pres = cb.check_presentation(module, getattr(args, "trials", 10),
+                                 seed=getattr(args, "seed", 0))
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
            "symmetrizable": cb.symmetric_form(module) is not None,
@@ -191,6 +204,9 @@ def cmd_verify(args) -> int:
             for name, default in VERIFY_OPTIONS.get(args.suite, {}).items()}
     if args.suite == "relations" and args.k > opts["max_k"]:
         return _fail("relations suite limited to k <= %d" % opts["max_k"])
+    refusal = _exact_refusal(args, args.k) if args.suite == "presentation" else None
+    if refusal:
+        return _fail(refusal)
     kwargs = {"k": args.k}
     if args.suite == "classification":
         kwargs.update(r1=opts["r1"], r2=opts["r2"], bound=opts["bound_diag"])
@@ -309,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=Fraction, required=True)
     p.add_argument("--r2", type=Fraction, required=True)
     p.add_argument("--branch", type=int, default=1, choices=(1, -1))
-    p.add_argument("--trials", type=int, default=10)
+    # unset when omitted (10 trials), so that an exact check can refuse it
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     p.add_argument("--matrices", action="store_true")
     p.set_defaults(fn=cmd_module)
 

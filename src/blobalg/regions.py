@@ -211,8 +211,11 @@ def _constraints(region: LocalRegion) -> Tuple[Dict[Tuple[int, int], bool],
     return rel, sides
 
 
+@lru_cache(maxsize=256)
 def build_config(region: LocalRegion) -> BoxConfig:
-    """Realize the (c, J) constraints as planar boxes; error if impossible."""
+    """Realize the (c, J) constraints as planar boxes; error if impossible.
+    The most recent configurations are kept: region and configuration are
+    both frozen, so one is shared by every caller."""
     diag = _box_diagonals(region)
     rel, sides = _constraints(region)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import operator
 import random
 from collections import Counter
@@ -655,6 +656,14 @@ class Scalar:
             n >>= 1
         return out
 
+    def cleared(self) -> Tuple["Scalar", "Scalar"]:
+        """(n, q) with self = n / q for polynomials n and q: the monomial
+        that clears the numerator's negative exponents multiplies both."""
+        low = self.num.min_exponents() if self.num.terms else _ZEXP
+        shift = tuple(-e if e < 0 else 0 for e in low)
+        return (Scalar(self.num.shift(shift), _normalized=True),
+                Scalar(_expand(self.den).shift(shift), _normalized=True))
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Scalar) and self.num == other.num
                 and self.den == other.den)
@@ -767,20 +776,40 @@ def qint_signed(n: int) -> Scalar:
 # randomized modular evaluation
 # ---------------------------------------------------------------------------
 
+def _primes_below(n: int) -> Tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for q in range(2, n):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    return tuple(q for q in range(2, n) if sieve[q])
+
+
+_SMALL_PRIMES = frozenset(_primes_below(1000))
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Miller-Rabin bases that decide every n < 2^64 (Sinclair); above it the
+# first twelve primes, which decide every n < 318665857834031151167461
+_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_probable_prime(n: int) -> bool:
+    """Primality: one gcd with the primes below 1000, then strong Fermat
+    tests, deterministic below 318665857834031151167461."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < 1000 * 1000:
+        return True  # no prime factor below its square root
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (_BASES_64 if n < 1 << 64 else _BASES):
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x in (0, 1, n - 1):
             continue
         for _ in range(r - 1):
             x = x * x % n

@@ -2,7 +2,10 @@
 
 A ``GenExpr`` is a Scalar-linear combination of words over the letters
 
-    T0, T0^-1, Ti, Ti^-1 (1 <= i <= k-1), Tk, Tk^-1, E0, Ei, Ek.
+    T0, T0^-1, Ti, Ti^-1 (1 <= i <= k-1), Tk, Tk^-1, E0, Ei, Ek,
+
+and the diagonal letter Wj (1 <= j <= k) of `calib.W`, which only module
+matrices evaluate.
 
 Words are never rewritten; all identities are checked after expanding into
 the diagram algebra (or into module matrices).  The boundary letters expand
@@ -170,14 +173,16 @@ def _letter_name(letter: Letter) -> str:
         return "E0"
     if letter[0] == "Ek":
         return "Ek"
+    if letter[0] == "W":
+        return "W%d" % letter[1]
     return "E%d" % letter[1]
 
 
 def _check_word(w: Word, k: int) -> None:
     for letter in w:
-        if letter[0] in ("T", "E"):
-            i = letter[1]
-            if not 1 <= i <= k - 1:
+        if letter[0] in ("T", "E", "W"):
+            top = k if letter[0] == "W" else k - 1
+            if not 1 <= letter[1] <= top:
                 raise WordError("letter %s out of range for k=%d"
                                 % (_letter_name(letter), k))
 

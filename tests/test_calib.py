@@ -545,6 +545,173 @@ class TestRingGenericPath:
             assert exact["passed"] == (m not in modules[-2:])
 
 
+# The module construction and the lift as they were before the seminormal
+# entries were shared per spec and the lift took one inverse: the oracles
+# for both.
+
+def reference_t_matrices(m):
+    """Each T_i from the seminormal formula at each filling's own gamma
+    values, the diagonal and the radicand computed filling by filling."""
+    out = {}
+    for i in range(m.k):
+        lam = m.u0s if i == 0 else U
+        mat = [{} for _ in range(m.n)]
+        for col, w in enumerate(m.basis):
+            wc = rg.wc_vector(m.config, w)
+            gamma = {j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
+            if i == 0:
+                g1i = gamma[1].inv()
+                d = (m.f0 + m.fk * g1i) / (ONE - g1i * g1i)
+                up = wc[1] < 0
+            else:
+                d = m.fu / (ONE - gamma[i] * gamma[i + 1].inv())
+                up = wc[i] < wc[i + 1]
+            mat[col][col] = d
+            pm = m.index.get(cb._flip_label_one(w) if i == 0 else cb._swap_labels(w, i))
+            if pm is not None:
+                mat[pm][col] = ONE if up else -(d - lam) * (d + lam.inv())
+        out[i] = [{c: x for c, x in row.items() if not x.is_zero()} for row in mat]
+    return out
+
+
+def entrywise_lift(m, ring):
+    """T and W lifted into the ring one distinct entry at a time, T before
+    W, so a bad point raises at the first entry that has no value there."""
+    lift = functools.cache(ring.lift)
+
+    def lift_matrix(mat):
+        return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
+
+    return {i: lift_matrix(t) for i, t in m.T.items()}, [lift_matrix(w) for w in m.W]
+
+
+def outcome(f, *args):
+    """f(*args), or ("retry", residue) where it raises EvalRetry."""
+    try:
+        return f(*args)
+    except EvalRetry as exc:
+        return ("retry", exc.residue)
+
+
+class TestSharedSeminormalEntries:
+    """Modules read their seminormal entries from one cache keyed by the
+    local content and the boundary images; every T_i must equal the
+    filling-by-filling formula."""
+
+    def test_tensor_space_modules(self):
+        count = 0
+        for k in range(1, 6):
+            for (_l1, l) in sw.level_nodes(SW63, k):
+                if not sw.zero_multiplicity(SW63, k, l):
+                    m = two_row_module(k, l)
+                    assert m.T == reference_t_matrices(m), (k, l)
+                    count += 1
+        assert count == 33
+
+    def test_rank2_charts(self):
+        for r1, r2, bound, size in ((F(3, 2), F(11, 2), 7, 71), (1, 4, 5, 40)):
+            regions = skew_regions(2, r1, r2, bound)
+            assert len(regions) == size
+            for region in regions:
+                m = cb.build_module(cb.ModuleSpec(region))
+                assert m.T == reference_t_matrices(m), region
+
+    def test_branch_and_z(self):
+        # the two branches specialize u0 and uk to different images, so they
+        # share no T_0 entry; z enters gamma_0 only
+        z = Scalar.monomial(u=5)
+        for k, l in ((2, 2), (3, 2), (4, 3)):
+            plus = two_row_module(k, l)
+            minus = sw.module_for(SW63, k, l, branch=-1)
+            assert minus.T == reference_t_matrices(minus)
+            assert minus.T[0] != plus.T[0] and minus.T[1] == plus.T[1]
+            spec = cb.ModuleSpec(plus.region, z=z, branch=-1)
+            with_z = cb.build_module(spec)
+            assert with_z.T == minus.T and with_z.W == minus.W
+            assert [g * z.inv() for g in with_z.gamma0] == \
+                [g * plus.z.inv() for g in plus.gamma0]
+
+    def test_errors_name_the_filling(self):
+        # a non-skew region reaches the seminormal formula without the skew
+        # check: label 1 on the zero diagonal, and coincident neighbours
+        for c in ((0,), (F(1, 2), F(1, 2))):
+            region = rg.LocalRegion(c, frozenset(), PARAMS)
+            config = rg.build_config(region)
+            fillings = rg.enumerate_fillings(config)
+            with pytest.raises(cb.CalibError, match=r" at \(") as exc:
+                cb.build_module(cb.ModuleSpec(region, require_skew=False))
+            assert any(str(w) in str(exc.value) for w in fillings)
+
+
+class TestBatchedLift:
+    """`over` lifts the distinct entries of T and W with one inverse; the
+    lifted matrices, and at a bad point the EvalRetry residue, must be the
+    entry-by-entry lift's."""
+
+    @staticmethod
+    def modules():
+        return [two_row_module(k, l) for k, l in ((2, 1), (3, 2), (4, 3), (5, 4))]
+
+    @staticmethod
+    def lifted(m, ring):
+        out = m.over(ring)
+        return out.T, out.W
+
+    def test_equals_entrywise_lift(self):
+        rng = random.Random(31)
+        retries = 0
+        for m in self.modules():
+            for bits, count in ((62, 2), (12, 20), (8, 10)):
+                for _ in range(count):
+                    cands = []
+                    while len(cands) < 3:
+                        p = random_prime(bits, rng)
+                        if p not in [q for q, _ in cands]:
+                            cands.append((p, random_point(p, rng)))
+                    # each candidate alone, then all three over the CRT ring
+                    rings = [cb.ModRing(p, pt) for p, pt in cands] + [cb._crt_ring(cands)]
+                    for ring in rings:
+                        got = outcome(self.lifted, m, ring)
+                        assert got == outcome(entrywise_lift, m, ring), (m.region, ring.p)
+                        retries += got[0] == "retry"
+        assert retries > 10
+
+    def test_vanishing_denominator_keeps_the_residue(self):
+        # a point where some denominators vanish mod p, alone and combined
+        # with two usable points: the residue is the one of the first entry
+        # without a value, as entrywise, and only p divides it
+        m = two_row_module(3, 2)
+        rng = random.Random(2)
+
+        def fails(p, point):
+            return outcome(entrywise_lift, m, cb.ModRing(p, point))[0] == "retry"
+
+        p = random_prime(12, rng)
+        point = random_point(p, rng)
+        bad = next(dict(point, u=u) for u in range(2, p - 1) if fails(p, dict(point, u=u)))
+        good = []
+        while len(good) < 2:
+            q = random_prime(12, rng)
+            if q != p and q not in [g for g, _ in good] and not fails(q, pt := random_point(q, rng)):
+                good.append((q, pt))
+        entries = list(dict.fromkeys(
+            x for mat in (*m.T.values(), *m.W) for row in mat for x in row.values()))
+        for ring in (cb.ModRing(p, bad), cb._crt_ring(good + [(p, bad)])):
+            got = outcome(self.lifted, m, ring)
+            assert got[0] == "retry" and got[1] % p == 0
+            assert ring.p == p or all(got[1] % q for q, _ in good)
+            assert got == outcome(entrywise_lift, m, ring)
+            assert outcome(ring.lift_many, entries) == \
+                outcome(lambda: [ring.lift(x) for x in entries])
+
+    def test_exact_lift_is_the_identity(self):
+        m = two_row_module(3, 2)
+        out = m.over(cb.EXACT)
+        assert out.T == m.T and out.W == m.W
+        entries = [x for row in m.T[1] for x in row.values()]
+        assert cb.EXACT.lift_many(entries) == entries
+
+
 class TestRelationsAsWords:
     """The relations written as generator words give the tag interpreter's
     verdict on every relation, in the same order: exactly at k <= 2, at two

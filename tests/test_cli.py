@@ -60,14 +60,55 @@ class TestVerify:
         assert rc == 2
 
     def test_presentation_seeded(self, capsys):
-        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "1",
-                         "--trials", "2")
+        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "1")
         assert rc == 0
         blob = json.loads(out)
         assert blob["passed"] and blob["seed"] == 0
-        # k = 1 is checked exactly: no trials ran, whatever --trials said
+        # k = 1 is checked exactly: no trials ran, and --trials is refused
         assert blob["mode"] == "exact" and blob["trials"] == 0
         assert blob["primes"] and not any(blob["primes"].values())
+        rc, out, err = run(capsys, "--json", "verify", "presentation", "--k", "1",
+                           "--trials", "2")
+        assert rc == 2 and "--trials" in err and not out
+
+    def test_exact_check_refuses_trials_and_seed(self, capsys):
+        # a presentation at k <= 2 is checked exactly, which reads neither
+        # option; at k = 3 both are read
+        module = ["module", "--J", "", "--r1", "3/2", "--r2", "11/2", "--c"]
+        for argv, option in (
+                (["verify", "presentation", "--k", "2", "--trials", "3"], "--trials"),
+                (["verify", "presentation", "--k", "2", "--seed", "5"], "--seed"),
+                (["--seed", "5", "verify", "presentation", "--k", "1"], "--seed"),
+                (module + ["7/2,9/2", "--trials", "2"], "--trials"),
+                (module + ["7/2", "--seed", "4"], "--seed"),
+                (["--seed", "4"] + module + ["7/2,9/2"], "--seed")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and option in err and "exactly" in err and not out, argv
+        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "3",
+                         "--trials", "2", "--seed", "5")
+        assert rc == 0 and (json.loads(out)["trials"], json.loads(out)["seed"]) == (2, 5)
+
+    def test_presentation_primes_are_pinned(self, capsys):
+        # the trial primes of every module at k = 5, and the points each
+        # module's check discarded, as drawn with the twelve-base primality
+        # test and each entry lifted on its own: a faster primality test or
+        # lift must not move them
+        from blobalg import calib as cb
+        from blobalg import schurweyl as sw
+        rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "5",
+                         "--trials", "10")
+        assert rc == 0
+        p63 = sw.SWParams(6, 3)
+        discarded = {}
+        for (_l1, l) in sw.level_nodes(p63, 5):
+            if not sw.zero_multiplicity(p63, 5, l):
+                m = sw.module_for(p63, 5, l)
+                rep = cb.check_presentation(m, trials=10, seed=0)
+                discarded["l=%d(dim %d)" % (l, m.n)] = rep["discarded"]
+        text = json.dumps({"primes": json.loads(out)["primes"], "discarded": discarded},
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "70ce56537951c5e9879f40cc371aa6290890bcceba22e55ca18bd3f5b10cf40e"
 
     def test_presentation_k6(self, capsys):
         # every module at k = 6, the two 56-dimensional ones included
@@ -167,7 +208,7 @@ class TestRegionAndModule:
 
     def test_module_report(self, capsys):
         rc, out, _ = run(capsys, "module", "--c", "7/2,9/2", "--J", "",
-                         "--r1", "3/2", "--r2", "11/2", "--trials", "2")
+                         "--r1", "3/2", "--r2", "11/2")
         assert rc == 0
         blob = json.loads(out)
         pres = blob["presentation"]

@@ -1,5 +1,6 @@
 """Field arithmetic: examples with independent oracles, then properties."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -275,6 +276,69 @@ class TestEvalMod:
         pt["u"] = 1
         with pytest.raises(sc.EvalRetry):
             eval_mod(x, p, pt)
+
+
+def twelve_base_is_prime(n):
+    """The primality test the trial primes were first drawn with: trial
+    division by the first twelve primes, then a strong Fermat test to each
+    of them as base."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestPrimality:
+    def test_agrees_below_ten_to_the_five(self):
+        # and just above 1000^2, below which a number with no prime factor
+        # under 1000 is prime: 1009^2 = 1018081 and 1009 * 1013 are not
+        for numbers in (range(10 ** 5), range(1000 ** 2 - 10 ** 4, 1000 ** 2 + 3 * 10 ** 4)):
+            assert [n for n in numbers
+                    if sc.is_probable_prime(n) != twelve_base_is_prime(n)] == []
+
+    def test_agrees_on_seeded_samples(self):
+        rng = random.Random(8)
+        for bits in (62, 63, 64, 80):
+            primes = 0
+            for _ in range(3000):
+                n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                verdict = twelve_base_is_prime(n)
+                assert sc.is_probable_prime(n) == verdict, n
+                primes += verdict
+            assert primes > 20, bits
+
+    def test_strong_pseudoprimes(self):
+        # composites that pass the strong test to the bases 2, 3, 5, 7
+        # (3215031751) and to every prime base up to 23 (3825123056546413051)
+        for n in (3215031751, 3825123056546413051, 3825123056546413051 * 1009):
+            assert not sc.is_probable_prime(n) and not twelve_base_is_prime(n)
+        for n in (2 ** 61 - 1, 2 ** 64 - 59, 2 ** 89 - 1):
+            assert sc.is_probable_prime(n) and twelve_base_is_prime(n)
+
+    def test_trial_primes_are_pinned(self):
+        # the primes random_prime draws from each seed, at both widths the
+        # tests use; recorded with the twelve-base test
+        text = " ".join("%d:%d:%d" % (bits, s, sc.random_prime(bits, random.Random(s)))
+                        for bits in (12, 62) for s in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "711041f9ac3c4bd7863730da90555bf9f42906091ff5a5990a079471b4fdfa17"
 
 
 class TestSerialization:

@@ -30,6 +30,16 @@ class TestExpansion:
         with pytest.raises(wd.WordError):
             G(2, [wd.T(2)])
 
+    def test_diagonal_letter_renders_and_is_range_checked(self):
+        from blobalg import calib as cb
+        rhs = {name: rhs for name, _, rhs in cb._relations(2)}["C2:T0W1"]
+        assert repr(rhs) == ("(Scalar(1))*T0 + (Scalar((uk-uk^-1)))*W1"
+                             " + (Scalar((u0-u0^-1)))*W1*W1")
+        for j in (0, 3):
+            with pytest.raises(wd.WordError, match="W%d out of range" % j):
+                G(2, [cb.W(j)])
+        assert repr(G(2, [cb.W(2)])) == "(Scalar(1))*W2"
+
 
 class TestMurphy:
     def test_k1_empty_conjugation(self):
