@@ -229,10 +229,6 @@ def mat_is_zero(a: Matrix) -> bool:
     return not any(a)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
     return [ring.row({i: e}) for i, e in enumerate(entries)]
 
@@ -318,7 +314,7 @@ class CalibratedModule:
         self.basis: List[rg.Filling] = rg.enumerate_fillings(self.config)
         if not self.basis:
             raise CalibError("region has no standard fillings")
-        if spec.require_skew and not rg._fillings_skew(self.config, self.basis):
+        if spec.require_skew and not rg.is_skew(spec.region):
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
@@ -397,9 +393,6 @@ class CalibratedModule:
                                self.spec.boundary_images())
         except CalibError as exc:
             raise CalibError("%s at %s" % (exc, self.basis[m])) from None
-
-    def _t_diagonal(self, m: int, i: int) -> Scalar:
-        return self._t_entries(m, i)[0]
 
     # -- words ----------------------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
@@ -792,7 +785,7 @@ def central_character(m: CalibratedModule) -> dict:
         winv = mat_diag([mat_entry(wmat, j, j).inv() for j in range(m.n)])
         total = mat_add(total, mat_add(wmat, winv))
     z0 = mat_entry(total, 0, 0)
-    if not mat_eq(total, mat_scale(mat_identity(m.n), z0)):
+    if total != mat_scale(mat_identity(m.n), z0):
         raise CalibError("central element does not act by a scalar")
     report = {"z": z0, "scalar": True}
     c0 = rg.two_row_start(m.region)
@@ -822,5 +815,5 @@ def b_constant(m: CalibratedModule) -> dict:
     if mat_is_zero(i1):
         return {"b": None, "defined": False, "z": zval}
     i2 = m.evaluate_word(wd.standard_element("I2", m.k))
-    ok = mat_eq(mat_mul(mat_mul(i1, i2), i1), mat_scale(i1, b))
+    ok = mat_mul(mat_mul(i1, i2), i1) == mat_scale(i1, b)
     return {"b": b, "defined": True, "verified": ok, "z": zval}

@@ -108,15 +108,14 @@ def cmd_region(args) -> int:
     region = rg.LocalRegion(args.c, J, params)
     config = rg.build_config(region)
     zset, pset = region.root_sets()
-    fillings = rg.enumerate_fillings(config)
     out = {
         "region": rg.region_to_json(region),
         "Z": sorted(map(rg.render_root, zset)),
         "P": sorted(map(rg.render_root, pset)),
-        "fillings": [list(f) for f in fillings],
-        "skew": rg._fillings_skew(config, fillings),
+        "fillings": [list(f) for f in rg.enumerate_fillings(config)],
+        "skew": rg.is_skew(region),
         "tl_shape": rg.is_tl_shape(region),
-        "vanishing": {k2: v for k2, v in rg._vanishing(region, config, fillings).items()
+        "vanishing": {k2: v for k2, v in rg.vanishing_predicates(region).items()
                       if k2 != "witnesses"},
     }
     if args.json:
@@ -219,7 +218,8 @@ def cmd_verify(args) -> int:
 
 def _render_report(report: dict) -> str:
     """The suite, what ran (mode, trials and seed, where the report states
-    them), each check with its trial primes, and the result."""
+    them), each check with its trial primes and discarded points, and the
+    result."""
     lines = ["suite: %s" % report["suite"]]
     primes = report.get("primes", {})
     if "mode" in report:
@@ -229,6 +229,7 @@ def _render_report(report: dict) -> str:
         lines.append("  %-50s %s" % (name, "pass" if ok else "FAIL"))
         if primes.get(name):
             lines.append("    primes: %s" % " ".join(map(str, primes[name])))
+            lines.append("    discarded: %d" % report["discarded"][name])
     lines.append("result: %s" % ("pass" if report["passed"] else "FAIL"))
     return "\n".join(lines)
 

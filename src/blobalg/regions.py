@@ -14,7 +14,9 @@ neither x nor -x filled, everything below x filled, and a marker side that
 allows S(x) < 0; the positive values follow from S(-x) = -S(x).  The
 number of completions depends only on the set I of boxes filled so far,
 so it is memoized on I: `count_fillings` reads it at the empty set, and
-`enumerate_fillings` enters only sets with a completion.
+`enumerate_fillings` enters only sets with a completion.  The list of a
+configuration is kept, so the skew test, the vanishing conditions and the
+module built on it read one listing.
 
 Roots are tagged tuples: ("e", i) for eps_i, ("d", i, j) for eps_j - eps_i
 and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 Root = Tuple
 HALF = Fraction(1, 2)
@@ -67,9 +69,11 @@ def weight_vector(values: Iterable) -> Tuple[Fraction, ...]:
     return c
 
 
-def compute_root_sets(c: Sequence[Fraction], params: RegionParams
+@lru_cache(maxsize=1024)
+def compute_root_sets(c: Tuple[Fraction, ...], params: RegionParams
                       ) -> Tuple[FrozenSet[Root], FrozenSet[Root]]:
-    """The vanishing set Z(c) and the potential-wall set P(c)."""
+    """The vanishing set Z(c) and the potential-wall set P(c), computed once
+    for every region, and every candidate J, with the same weights."""
     k = len(c)
     zset, pset = set(), set()
     for i in range(1, k + 1):
@@ -316,10 +320,16 @@ def count_fillings(config: BoxConfig) -> int:
 
 
 def enumerate_fillings(config: BoxConfig) -> List[Filling]:
-    """All standard fillings, as value tuples on the positive boxes.
+    """All standard fillings, as value tuples on the positive boxes.  The
+    list is shared by every caller of the same configuration: do not mutate
+    it."""
+    return _fillings(config)
 
-    The walk enters only ideals whose count is nonzero, so every path it
-    takes ends in a filling."""
+
+@lru_cache(maxsize=256)
+def _fillings(config: BoxConfig) -> List[Filling]:
+    """The listing, once per configuration.  The walk enters only ideals
+    whose count is nonzero, so every path it takes ends in a filling."""
     k = config.k
     steps, count = _ideal_walk(config)
     results: List[Filling] = []
@@ -351,17 +361,11 @@ def wc_vector(config: BoxConfig, filling: Filling) -> Dict[int, Fraction]:
     return out
 
 
-def is_skew(region: LocalRegion, config: Optional[BoxConfig] = None) -> bool:
+def is_skew(region: LocalRegion) -> bool:
     """True iff every filling avoids the degenerate label coincidences."""
-    if config is None:
-        config = build_config(region)
-    return _fillings_skew(config, enumerate_fillings(config))
-
-
-def _fillings_skew(config: BoxConfig, fillings: Iterable[Filling]) -> bool:
-    """`is_skew` on fillings already listed."""
+    config = build_config(region)
     k = config.k
-    for filling in fillings:
+    for filling in enumerate_fillings(config):
         wc = wc_vector(config, filling)
         if wc[1] == 0:
             return False
@@ -430,31 +434,18 @@ def is_tl_shape(region: LocalRegion) -> bool:
 
 
 def two_row_start(region: LocalRegion) -> Optional[Fraction]:
-    """The first-row start c0 of the two-row shape whose weight vector,
-    relations and same-diagonal scan order are the region's, or None when
-    the region is not a two-row shape."""
-    k = region.k
-    c = region.c
-    _, pset = region.root_sets()
+    """The first-row start c0 whose two-row region, with the region's own
+    marker roots, is the region, or None when the region is not a two-row
+    shape.  The largest diagonal c_k ends the first row (c0 = c_k - (k-1))
+    or starts the second (c0 = -c_k), so these two starts are tried."""
+    k, c = region.k, region.c
+    markers = [r for r in region.J if r[0] == "e"]
     for c0 in (c[-1] - (k - 1), -c[-1]):
-        placement = _two_row_placement(k, c0)
-        expected_c = tuple(sorted(placement[i][0] for i in range(1, k + 1)))
-        if expected_c != c:
+        try:
+            if two_row_region(k, c0, region.params, markers) == region:
+                return c0
+        except RegionError:
             continue
-        # the full diagonal multisets agree by symmetry; compare relations
-        if any(_two_row_rel(placement, root) != (root in region.J)
-               for root in pset if root[0] != "e"):
-            continue
-        # same-diagonal scan order must match the index assignment
-        diag = _box_diagonals(region)
-        by_diag: Dict[Fraction, List[int]] = {}
-        for b in sorted(diag, key=lambda b: (diag[b], b)):
-            by_diag.setdefault(diag[b], []).append(b)
-        target: Dict[Fraction, List[int]] = {}
-        for b, (d, r, _) in sorted(placement.items(), key=lambda t: (t[1][0], t[1][1])):
-            target.setdefault(d, []).append(b)
-        if by_diag == target:
-            return c0
     return None
 
 
@@ -466,17 +457,10 @@ _BOUNDARY_CASES = {
 }
 
 
-def vanishing_predicates(region: LocalRegion,
-                         config: Optional[BoxConfig] = None) -> dict:
+def vanishing_predicates(region: LocalRegion) -> dict:
     """Per-idempotent report of the combinatorial annihilation conditions."""
-    if config is None:
-        config = build_config(region)
-    return _vanishing(region, config, enumerate_fillings(config))
-
-
-def _vanishing(region: LocalRegion, config: BoxConfig,
-               fillings: List[Filling]) -> dict:
-    """`vanishing_predicates` on the region's filling list, already listed."""
+    config = build_config(region)
+    fillings = enumerate_fillings(config)
     k = region.k
     r1, r2 = region.params.r1, region.params.r2
     report = {"fillings": len(fillings)}
@@ -509,37 +493,25 @@ def _vanishing(region: LocalRegion, config: BoxConfig,
 # region enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_regions(k: int, params: RegionParams, diagonal_bound,
-                      classes: Sequence[str] = ("integer", "half"),
-                      require_skew: bool = False) -> List[LocalRegion]:
-    """All (c, J) with 0 <= c_i <= bound and at least one standard filling."""
+def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[LocalRegion]:
+    """All (c, J) with 0 <= c_i <= bound and at least one standard filling,
+    the integer weights first, then the half-integer ones."""
     bound = _fr(diagonal_bound)
     found: List[LocalRegion] = []
-    seen = set()
-    for cls in classes:
-        start = Fraction(0) if cls == "integer" else HALF
+    for start in (Fraction(0), HALF):
         values = [start + n for n in range(floor(bound - start) + 1)]
         for c in _sorted_tuples(values, k):
-            region0 = LocalRegion(c, frozenset(), params)
-            _, pset = region0.root_sets()
+            _, pset = compute_root_sets(c, params)
             proots = sorted(pset, key=root_sort_key)
             for mask in range(1 << len(proots)):
                 J = frozenset(r for b, r in enumerate(proots) if mask >> b & 1)
                 region = LocalRegion(c, J, params)
-                key = (region.c, region.J)
-                if key in seen:
-                    continue
-                seen.add(key)
                 try:
                     config = build_config(region)
                 except RegionError:
                     continue
-                fillings = enumerate_fillings(config)
-                if not fillings:
-                    continue
-                if require_skew and not _fillings_skew(config, fillings):
-                    continue
-                found.append(region)
+                if enumerate_fillings(config):
+                    found.append(region)
     return found
 
 

@@ -33,8 +33,9 @@ class SWParams:
     b: int
 
     def __post_init__(self):
-        if not (self.a > self.b + 2 and self.b >= 0):
-            raise SchurWeylError("need a > b + 2 >= 2")
+        if not (self.a > self.b + 2 and self.b >= 1):
+            raise SchurWeylError("need a > b + 2 >= 3: b = 0 puts r2 = r1 + 1, "
+                                 "too close for the regions' boundary parameters")
 
     @property
     def r1(self) -> Fraction:
@@ -137,22 +138,11 @@ def lambda_to_region(params: SWParams, k: int, l: int
     z = Scalar.monomial(u=exponent)
     if k % 2:
         z = -z
-    c0 = Fraction(a + b, 2) - l + 1
-    c = tuple(sorted(abs(c0 + m) for m in range(k)))
-    J = set()
-    if b < l <= a:
-        J.add(("e", l - b))
-    elif l > a:
-        J.add(("e", a - b))
-    if 2 * l >= a + b + 2:
-        start = 1 if (a + b) % 2 == 0 else 2
-        for m in range(start, 2 * l - a - b, 2):
-            J.add(("d", m, m + 1))
-    region = rg.LocalRegion(c, frozenset(J), params.region_params())
-    config = rg.build_config(region)
-    # endpoint sanity: the first row runs from r2 - l to r2 - 1 + k - l
-    assert c0 == params.r2 - l
-    return z, region, config
+    # the first row runs from r2 - l to r2 - 1 + k - l; the one marker root
+    # is e_(l-b), or e_(a-b) once the second row passes a
+    marker = [("e", l - b)] if b < l <= a else [("e", a - b)] if l > a else []
+    region = rg.two_row_region(k, params.r2 - l, params.region_params(), marker)
+    return z, region, rg.build_config(region)
 
 
 def dim_B(params: SWParams, k: int, l: int, method: str = "formula") -> int:
@@ -203,8 +193,8 @@ def gn_b_values(params: SWParams, k: int, l: int,
     denom = q_minus * q_minus * qint_signed(w1 + 1) * qint_signed(w2 + 1)
     a0ak_value = spec(bb("t0/t")) * spec(bb("tk/t"))
     identity_ok = (a0ak_value == -denom)
-    zrep = cb.central_character(module)
-    zk = zrep["z"] / qint(k)
+    bc = cb.b_constant(module)
+    zk = bc["z"] / qint(k)
 
     def sym(x: int) -> Scalar:
         return Scalar.monomial(u=x) + Scalar.monomial(u=-x)
@@ -216,7 +206,6 @@ def gn_b_values(params: SWParams, k: int, l: int,
     # the closed form normalizes the cup products without the inner sign;
     # converting to the diagram normalization costs a^(k-1)
     b_gn = b_gn * Scalar.from_int(wd.A_SIGN ** (k - 1))
-    bc = cb.b_constant(module)
     report = {
         "omega": (w1, w2),
         "a0ak_identity": identity_ok,

@@ -131,10 +131,12 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
                        seed: int = 0) -> dict:
     """Defining relations on every tensor-space module at level k.  The
     report states what ran: the mode and trial count of the modules' own
-    checks (0 trials when exact) and each module's trial primes."""
+    checks (0 trials when exact), and each module's trial primes and the
+    number of points its check discarded."""
     params = sw.SWParams(a, b)
     checks: Dict[str, bool] = {}
     primes: Dict[str, list] = {}
+    discarded: Dict[str, int] = {}
     mode, ran = None, 0
     for (_l1, l) in sw.level_nodes(params, k):
         if sw.zero_multiplicity(params, k, l):
@@ -145,8 +147,9 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
         label = "l=%d(dim %d)" % (l, module.n)
         checks[label] = rep["passed"]
         primes[label] = rep["primes"]
-    return _report("presentation(k=%d,%s)" % (k, mode), checks,
-                   trials=ran, seed=seed, mode=mode, primes=primes)
+        discarded[label] = rep["discarded"]
+    return _report("presentation(k=%d,%s)" % (k, mode), checks, trials=ran,
+                   seed=seed, mode=mode, primes=primes, discarded=discarded)
 
 
 def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
@@ -162,7 +165,7 @@ def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
         module = cb.build_module(cb.ModuleSpec(region))
         matrix_tl = cb.idempotent_nullity(module)["is_tl_module"]
         shape_tl = rg.is_tl_shape(region)
-        cond_tl = rg._vanishing(region, module.config, module.basis)["is_tl_module"]
+        cond_tl = rg.vanishing_predicates(region)["is_tl_module"]
         label = "c=%s J={%s}" % (",".join(str(v) for v in region.c),
                                  ",".join(rg.render_root(x) for x in
                                           sorted(region.J, key=rg.root_sort_key)))

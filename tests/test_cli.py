@@ -109,6 +109,7 @@ class TestVerify:
                           sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "70ce56537951c5e9879f40cc371aa6290890bcceba22e55ca18bd3f5b10cf40e"
+        assert json.loads(out)["discarded"] == discarded
 
     def test_presentation_k6(self, capsys):
         # every module at k = 6, the two 56-dimensional ones included
@@ -196,11 +197,14 @@ class TestRegionAndModule:
         assert len(blob["fillings"]) == 7
 
     def test_region_lists_fillings_once(self, capsys, monkeypatch):
+        # the report's listing, skew test and vanishing conditions share
+        # one walk over the configuration's fillings
         from blobalg import regions as rg
         listed = []
-        listing = rg.enumerate_fillings
-        monkeypatch.setattr(rg, "enumerate_fillings",
-                            lambda config: listed.append(config) or listing(config))
+        walk = rg._ideal_walk
+        monkeypatch.setattr(rg, "_ideal_walk",
+                            lambda config: listed.append(config) or walk(config))
+        rg._fillings.cache_clear()
         rc, out, _ = run(capsys, "--json", "region", "--c", "7/2,9/2,11/2",
                          "--J", "", "--r1", "3/2", "--r2", "11/2")
         assert rc == 0 and len(listed) == 1
@@ -293,6 +297,12 @@ class TestSchurWeyl:
     def test_hypothesis_violation(self, capsys):
         rc, _, err = run(capsys, "schurweyl", "--a", "4", "--b", "3")
         assert rc == 2 and "a > b + 2" in err
+
+    def test_b_zero_is_a_usage_error(self, capsys):
+        for extra in ([], ["--dot"]):
+            rc, out, err = run(capsys, "schurweyl", "--a", "3", "--b", "0", "--k", "2",
+                               *extra)
+            assert rc == 2 and "a > b + 2" in err and "b = 0" in err and not out, extra
 
 
 class TestExitCodes:

@@ -61,7 +61,7 @@ class TestSmallExampleConfig:
         assert (-3, 1, -2) not in fills
 
     def test_not_skew_and_not_two_row(self):
-        assert not rg.is_skew(self.region, self.config)
+        assert not rg.is_skew(self.region)
         assert not rg.is_tl_shape(self.region)
 
     def test_alternative_j(self):
@@ -128,7 +128,7 @@ class TestTwoRowShapes:
         region = rg.LocalRegion((F(7, 2), F(9, 2), F(11, 2)), frozenset(), PARAMS)
         config = rg.build_config(region)
         assert len(rg.enumerate_fillings(config)) == 7
-        assert rg.is_skew(region, config)
+        assert rg.is_skew(region)
         assert rg.is_tl_shape(region)
 
     def test_k1_two_fillings(self):
@@ -142,9 +142,8 @@ class TestTwoRowShapes:
 
     def test_aligned_rectangle_not_skew(self):
         region = rg.two_row_region(3, F(-1, 2), PARAMS)
-        config = rg.build_config(region)
         assert rg.is_tl_shape(region)
-        assert not rg.is_skew(region, config)
+        assert not rg.is_skew(region)
 
     def test_two_row_canonical_data(self):
         region = rg.two_row_region(3, F(1, 2), PARAMS)
@@ -174,19 +173,60 @@ class TestTwoRowShapes:
         assert rg.is_tl_shape(region) and not rg.is_skew(region)
         assert rg.two_row_start(region) == -3
 
-    def test_two_row_start_rebuilds_the_region(self):
+    def test_two_row_start_rebuilds_the_region(self, start_corpus):
         # the canonical two-row region at the start, with the region's own
         # marker roots, is the region
-        params = rg.RegionParams(F(1, 2), F(5, 2))
-        for k in (1, 2, 3, 4):
-            for region in rg.enumerate_regions(k, params, F(5)):
-                c0 = rg.two_row_start(region)
-                if c0 is None:
-                    assert not rg.is_tl_shape(region)
-                    continue
-                assert rg.is_tl_shape(region)
+        for region in start_corpus:
+            c0 = rg.two_row_start(region)
+            assert rg.is_tl_shape(region) == (c0 is not None)
+            if c0 is not None:
                 markers = [r for r in region.J if r[0] == "e"]
-                assert rg.two_row_region(k, c0, params, markers) == region
+                assert rg.two_row_region(region.k, c0, region.params, markers) == region
+
+    def test_two_row_start_equals_the_scan_reference(self, start_corpus):
+        assert len(start_corpus) > 1000
+        assert [rg.two_row_start(r) for r in start_corpus] == \
+            [_two_row_start_reference(r) for r in start_corpus]
+        assert any(_two_row_start_reference(r) is None for r in start_corpus)
+
+
+def _two_row_start_reference(region):
+    """The start found by comparing weights, relations and the same-diagonal
+    scan order with the canonical placement directly, as `two_row_start`
+    did before it rebuilt the region."""
+    k, c = region.k, region.c
+    _, pset = region.root_sets()
+    for c0 in (c[-1] - (k - 1), -c[-1]):
+        placement = rg._two_row_placement(k, c0)
+        if tuple(sorted(placement[i][0] for i in range(1, k + 1))) != c:
+            continue
+        if any(rg._two_row_rel(placement, root) != (root in region.J)
+               for root in pset if root[0] != "e"):
+            continue
+        diag = rg._box_diagonals(region)
+        by_diag, target = {}, {}
+        for b in sorted(diag, key=lambda b: (diag[b], b)):
+            by_diag.setdefault(diag[b], []).append(b)
+        for b, (d, _, _) in sorted(placement.items(), key=lambda t: (t[1][0], t[1][1])):
+            target.setdefault(d, []).append(b)
+        if by_diag == target:
+            return c0
+    return None
+
+
+@pytest.fixture(scope="module")
+def start_corpus():
+    """Every region of ranks 1-4 at (1/2, 5/2) with diagonal bound 5, and of
+    ranks 1-3 at (3/2, 7/2), where the starts 0 and -3 share a weight
+    vector, and at (3/2, 11/2)."""
+    regions = []
+    for (r1, r2), ranks in (((F(1, 2), F(5, 2)), (1, 2, 3, 4)),
+                            ((F(3, 2), F(7, 2)), (1, 2, 3)),
+                            ((F(3, 2), F(11, 2)), (1, 2, 3))):
+        params = rg.RegionParams(r1, r2)
+        for k in ranks:
+            regions += rg.enumerate_regions(k, params, F(5))
+    return regions
 
 
 class TestVanishing:
@@ -208,7 +248,7 @@ class TestVanishing:
             config = rg.build_config(region)
             if not rg.enumerate_fillings(config):
                 continue
-            results.append(rg.vanishing_predicates(region, config)["is_tl_module"])
+            results.append(rg.vanishing_predicates(region)["is_tl_module"])
         assert results and not any(results)
 
     def test_three_row_witness(self):
@@ -221,14 +261,14 @@ class TestVanishing:
 
 class TestEnumeration:
     def test_k1_integer_bound2(self):
-        regions = rg.enumerate_regions(1, PARAMS, 2, classes=("integer",))
-        cs = {r.c[0] for r in regions}
+        regions = rg.enumerate_regions(1, PARAMS, 2)
+        cs = {r.c[0] for r in regions if r.c[0].denominator == 1}
         assert cs == {0, 1, 2}
 
     def test_bound0_rejected_as_non_skew(self):
-        regions = rg.enumerate_regions(1, PARAMS, 0, classes=("integer",),
-                                       require_skew=True)
-        assert regions == []
+        regions = rg.enumerate_regions(1, PARAMS, 0)
+        assert [r.c for r in regions] == [(0,)]
+        assert not any(rg.is_skew(r) for r in regions)
 
     def test_k2_contains_figure_regions(self):
         regions = rg.enumerate_regions(2, PARAMS, 7)

@@ -24,6 +24,12 @@ class TestLevels:
         with pytest.raises(sw.SchurWeylError):
             sw.SWParams(4, 3)
 
+    def test_b_zero_refused(self):
+        # b = 0 puts r2 = r1 + 1, closer than a region's parameters may be
+        with pytest.raises(sw.SchurWeylError, match=r"a > b \+ 2 >= 3: b = 0"):
+            sw.SWParams(3, 0)
+        assert sw.SWParams(4, 1).r2 - sw.SWParams(4, 1).r1 == 2
+
     def test_r_values(self):
         assert P63.r1 == F(3, 2) and P63.r2 == F(11, 2)
 
@@ -122,9 +128,21 @@ class TestLambdaToRegion:
             for (_l1, l) in sw.level_nodes(P63, k):
                 if sw.zero_multiplicity(P63, k, l):
                     continue
-                _, region, config = sw.lambda_to_region(P63, k, l)
-                assert rg.is_skew(region, config)
+                _, region, _ = sw.lambda_to_region(P63, k, l)
+                assert rg.is_skew(region)
                 assert rg.is_tl_shape(region)
+
+    def test_regions_equal_the_hand_built_reference(self):
+        nodes = 0
+        for a, b in ((4, 1), (5, 1), (6, 3), (7, 2), (8, 5), (9, 4), (10, 1)):
+            params = sw.SWParams(a, b)
+            for k in range(7):
+                for (_l1, l) in sw.level_nodes(params, k):
+                    if not sw.zero_multiplicity(params, k, l):
+                        _, region, _ = sw.lambda_to_region(params, k, l)
+                        assert region == _region_reference(params, k, l), (a, b, k, l)
+                        nodes += 1
+        assert nodes > 200
 
     def test_first_row_endpoints(self):
         # shifted contents of the first row run from r2-l to r2-1+k-l
@@ -174,3 +192,22 @@ class TestGNValues:
                     continue
                 m = sw.module_for(P63, k, l)
                 assert cb.idempotent_nullity(m)["is_tl_module"], (k, l)
+
+
+def _region_reference(params, k, l):
+    """The node's region with J built root by root: the marker root, and
+    the roots e_(m+1) - e_m for every second m up to 2l - a - b, as
+    `lambda_to_region` did before it built the two-row region."""
+    a, b = params.a, params.b
+    c0 = F(a + b, 2) - l + 1
+    c = tuple(sorted(abs(c0 + m) for m in range(k)))
+    J = set()
+    if b < l <= a:
+        J.add(("e", l - b))
+    elif l > a:
+        J.add(("e", a - b))
+    if 2 * l >= a + b + 2:
+        start = 1 if (a + b) % 2 == 0 else 2
+        for m in range(start, 2 * l - a - b, 2):
+            J.add(("d", m, m + 1))
+    return rg.LocalRegion(c, frozenset(J), params.region_params())
