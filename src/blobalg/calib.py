@@ -28,6 +28,8 @@ the distinct entries of T and W take one modular inverse between them
 (`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words` and a diagonal letter W(j).
+The central character z is read off the diagonals of the W_i, and the
+blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
 
 Each relation is a pair of generator expressions (`_relations`), which a
 module satisfies when both evaluate to the same matrix, in inverse-free
@@ -61,7 +63,7 @@ import copy
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -199,16 +201,6 @@ def mat_add(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix, ring=EXACT) -> Matrix:
-    out = []
-    for ra, rb in zip(a, b):
-        acc = dict(ra)
-        for j, y in rb.items():
-            acc[j] = acc[j] - y if j in acc else -y
-        out.append(ring.row(acc))
-    return out
-
-
 def mat_scale(a: Matrix, c, ring=EXACT) -> Matrix:
     return [ring.row({j: x * c for j, x in row.items()}) for row in a]
 
@@ -252,7 +244,6 @@ def _specialize(x: Scalar, u0_img, uk_img) -> Scalar:
 @dataclass(frozen=True)
 class ModuleSpec:
     region: rg.LocalRegion
-    z: Scalar = field(default_factory=Scalar.one)
     branch: int = 1
     require_skew: bool = True
 
@@ -318,9 +309,6 @@ class CalibratedModule:
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
-        self.u0s, self.uks = spec.specialize(U0), spec.specialize(UK)
-        self.fu, self.f0, self.fk = (spec.specialize(_SHIFT[x]) for x in (U, U0, UK))
-        self.z = spec.z
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
@@ -333,8 +321,7 @@ class CalibratedModule:
         are now, their distinct entries lifted into `ring` by one
         `lift_many`; its letters and words read coefficients through
         `_coeff`, each lifted there once, so lifting is the only step of
-        their evaluation that can raise `EvalRetry`.  The exact attributes
-        u0s, uks, fu, f0, fk stay exact."""
+        their evaluation that can raise `EvalRetry`."""
         index: Dict[Scalar, int] = {}
         shapes = [[{j: index.setdefault(x, len(index)) for j, x in row.items()}
                    for row in mat] for mat in (*self.T.values(), *self.W)]
@@ -356,15 +343,6 @@ class CalibratedModule:
     def gamma(self, m: int, label: int) -> Scalar:
         """gamma_label = -u^(2 wc_label) on filling m."""
         return -Scalar.monomial(u=int(2 * self._wc[m][label]))
-
-    @functools.cached_property
-    def gamma0(self) -> List[Scalar]:
-        """gamma_0 = z / (gamma_1 ... gamma_k) = z (-1)^k u^(-2 sum_j wc_j)
-        on each filling, for j = 1..k."""
-        labels = range(1, self.k + 1)
-        return [self.z * Scalar.monomial(u=-int(2 * sum(wc[j] for j in labels)),
-                                         coeff=((-1) ** self.k, 0))
-                for wc in self._wc]
 
     def _w_matrix(self, i: int) -> Matrix:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])
@@ -764,28 +742,17 @@ def _f0v_expr(k: int) -> wd.GenExpr:
     return ae1 * e0v * ae1 - ae1.scale(bb("tk/t"))
 
 
-def f_matrices(m: CalibratedModule) -> Dict[str, Matrix]:
-    """The quotient relators F_i, F_0, F_k, F_0v as matrices."""
-    out: Dict[str, Matrix] = {}
-    for i in range(1, m.k - 1):
-        out["F%d" % i] = m.evaluate_word(wd.f_element(i, m.k))
-    if m.k >= 2:
-        out["F0"] = m.evaluate_word(wd.f_element("F0", m.k))
-        out["Fk"] = m.evaluate_word(wd.f_element("Fk", m.k))
-        out["F0v"] = m.evaluate_word(_f0v_expr(m.k))
-    return out
-
-
 def central_character(m: CalibratedModule) -> dict:
-    """The scalar by which the symmetric commuting sum acts, plus the
-    closed-form comparison for two-row regions."""
-    total = mat_zero(m.n)
-    for i in range(m.k):
-        wmat = m.W[i]
-        winv = mat_diag([mat_entry(wmat, j, j).inv() for j in range(m.n)])
-        total = mat_add(total, mat_add(wmat, winv))
-    z0 = mat_entry(total, 0, 0)
-    if total != mat_scale(mat_identity(m.n), z0):
+    """The scalar z by which the symmetric commuting sum
+    sum_i (W_i + W_i^-1) acts, read off the diagonals of the W_i: on each
+    filling the sum of gamma + 1/gamma, which must be the same on all of
+    them; plus the closed-form comparison for two-row regions."""
+    if any(set(row) - {j} for w in m.W for j, row in enumerate(w)):
+        raise CalibError("central element does not act by a scalar")
+    diagonals = [[mat_entry(w, j, j) for w in m.W] for j in range(m.n)]
+    sums = [sum((g + g.inv() for g in gammas), Scalar.zero()) for gammas in diagonals]
+    z0 = sums[0]
+    if any(s != z0 for s in sums):
         raise CalibError("central element does not act by a scalar")
     report = {"z": z0, "scalar": True}
     c0 = rg.two_row_start(m.region)
@@ -802,7 +769,7 @@ def central_character(m: CalibratedModule) -> dict:
 
 def b_constant(m: CalibratedModule) -> dict:
     """The scalar with I1 I2 I1 = b I1 on the module, from the central
-    character, checked against the matrix product."""
+    character, checked by evaluating both sides as words."""
     zrep = central_character(m)
     zval = zrep["z"]
     spec = m.spec.specialize
@@ -811,9 +778,9 @@ def b_constant(m: CalibratedModule) -> dict:
         b = (zval / qint(m.k) - spec(bb("t0*tk/t"))) / a0ak
     else:
         b = (zval / qint(m.k) + spec(bb("t0/tk"))) / a0ak
-    i1 = m.evaluate_word(wd.standard_element("I1", m.k))
-    if mat_is_zero(i1):
+    i1 = wd.standard_element("I1", m.k)
+    if mat_is_zero(m.evaluate_word(i1)):
         return {"b": None, "defined": False, "z": zval}
-    i2 = m.evaluate_word(wd.standard_element("I2", m.k))
-    ok = mat_mul(mat_mul(i1, i2), i1) == mat_scale(i1, b)
+    i2 = wd.standard_element("I2", m.k)
+    ok = m.evaluate_word(i1 * i2 * i1) == m.evaluate_word(i1.scale(b))
     return {"b": b, "defined": True, "verified": ok, "z": zval}

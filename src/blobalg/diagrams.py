@@ -85,15 +85,6 @@ class TLDiagram:
                 out.append((nodes[p], nodes[partner[p]]))
         return tuple(out)
 
-    def wall_grade(self) -> int:
-        """Number of wall-to-wall lines."""
-        left = 2 * self.k + self.R
-        return sum(1 for p in range(self.k, self.k + self.R) if self.partner[p] >= left)
-
-    def through_strands(self) -> int:
-        k, R = self.k, self.R
-        return sum(1 for p in range(k) if k + R <= self.partner[p] < 2 * k + R)
-
 
 def _pair_walk(k: int, R: int, n: int) -> List[int]:
     """The positions of T1..Tk, B1..Bk, L1..LL, R1..RR among n positions."""
@@ -166,15 +157,6 @@ def e_diagram(k: int, i: int) -> TLDiagram:
     pairs = [(("T", i), ("T", i + 1)), (("B", i), ("B", i + 1))]
     pairs += [(("T", j), ("B", j)) for j in range(1, k + 1) if j not in (i, i + 1)]
     return make_diagram(k, 0, 0, pairs)
-
-
-def generator(k: int, which) -> TLDiagram:
-    """which is "e0", "ek", or an inner index 1 <= i <= k-1."""
-    if which == "e0":
-        return e0_diagram(k)
-    if which == "ek":
-        return ek_diagram(k)
-    return e_diagram(k, int(which))
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +257,11 @@ class TLElement:
         return " + ".join(bits)
 
 
-_LOOP: Optional[Scalar] = None
-_ARC_COEFFS: Dict[Tuple[str, int], Scalar] = {}
-
-
-def _loop_value() -> Scalar:
-    global _LOOP
-    if _LOOP is None:
-        _LOOP = -bb("t")
-    return _LOOP
-
-
-def _arc_value(side: str, depth: int) -> Scalar:
-    key = (side, depth % 2)
-    if key not in _ARC_COEFFS:
-        if side == "L":
-            val = bb("t0/t") / Scalar.var("a0") if depth % 2 == 0 \
-                else -bb("t0") / Scalar.var("a0")
-        else:
-            val = bb("tk/t") / Scalar.var("ak") if depth % 2 == 0 \
-                else -bb("tk") / Scalar.var("ak")
-        _ARC_COEFFS[key] = val
-    return _ARC_COEFFS[key]
+# the factor of a closed loop, and of a removed return arc by its wall and
+# the parity of its depth
+_LOOP = -bb("t")
+_ARC = {("L", 0): bb("t0/t") / Scalar.var("a0"), ("L", 1): -bb("t0") / Scalar.var("a0"),
+        ("R", 0): bb("tk/t") / Scalar.var("ak"), ("R", 1): -bb("tk") / Scalar.var("ak")}
 
 
 # Product memo for the unshuffled path: (x, y) -> (coefficient, diagram).
@@ -321,7 +286,7 @@ def _fold(loops: int, arcs: Iterable[Tuple[str, int]], rng=None) -> Scalar:
     """Product of the factors of `loops` closed loops and of the removed
     return arcs `(wall, depth)`, folded in an order shuffled by `rng` if
     one is given."""
-    folds = [_loop_value()] * loops + [_arc_value(side, depth) for side, depth in arcs]
+    folds = [_LOOP] * loops + [_ARC[(side, depth % 2)] for side, depth in arcs]
     if rng is not None:
         rng.shuffle(folds)
     coeff = Scalar.one()

@@ -156,12 +156,6 @@ def region_to_json(region: LocalRegion) -> dict:
             "r1": str(region.params.r1), "r2": str(region.params.r2)}
 
 
-def region_from_json(obj) -> LocalRegion:
-    params = RegionParams(Fraction(obj["r1"]), Fraction(obj["r2"]))
-    return LocalRegion(tuple(Fraction(v) for v in obj["c"]),
-                       frozenset(parse_root(s) for s in obj["J"]), params)
-
-
 # ---------------------------------------------------------------------------
 # box configurations
 # ---------------------------------------------------------------------------

@@ -723,7 +723,6 @@ UK = Scalar.var("uk")
 A0 = Scalar.var("a0")
 AK = Scalar.var("ak")
 ONE = Scalar.one()
-ZERO = Scalar.zero()
 I = Scalar.i()
 
 

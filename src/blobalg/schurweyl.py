@@ -167,12 +167,11 @@ def dim_check_sum(params: SWParams, k: int) -> bool:
     return total == (params.a + 1) * (params.b + 1) * 2 ** k
 
 
-def module_for(params: SWParams, k: int, l: int,
-               branch: int = 1) -> cb.CalibratedModule:
+def module_for(params: SWParams, k: int, l: int) -> cb.CalibratedModule:
     if k < 1:
         raise SchurWeylError("a module needs k >= 1, got k=%d" % k)
-    z, region, _ = lambda_to_region(params, k, l)
-    return cb.build_module(cb.ModuleSpec(region, z=z, branch=branch))
+    _, region, _ = lambda_to_region(params, k, l)
+    return cb.build_module(cb.ModuleSpec(region))
 
 
 def gn_b_values(params: SWParams, k: int, l: int,

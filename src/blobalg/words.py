@@ -408,15 +408,10 @@ def normalizer(which: str) -> Scalar:
     raise WordError("unknown normalizer %r" % which)
 
 
-def _wall_inverse_word(k: int) -> Word:
-    """W_1 * T0^-1 as a word: the T0 letter cancels."""
-    return tuple([T(i, -1) for i in range(1, k)] + [Tk]
-                 + [T(i) for i in range(k - 1, 0, -1)])
-
-
 def e0v_numerator(k: int) -> GenExpr:
     """ak * e_0v = W_1 T0^-1 - uk as a generator expression."""
-    return GenExpr.word(k, _wall_inverse_word(k)) - GenExpr.one(k).scale(UK)
+    # W_1 T0^-1 is the word of W_1 without its last letter, T0
+    return GenExpr.word(k, murphy_word(k, 1)[:-1]) - GenExpr.one(k).scale(UK)
 
 
 def f_element(which, k: int) -> GenExpr:

@@ -12,11 +12,16 @@ from blobalg import regions as rg
 from blobalg import schurweyl as sw
 from blobalg import verify as vf
 from blobalg import words as wd
-from blobalg.scalars import (ONE, EvalRetry, Scalar, U, bb, eval_mod, qint,
+from blobalg.scalars import (ONE, EvalRetry, Scalar, U, U0, UK, bb, eval_mod, qint,
                              random_point, random_prime)
 
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
 SW63 = sw.SWParams(6, 3)
+
+
+def shifts(m):
+    """u - 1/u, u0 - 1/u0 and uk - 1/uk at the module's boundary images."""
+    return tuple(m.spec.specialize(cb._SHIFT[x]) for x in (U, U0, UK))
 
 
 def two_row_module(k, l):
@@ -126,7 +131,7 @@ class ReferenceEnv:
 
         self.T = {i: lift_matrix(t) for i, t in m.T.items()}
         self.W = [lift_matrix(w) for w in m.W]
-        self.fu, self.f0, self.fk = lift(m.fu), lift(m.f0), lift(m.fk)
+        self.fu, self.f0, self.fk = (lift(x) for x in shifts(m))
         tk = cb.mat_mul(self.W[0], cb.mat_shift(self.T[0], self.f0, ring), ring)
         for i in range(1, len(self.W)):
             tk = cb.mat_mul(self.T[i], tk, ring)
@@ -175,7 +180,7 @@ def reference_check(env, tag):
         i = tag[1]
         d = cb.mat_scale(W[i], env.fu, ring)
         if kind == "c1a":
-            return mul(T[i], W[i - 1]) == cb.mat_sub(mul(W[i], T[i]), d, ring)
+            return cb.mat_add(mul(T[i], W[i - 1]), d, ring) == mul(W[i], T[i])
         return mul(T[i], W[i]) == cb.mat_add(mul(W[i - 1], T[i]), d, ring)
     if kind == "c2":
         # W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 + (uk - 1/uk) W_1
@@ -273,7 +278,8 @@ class TestMatrixHelpers:
                                         self.ref_mul(da, db, ring), ring)
                     self.assert_matches(cb.mat_add(a, b, ring), self.ref_map(
                         lambda x, y: red(x + y), da, db), ring)
-                    self.assert_matches(cb.mat_sub(a, b, ring), self.ref_map(
+                    self.assert_matches(cb.mat_add(a, cb.mat_scale(b, -ring.one, ring),
+                                                   ring), self.ref_map(
                         lambda x, y: red(x - y), da, db), ring)
                     self.assert_matches(cb.mat_add(a, cb.mat_scale(a, -ring.one, ring),
                                                    ring), self.ref_map(
@@ -326,7 +332,7 @@ class TestConstruction:
         region = rg.LocalRegion((F(9, 2),), frozenset(), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
         assert m.n == 2
-        u0s, uks = m.u0s, m.uks
+        u0s, uks = m.spec.specialize(U0), m.spec.specialize(UK)
         for col, w in enumerate(m.basis):
             g = m.gamma(col, 1)
             expected = ((u0s - u0s.inv()) + (uks - uks.inv()) * g.inv()) \
@@ -341,7 +347,7 @@ class TestConstruction:
         for k, l in ((2, 2), (3, 2), (4, 3)):
             m = two_row_module(k, l)
             for i, mat in m.T.items():
-                lam = m.u0s if i == 0 else U
+                lam = m.spec.specialize(U0) if i == 0 else U
                 for colw, w in enumerate(m.basis):
                     d = m._t_entries(colw, i)[0]
                     assert mat[colw][colw] == d
@@ -357,11 +363,15 @@ class TestConstruction:
             cb.build_module(cb.ModuleSpec(region))
 
     def test_gamma0_satisfies_pw_relation(self):
+        # gamma_0 = z / (gamma_1 ... gamma_k) = z (-1)^k u^(-2 sum_j wc_j)
+        # on each filling, for j = 1..k
         z = Scalar.monomial(u=5)
         region = rg.LocalRegion((F(7, 2), F(9, 2)), frozenset(), PARAMS)
-        m = cb.build_module(cb.ModuleSpec(region, z=z))
-        for col in range(m.n):
-            prod = m.gamma0[col]
+        m = cb.build_module(cb.ModuleSpec(region))
+        for col, w in enumerate(m.basis):
+            wc = rg.wc_vector(m.config, w)
+            prod = z * Scalar.monomial(u=-int(2 * sum(wc[j] for j in range(1, m.k + 1))),
+                                       coeff=((-1) ** m.k, 0))
             for i in range(1, m.k + 1):
                 prod = prod * m.gamma(col, i)
             assert prod == z
@@ -433,13 +443,14 @@ class TestBernsteinForm:
 
     def test_seminormal_diagonals_are_the_inverse_free_terms(self):
         for m in self.modules():
+            fu, f0, fk = shifts(m)
             for col in range(m.n):
                 g = [m.gamma(col, j) for j in range(1, m.k + 1)]
                 for x, y in zip(g, g[1:]):
-                    assert m.fu * (x - y) / (ONE - x / y) == -m.fu * y, m.region
+                    assert fu * (x - y) / (ONE - x / y) == -fu * y, m.region
                 g1 = g[0]
-                old = (m.f0 + m.fk / g1) * (g1 - g1.inv()) / (ONE - g1 ** -2)
-                assert old == m.f0 * g1 + m.fk, m.region
+                old = (f0 + fk / g1) * (g1 - g1.inv()) / (ONE - g1 ** -2)
+                assert old == f0 * g1 + fk, m.region
 
     def test_perturbed_weight_fails_its_cross_relation(self):
         # W_1 is checked by C2 and W_2 by the C1 pair; both stay exact
@@ -553,18 +564,19 @@ def reference_t_matrices(m):
     """Each T_i from the seminormal formula at each filling's own gamma
     values, the diagonal and the radicand computed filling by filling."""
     out = {}
+    fu, f0, fk = shifts(m)
     for i in range(m.k):
-        lam = m.u0s if i == 0 else U
+        lam = m.spec.specialize(U0) if i == 0 else U
         mat = [{} for _ in range(m.n)]
         for col, w in enumerate(m.basis):
             wc = rg.wc_vector(m.config, w)
             gamma = {j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
             if i == 0:
                 g1i = gamma[1].inv()
-                d = (m.f0 + m.fk * g1i) / (ONE - g1i * g1i)
+                d = (f0 + fk * g1i) / (ONE - g1i * g1i)
                 up = wc[1] < 0
             else:
-                d = m.fu / (ONE - gamma[i] * gamma[i + 1].inv())
+                d = fu / (ONE - gamma[i] * gamma[i + 1].inv())
                 up = wc[i] < wc[i + 1]
             mat[col][col] = d
             pm = m.index.get(cb._flip_label_one(w) if i == 0 else cb._swap_labels(w, i))
@@ -616,20 +628,14 @@ class TestSharedSeminormalEntries:
                 m = cb.build_module(cb.ModuleSpec(region))
                 assert m.T == reference_t_matrices(m), region
 
-    def test_branch_and_z(self):
+    def test_branches(self):
         # the two branches specialize u0 and uk to different images, so they
-        # share no T_0 entry; z enters gamma_0 only
-        z = Scalar.monomial(u=5)
+        # share no T_0 entry
         for k, l in ((2, 2), (3, 2), (4, 3)):
             plus = two_row_module(k, l)
-            minus = sw.module_for(SW63, k, l, branch=-1)
+            minus = cb.build_module(cb.ModuleSpec(plus.region, branch=-1))
             assert minus.T == reference_t_matrices(minus)
             assert minus.T[0] != plus.T[0] and minus.T[1] == plus.T[1]
-            spec = cb.ModuleSpec(plus.region, z=z, branch=-1)
-            with_z = cb.build_module(spec)
-            assert with_z.T == minus.T and with_z.W == minus.W
-            assert [g * z.inv() for g in with_z.gamma0] == \
-                [g * plus.z.inv() for g in plus.gamma0]
 
     def test_errors_name_the_filling(self):
         # a non-skew region reaches the seminormal formula without the skew
@@ -788,7 +794,7 @@ class TestIdempotents:
     def test_eigenconditions_and_idempotency(self):
         region = rg.LocalRegion(self.FULL_REGION, frozenset(), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
-        u, u0s = U, m.u0s
+        u, u0s = U, m.spec.specialize(U0)
         for name, t0_eig in (("p0_e12", -u0s.inv()), ("p0_12e", u0s)):
             num, norm = wd.idempotent_expr(name, 2)
             p = cb.mat_scale(m.evaluate_word(num), m.spec.specialize(norm).inv())
@@ -802,7 +808,7 @@ class TestIdempotents:
     def test_wall_reflected_eigenconditions(self):
         region = rg.LocalRegion(self.FULL_REGION, frozenset(), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
-        uks = m.uks
+        uks = m.spec.specialize(UK)
         t0v = cb.mat_mul(m.W[0], m.t_inv(0))
         for name, eig in (("p0v_e12", -uks.inv()), ("p0v_12e", uks)):
             num, norm = wd.idempotent_expr(name, 2)
@@ -844,8 +850,8 @@ class TestIdempotents:
             m = two_row_module(2, l)
             rep = cb.idempotent_nullity(m)
             assert rep["is_tl_module"]
-            fs = cb.f_matrices(m)
-            assert all(cb.mat_is_zero(mat) for mat in fs.values())
+            relators = [wd.f_element("F0", 2), wd.f_element("Fk", 2), cb._f0v_expr(2)]
+            assert all(cb.mat_is_zero(m.evaluate_word(expr)) for expr in relators)
 
     def test_marked_corner_region_fails(self):
         # weights on both marked diagonals (a non-blue chart node)
@@ -878,9 +884,9 @@ def reference_relators(m):
         out["p0_pair"] = m.evaluate_word(wd.f_element("F0", m.k))
         a = Scalar.from_int(wd.A_SIGN)
         ae1 = cb.mat_scale(m.e_matrix(1), a)
-        v = cb.mat_shift(cb.mat_mul(m.W[0], m.t_inv(0)), m.uks)
-        out["p0v_pair"] = cb.mat_sub(cb.mat_mul(cb.mat_mul(ae1, v), ae1),
-                                     cb.mat_scale(ae1, m.spec.specialize(bb("tk/t"))))
+        v = cb.mat_shift(cb.mat_mul(m.W[0], m.t_inv(0)), m.spec.specialize(UK))
+        out["p0v_pair"] = cb.mat_add(cb.mat_mul(cb.mat_mul(ae1, v), ae1),
+                                     cb.mat_scale(ae1, -m.spec.specialize(bb("tk/t"))))
     return out
 
 
@@ -973,6 +979,23 @@ class TestCharactersAndB:
         m = two_row_module(2, 2)
         bc = cb.b_constant(m)
         assert bc["defined"] and bc["verified"]
+
+    def test_central_character_needs_a_scalar_action(self):
+        # an off-diagonal entry in a W_i, or one changed diagonal entry,
+        # leaves the commuting sum without a scalar action
+        for w, change in ((1, lambda w: w[0].update({1: ONE})),
+                          (2, lambda w: w[0].update({0: w[0][0] * U}))):
+            m = two_row_module(3, 2)
+            assert m.n > 1
+            cb.central_character(m)
+            change(m.W[w])
+            with pytest.raises(cb.CalibError):
+                cb.central_character(m)
+
+    def test_b_fails_on_perturbed_modules(self):
+        for k, l in ((2, 2), (3, 2)):
+            bc = cb.b_constant(perturbed_module(k, l))
+            assert bc["defined"] and bc["verified"] is False, (k, l)
 
     def test_b_undefined_reported(self):
         m = two_row_module(2, 0)

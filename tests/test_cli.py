@@ -227,6 +227,20 @@ class TestRegionAndModule:
         assert pres["mode"] == "modular" and pres["passed"]
         assert (pres["trials"], pres["seed"], len(pres["primes"])) == (3, 4, 3)
 
+    def test_module_b_verified(self, capsys, monkeypatch):
+        argv = ("module", "--c", "7/2,9/2,11/2", "--J", "", "--r1", "3/2",
+                "--r2", "11/2", "--trials", "2")
+        rc, out, _ = run(capsys, *argv)
+        blob = json.loads(out)
+        assert rc == 0 and blob["b_verified"] is True and blob["b"] is not None
+        # a b that fails I1 I2 I1 = b I1 is a failed check
+        from blobalg import calib as cb
+        b_constant = cb.b_constant
+        monkeypatch.setattr(cb, "b_constant",
+                            lambda m: {**b_constant(m), "verified": False})
+        rc, out, _ = run(capsys, *argv)
+        assert rc == cli.CHECK_FAILED and json.loads(out)["b_verified"] is False
+
     def test_module_symmetrizable(self, capsys, monkeypatch):
         argv = ("module", "--c", "7/2,9/2,11/2", "--J", "", "--r1", "3/2",
                 "--r2", "11/2", "--trials", "2")

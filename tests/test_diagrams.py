@@ -17,11 +17,21 @@ L = lambda j: ("L", j)
 R = lambda j: ("R", j)
 
 
+def through_strands(d):
+    """The number of top-to-bottom lines of d."""
+    return sum(1 for a, b in d.pairs if {a[0], b[0]} == {"T", "B"})
+
+
+def wall_grade(d):
+    """The number of wall-to-wall lines of d."""
+    return sum(1 for a, b in d.pairs if {a[0], b[0]} == {"L", "R"})
+
+
 class TestMakeDiagram:
     def test_identity(self):
         d = dg.make_diagram(2, 0, 0, [(T(1), B(1)), (T(2), B(2))])
         assert d == dg.identity_diagram(2)
-        assert d.through_strands() == 2
+        assert through_strands(d) == 2
 
     def test_e0_picture(self):
         d = dg.make_diagram(1, 2, 0, [(T(1), L(1)), (B(1), L(2))])
@@ -105,16 +115,16 @@ class TestUncheckedBuilders:
 
 class TestGenerators:
     def test_inner_cap(self):
-        d = dg.generator(2, 1)
+        d = dg.e_diagram(2, 1)
         assert d == dg.make_diagram(2, 0, 0, [(T(1), T(2)), (B(1), B(2))])
 
     def test_right_hooks(self):
-        d = dg.generator(1, "ek")
+        d = dg.ek_diagram(1)
         assert d == dg.make_diagram(1, 0, 2, [(T(1), R(1)), (B(1), R(2))])
 
     def test_out_of_range(self):
         with pytest.raises(dg.DiagramError):
-            dg.generator(3, 5)
+            dg.e_diagram(3, 5)
 
 
 class TestMultiply:
@@ -270,7 +280,7 @@ class TestEnumeration:
 
     def test_wall_grade_values(self):
         for d in dg.enumerate_basis(2, {1}):
-            assert d.wall_grade() == 1
+            assert wall_grade(d) == 1
 
     def test_basis_order(self):
         digest = hashlib.sha256()
@@ -341,17 +351,17 @@ class TestProductMemo:
 class TestFiltration:
     def test_identity_counts(self):
         ident = dg.identity_diagram(4)
-        assert ident.through_strands() == 4
-        assert ident.through_strands() <= 4 and not ident.through_strands() <= 3
+        assert through_strands(ident) == 4
+        assert through_strands(ident) <= 4 and not through_strands(ident) <= 3
 
     def test_cap_has_none(self):
-        assert dg.e_diagram(2, 1).through_strands() == 0
+        assert through_strands(dg.e_diagram(2, 1)) == 0
 
     def test_e0_k2(self):
-        assert dg.e0_diagram(2).through_strands() == 1
+        assert through_strands(dg.e0_diagram(2)) == 1
 
     def test_e1_in_k3(self):
-        assert dg.e_diagram(3, 1).through_strands() <= 1
+        assert through_strands(dg.e_diagram(3, 1)) <= 1
 
 
 class TestSerialization:

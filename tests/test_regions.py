@@ -288,7 +288,11 @@ class TestSerialization:
     def test_region_json_round_trip(self):
         region = rg.LocalRegion((F(1, 2), F(3, 2)), frozenset({("e", 2)}), PARAMS)
         blob = rg.region_to_json(region)
-        assert rg.region_from_json(blob) == region
+        assert blob == {"c": ["1/2", "3/2"], "J": ["e2"], "r1": "3/2", "r2": "11/2"}
+        params = rg.RegionParams(F(blob["r1"]), F(blob["r2"]))
+        assert rg.LocalRegion(tuple(F(v) for v in blob["c"]),
+                              frozenset(rg.parse_root(s) for s in blob["J"]),
+                              params) == region
 
     def test_render_config_text(self):
         region = rg.LocalRegion((F(1, 2), F(3, 2)), frozenset(), PARAMS)

@@ -233,6 +233,7 @@ class TestEvalMod:
     def test_horner_equals_term_by_term(self):
         # the (6,3) module entries at k = 3..5, modulo single primes and
         # products of three, down to the residue an EvalRetry carries
+        from blobalg import calib as cb
         from blobalg import schurweyl as sw
         p63 = sw.SWParams(6, 3)
         entries = {}
@@ -245,7 +246,7 @@ class TestEvalMod:
                     for row in mat:
                         for x in row.values():
                             entries[sc.render(x)] = x
-                for x in (m.fu, m.f0, m.fk):
+                for x in (m.spec.specialize(cb._SHIFT[v]) for v in (U, U0, sc.UK)):
                     entries[sc.render(x)] = x
         assert len(entries) > 50
         rng = random.Random(21)
@@ -789,15 +790,20 @@ class TestSumOverLcm:
         import hashlib
         from blobalg import calib as cb
         from blobalg import regions as rg
+        from blobalg import words as wd
         params = rg.RegionParams(Fraction(3, 2), Fraction(11, 2))
         regions = [r for r in rg.enumerate_regions(2, params, Fraction(5)) if rg.is_skew(r)]
         assert len(regions) == 34
         h = hashlib.sha256()
         for r in regions:
             m = cb.build_module(cb.ModuleSpec(r))
+            # the quotient relators F_i, F_0, F_k, F_0v
+            relators = {"F%d" % i: wd.f_element(i, m.k) for i in range(1, m.k - 1)}
+            relators.update(F0=wd.f_element("F0", m.k), Fk=wd.f_element("Fk", m.k),
+                            F0v=cb._f0v_expr(m.k))
             entries = {name: [sorted((c, sc.to_json(x)) for c, x in row.items())
-                              for row in mat]
-                       for name, mat in cb.f_matrices(m).items()}
+                              for row in m.evaluate_word(expr)]
+                       for name, expr in relators.items()}
             h.update(json.dumps([str(r.c), sorted(map(str, r.J)),
                                  cb.idempotent_nullity(m), entries],
                                 sort_keys=True).encode())

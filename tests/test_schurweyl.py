@@ -7,7 +7,7 @@ import pytest
 from blobalg import calib as cb
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
-from blobalg.scalars import Scalar
+from blobalg.scalars import U0, UK, Scalar
 
 P63 = sw.SWParams(6, 3)
 
@@ -158,14 +158,15 @@ class TestLambdaToRegion:
 class TestSpecialization:
     def test_ratio_identities(self):
         m = sw.module_for(P63, 1, 1)
-        u0s, uks = m.u0s, m.uks
+        u0s, uks = m.spec.specialize(U0), m.spec.specialize(UK)
         # t_k^(1/2) t_0^(-1/2) = t^r1 and t_k^(1/2) t_0^(1/2) = -t^r2
         assert uks * u0s.inv() == Scalar.monomial(u=6 - 3)
         assert uks * u0s == -Scalar.monomial(u=6 + 3 + 2)
 
     def test_branch_configurable(self):
-        m = sw.module_for(P63, 1, 1, branch=-1)
-        assert m.u0s == -Scalar.monomial(u=4, coeff=(0, 1))
+        region = sw.module_for(P63, 1, 1).region
+        m = cb.build_module(cb.ModuleSpec(region, branch=-1))
+        assert m.spec.specialize(U0) == -Scalar.monomial(u=4, coeff=(0, 1))
 
 
 class TestGNValues:
