@@ -24,8 +24,8 @@ Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; a ring only reduces, compares with zero, builds rows
 and lifts, and never divides.  `m.over(ring)` is the module with its T, W
 and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted into the ring; over Z/p
-the distinct entries of T and W take one modular inverse between them
-(`ModRing.lift_many`).
+the distinct entries of T and W and the shifts take one modular inverse
+between them (`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words` and a diagonal letter W(j).
 The central character z is read off the diagonals of the W_i, and the
@@ -39,6 +39,24 @@ T_i W_(i+1) = W_i T_i + (u - 1/u) W_(i+1), and C2 multiplied through by
 the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 +
 (uk - 1/uk) W_1.  A presentation check runs on a fresh copy, exact or
 lifted to Z/p, so it sees a change made to `m.T` after construction.
+
+T_k = C X C^-1, with C = T_{k-1} ... T_1 and X = W_1 T_0^-1, is the one
+dense matrix of a module, so the relations that hold it are decided on a
+reduced form without it (`_reduced`), rewritten from their own words:
+H:Tk as X X = (uk - 1/uk) X + 1, ext:TkTi (i <= k-2) as
+T_(i+1) X = X T_(i+1), ext:TkT0 as (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1),
+and ext:W1word as X T_0 = W_1; the right-wall braid ext:T(k-1)TkT(k-1)Tk
+stays as written.  A check over a ring (exact, a CRT pass or a replay)
+reads the reduced forms only when every relation without one passed in
+that ring, T_k is built from the word C X C^-1, and each letter T_i^-1
+evaluates to the inverse of T_i (T_i T_i^-1 = 1), so C^-1 is that of C:
+then the braid and commutation relations give T_i C = C T_(i+1) and let
+T_0 pass T_{k-1} ... T_2, and a reduced form is its relation conjugated
+by the invertible C, or with C^-1 C cancelled.
+So every relation passes or fails on its reduced form exactly as it
+would as written, and the witness is the same; otherwise every relation
+is evaluated as written.  The report lists the relations decided on
+their reduced form in `reduced`.
 
 The modular check draws its trials (p_t, point_t) from the seed, then makes
 one pass over Z/P, P the product of the trial primes, at the point that is
@@ -65,7 +83,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
@@ -312,24 +330,29 @@ class CalibratedModule:
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
-        self.ring, self._lift = EXACT, EXACT.lift
+        self.ring, self._lifted = EXACT, {}
         self._letters: Dict[wd.Letter, Matrix] = {}
         self._word_cache: Dict[Tuple[tuple, int], Matrix] = {}
 
     def over(self, ring) -> "CalibratedModule":
         """A copy with empty caches whose T and W are the module's as they
-        are now, their distinct entries lifted into `ring` by one
-        `lift_many`; its letters and words read coefficients through
-        `_coeff`, each lifted there once, so lifting is the only step of
-        their evaluation that can raise `EvalRetry`."""
+        are now, lifted into `ring` by one `lift_many` together with the
+        shifts u - 1/u, u0 - 1/u0 and uk - 1/uk, each distinct entry once;
+        the negated shifts are read off the shifts.  Its letters and words
+        read coefficients through `_coeff`, which lifts any other one there
+        once, so lifting is the only step of their evaluation that can
+        raise `EvalRetry`."""
         index: Dict[Scalar, int] = {}
         shapes = [[{j: index.setdefault(x, len(index)) for j, x in row.items()}
                    for row in mat] for mat in (*self.T.values(), *self.W)]
-        values = ring.lift_many(list(index))
+        shifts = [self.spec.specialize(x) for x in _SHIFT.values()]
+        values = ring.lift_many(list(index) + shifts)
         lifted = [[ring.row({j: values[e] for j, e in row.items()}) for row in mat]
                   for mat in shapes]
         out = copy.copy(self)
-        out.ring, out._lift = ring, functools.cache(ring.lift)
+        out.ring, out._lifted = ring, {}
+        for x, v in zip(shifts, values[len(index):]):
+            out._lifted[x], out._lifted[-x] = v, ring.reduce(-v)
         out.T = dict(zip(self.T, lifted))
         out.W = lifted[len(self.T):]
         out._letters, out._word_cache = {}, {}
@@ -337,7 +360,10 @@ class CalibratedModule:
 
     def _coeff(self, c: Scalar):
         """The coefficient c at the boundary parameters, in the ring."""
-        return self._lift(self.spec.specialize(c))
+        x = self.spec.specialize(c)
+        if x not in self._lifted:
+            self._lifted[x] = self.ring.lift(x)
+        return self._lifted[x]
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
@@ -588,10 +614,96 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
     return tuple(rels)
 
 
-def _failing(m: CalibratedModule, rels) -> Iterator[str]:
-    """Names of the relations that fail on m, in order, checked lazily."""
-    return (name for name, lhs, rhs in rels
-            if m.evaluate_word(lhs) != m.evaluate_word(rhs))
+def _reduced(k: int, lhs: wd.GenExpr, rhs: wd.GenExpr):
+    """The relation lhs = rhs rewritten without the dense T_k, as a pair of
+    expressions; None for a relation without T_k, or one that neither
+    rewrite clears of it.  With C = T_{k-1} ... T_1, X = W_1 T_0^-1 and
+    T_k = C X C^-1:
+
+    - each C^-1 T_k C in a word becomes X, so the W_1 word
+      C^-1 T_k C T_0 = W_1 becomes X T_0 = W_1;
+    - else both sides are conjugated by C, letter by letter: T_k -> X,
+      T_i -> T_(i+1) for i <= k-2 (T_i C = C T_(i+1) by the braid and
+      commutation relations) and T_0 -> T_1^-1 T_0 T_1 (T_0 commutes with
+      T_j for j >= 2), so X X = (uk - 1/uk) X + 1 stands for the quadratic
+      relation of T_k, and T_(i+1) X = X T_(i+1) and
+      (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1) for T_k commuting with T_i
+      and T_0.
+
+    The rewrites read the relation's own words and coefficients, so the
+    reduced form is that of the relation as written."""
+    words = [w for side in (lhs, rhs) for w in side.terms]
+    if not any(wd.Tk in w for w in words):
+        return None
+    c, x, c_inv = _tk_factors(k)
+    wall = c_inv + (wd.Tk,) + c
+    image = {wd.Tk: x, wd.T0: (wd.T(1, -1), wd.T0, wd.T(1)),
+             **{wd.T(i): (wd.T(i + 1),) for i in range(1, k - 1)}}
+
+    def unwrap(word):
+        out, j = (), 0
+        while j < len(word):
+            if word[j:j + len(wall)] == wall:
+                out, j = out + x, j + len(wall)
+            else:
+                out, j = out + word[j:j + 1], j + 1
+        return out
+
+    def conjugate(word):
+        return sum((image[letter] for letter in word), ())
+
+    if not any(wd.Tk in unwrap(w) for w in words):
+        rewrite = unwrap
+    elif all(letter in image for w in words for letter in w):
+        rewrite = conjugate
+    else:
+        return None
+
+    def side(expr):
+        out = wd.GenExpr.zero(k)
+        for word, coeff in expr.terms.items():
+            out = out + wd.GenExpr.word(k, rewrite(word), coeff)
+        return out
+
+    return side(lhs), side(rhs)
+
+
+def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
+    """The words C = T_{k-1} ... T_1, X = W_1 T_0^-1 and
+    C^-1 = T_1^-1 ... T_{k-1}^-1 that the reduced forms take T_k to be
+    the product of."""
+    return (tuple(wd.T(i) for i in range(k - 1, 0, -1)), (W(1), wd.T0inv),
+            tuple(wd.T(i, -1) for i in range(1, k)))
+
+
+def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
+    """The names of the relations that fail on m, in order, and of those
+    decided on their reduced form (`_reduced`).
+
+    The reduced forms are read only when every relation without one passed
+    on m, T_k is built from the word C X C^-1, and each letter T_i^-1 of
+    C^-1 is the inverse of T_i, so C^-1 that of C.  The braid and
+    commutation relations then carry T_i and T_0 through C, and every
+    relation fails on its reduced form exactly when it fails as written.
+    Otherwise every relation is evaluated as written, and none is
+    reduced."""
+    k = m.k
+    rels = _relations(k)
+    reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
+
+    def fails(lhs, rhs):
+        return m.evaluate_word(lhs) != m.evaluate_word(rhs)
+
+    verdict = {name: fails(lhs, rhs) for name, lhs, rhs in rels if reduced[name] is None}
+    use = (not any(verdict.values())
+           and _tk_word(k) == sum(_tk_factors(k), ())
+           and not any(fails(wd.GenExpr.word(k, [wd.T(i), wd.T(i, -1)]), wd.GenExpr.one(k))
+                       for i in range(1, k)))
+    for name, lhs, rhs in rels:
+        if name not in verdict:
+            verdict[name] = fails(*reduced[name]) if use else fails(lhs, rhs)
+    return ([name for name, _, _ in rels if verdict[name]],
+            [name for name, form in reduced.items() if use and form is not None])
 
 
 EXACT_MAX_K = 2  # presentations up to this k are checked exactly by default
@@ -611,11 +723,12 @@ def _crt_ring(cands: Sequence[Tuple[int, Dict[str, int]]]) -> ModRing:
     return ModRing(big, point)
 
 
-def _modular_trials(m: CalibratedModule, rels, trials: int,
-                    rng: random.Random, prime_bits: int):
+def _modular_trials(m: CalibratedModule, trials: int, rng: random.Random,
+                    prime_bits: int):
     """The first `trials` usable (p, point) candidates drawn from rng, the
-    number of unusable ones drawn before them, and for each usable one the
-    relations that failed over its pass: a superset of its own failures.
+    number of unusable ones drawn before them, for each usable one the
+    relations that failed over its pass (a superset of its own failures),
+    and the relations that every pass decided on their reduced form.
 
     Candidates are checked together, one pass per set of at most
     `_PASS_PRIMES` distinct primes; an `EvalRetry` in a pass discards the
@@ -638,18 +751,20 @@ def _modular_trials(m: CalibratedModule, rels, trials: int,
             if group is None:
                 passes.append(group := {})
             group[drawn[j][0]] = j
-        failing = {}
+        failing, reduced = {}, []
         for group in passes:
             try:
-                fails = list(_failing(
-                    m.over(_crt_ring([drawn[j] for j in group.values()])), rels))
+                fails, names = _failing(
+                    m.over(_crt_ring([drawn[j] for j in group.values()])))
             except EvalRetry as exc:
                 bad.update(j for p, j in group.items() if exc.residue % p == 0)
                 break
             failing.update(dict.fromkeys(group.values(), fails))
+            reduced.append(names)
         else:
             return ([drawn[j] for j in usable], len(bad),
-                    [failing[j] for j in usable])
+                    [failing[j] for j in usable],
+                    [name for name in reduced[0] if all(name in r for r in reduced)])
         run = 0
         for j in range(len(drawn)):
             run = run + 1 if j in bad else 0
@@ -657,15 +772,16 @@ def _modular_trials(m: CalibratedModule, rels, trials: int,
                 raise CalibError("could not find a usable evaluation point")
 
 
-def _replay_witness(m: CalibratedModule, rels, points, suspects):
+def _replay_witness(m: CalibratedModule, points, suspects):
     """The first failing relation at the first failing trial, found by
-    replaying each suspect relation at the trial's own prime and point."""
+    checking again, at its own prime and point, each trial whose pass had
+    failures: its own failures are among them, since a relation that
+    fails mod p fails mod every multiple of p."""
     for trial, ((p, point), names) in enumerate(zip(points, suspects)):
         if names:
-            name = next(_failing(m.over(ModRing(p, point)),
-                                 [r for r in rels if r[0] in names]), None)
-            if name is not None:
-                return dict(relation=name, p=p, trial=trial, point=point)
+            failing, _ = _failing(m.over(ModRing(p, point)))
+            if failing:
+                return dict(relation=failing[0], p=p, trial=trial, point=point)
     return None
 
 
@@ -679,8 +795,10 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     are lifted to GF(p) at a random point for each trial, all trials in
     one pass over the product of their primes.  Returns a report dict with
     per-relation pass/fail, the first failing witness (the first failing
-    relation at the first failing trial), the trial primes and the number
-    of discarded candidate points; a modular witness carries p and the
+    relation at the first failing trial), the trial primes, the number
+    of discarded candidate points, and the relations decided on their
+    reduced form in every pass (`reduced`, empty where the check fell back
+    to the relations as written); a modular witness carries p and the
     point, so the relation can be replayed over `m.over(ModRing(p, point))`."""
     if exact is None:
         exact = m.k <= EXACT_MAX_K
@@ -691,17 +809,17 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     report = {"mode": "exact" if exact else "modular",
               "relations": {name: True for name, _, _ in rels},
               "passed": True, "witness": None, "trials": 0 if exact else trials,
-              "seed": seed, "primes": [], "discarded": 0}
+              "seed": seed, "primes": [], "discarded": 0, "reduced": []}
     if exact:
-        failing = list(_failing(m.over(EXACT), rels))
+        failing, report["reduced"] = _failing(m.over(EXACT))
         if failing:
             report["witness"] = {"relation": failing[0]}
     else:
-        points, report["discarded"], suspects = _modular_trials(
-            m, rels, trials, random.Random(seed), prime_bits)
+        points, report["discarded"], suspects, report["reduced"] = _modular_trials(
+            m, trials, random.Random(seed), prime_bits)
         report["primes"] = [p for p, _ in points]
         failing = [name for name, _, _ in rels if any(name in s for s in suspects)]
-        report["witness"] = _replay_witness(m, rels, points, suspects)
+        report["witness"] = _replay_witness(m, points, suspects)
     for name in failing:
         report["relations"][name] = False
     report["passed"] = not failing
@@ -767,11 +885,11 @@ def central_character(m: CalibratedModule) -> dict:
     return report
 
 
-def b_constant(m: CalibratedModule) -> dict:
-    """The scalar with I1 I2 I1 = b I1 on the module, from the central
-    character, checked by evaluating both sides as words."""
-    zrep = central_character(m)
-    zval = zrep["z"]
+def b_constant(m: CalibratedModule, character: Optional[dict] = None) -> dict:
+    """The scalar with I1 I2 I1 = b I1 on the module, from its central
+    character (the report of `central_character(m)`, computed unless
+    given), checked by evaluating both sides as words."""
+    zval = (character or central_character(m))["z"]
     spec = m.spec.specialize
     a0ak = A0 * AK
     if m.k % 2 == 0:

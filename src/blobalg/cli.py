@@ -158,9 +158,10 @@ def cmd_module(args) -> int:
         out["central_character"] = {"z": render(cc["z"]),
                                     "matches_convention": cc.get("matches_convention")}
     except cb.CalibError as exc:
+        cc = None
         out["central_character"] = {"error": str(exc)}
     if nul["is_tl_module"]:
-        bc = cb.b_constant(module)
+        bc = cb.b_constant(module, cc)
         out["b"] = render(bc["b"]) if bc["b"] is not None else None
         out["b_verified"] = bc.get("verified")
     if args.matrices:
@@ -219,10 +220,10 @@ def cmd_verify(args) -> int:
 
 def _render_report(report: dict) -> str:
     """The suite, what ran (mode, trials and seed, where the report states
-    them), each check with its trial primes and discarded points, and the
-    result."""
+    them), each check with its trial primes, discarded points and reduced
+    relations, and the result."""
     lines = ["suite: %s" % report["suite"]]
-    primes = report.get("primes", {})
+    primes, reduced = report.get("primes", {}), report.get("reduced", {})
     if "mode" in report:
         lines.append("mode: %s  trials: %d  seed: %d"
                      % (report["mode"], report["trials"], report["seed"]))
@@ -231,6 +232,8 @@ def _render_report(report: dict) -> str:
         if primes.get(name):
             lines.append("    primes: %s" % " ".join(map(str, primes[name])))
             lines.append("    discarded: %d" % report["discarded"][name])
+        if reduced.get(name):
+            lines.append("    reduced: %s" % " ".join(reduced[name]))
     lines.append("result: %s" % ("pass" if report["passed"] else "FAIL"))
     return "\n".join(lines)
 

@@ -131,12 +131,14 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
                        seed: int = 0) -> dict:
     """Defining relations on every tensor-space module at level k.  The
     report states what ran: the mode and trial count of the modules' own
-    checks (0 trials when exact), and each module's trial primes and the
-    number of points its check discarded."""
+    checks (0 trials when exact), and each module's trial primes, the
+    number of points its check discarded and the relations it decided on
+    their reduced form."""
     params = sw.SWParams(a, b)
     checks: Dict[str, bool] = {}
     primes: Dict[str, list] = {}
     discarded: Dict[str, int] = {}
+    reduced: Dict[str, list] = {}
     mode, ran = None, 0
     for (_l1, l) in sw.level_nodes(params, k):
         if sw.zero_multiplicity(params, k, l):
@@ -148,8 +150,10 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
         checks[label] = rep["passed"]
         primes[label] = rep["primes"]
         discarded[label] = rep["discarded"]
+        reduced[label] = rep["reduced"]
     return _report("presentation(k=%d,%s)" % (k, mode), checks, trials=ran,
-                   seed=seed, mode=mode, primes=primes, discarded=discarded)
+                   seed=seed, mode=mode, primes=primes, discarded=discarded,
+                   reduced=reduced)
 
 
 def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),

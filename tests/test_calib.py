@@ -9,6 +9,7 @@ import pytest
 
 from blobalg import calib as cb
 from blobalg import regions as rg
+from blobalg import scalars as sc
 from blobalg import schurweyl as sw
 from blobalg import verify as vf
 from blobalg import words as wd
@@ -37,6 +38,18 @@ def perturbed_module(k, l, at_zero=False):
     row, col = next((r, c) for r in range(m.n) for c in range(m.n)
                     if r != c and (c not in t1[r]) == at_zero)
     t1[row][col] = cb.mat_entry(t1, row, col) + (U if at_zero else ONE)
+    return m
+
+
+def rescaled_module(k, l, i):
+    """A (6,3) module with the first off-diagonal pair of T_i scaled by u
+    and 1/u: the quadratic relation of T_i still holds, some braid or
+    commutation relation of T_i fails."""
+    m = two_row_module(k, l)
+    t = m.T[i]
+    row, col = next((r, c) for r in range(m.n) for c in t[r] if r < c and r in t[c])
+    t[row][col] = t[row][col] * U
+    t[col][row] = t[col][row] * U.inv()
     return m
 
 
@@ -205,6 +218,12 @@ def word_verdicts(m, ring=cb.EXACT):
     lifted = m.over(ring)
     return [(name, lifted.evaluate_word(lhs) == lifted.evaluate_word(rhs))
             for name, lhs, rhs in cb._relations(m.k)]
+
+
+def reduced_names(k):
+    """The relations that hold T_k and have a reduced form, in order."""
+    return (["H:Tk"] + ["ext:TkT%d" % i for i in range(1, k - 1)]
+            + ["ext:TkT0"] * (k >= 2) + ["ext:W1word"])
 
 
 def replays(m, witness):
@@ -483,6 +502,7 @@ class TestOnePass:
                     args = dict(trials=trials, seed=seed, prime_bits=bits)
                     ref = reference_presentation(m, **args)
                     rep = cb.check_presentation(m, exact=False, **args)
+                    assert rep.pop("reduced") == (reduced_names(3) if rep["passed"] else [])
                     assert rep == ref, (m.region, seed, bits)
                     if bits == 12:
                         discarded += rep["discarded"]
@@ -505,6 +525,7 @@ class TestOnePass:
         row, col = next((r, c) for r in range(m.n) for c in t1[r] if r != c)
         t1[row][col] = t1[row][col] + Scalar.from_int(q)
         rep = cb.check_presentation(m, trials=10, seed=0, prime_bits=12)
+        assert rep.pop("reduced") == []
         assert rep == reference_presentation(m, 10, 0, 12)
         assert rep["primes"][0] == q and not rep["passed"]
         assert rep["witness"]["trial"] == rep["primes"].index(
@@ -588,13 +609,15 @@ def reference_t_matrices(m):
 
 def entrywise_lift(m, ring):
     """T and W lifted into the ring one distinct entry at a time, T before
-    W, so a bad point raises at the first entry that has no value there."""
+    W, so a bad point raises at the first entry that has no value there;
+    then each shift and its negative, by `eval_mod` one by one."""
     lift = functools.cache(ring.lift)
 
     def lift_matrix(mat):
         return [ring.row({j: lift(x) for j, x in row.items()}) for row in mat]
 
-    return {i: lift_matrix(t) for i, t in m.T.items()}, [lift_matrix(w) for w in m.W]
+    return ({i: lift_matrix(t) for i, t in m.T.items()}, [lift_matrix(w) for w in m.W],
+            [(ring.lift(x), ring.lift(-x)) for x in shifts(m)])
 
 
 def outcome(f, *args):
@@ -650,9 +673,9 @@ class TestSharedSeminormalEntries:
 
 
 class TestBatchedLift:
-    """`over` lifts the distinct entries of T and W with one inverse; the
-    lifted matrices, and at a bad point the EvalRetry residue, must be the
-    entry-by-entry lift's."""
+    """`over` lifts the distinct entries of T and W and the three shifts
+    with one inverse; the lifted matrices and shifts, and at a bad point the
+    EvalRetry residue, must be the entry-by-entry lift's."""
 
     @staticmethod
     def modules():
@@ -661,7 +684,7 @@ class TestBatchedLift:
     @staticmethod
     def lifted(m, ring):
         out = m.over(ring)
-        return out.T, out.W
+        return out.T, out.W, [(out._lifted[x], out._lifted[-x]) for x in shifts(m)]
 
     def test_equals_entrywise_lift(self):
         rng = random.Random(31)
@@ -710,10 +733,28 @@ class TestBatchedLift:
             assert outcome(ring.lift_many, entries) == \
                 outcome(lambda: [ring.lift(x) for x in entries])
 
+    def test_one_inverse_per_pass(self, monkeypatch):
+        # every coefficient a presentation pass reads is in the batch
+        calls = []
+
+        def counting(x, p):
+            calls.append(x)
+            return pow(x, -1, p)
+
+        monkeypatch.setattr(cb, "_inv_mod", counting)
+        monkeypatch.setattr(sc, "_inv_mod", counting)
+        rng = random.Random(5)
+        for m in self.modules():
+            p = random_prime(62, rng)
+            ring = cb.ModRing(p, random_point(p, rng))
+            calls.clear()
+            assert cb._failing(m.over(ring))[0] == [] and len(calls) == 1, m.region
+
     def test_exact_lift_is_the_identity(self):
         m = two_row_module(3, 2)
         out = m.over(cb.EXACT)
         assert out.T == m.T and out.W == m.W
+        assert all(out._lifted[x] == x and out._lifted[-x] == -x for x in shifts(m))
         entries = [x for row in m.T[1] for x in row.values()]
         assert cb.EXACT.lift_many(entries) == entries
 
@@ -762,6 +803,149 @@ class TestRelationsAsWords:
             verdicts += [self.assert_agree(m, ring) for ring in self.rings(seed=7)]
             for got in verdicts:
                 assert ("H:T1", False) in got
+
+
+def direct_failing(m):
+    """The relation loop of the presentation check before the reduced
+    forms: every relation evaluated as written.  The oracle for
+    `cb._failing`."""
+    return ([name for name, lhs, rhs in cb._relations(m.k)
+             if m.evaluate_word(lhs) != m.evaluate_word(rhs)], [])
+
+
+def tk_word_mutant(edit):
+    tk_word = cb._tk_word
+    return cb, "_tk_word", lambda k: edit(tk_word(k))
+
+
+def murphy_mutant():
+    # W_1's word C^-1 T_k C without its final T_0
+    murphy_word = wd.murphy_word
+
+    def mutant(k, j, inverse=False):
+        word = murphy_word(k, j, inverse)
+        return word[:-1] if (j, inverse) == (1, False) else word
+
+    return wd, "murphy_word", mutant
+
+
+def letter_mutant():
+    # every inverse letter built as T - (x + 1/x)
+    letter = cb.CalibratedModule._letter
+
+    def mutant(self, lt):
+        if lt[0] in ("T0", "T", "Tk") and lt[-1] == -1 and lt not in self._letters:
+            x = {"T0": U0, "T": U, "Tk": UK}[lt[0]]
+            self._letters[lt] = cb.mat_shift(letter(self, lt[:-1] + (1,)),
+                                             self._coeff(x + x.inv()), self.ring)
+        return letter(self, lt)
+
+    return cb.CalibratedModule, "_letter", mutant
+
+
+def quadratic_tk_mutant():
+    # H:Tk written with u0 - 1/u0 in place of uk - 1/uk
+    relations = cb._relations
+
+    def mutant(k):
+        wrong = cb._SHIFT[U0] * wd.GenExpr.word(k, [wd.Tk]) + ONE
+        return tuple((name, lhs, wrong if name == "H:Tk" else rhs)
+                     for name, lhs, rhs in relations(k))
+
+    return cb, "_relations", mutant
+
+
+def drop_first(word, letter):
+    j = word.index(letter)
+    return word[:j] + word[j + 1:]
+
+
+# the code the reduced forms rest on, each broken in one place
+MUTANTS = {
+    "tk_word drops a T1^-1": lambda: tk_word_mutant(lambda w: drop_first(w, wd.T(1, -1))),
+    "tk_word has T0 for T0^-1": lambda: tk_word_mutant(
+        lambda w: tuple(wd.T0 if lt == wd.T0inv else lt for lt in w)),
+    "murphy_word(k, 1) drops its T0": murphy_mutant,
+    "inverse letters shift by x + 1/x": letter_mutant,
+    "H:Tk with u0 - 1/u0": quadratic_tk_mutant,
+}
+
+
+@pytest.fixture
+def fresh_relations():
+    """`_relations` memoizes per k: a mutant of the words it reads must not
+    meet, or leave behind, relations built without it."""
+    relations = cb._relations
+    relations.cache_clear()
+    yield
+    relations.cache_clear()
+
+
+class TestReducedForms:
+    """The relations that hold T_k are decided on reduced forms without it
+    where the guard allows: every report must be the one of evaluating every
+    relation as written, down to the witness and the discarded points."""
+
+    @staticmethod
+    def same_as_direct(m, **args):
+        rep = cb.check_presentation(m, **args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cb, "_failing", direct_failing)
+            ref = cb.check_presentation(m, **args)
+        assert {**rep, "reduced": []} == ref, m.region
+        return rep
+
+    @staticmethod
+    def checks(k):
+        """The nonzero (6,3) modules at level k with the check's arguments:
+        exact for k <= 2, ten modular trials above."""
+        args = dict(exact=True) if k <= 2 else dict(exact=False, trials=10, seed=k)
+        return [(m, args) for m in TestRelationsAsWords.nonzero_modules(k)]
+
+    def test_forms(self):
+        k = 4
+        x = (cb.W(1), wd.T0inv)
+        y = (wd.T(1, -1), wd.T0, wd.T(1))
+
+        def w(*letters):
+            return wd.GenExpr.word(k, letters)
+
+        expected = {
+            "H:Tk": (w(*x, *x), (UK - UK.inv()) * w(*x) + ONE),
+            "ext:TkT1": (w(wd.T(2), *x), w(*x, wd.T(2))),
+            "ext:TkT2": (w(wd.T(3), *x), w(*x, wd.T(3))),
+            "ext:TkT0": (w(*y, *x), w(*x, *y)),
+            "ext:W1word": (w(*x, wd.T0), w(cb.W(1))),
+        }
+        got = {name: cb._reduced(k, lhs, rhs) for name, lhs, rhs in cb._relations(k)}
+        assert {name: form for name, form in got.items() if form} == expected
+        assert list(expected) == reduced_names(k)
+
+    def test_nonzero_modules(self):
+        for k in range(1, 6):
+            for m, args in self.checks(k):
+                rep = self.same_as_direct(m, **args)
+                assert rep["passed"] and rep["reduced"] == reduced_names(k), m.region
+
+    def test_perturbed_modules(self):
+        # a failing relation leaves the guard unmet: every relation as
+        # written.  A rescaled T_i keeps its quadratic relation, so only the
+        # failing braid or commutation relations stop the reduced forms,
+        # which would pass some relations that fail as written
+        modular = dict(trials=10, seed=1)
+        cases = [(perturbed_module(2, 2, at_zero), dict(exact=True)) for at_zero in (False, True)]
+        cases += [(perturbed_module(3, 2, at_zero), modular) for at_zero in (False, True)]
+        cases += [(rescaled_module(3, 2, 2), modular), (rescaled_module(4, 2, 1), modular)]
+        for m, args in cases:
+            rep = self.same_as_direct(m, **args)
+            assert not rep["passed"] and rep["reduced"] == [], m.region
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutants_rejected(self, mutant, monkeypatch, fresh_relations):
+        monkeypatch.setattr(*MUTANTS[mutant]())
+        for k in (2, 3):
+            for m, args in self.checks(k):
+                assert not self.same_as_direct(m, **args)["passed"], (mutant, m.region)
 
 
 class TestEvaluateWord:

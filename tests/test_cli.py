@@ -130,10 +130,13 @@ class TestVerify:
         assert lines[1] == "mode: modular  trials: 2  seed: 7"
         primes = [line.split()[1:] for line in lines if "primes:" in line]
         assert len(primes) == 7 and all(len(ps) == 2 for ps in primes)
+        reduced = [line.split()[1:] for line in lines if "reduced:" in line]
+        assert reduced == [["H:Tk", "ext:TkT1", "ext:TkT0", "ext:W1word"]] * 7
         rc, out, _ = run(capsys, "verify", "presentation", "--k", "2")
         assert rc == 0
         assert out.splitlines()[1] == "mode: exact  trials: 0  seed: 0"
         assert "primes:" not in out
+        assert out.count("    reduced: H:Tk ext:TkT0 ext:W1word\n") == 6
 
     def test_presentation_zero_trials_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
@@ -228,16 +231,22 @@ class TestRegionAndModule:
         assert (pres["trials"], pres["seed"], len(pres["primes"])) == (3, 4, 3)
 
     def test_module_b_verified(self, capsys, monkeypatch):
+        from blobalg import calib as cb
         argv = ("module", "--c", "7/2,9/2,11/2", "--J", "", "--r1", "3/2",
                 "--r2", "11/2", "--trials", "2")
+        # b is computed from the central character already reported
+        calls = []
+        central_character = cb.central_character
+        monkeypatch.setattr(cb, "central_character",
+                            lambda m: calls.append(m) or central_character(m))
         rc, out, _ = run(capsys, *argv)
         blob = json.loads(out)
         assert rc == 0 and blob["b_verified"] is True and blob["b"] is not None
+        assert len(calls) == 1
         # a b that fails I1 I2 I1 = b I1 is a failed check
-        from blobalg import calib as cb
         b_constant = cb.b_constant
         monkeypatch.setattr(cb, "b_constant",
-                            lambda m: {**b_constant(m), "verified": False})
+                            lambda m, *rest: {**b_constant(m, *rest), "verified": False})
         rc, out, _ = run(capsys, *argv)
         assert rc == cli.CHECK_FAILED and json.loads(out)["b_verified"] is False
 
