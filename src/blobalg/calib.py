@@ -27,7 +27,8 @@ and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted into the ring; over Z/p
 the distinct entries of T and W and the shifts take one modular inverse
 between them (`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
-module's ring, in the letters of `words` and a diagonal letter W(j).
+module's ring, in the letters of `words`; the letter W(j) is the diagonal
+W_j.
 The central character z is read off the diagonals of the W_i, and the
 blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
 
@@ -263,7 +264,6 @@ def _specialize(x: Scalar, u0_img, uk_img) -> Scalar:
 class ModuleSpec:
     region: rg.LocalRegion
     branch: int = 1
-    require_skew: bool = True
 
     def __post_init__(self):
         r1, r2 = self.region.params.r1, self.region.params.r2
@@ -323,7 +323,7 @@ class CalibratedModule:
         self.basis: List[rg.Filling] = rg.enumerate_fillings(self.config)
         if not self.basis:
             raise CalibError("region has no standard fillings")
-        if spec.require_skew and not rg.is_skew(spec.region):
+        if not rg.is_skew(spec.region):
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
@@ -490,15 +490,9 @@ class CalibratedModule:
         return mat
 
 
-def W(j: int) -> wd.Letter:
-    """The letter of the diagonal W_j, which only module matrices evaluate;
-    the diagram side expands W_j into T letters (`words.murphy_word`)."""
-    return ("W", j)
-
-
 def _tk_word(k: int) -> wd.Word:
     """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1."""
-    return tuple([wd.T(i) for i in range(k - 1, 0, -1)] + [W(1), wd.T0inv]
+    return tuple([wd.T(i) for i in range(k - 1, 0, -1)] + [wd.W(1), wd.T0inv]
                  + [wd.T(i, -1) for i in range(1, k)])
 
 
@@ -580,26 +574,26 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
     for i in range(0, k):
         for j in range(1, k + 1):
             if i == 0 and j != 1:
-                rels.append(("B3:T0W%d" % j, *commute(t(0), W(j))))
+                rels.append(("B3:T0W%d" % j, *commute(t(0), wd.W(j))))
             if i >= 1 and j not in (i, i + 1):
-                rels.append(("B4:T%dW%d" % (i, j), *commute(t(i), W(j))))
+                rels.append(("B4:T%dW%d" % (i, j), *commute(t(i), wd.W(j))))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            rels.append(("B2:W%dW%d" % (i, j), *commute(W(i), W(j))))
+            rels.append(("B2:W%dW%d" % (i, j), *commute(wd.W(i), wd.W(j))))
     # the quadratic relations (X - x)(X + 1/x) = 0 as X X = (x - 1/x) X + 1
     rels.append(("H:T0", w(t(0), t(0)), f0 * w(t(0)) + ONE))
     for i in range(1, k):
         rels.append(("H:T%d" % i, w(t(i), t(i)), fu * w(t(i)) + ONE))
     rels.append(("H:Tk", w(wd.Tk, wd.Tk), fk * w(wd.Tk) + ONE))
     for i in range(1, k):
-        rels.append(("C1:T%dW%d" % (i, i), w(t(i), W(i)),
-                     w(W(i + 1), t(i)) - fu * w(W(i + 1))))
-        rels.append(("C1:T%dW%d" % (i, i + 1), w(t(i), W(i + 1)),
-                     w(W(i), t(i)) + fu * w(W(i + 1))))
+        rels.append(("C1:T%dW%d" % (i, i), w(t(i), wd.W(i)),
+                     w(wd.W(i + 1), t(i)) - fu * w(wd.W(i + 1))))
+        rels.append(("C1:T%dW%d" % (i, i + 1), w(t(i), wd.W(i + 1)),
+                     w(wd.W(i), t(i)) + fu * w(wd.W(i + 1))))
     # T_0 W_1 = W_1^-1 T_0 + (u0 - 1/u0) W_1 + (uk - 1/uk), times W_1 on
     # the left
-    rels.append(("C2:T0W1", w(W(1), t(0), W(1)),
-                 w(t(0)) + f0 * w(W(1), W(1)) + fk * w(W(1))))
+    rels.append(("C2:T0W1", w(wd.W(1), t(0), wd.W(1)),
+                 w(t(0)) + f0 * w(wd.W(1), wd.W(1)) + fk * w(wd.W(1))))
     # wall-generator consistency
     if k >= 2:
         rels.append(("ext:T%dTkT%dTk" % (k - 1, k - 1),
@@ -610,7 +604,7 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
     if k >= 2:
         rels.append(("ext:TkT0", *commute(t(0), wd.Tk)))
     # W_1 = T_1^-1 ... T_{k-1}^-1 T_k T_{k-1} ... T_1 T_0
-    rels.append(("ext:W1word", wd.murphy_expr(k, 1), w(W(1))))
+    rels.append(("ext:W1word", wd.murphy_expr(k, 1), w(wd.W(1))))
     return tuple(rels)
 
 
@@ -672,7 +666,7 @@ def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
     """The words C = T_{k-1} ... T_1, X = W_1 T_0^-1 and
     C^-1 = T_1^-1 ... T_{k-1}^-1 that the reduced forms take T_k to be
     the product of."""
-    return (tuple(wd.T(i) for i in range(k - 1, 0, -1)), (W(1), wd.T0inv),
+    return (tuple(wd.T(i) for i in range(k - 1, 0, -1)), (wd.W(1), wd.T0inv),
             tuple(wd.T(i, -1) for i in range(1, k)))
 
 
@@ -831,33 +825,26 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
 # ---------------------------------------------------------------------------
 
 def idempotent_nullity(m: CalibratedModule) -> dict:
-    """Evaluate the quotient idempotent combinations; all zero iff the
-    module factors through the diagram-algebra quotient.
+    """Evaluate the quotient relators of `words` (the inner idempotent
+    numerators, F0 and F0v); all zero iff the module factors through the
+    diagram-algebra quotient.
 
     The boundary pair differences N0*(p - p') and Nk*(p - p') equal the
-    relators F0 and F0v up to the unit factors [[t0]] and [[tk]]; the
-    cheaper relator form is evaluated (the equality is pinned by tests).
+    relators F0 and F0v up to the unit factors [[t0]] and [[tk]], so the
+    pairs are decided on the relators (the equality is pinned by tests).
 
     Each relator is computed one row at a time, row e_r times the relator
     for r = 0, 1, ..., n-1, and is decided exactly: it does not vanish at
     its first nonzero row, and it vanishes once every row is zero."""
     relators = {}
     for i in range(1, m.k - 1):
-        num, _ = wd.idempotent_expr("p_i_111", m.k, i=i)
-        relators["p_%d_111" % i] = num
+        relators["p_%d_111" % i] = wd.inner_numerator(m.k, i)
     if m.k >= 2:
         relators["p0_pair"] = wd.f_element("F0", m.k)
-        relators["p0v_pair"] = _f0v_expr(m.k)
+        relators["p0v_pair"] = wd.f_element("F0v", m.k)
     vanish = {name: all(mat_is_zero(m.evaluate_word(expr, row=r)) for r in range(m.n))
               for name, expr in relators.items()}
     return {"vanish": vanish, "is_tl_module": all(vanish.values())}
-
-
-def _f0v_expr(k: int) -> wd.GenExpr:
-    """F0v = a_k a^2 e_1 e_0v e_1 - a [[tk/t]] e_1, with a_k e_0v = W_1 T_0^-1 - uk."""
-    ae1 = wd.ae(k, 1)
-    e0v = wd.GenExpr.word(k, [W(1), wd.T0inv]) - UK
-    return ae1 * e0v * ae1 - ae1.scale(bb("tk/t"))
 
 
 def central_character(m: CalibratedModule) -> dict:
@@ -879,9 +866,6 @@ def central_character(m: CalibratedModule) -> dict:
         closed = -(Scalar.monomial(u=theta2) + Scalar.monomial(u=-theta2)) * qint(m.k)
         report["theta"] = Fraction(theta2, 2)
         report["matches_convention"] = (z0 == closed)
-        unscaled = bb("t", Fraction(theta2, 2)) * qint(m.k) \
-            if theta2 % 2 == 0 else None
-        report["matches_unscaled_bracket"] = (unscaled == z0) if unscaled is not None else False
     return report
 
 

@@ -257,12 +257,6 @@ def _gi_norm(a: GInt) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # denominators and cancellation: cyclotomic trial division
 # ---------------------------------------------------------------------------
@@ -962,19 +956,13 @@ def _render_poly(p: LaurentPoly) -> str:
 def _integerized(x: Scalar) -> Tuple[LaurentPoly, LaurentPoly]:
     """Rescale num/den by a common rational so both have Gaussian-integer coefficients."""
     den = _expand(x.den)
-    lcm = 1
-    for poly in (x.num, den):
-        for c in poly.terms.values():
-            for fr in c:
-                if fr.denominator != 1:
-                    lcm = lcm * fr.denominator // _int_gcd(lcm, fr.denominator)
-    scale = (lcm, 0)
+    polys = (x.num, den)
+    scale = (math.lcm(*(fr.denominator for poly in polys
+                        for c in poly.terms.values() for fr in c)), 0)
     num = x.num.scale(scale)
     den = den.scale(scale)
-    g = 0
-    for poly in (num, den):
-        for c in poly.terms.values():
-            g = _int_gcd(g, _int_gcd(abs(int(c[0])), abs(int(c[1]))))
+    g = math.gcd(*(int(part) for poly in (num, den)
+                   for c in poly.terms.values() for part in c))
     if g > 1:
         inv = (Fraction(1, g), 0)
         num = num.scale(inv)

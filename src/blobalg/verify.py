@@ -159,13 +159,14 @@ def suite_presentation(k: int = 2, a: int = 6, b: int = 3, trials: int = 10,
 def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
                          bound=Fraction(7)) -> dict:
     """Matrix idempotent nullity against the two-row shape predicate over
-    the exhaustive skew-region enumeration."""
+    the exhaustive skew-region enumeration.  Each region's module is built
+    right after its skew test, while its fillings are still cached."""
     params = rg.RegionParams(Fraction(r1), Fraction(r2))
-    regions = [r for r in rg.enumerate_regions(k, params, bound)
-               if rg.is_skew(r)]
     checks: Dict[str, bool] = {}
     blue = []
-    for region in regions:
+    for region in rg.enumerate_regions(k, params, bound):
+        if not rg.is_skew(region):
+            continue
         module = cb.build_module(cb.ModuleSpec(region))
         matrix_tl = cb.idempotent_nullity(module)["is_tl_module"]
         shape_tl = rg.is_tl_shape(region)
@@ -177,4 +178,4 @@ def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
         if shape_tl:
             blue.append(label)
     return _report("classification(k=%d)" % k, checks,
-                   regions=len(regions), blue=blue)
+                   regions=len(checks), blue=blue)

@@ -2,15 +2,18 @@
 
 A ``GenExpr`` is a Scalar-linear combination of words over the letters
 
-    T0, T0^-1, Ti, Ti^-1 (1 <= i <= k-1), Tk, Tk^-1, E0, Ei, Ek,
-
-and the diagonal letter Wj (1 <= j <= k) of `calib.W`, which only module
-matrices evaluate.
+    T0, T0^-1, Ti, Ti^-1 (1 <= i <= k-1), Tk, Tk^-1, E0, Ei, Ek, Wj (1 <= j <= k).
 
 Words are never rewritten; all identities are checked after expanding into
 the diagram algebra (or into module matrices).  The boundary letters expand
 with their own symbols a0, ak, while the inner cap/cup letter carries the
-global sign `a` with a*a = 1, so that Ti -> (inner diagram) + u.
+global sign `a` with a*a = 1, so that Ti -> (inner diagram) + u.  The
+letter Wj of the commuting family expands once per (k, j) as its T-letter
+word `murphy_word(k, j)`; a module reads it as its diagonal matrix W_j.
+
+The quotient relators F0, F0v (`f_element`) and the inner idempotent
+numerator (`inner_numerator`) vanish in the diagram algebra; a calibrated
+module is a module of the quotient exactly when they act by zero on it.
 
 Text is read by the scalar reader with the letters and the named elements
 as extra names; a Scalar operand of + - * is a multiple of the empty word.
@@ -41,6 +44,10 @@ def T(i: int, power: int = 1) -> Letter:
 
 def E(i: int) -> Letter:
     return ("E", i)
+
+
+def W(j: int) -> Letter:
+    return ("W", j)
 
 
 # sign of the cap generators' diagram images: E_i maps to A_SIGN * e_i
@@ -215,6 +222,8 @@ def letter_element(k: int, letter: Letter) -> dg.TLElement:
     elif kind == "T":
         el = dg.TLElement(k, {dg.e_diagram(k, letter[1]): ONE,
                               dg.identity_diagram(k): U ** letter[2]})
+    elif kind == "W":
+        el = expand_to_tl(murphy_expr(k, letter[1]))
     else:
         raise WordError("unknown letter %r" % (letter,))
     _letter_cache[key] = el
@@ -277,10 +286,6 @@ def ae(k: int, i: int) -> GenExpr:
 
 def a0e0(k: int) -> GenExpr:
     return GenExpr.word(k, [E0], A0)
-
-
-def akek(k: int) -> GenExpr:
-    return GenExpr.word(k, [Ek], AK)
 
 
 def _product(k: int, factors: Iterable[GenExpr]) -> GenExpr:
@@ -386,99 +391,28 @@ def parse_genexpr(text: str, k: int) -> GenExpr:
 
 
 # ---------------------------------------------------------------------------
-# the quotient-defining idempotents
+# the quotient relators
 # ---------------------------------------------------------------------------
 
-def normalizer(which: str) -> Scalar:
-    """Idempotent normalizers; the primed ones (for the eigenvalue-flipped
-    boundary cases) are the inverted-parameter forms."""
-    t = U * U
-    t0 = U0 * U0
-    tk = UK * UK
-    if which == "N":
-        return U.inv() * (1 + t) * (1 + t + t * t)
-    if which == "N0":
-        return (t0 * t).inv() * (1 + t0) * (1 + t) * (1 + t0 * t)
-    if which == "Nk":
-        return (tk * t).inv() * (1 + tk) * (1 + t) * (1 + tk * t)
-    if which == "N0p":
-        return t0 * t.inv() * (1 + t0.inv()) * (1 + t) * (1 + t0.inv() * t)
-    if which == "Nkp":
-        return tk * t.inv() * (1 + tk.inv()) * (1 + t) * (1 + tk.inv() * t)
-    raise WordError("unknown normalizer %r" % which)
-
-
-def e0v_numerator(k: int) -> GenExpr:
-    """ak * e_0v = W_1 T0^-1 - uk as a generator expression."""
-    # W_1 T0^-1 is the word of W_1 without its last letter, T0
-    return GenExpr.word(k, murphy_word(k, 1)[:-1]) - GenExpr.one(k).scale(UK)
-
-
-def f_element(which, k: int) -> GenExpr:
-    """Quotient relators: F_i, F_0, and the wall-reflected F_0v."""
+def f_element(which: str, k: int) -> GenExpr:
+    """The boundary relator F0 = a e_1 (a0 e_0) a e_1 - [[t0/t]] a e_1, or
+    its wall reflection F0v = a e_1 (W_1 T0^-1 - uk) a e_1 - [[tk/t]] a e_1,
+    where W_1 T0^-1 - uk is ak e_0v."""
+    ae1 = ae(k, 1)
     if which == "F0":
-        ae1 = ae(k, 1)
         return ae1 * a0e0(k) * ae1 - ae1.scale(bb("t0/t"))
-    if which == "Fk":
-        aekm1 = ae(k, k - 1)
-        return aekm1 * akek(k) * aekm1 - aekm1.scale(bb("tk/t"))
     if which == "F0v":
-        ae1 = ae(k, 1)
-        v = e0v_numerator(k)
-        return ae1 * v * ae1 - ae1.scale(bb("tk/t"))
-    i = int(which)
-    aei = ae(k, i)
-    aei1 = ae(k, i + 1)
-    return aei * aei1 * aei - aei
+        e0v = GenExpr.word(k, [W(1), T0inv]) - UK
+        return ae1 * e0v * ae1 - ae1.scale(bb("tk/t"))
+    raise WordError("unknown relator %r" % (which,))
 
 
-def idempotent_expr(which: str, k: int, i: int = None) -> Tuple[GenExpr, Scalar]:
-    """Numerator and normalizer of the quotient idempotents.
-
-    Returns (N*p, N) so that p = (N*p)/N.  The T-letter forms are used for
-    the inner and left-boundary idempotents, the wall-reflected pair is
-    expressed through W_1 T0^-1.
-    """
-    u = U
-    if which == "p_i_111":
-        if i is None or not 1 <= i <= k - 2:
-            raise WordError("p_i_111 needs 1 <= i <= k-2")
-        cands = [
-            ([T(i), T(i + 1), T(i)], ONE),
-            ([T(i), T(i + 1)], -u),
-            ([T(i + 1), T(i)], -u),
-            ([T(i)], u * u),
-            ([T(i + 1)], u * u),
-            ([], -u ** 3),
-        ]
-        num = GenExpr.zero(k)
-        for w, c in cands:
-            num = num + GenExpr.word(k, w, c)
-        return num, normalizer("N")
-    if which in ("p0_e12", "p0_12e"):
-        if k < 2:
-            raise WordError("boundary idempotents need k >= 2")
-        u0 = U0 if which == "p0_e12" else -U0.inv()
-        cands = [
-            ([T0, T(1), T0, T(1)], ONE),
-            ([T(1), T0, T(1)], -u0),
-            ([T0, T(1), T0], -u),
-            ([T0, T(1)], u0 * u),
-            ([T(1), T0], u0 * u),
-            ([T(1)], -u0 * u0 * u),
-            ([T0], -u0 * u * u),
-            ([], u0 * u0 * u * u),
-        ]
-        num = GenExpr.zero(k)
-        for w, c in cands:
-            num = num + GenExpr.word(k, w, c)
-        return num, normalizer("N0" if which == "p0_e12" else "N0p")
-    if which in ("p0v_e12", "p0v_12e"):
-        if k < 2:
-            raise WordError("boundary idempotents need k >= 2")
-        v = e0v_numerator(k)
-        f0v = f_element("F0v", k)
-        if which == "p0v_e12":
-            return v * f0v, normalizer("Nk")
-        return v * f0v + f0v.scale(bb("tk")), normalizer("Nkp")
-    raise WordError("unknown idempotent %r" % which)
+def inner_numerator(k: int, i: int) -> GenExpr:
+    """N p_i_111 for the inner idempotent p_i_111 on strands i, i+1, i+2
+    (1 <= i <= k-2): T_i T_(i+1) T_i - u (T_i T_(i+1) + T_(i+1) T_i)
+    + u^2 (T_i + T_(i+1)) - u^3."""
+    if not 1 <= i <= k - 2:
+        raise WordError("p_i_111 needs 1 <= i <= k-2")
+    return GenExpr(k, {(T(i), T(i + 1), T(i)): ONE, (T(i), T(i + 1)): -U,
+                       (T(i + 1), T(i)): -U, (T(i),): U * U, (T(i + 1),): U * U,
+                       (): -U ** 3})

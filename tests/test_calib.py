@@ -16,6 +16,8 @@ from blobalg import words as wd
 from blobalg.scalars import (ONE, EvalRetry, Scalar, U, U0, UK, bb, eval_mod, qint,
                              random_point, random_prime)
 
+import oracles
+
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
 SW63 = sw.SWParams(6, 3)
 
@@ -660,15 +662,17 @@ class TestSharedSeminormalEntries:
             assert minus.T == reference_t_matrices(minus)
             assert minus.T[0] != plus.T[0] and minus.T[1] == plus.T[1]
 
-    def test_errors_name_the_filling(self):
-        # a non-skew region reaches the seminormal formula without the skew
-        # check: label 1 on the zero diagonal, and coincident neighbours
+    def test_errors_name_the_filling(self, monkeypatch):
+        # a non-skew region reaches the seminormal formula with the skew
+        # check passed over: label 1 on the zero diagonal, and coincident
+        # neighbours
+        monkeypatch.setattr(rg, "is_skew", lambda region: True)
         for c in ((0,), (F(1, 2), F(1, 2))):
             region = rg.LocalRegion(c, frozenset(), PARAMS)
             config = rg.build_config(region)
             fillings = rg.enumerate_fillings(config)
             with pytest.raises(cb.CalibError, match=r" at \(") as exc:
-                cb.build_module(cb.ModuleSpec(region, require_skew=False))
+                cb.build_module(cb.ModuleSpec(region))
             assert any(str(w) in str(exc.value) for w in fillings)
 
 
@@ -904,7 +908,7 @@ class TestReducedForms:
 
     def test_forms(self):
         k = 4
-        x = (cb.W(1), wd.T0inv)
+        x = (wd.W(1), wd.T0inv)
         y = (wd.T(1, -1), wd.T0, wd.T(1))
 
         def w(*letters):
@@ -915,7 +919,7 @@ class TestReducedForms:
             "ext:TkT1": (w(wd.T(2), *x), w(*x, wd.T(2))),
             "ext:TkT2": (w(wd.T(3), *x), w(*x, wd.T(3))),
             "ext:TkT0": (w(*y, *x), w(*x, *y)),
-            "ext:W1word": (w(*x, wd.T0), w(cb.W(1))),
+            "ext:W1word": (w(*x, wd.T0), w(wd.W(1))),
         }
         got = {name: cb._reduced(k, lhs, rhs) for name, lhs, rhs in cb._relations(k)}
         assert {name: form for name, form in got.items() if form} == expected
@@ -980,7 +984,7 @@ class TestIdempotents:
         m = cb.build_module(cb.ModuleSpec(region))
         u, u0s = U, m.spec.specialize(U0)
         for name, t0_eig in (("p0_e12", -u0s.inv()), ("p0_12e", u0s)):
-            num, norm = wd.idempotent_expr(name, 2)
+            num, norm = oracles.boundary_idempotent(name, 2)
             p = cb.mat_scale(m.evaluate_word(num), m.spec.specialize(norm).inv())
             assert not cb.mat_is_zero(p)
             assert cb.mat_mul(p, p) == p, name
@@ -989,13 +993,35 @@ class TestIdempotents:
             t1p = cb.mat_mul(m.T[1], p)
             assert t1p == cb.mat_scale(p, -u.inv()), name
 
+    def test_inner_eigenconditions_and_idempotency(self):
+        # p_i_111 = (N p_i_111) / N on the first rank-3 and rank-4 chart
+        # regions where it is nonzero: an idempotent on which T_i and
+        # T_(i+1) both act by -1/u
+        norm = oracles.normalizer("N")
+        for k in (3, 4):
+            found = 0
+            for region in skew_regions(k, F(3, 2), F(11, 2), 5):
+                m = cb.build_module(cb.ModuleSpec(region))
+                for i in range(1, k - 1):
+                    num = m.evaluate_word(wd.inner_numerator(k, i))
+                    if cb.mat_is_zero(num):
+                        continue
+                    found += 1
+                    p = cb.mat_scale(num, norm.inv())
+                    assert cb.mat_mul(p, p) == p, (region, i)
+                    for j in (i, i + 1):
+                        assert cb.mat_mul(m.T[j], p) == cb.mat_scale(p, -U.inv()), (region, i)
+                if found >= 3:
+                    break
+            assert found >= 3, k
+
     def test_wall_reflected_eigenconditions(self):
         region = rg.LocalRegion(self.FULL_REGION, frozenset(), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
         uks = m.spec.specialize(UK)
         t0v = cb.mat_mul(m.W[0], m.t_inv(0))
         for name, eig in (("p0v_e12", -uks.inv()), ("p0v_12e", uks)):
-            num, norm = wd.idempotent_expr(name, 2)
+            num, norm = oracles.boundary_idempotent(name, 2)
             p = cb.mat_scale(m.evaluate_word(num), m.spec.specialize(norm).inv())
             assert not cb.mat_is_zero(p)
             assert cb.mat_mul(p, p) == p, name
@@ -1008,15 +1034,15 @@ class TestIdempotents:
                    if rg.is_skew(r)]
         for region in rng.sample(regions, 5):
             m = cb.build_module(cb.ModuleSpec(region))
-            ne, _ = wd.idempotent_expr("p0_e12", 2)
-            nt, _ = wd.idempotent_expr("p0_12e", 2)
+            ne, _ = oracles.boundary_idempotent("p0_e12", 2)
+            nt, _ = oracles.boundary_idempotent("p0_12e", 2)
             delta = m.evaluate_word(nt - ne)
             f0 = m.evaluate_word(wd.f_element("F0", 2))
             assert delta == cb.mat_scale(f0, m.spec.specialize(bb("t0")))
-            nev, _ = wd.idempotent_expr("p0v_e12", 2)
-            ntv, _ = wd.idempotent_expr("p0v_12e", 2)
+            nev, _ = oracles.boundary_idempotent("p0v_e12", 2)
+            ntv, _ = oracles.boundary_idempotent("p0v_12e", 2)
             deltav = m.evaluate_word(ntv - nev)
-            f0v = m.evaluate_word(cb._f0v_expr(2))
+            f0v = m.evaluate_word(wd.f_element("F0v", 2))
             assert deltav == cb.mat_scale(f0v, m.spec.specialize(bb("tk")))
 
     def test_nullity_modes_agree(self):
@@ -1025,8 +1051,8 @@ class TestIdempotents:
         region = rg.LocalRegion((F(3, 2), F(5, 2)), frozenset({("e", 1)}), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
         vanish = cb.idempotent_nullity(m)["vanish"]
-        n_e12, _ = wd.idempotent_expr("p0_e12", 2)
-        n_12e, _ = wd.idempotent_expr("p0_12e", 2)
+        n_e12, _ = oracles.boundary_idempotent("p0_e12", 2)
+        n_12e, _ = oracles.boundary_idempotent("p0_12e", 2)
         assert vanish["p0_pair"] == cb.mat_is_zero(m.evaluate_word(n_12e - n_e12))
 
     def test_two_row_modules_pass(self):
@@ -1034,7 +1060,7 @@ class TestIdempotents:
             m = two_row_module(2, l)
             rep = cb.idempotent_nullity(m)
             assert rep["is_tl_module"]
-            relators = [wd.f_element("F0", 2), wd.f_element("Fk", 2), cb._f0v_expr(2)]
+            relators = [wd.f_element("F0", 2), oracles.f_k(2), wd.f_element("F0v", 2)]
             assert all(cb.mat_is_zero(m.evaluate_word(expr)) for expr in relators)
 
     def test_marked_corner_region_fails(self):
@@ -1044,13 +1070,15 @@ class TestIdempotents:
         rep = cb.idempotent_nullity(m)
         assert not rep["is_tl_module"]
 
-    def test_three_boxes_per_sign_acts_nonzero(self):
+    def test_three_boxes_per_sign_acts_nonzero(self, monkeypatch):
         # the small worked configuration is not two-row; its matrices do
-        # not annihilate the quotient idempotents (built without the skew
-        # guard since its fillings repeat a diagonal two labels apart)
+        # not annihilate the quotient idempotents (built with the skew
+        # check passed over, since its fillings repeat a diagonal two
+        # labels apart)
+        monkeypatch.setattr(rg, "is_skew", lambda region: True)
         params = rg.RegionParams(1, 3)
         region = rg.LocalRegion((2, 2, 3), frozenset({("d", 2, 3)}), params)
-        m = cb.build_module(cb.ModuleSpec(region, require_skew=False))
+        m = cb.build_module(cb.ModuleSpec(region))
         rep = cb.idempotent_nullity(m)
         assert not rep["vanish"]["p_1_111"]
         assert not rep["is_tl_module"]
@@ -1062,8 +1090,7 @@ def reference_relators(m):
     order it had then, through the matrix of W_1 T_0^-1 - uk."""
     out = {}
     for i in range(1, m.k - 1):
-        num, _ = wd.idempotent_expr("p_i_111", m.k, i=i)
-        out["p_%d_111" % i] = m.evaluate_word(num)
+        out["p_%d_111" % i] = m.evaluate_word(wd.inner_numerator(m.k, i))
     if m.k >= 2:
         out["p0_pair"] = m.evaluate_word(wd.f_element("F0", m.k))
         a = Scalar.from_int(wd.A_SIGN)
@@ -1122,19 +1149,18 @@ class TestRowByRowNullity:
 
     def test_rows_are_rows_of_the_full_matrix(self):
         for m in self.modules():
-            exprs = [wd.f_element("F0", m.k), wd.f_element("Fk", m.k),
+            exprs = [wd.f_element("F0", m.k), oracles.f_k(m.k),
                      wd.GenExpr.word(m.k, [wd.T0inv, wd.T(1, -1), wd.E0]),
                      wd.GenExpr.one(m.k)]
-            exprs += [wd.idempotent_expr("p_i_111", m.k, i=i)[0]
-                      for i in range(1, m.k - 1)]
+            exprs += [wd.inner_numerator(m.k, i) for i in range(1, m.k - 1)]
             fulls = [m.evaluate_word(expr) for expr in exprs]
             f0v = reference_relators(m)["p0v_pair"]
-            assert m.evaluate_word(cb._f0v_expr(m.k)) == f0v
+            f0v_expr = wd.f_element("F0v", m.k)
+            assert m.evaluate_word(f0v_expr) == f0v
             for r in range(m.n):
                 for expr, full in zip(exprs, fulls):
                     assert m.evaluate_word(expr, row=r) == [full[r]], (m.region, r)
-                assert m.evaluate_word(cb._f0v_expr(m.k), row=r) == [f0v[r]], \
-                    (m.region, r)
+                assert m.evaluate_word(f0v_expr, row=r) == [f0v[r]], (m.region, r)
 
     def test_rank3_chart(self):
         rep = vf.suite_classification(k=3, r1=F(3, 2), r2=F(11, 2), bound=F(7))

@@ -788,6 +788,7 @@ class TestSumOverLcm:
         # the rank-2 chart at bound 5, recorded when every sum was still
         # formed over the product of the denominators
         import hashlib
+        import oracles
         from blobalg import calib as cb
         from blobalg import regions as rg
         from blobalg import words as wd
@@ -798,9 +799,9 @@ class TestSumOverLcm:
         for r in regions:
             m = cb.build_module(cb.ModuleSpec(r))
             # the quotient relators F_i, F_0, F_k, F_0v
-            relators = {"F%d" % i: wd.f_element(i, m.k) for i in range(1, m.k - 1)}
-            relators.update(F0=wd.f_element("F0", m.k), Fk=wd.f_element("Fk", m.k),
-                            F0v=cb._f0v_expr(m.k))
+            relators = {"F%d" % i: oracles.f_inner(i, m.k) for i in range(1, m.k - 1)}
+            relators.update(F0=wd.f_element("F0", m.k), Fk=oracles.f_k(m.k),
+                            F0v=wd.f_element("F0v", m.k))
             entries = {name: [sorted((c, sc.to_json(x)) for c, x in row.items())
                               for row in m.evaluate_word(expr)]
                        for name, expr in relators.items()}

@@ -7,6 +7,8 @@ from blobalg import scalars as sc
 from blobalg import words as wd
 from blobalg.scalars import A0, AK, ONE, Scalar, U, U0, UK, bb
 
+import oracles
+
 G = wd.GenExpr.word
 
 
@@ -37,8 +39,15 @@ class TestExpansion:
                              " + (Scalar((u0-u0^-1)))*W1*W1")
         for j in (0, 3):
             with pytest.raises(wd.WordError, match="W%d out of range" % j):
-                G(2, [cb.W(j)])
-        assert repr(G(2, [cb.W(2)])) == "(Scalar(1))*W2"
+                G(2, [wd.W(j)])
+        assert repr(G(2, [wd.W(2)])) == "(Scalar(1))*W2"
+
+    def test_diagonal_letter_expands_to_its_murphy_word(self):
+        for k in range(1, 5):
+            for j in range(1, k + 1):
+                want = wd.expand_to_tl(wd.murphy_expr(k, j))
+                assert wd.letter_element(k, wd.W(j)) == want, (k, j)
+                assert wd.expand_to_tl(G(k, [wd.W(j)])) == want, (k, j)
 
 
 class TestMurphy:
@@ -85,38 +94,35 @@ class TestStandardElements:
 
 class TestIdempotents:
     def test_inner_word_count(self):
-        num, n = wd.idempotent_expr("p_i_111", 3, i=1)
-        assert len(num.terms) == 6
+        assert len(wd.inner_numerator(3, 1).terms) == 6
 
     def test_boundary_word_count(self):
-        num, _ = wd.idempotent_expr("p0_e12", 2)
+        num, _ = oracles.boundary_idempotent("p0_e12", 2)
         assert len(num.terms) == 8
-
-    def test_normalizers(self):
-        t, t0, tk = U * U, U0 * U0, UK * UK
-        assert wd.normalizer("N") == U.inv() * (1 + t) * (1 + t + t * t)
-        assert wd.normalizer("N0") == (t0 * t).inv() * (1 + t0) * (1 + t) * (1 + t0 * t)
-        assert wd.normalizer("Nk") == (tk * t).inv() * (1 + tk) * (1 + t) * (1 + tk * t)
 
     def test_index_range(self):
         with pytest.raises(wd.WordError):
-            wd.idempotent_expr("p_i_111", 2, i=1)
+            wd.inner_numerator(2, 1)
+
+    def test_unknown_relator(self):
+        for name in ("Fk", "F1", 1, "p0_pair"):
+            with pytest.raises(wd.WordError, match="unknown relator"):
+                wd.f_element(name, 3)
 
     def test_relators_vanish_in_quotient(self):
         # the diagram algebra is exactly the quotient by these elements
         for k in (2, 3):
             assert wd.expand_to_tl(wd.f_element("F0", k)).is_zero()
-            assert wd.expand_to_tl(wd.f_element("Fk", k)).is_zero()
+            assert wd.expand_to_tl(oracles.f_k(k)).is_zero()
             assert wd.expand_to_tl(wd.f_element("F0v", k)).is_zero()
-        assert wd.expand_to_tl(wd.f_element(1, 3)).is_zero()
+        assert wd.expand_to_tl(oracles.f_inner(1, 3)).is_zero()
 
     def test_idempotent_numerators_vanish_in_quotient(self):
         for k in (2,):
-            for name in ("p0_e12", "p0_12e", "p0v_e12", "p0v_12e"):
-                num, _ = wd.idempotent_expr(name, k)
+            for name in oracles.BOUNDARY:
+                num, _ = oracles.boundary_idempotent(name, k)
                 assert wd.expand_to_tl(num).is_zero(), name
-        num, _ = wd.idempotent_expr("p_i_111", 3, i=1)
-        assert wd.expand_to_tl(num).is_zero()
+        assert wd.expand_to_tl(wd.inner_numerator(3, 1)).is_zero()
 
 
 class TestVerifyIdentity:
