@@ -33,12 +33,12 @@ The central character z is read off the diagonals of the W_i, and the
 blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
 
 Each relation is a pair of generator expressions (`_relations`), which a
-module satisfies when both evaluate to the same matrix, in inverse-free
-(Bernstein) form: the quadratic relation as X X = (lam - 1/lam) X + 1, C1 as
-T_i W_i = W_(i+1) T_i - (u - 1/u) W_(i+1) and
-T_i W_(i+1) = W_i T_i + (u - 1/u) W_(i+1), and C2 multiplied through by
-the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2 +
-(uk - 1/uk) W_1.  A presentation check runs on a fresh copy, exact or
+module satisfies when both evaluate to the same matrix: the quadratic
+relation as X X^-1 = 1 over the inverse letter X - (lam - 1/lam) (for T_k
+as X X = (uk - 1/uk) X + 1), C1 as T_i W_i = W_(i+1) T_i - (u - 1/u)
+W_(i+1) and T_i W_(i+1) = W_i T_i + (u - 1/u) W_(i+1), and C2 multiplied
+through by the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2
++ (uk - 1/uk) W_1.  A presentation check runs on a fresh copy, exact or
 lifted to Z/p, so it sees a change made to `m.T` after construction.
 
 T_k = C X C^-1, with C = T_{k-1} ... T_1 and X = W_1 T_0^-1, is the one
@@ -46,27 +46,26 @@ dense matrix of a module, so the relations that hold it are decided on a
 reduced form without it (`_reduced`), rewritten from their own words:
 H:Tk as X X = (uk - 1/uk) X + 1, ext:TkTi (i <= k-2) as
 T_(i+1) X = X T_(i+1), ext:TkT0 as (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1),
-and ext:W1word as X T_0 = W_1; the right-wall braid ext:T(k-1)TkT(k-1)Tk
-stays as written.  A check over a ring (exact, a CRT pass or a replay)
-reads the reduced forms only when every relation without one passed in
-that ring, T_k is built from the word C X C^-1, and each letter T_i^-1
-evaluates to the inverse of T_i (T_i T_i^-1 = 1), so C^-1 is that of C:
-then the braid and commutation relations give T_i C = C T_(i+1) and let
-T_0 pass T_{k-1} ... T_2, and a reduced form is its relation conjugated
-by the invertible C, or with C^-1 C cancelled.
+ext:W1word as X T_0 = W_1, and at k = 2 the right-wall braid ext:T1TkT1Tk
+as T_1 X T_1 X = X T_1 X T_1; for k >= 3 that braid stays as written.
+A check over a ring (exact, a CRT pass or a replay) reads the reduced
+forms only when every relation without one passed in that ring, among
+them T_i T_i^-1 = 1, so C^-1 is the inverse of C, and T_k is built from
+the word C X C^-1: then the braid and commutation relations give
+T_i C = C T_(i+1) and let T_0 pass T_{k-1} ... T_2, and a reduced form is
+its relation conjugated by the invertible C, or with C^-1 C cancelled.
 So every relation passes or fails on its reduced form exactly as it
-would as written, and the witness is the same; otherwise every relation
-is evaluated as written.  The report lists the relations decided on
-their reduced form in `reduced`.
+would as written; otherwise every relation is evaluated as written.  The
+report lists the relations decided on their reduced form in `reduced`.
 
 The modular check draws its trials (p_t, point_t) from the seed, then makes
 one pass over Z/P, P the product of the trial primes, at the point that is
 the CRT combination of the trial points: by the Chinese remainder theorem
 that pass computes every trial's residues at once, so each trial keeps its
 own Schwartz-Zippel bound (entry degree over p_t).  A trial whose point
-leaves an entry's denominator without a value is discarded and replaced
-by the next draw; trials that drew the same prime go to a further pass,
-since CRT combines coprime moduli only.  A relation that fails over P is
+leaves an entry's denominator without a value is discarded, and the next
+draw takes its place in a later pass, as does a trial whose prime another
+drew, since CRT combines coprime moduli only.  A relation that fails over P is
 replayed at each trial's own prime, so a witness is a single-prime point.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
@@ -460,32 +459,25 @@ class CalibratedModule:
         """The product of the word's letter matrices; with `row`, the
         one-row matrix e_row times that product.
 
-        A row takes the letters from the left, and its products are kept:
-        a relator's terms and rows share their prefixes.  A whole word is
-        the square of its half, or grows from its middle outwards one
-        letter at a time, alternately on the left and on the right, so
-        that a dense T_k meets its sparse neighbours before any longer
-        product; its products are not kept, since a dense one holds n^2
-        entries."""
+        A product is its prefix times its last letter, or a whole word with
+        equal halves the square of its half.  The products of a row are
+        kept, since a relator's terms and rows share their prefixes; whole
+        products are not, since a dense one holds n^2 entries."""
         ring = self.ring
         if not word:
             return mat_identity(self.n, ring) if row is None else [{row: ring.one}]
         if len(word) == 1:
             letter = self._letter(word[0])
             return letter if row is None else [letter[row]]
-        if row is None:
-            half = len(word) // 2
-            if word[:half] == word[half:]:
-                mat = self._word_matrix(word[:half])
-                return mat_mul(mat, mat, ring)
-            if len(word) % 2 == 0:
-                return mat_mul(self._letter(word[0]), self._word_matrix(word[1:]), ring)
-            return mat_mul(self._word_matrix(word[:-1]), self._letter(word[-1]), ring)
+        half = len(word) // 2
+        if row is None and word[:half] == word[half:]:
+            mat = self._word_matrix(word[:half])
+            return mat_mul(mat, mat, ring)
         key = (word, row)
         if key in self._word_cache:
             return self._word_cache[key]
         mat = mat_mul(self._word_matrix(word[:-1], row), self._letter(word[-1]), ring)
-        if len(self._word_cache) < 4096:
+        if row is not None and len(self._word_cache) < 4096:
             self._word_cache[key] = mat
         return mat
 
@@ -580,10 +572,12 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             rels.append(("B2:W%dW%d" % (i, j), *commute(wd.W(i), wd.W(j))))
-    # the quadratic relations (X - x)(X + 1/x) = 0 as X X = (x - 1/x) X + 1
-    rels.append(("H:T0", w(t(0), t(0)), f0 * w(t(0)) + ONE))
+    # the quadratic relations (X - x)(X + 1/x) = 0 as X X^-1 = 1 over the
+    # inverse letter X - (x - 1/x); T_k's as X X = (x - 1/x) X + 1, which
+    # `_reduced` rewrites letter by letter
+    rels.append(("H:T0", w(t(0), wd.T0inv), wd.GenExpr.one(k)))
     for i in range(1, k):
-        rels.append(("H:T%d" % i, w(t(i), t(i)), fu * w(t(i)) + ONE))
+        rels.append(("H:T%d" % i, w(t(i), wd.T(i, -1)), wd.GenExpr.one(k)))
     rels.append(("H:Tk", w(wd.Tk, wd.Tk), fk * w(wd.Tk) + ONE))
     for i in range(1, k):
         rels.append(("C1:T%dW%d" % (i, i), w(t(i), wd.W(i)),
@@ -618,11 +612,10 @@ def _reduced(k: int, lhs: wd.GenExpr, rhs: wd.GenExpr):
       C^-1 T_k C T_0 = W_1 becomes X T_0 = W_1;
     - else both sides are conjugated by C, letter by letter: T_k -> X,
       T_i -> T_(i+1) for i <= k-2 (T_i C = C T_(i+1) by the braid and
-      commutation relations) and T_0 -> T_1^-1 T_0 T_1 (T_0 commutes with
-      T_j for j >= 2), so X X = (uk - 1/uk) X + 1 stands for the quadratic
-      relation of T_k, and T_(i+1) X = X T_(i+1) and
-      (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1) for T_k commuting with T_i
-      and T_0.
+      commutation relations), T_1 -> T_1 at k = 2, where C = T_1, and
+      T_0 -> T_1^-1 T_0 T_1 (T_0 commutes with T_j for j >= 2); so H:Tk
+      becomes X X = (uk - 1/uk) X + 1, and T_k commuting with T_i or T_0,
+      or at k = 2 braiding with T_1, the same relation of X with its image.
 
     The rewrites read the relation's own words and coefficients, so the
     reduced form is that of the relation as written."""
@@ -633,6 +626,8 @@ def _reduced(k: int, lhs: wd.GenExpr, rhs: wd.GenExpr):
     wall = c_inv + (wd.Tk,) + c
     image = {wd.Tk: x, wd.T0: (wd.T(1, -1), wd.T0, wd.T(1)),
              **{wd.T(i): (wd.T(i + 1),) for i in range(1, k - 1)}}
+    if k == 2:
+        image[wd.T(1)] = (wd.T(1),)  # C = T_1 commutes with itself
 
     def unwrap(word):
         out, j = (), 0
@@ -672,12 +667,13 @@ def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
 
 def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     """The names of the relations that fail on m, in order, and of those
-    decided on their reduced form (`_reduced`).
+    decided on their reduced form (`_reduced`); each relation is evaluated
+    once, as written or reduced.
 
     The reduced forms are read only when every relation without one passed
-    on m, T_k is built from the word C X C^-1, and each letter T_i^-1 of
-    C^-1 is the inverse of T_i, so C^-1 that of C.  The braid and
-    commutation relations then carry T_i and T_0 through C, and every
+    on m and T_k is built from the word C X C^-1.  The relations that
+    passed include H:T_i, T_i T_i^-1 = 1, so C^-1 is the inverse of C, and
+    the braid and commutation relations carry T_i and T_0 through C: every
     relation fails on its reduced form exactly when it fails as written.
     Otherwise every relation is evaluated as written, and none is
     reduced."""
@@ -689,10 +685,7 @@ def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
         return m.evaluate_word(lhs) != m.evaluate_word(rhs)
 
     verdict = {name: fails(lhs, rhs) for name, lhs, rhs in rels if reduced[name] is None}
-    use = (not any(verdict.values())
-           and _tk_word(k) == sum(_tk_factors(k), ())
-           and not any(fails(wd.GenExpr.word(k, [wd.T(i), wd.T(i, -1)]), wd.GenExpr.one(k))
-                       for i in range(1, k)))
+    use = not any(verdict.values()) and _tk_word(k) == sum(_tk_factors(k), ())
     for name, lhs, rhs in rels:
         if name not in verdict:
             verdict[name] = fails(*reduced[name]) if use else fails(lhs, rhs)
@@ -724,46 +717,40 @@ def _modular_trials(m: CalibratedModule, trials: int, rng: random.Random,
     relations that failed over its pass (a superset of its own failures),
     and the relations that every pass decided on their reduced form.
 
-    Candidates are checked together, one pass per set of at most
-    `_PASS_PRIMES` distinct primes; an `EvalRetry` in a pass discards the
-    candidates whose primes divide its residue, and the passes are redone
-    with the next draws in their place.  A candidate is usable exactly when
-    its own single-prime check raises no `EvalRetry`, so these are the
-    points a trial-by-trial loop keeps."""
+    Candidates wait in draw order; each pass checks together the next
+    waiting ones, at most `_PASS_PRIMES` with distinct primes.  An
+    `EvalRetry` in a pass discards those of its candidates whose primes
+    divide the residue, the others wait on, and the next draws take the
+    discarded ones' places, so no pass runs twice.  A candidate is usable
+    exactly when its own single-prime check raises no `EvalRetry`, so these
+    are the points a trial-by-trial loop keeps, however they are grouped."""
     drawn: List[Tuple[int, Dict[str, int]]] = []
-    bad = set()
-    while True:
-        usable = [j for j in range(len(drawn)) if j not in bad]
-        while len(usable) < trials:
+    pending: List[int] = []
+    failing: Dict[int, List[str]] = {}
+    bad, reduced = set(), []
+    while len(failing) < trials:
+        while len(failing) + len(pending) < trials:
             p = random_prime(prime_bits, rng)
             drawn.append((p, random_point(p, rng)))
-            usable.append(len(drawn) - 1)
-        passes: List[Dict[int, int]] = []  # prime -> candidate
-        for j in usable:
-            group = next((g for g in passes if drawn[j][0] not in g
-                          and len(g) < _PASS_PRIMES), None)
-            if group is None:
-                passes.append(group := {})
-            group[drawn[j][0]] = j
-        failing, reduced = {}, []
-        for group in passes:
-            try:
-                fails, names = _failing(
-                    m.over(_crt_ring([drawn[j] for j in group.values()])))
-            except EvalRetry as exc:
-                bad.update(j for p, j in group.items() if exc.residue % p == 0)
+            pending.append(len(drawn) - 1)
+        group: Dict[int, int] = {}  # prime -> candidate
+        for j in pending:
+            if len(group) == _PASS_PRIMES:
                 break
+            group.setdefault(drawn[j][0], j)
+        try:
+            fails, names = _failing(m.over(_crt_ring([drawn[j] for j in group.values()])))
+        except EvalRetry as exc:
+            bad.update(j for p, j in group.items() if exc.residue % p == 0)
+            if any(bad.issuperset(range(j, j + _ATTEMPTS)) for j in range(len(drawn))):
+                raise CalibError("could not find a usable evaluation point")
+        else:
             failing.update(dict.fromkeys(group.values(), fails))
             reduced.append(names)
-        else:
-            return ([drawn[j] for j in usable], len(bad),
-                    [failing[j] for j in usable],
-                    [name for name in reduced[0] if all(name in r for r in reduced)])
-        run = 0
-        for j in range(len(drawn)):
-            run = run + 1 if j in bad else 0
-            if run == _ATTEMPTS:
-                raise CalibError("could not find a usable evaluation point")
+        pending = [j for j in pending if j not in bad and j not in failing]
+    usable = sorted(failing)
+    return ([drawn[j] for j in usable], len(bad), [failing[j] for j in usable],
+            [name for name in reduced[0] if all(name in r for r in reduced)])
 
 
 def _replay_witness(m: CalibratedModule, points, suspects):

@@ -94,7 +94,10 @@ def cmd_mul(args) -> int:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 return _fail("bad element JSON: %s" % exc)
-            factors.append(dg.element_from_json(obj))
+            element = dg.element_from_json(obj)
+            if element.k != args.k:
+                return _fail("element JSON has k=%d but --k is %d" % (element.k, args.k))
+            factors.append(element)
         else:
             factors.append(wd.expand_to_tl(wd.parse_genexpr(text, args.k)))
     x, y = factors

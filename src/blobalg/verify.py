@@ -2,7 +2,8 @@
 
 Each suite returns {"suite": name, "checks": {label: bool}, "passed": bool}
 plus suite-specific extras; every check is an exact identity unless the
-label says "modular", in which case it carries the stated trial count."""
+label says "modular", in which case it carries the stated trial count.  A
+report without checks does not pass."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ G = wd.GenExpr.word
 
 
 def _report(suite: str, checks: Dict[str, bool], **extra) -> dict:
-    out = {"suite": suite, "checks": checks, "passed": all(checks.values())}
+    out = {"suite": suite, "checks": checks, "passed": bool(checks) and all(checks.values())}
     out.update(extra)
     return out
 
@@ -160,7 +161,8 @@ def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
                          bound=Fraction(7)) -> dict:
     """Matrix idempotent nullity against the two-row shape predicate over
     the exhaustive skew-region enumeration.  Each region's module is built
-    right after its skew test, while its fillings are still cached."""
+    right after its skew test, while its fillings are still cached.  A
+    chart without a skew region is a `RegionError`."""
     params = rg.RegionParams(Fraction(r1), Fraction(r2))
     checks: Dict[str, bool] = {}
     blue = []
@@ -177,5 +179,7 @@ def suite_classification(k: int = 2, r1=Fraction(3, 2), r2=Fraction(11, 2),
         checks[label] = (matrix_tl == shape_tl == cond_tl)
         if shape_tl:
             blue.append(label)
+    if not checks:
+        raise rg.RegionError("no skew region at k=%d with weights c_i <= %s" % (k, bound))
     return _report("classification(k=%d)" % k, checks,
                    regions=len(checks), blue=blue)

@@ -224,7 +224,7 @@ def word_verdicts(m, ring=cb.EXACT):
 
 def reduced_names(k):
     """The relations that hold T_k and have a reduced form, in order."""
-    return (["H:Tk"] + ["ext:TkT%d" % i for i in range(1, k - 1)]
+    return (["H:Tk"] + ["ext:T1TkT1Tk"] * (k == 2) + ["ext:TkT%d" % i for i in range(1, k - 1)]
             + ["ext:TkT0"] * (k >= 2) + ["ext:W1word"])
 
 
@@ -532,6 +532,38 @@ class TestOnePass:
         assert rep["primes"][0] == q and not rep["passed"]
         assert rep["witness"]["trial"] == rep["primes"].index(
             next(p for p in rep["primes"] if p != q))
+
+    def test_each_group_runs_once(self, monkeypatch):
+        # with seed 32, the second of four passes discards a point: the
+        # first pass is not run again, and the report is the loop's
+        args = dict(trials=23, seed=32, prime_bits=12)
+        m = two_row_module(3, 2)
+        groups, passed = [], []
+        crt_ring, failing = cb._crt_ring, cb._failing
+
+        def key(p, point):
+            return p, tuple(sorted(point.items()))
+
+        def recording_crt(cands):
+            groups.append(tuple(key(*c) for c in cands))
+            return crt_ring(cands)
+
+        def recording_failing(lifted):
+            out = failing(lifted)
+            passed.append(groups[-1])
+            return out
+
+        monkeypatch.setattr(cb, "_crt_ring", recording_crt)
+        monkeypatch.setattr(cb, "_failing", recording_failing)
+        points, discarded, _, _ = cb._modular_trials(m, 23, random.Random(32), 12)
+        assert discarded and groups[0] in passed and groups[1] not in passed
+        assert len(set(groups)) == len(groups)
+        assert sorted(c for g in passed for c in g) == sorted(key(*c) for c in points)
+        monkeypatch.undo()
+        rep = cb.check_presentation(m, exact=False, **args)
+        assert rep.pop("reduced") == reduced_names(3)
+        assert rep == reference_presentation(m, **args)
+        assert rep["primes"] == [p for p, _ in points]
 
     def test_too_many_unusable_points(self, monkeypatch):
         # a point that never works ends the check with CalibError, as the
@@ -924,6 +956,47 @@ class TestReducedForms:
         got = {name: cb._reduced(k, lhs, rhs) for name, lhs, rhs in cb._relations(k)}
         assert {name: form for name, form in got.items() if form} == expected
         assert list(expected) == reduced_names(k)
+
+    def test_quadratic_relations_use_the_inverse_letter(self):
+        rels = {name: (lhs, rhs) for name, lhs, rhs in cb._relations(3)}
+        one = wd.GenExpr.one(3)
+        assert rels["H:T0"] == (wd.GenExpr.word(3, [wd.T0, wd.T0inv]), one)
+        assert rels["H:T1"] == (wd.GenExpr.word(3, [wd.T(1), wd.T(1, -1)]), one)
+        assert rels["H:T2"] == (wd.GenExpr.word(3, [wd.T(2), wd.T(2, -1)]), one)
+
+    def test_k2_right_wall_braid(self):
+        # at k = 2, C = T_1: the braid is conjugated by T_1 letter by letter,
+        # and a check whose guard holds never builds T_k
+        x = (wd.W(1), wd.T0inv)
+        lhs, rhs = next((l, r) for name, l, r in cb._relations(2) if name == "ext:T1TkT1Tk")
+        assert cb._reduced(2, lhs, rhs) == (wd.GenExpr.word(2, (wd.T(1), *x, wd.T(1), *x)),
+                                            wd.GenExpr.word(2, (*x, wd.T(1), *x, wd.T(1))))
+        for k in (1, 2):
+            for m, _args in self.checks(k):
+                lifted = m.over(cb.EXACT)
+                assert cb._failing(lifted) == ([], reduced_names(k))
+                assert wd.Tk not in lifted._letters, m.region
+
+    def test_each_relation_evaluated_once(self, monkeypatch):
+        # two evaluations per relation, exact and over one CRT ring
+        m = two_row_module(3, 2)
+        calls = []
+        evaluate = cb.CalibratedModule.evaluate_word
+
+        def counting(self, expr, row=None):
+            calls.append(expr)
+            return evaluate(self, expr, row)
+
+        monkeypatch.setattr(cb.CalibratedModule, "evaluate_word", counting)
+        rng = random.Random(4)
+        cands = []
+        for _ in range(3):
+            p = random_prime(62, rng)
+            cands.append((p, random_point(p, rng)))
+        for ring in (cb.EXACT, cb._crt_ring(cands)):
+            calls.clear()
+            assert cb._failing(m.over(ring)) == ([], reduced_names(3))
+            assert len(calls) == 2 * len(cb._relations(3)), ring
 
     def test_nonzero_modules(self):
         for k in range(1, 6):

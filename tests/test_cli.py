@@ -6,6 +6,7 @@ import json
 import pytest
 
 from blobalg import cli
+from blobalg import verify as vf
 
 
 def run(capsys, *argv):
@@ -44,6 +45,14 @@ class TestBasisAndMul:
         assert rc == 0
         blob = json.loads(out)
         assert blob["terms"][0]["diagram"]["pairs"] == [["T1", "B1"], ["T2", "B2"]]
+
+    def test_element_json_of_another_k_is_usage_error(self, capsys):
+        element = run(capsys, "mul", "--k", "2", "T1", "T1")[1].strip()
+        rc, out, _ = run(capsys, "mul", "--k", "2", element, element)
+        assert rc == 0 and json.loads(out)["k"] == 2
+        for argv in ([element, element], ["T0", element]):
+            rc, out, err = run(capsys, "mul", "--k", "1", *argv)
+            assert rc == 2 and "k=2" in err and "--k is 1" in err and not out, argv
 
 
 class TestVerify:
@@ -136,7 +145,15 @@ class TestVerify:
         assert rc == 0
         assert out.splitlines()[1] == "mode: exact  trials: 0  seed: 0"
         assert "primes:" not in out
-        assert out.count("    reduced: H:Tk ext:TkT0 ext:W1word\n") == 6
+        assert out.count("    reduced: H:Tk ext:T1TkT1Tk ext:TkT0 ext:W1word\n") == 6
+
+    def test_empty_chart_is_usage_error(self, capsys):
+        # a bound below every skew region leaves no check to pass
+        for argv in (["figure1", "--bound-diag", "-1"],
+                     ["--json", "verify", "classification", "--k", "2", "--bound-diag", "1"]):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and "no skew region" in err and not out, argv
+        assert vf._report("empty", {})["passed"] is False
 
     def test_presentation_zero_trials_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "verify", "presentation", "--k", "3",
