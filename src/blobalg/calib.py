@@ -28,7 +28,14 @@ the distinct entries of T and W and the shifts take one modular inverse
 between them (`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words`; the letter W(j) is the diagonal
-W_j.
+W_j, and every T or E letter is built from its index's T matrix and the
+one letter table `words.letter_data`.  A word's product is one
+left-to-right loop over its letters, from the first letter's matrix or
+its row.  Only over Z/p is a whole word with equal halves the square of
+its half: there it saves a product of the dense prefix in the right-wall
+braid T_(k-1) T_k T_(k-1) T_k, while over the exact field, where each
+entry product normalizes a rational function, multiplying by one letter
+at a time was measured faster.
 The central character z is read off the diagonals of the W_i, and the
 blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
 
@@ -331,10 +338,9 @@ class CalibratedModule:
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
         self.ring, self._lifted = EXACT, {}
         self._letters: Dict[wd.Letter, Matrix] = {}
-        self._word_cache: Dict[Tuple[tuple, int], Matrix] = {}
 
     def over(self, ring) -> "CalibratedModule":
-        """A copy with empty caches whose T and W are the module's as they
+        """A copy with no letters built whose T and W are the module's as they
         are now, lifted into `ring` by one `lift_many` together with the
         shifts u - 1/u, u0 - 1/u0 and uk - 1/uk, each distinct entry once;
         the negated shifts are read off the shifts.  Its letters and words
@@ -354,7 +360,7 @@ class CalibratedModule:
             out._lifted[x], out._lifted[-x] = v, ring.reduce(-v)
         out.T = dict(zip(self.T, lifted))
         out.W = lifted[len(self.T):]
-        out._letters, out._word_cache = {}, {}
+        out._letters = {}
         return out
 
     def _coeff(self, c: Scalar):
@@ -399,7 +405,7 @@ class CalibratedModule:
 
     # -- words ----------------------------------------------------------------
     def t_inv(self, i: int) -> Matrix:
-        return self._letter(wd.T0inv if i == 0 else wd.T(i, -1))
+        return self._letter(wd.T(i or "0", -1))
 
     def tk_matrix(self) -> Matrix:
         """T_k via conjugating W_1 T_0^-1 back to the right wall."""
@@ -413,26 +419,21 @@ class CalibratedModule:
         return self._letter({"e0": wd.E0, "ek": wd.Ek}.get(which) or wd.E(int(which)))
 
     def _letter(self, letter) -> Matrix:
-        """A letter's matrix, built once per module: W_j, T_i, T_0, T_k
-        from its word `_tk_word`, an inverse as T - (x - 1/x) and a cap/cup
-        as a multiple of T - x, for T with eigenvalues x and -1/x."""
+        """A letter's matrix, built once per module: W_j, and for a T or E
+        letter from its index's T (T_k from its word `_tk_word`) and
+        `words.letter_data`: T^-1 = T - (x - 1/x) and E = (T - x) / a."""
         if letter in self._letters:
             return self._letters[letter]
-        kind, ring = letter[0], self.ring
+        kind, index, power = letter
+        ring = self.ring
         if kind == "W":
-            mat = self.W[letter[1] - 1]
+            mat = self.W[index - 1]
         else:
-            if kind in ("T0", "E0"):
-                base, x, cap = self.T[0], U0, A0.inv()
-            elif kind in ("Tk", "Ek"):
-                base, x, cap = self._word_matrix(_tk_word(self.k)), UK, AK.inv()
-            elif kind in ("T", "E"):
-                base, x, cap = self.T[letter[1]], U, Scalar.from_int(wd.A_SIGN)
-            else:
-                raise CalibError("unknown letter %r" % (letter,))
-            if kind[0] == "E":
-                mat = mat_scale(mat_shift(base, self._coeff(x), ring), self._coeff(cap), ring)
-            elif letter[-1] == 1:
+            x, a, _ = wd.letter_data(index)
+            base = self._word_matrix(_tk_word(self.k)) if index == "k" else self.T[int(index)]
+            if kind == "E":
+                mat = mat_scale(mat_shift(base, self._coeff(x), ring), self._coeff(a.inv()), ring)
+            elif power == 1:
                 mat = base
             else:
                 mat = mat_shift(base, self._coeff(_SHIFT[x]), ring)
@@ -442,8 +443,8 @@ class CalibratedModule:
     def evaluate_word(self, expr: wd.GenExpr, row: Optional[int] = None) -> Matrix:
         """The linear combination of word products of generator matrices,
         over the module's ring; with `row`, the one-row matrix of its row
-        `row`.  The result may share rows with the letter matrices or the
-        cached row products: copy it before changing it."""
+        `row`.  The result may share rows with the letter matrices: copy it
+        before changing it."""
         if expr.k != self.k:
             raise CalibError("expression k=%d on module k=%d" % (expr.k, self.k))
         ring = self.ring
@@ -456,29 +457,21 @@ class CalibratedModule:
         return mat_zero(self.n if row is None else 1) if total is None else total
 
     def _word_matrix(self, word: tuple, row: Optional[int] = None) -> Matrix:
-        """The product of the word's letter matrices; with `row`, the
-        one-row matrix e_row times that product.
-
-        A product is its prefix times its last letter, or a whole word with
-        equal halves the square of its half.  The products of a row are
-        kept, since a relator's terms and rows share their prefixes; whole
-        products are not, since a dense one holds n^2 entries."""
+        """The product of the word's letter matrices, multiplied left to
+        right from the first letter's matrix; with `row`, from that
+        matrix's row `row`, the one-row matrix e_row times the product.
+        Over Z/p a whole word with equal halves is the square of its half."""
         ring = self.ring
         if not word:
             return mat_identity(self.n, ring) if row is None else [{row: ring.one}]
-        if len(word) == 1:
-            letter = self._letter(word[0])
-            return letter if row is None else [letter[row]]
         half = len(word) // 2
-        if row is None and word[:half] == word[half:]:
+        if row is None and isinstance(ring, ModRing) and word[:half] == word[half:]:
             mat = self._word_matrix(word[:half])
             return mat_mul(mat, mat, ring)
-        key = (word, row)
-        if key in self._word_cache:
-            return self._word_cache[key]
-        mat = mat_mul(self._word_matrix(word[:-1], row), self._letter(word[-1]), ring)
-        if row is not None and len(self._word_cache) < 4096:
-            self._word_cache[key] = mat
+        first = self._letter(word[0])
+        mat = first if row is None else [first[row]]
+        for letter in word[1:]:
+            mat = mat_mul(mat, self._letter(letter), ring)
         return mat
 
 
@@ -546,7 +539,7 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
         return wd.GenExpr.word(k, letters)
 
     def t(i):
-        return wd.T0 if i == 0 else wd.T(i)
+        return wd.T(i or "0")
 
     def commute(a, b):
         return w(a, b), w(b, a)

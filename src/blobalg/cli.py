@@ -208,6 +208,8 @@ def cmd_verify(args) -> int:
             for name, default in VERIFY_OPTIONS.get(args.suite, {}).items()}
     if args.suite == "relations" and args.k > opts["max_k"]:
         return _fail("relations suite limited to k <= %d" % opts["max_k"])
+    if args.suite in ("relations", "theorem3") and args.k < 2:
+        return _fail("verify %s needs --k >= 2, got %d" % (args.suite, args.k))
     refusal = _exact_refusal(args, args.k) if args.suite == "presentation" else None
     if refusal:
         return _fail(refusal)

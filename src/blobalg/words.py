@@ -4,12 +4,17 @@ A ``GenExpr`` is a Scalar-linear combination of words over the letters
 
     T0, T0^-1, Ti, Ti^-1 (1 <= i <= k-1), Tk, Tk^-1, E0, Ei, Ek, Wj (1 <= j <= k).
 
-Words are never rewritten; all identities are checked after expanding into
-the diagram algebra (or into module matrices).  The boundary letters expand
-with their own symbols a0, ak, while the inner cap/cup letter carries the
+Every letter is a triple (kind, index, power): `T(i, power)`, `E(i)` and
+`W(j)`.  The wall indices are the tokens "0" and "k", so an integer index
+always means an inner letter.  All that depends on a T or E letter's index
+is one table, `letter_data`: the eigenvalue x and the coefficient a with
+T = a E + x (T^-1 = a E + 1/x), and the sign of E's diagram image.  The
+walls carry their own u0, a0 and uk, ak; the inner letters share u and the
 global sign `a` with a*a = 1, so that Ti -> (inner diagram) + u.  The
 letter Wj of the commuting family expands once per (k, j) as its T-letter
 word `murphy_word(k, j)`; a module reads it as its diagonal matrix W_j.
+Words are never rewritten; all identities are checked after expanding into
+the diagram algebra (or into module matrices).
 
 The quotient relators F0, F0v (`f_element`) and the inner idempotent
 numerator (`inner_numerator`) vanish in the diagram algebra; a calibrated
@@ -30,32 +35,46 @@ from .scalars import (A0, AK, ATOMS, ONE, Scalar, U, U0, UK, bb,
 Letter = Tuple
 Word = Tuple[Letter, ...]
 
-T0 = ("T0", 1)
-T0inv = ("T0", -1)
-Tk = ("Tk", 1)
-Tkinv = ("Tk", -1)
-E0 = ("E0",)
-Ek = ("Ek",)
-
-
-def T(i: int, power: int = 1) -> Letter:
-    return ("T", i, power)
-
-
-def E(i: int) -> Letter:
-    return ("E", i)
-
-
-def W(j: int) -> Letter:
-    return ("W", j)
-
-
 # sign of the cap generators' diagram images: E_i maps to A_SIGN * e_i
 A_SIGN = -1
 
 
 class WordError(ValueError):
     pass
+
+
+def _index(i):
+    """A T or E letter's index: "0", "k", or an inner index i >= 1, whose
+    top k - 1 is checked against the word's k."""
+    if i in ("0", "k") or isinstance(i, int) and i >= 1:
+        return i
+    raise WordError('letter index %r is not "0", "k" or an inner i >= 1' % (i,))
+
+
+def T(i, power: int = 1) -> Letter:
+    return ("T", _index(i), power)
+
+
+def E(i) -> Letter:
+    return ("E", _index(i), 1)
+
+
+def W(j: int) -> Letter:
+    return ("W", j, 1)
+
+
+T0, T0inv, Tk, Tkinv = T("0"), T("0", -1), T("k"), T("k", -1)
+E0, Ek = E("0"), E("k")
+
+_WALLS = {"0": (U0, A0, ONE), "k": (UK, AK, ONE)}
+_INNER = (U, Scalar.from_int(A_SIGN), Scalar.from_int(A_SIGN))
+
+
+def letter_data(index) -> Tuple[Scalar, Scalar, Scalar]:
+    """(x, a, sign) of the T and E letters with this index: T = a E + x has
+    eigenvalues x and -1/x, and E's diagram image is sign times its cap/cup
+    diagram."""
+    return _WALLS.get(index, _INNER)
 
 
 class GenExpr:
@@ -162,36 +181,19 @@ class GenExpr:
     def __repr__(self) -> str:
         if not self.terms:
             return "<GenExpr 0>"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            body = "*".join(_letter_name(l) for l in w) or "1"
-            bits.append("(%s)*%s" % (c, body))
-        return " + ".join(bits)
+        named = {"*".join(map(_letter_name, w)) or "1": c for w, c in self.terms.items()}
+        return " + ".join("(%s)*%s" % (named[n], n) for n in sorted(named))
 
 
 def _letter_name(letter: Letter) -> str:
-    if letter[0] == "T0":
-        return "T0" if letter[1] == 1 else "T0^-1"
-    if letter[0] == "Tk":
-        return "Tk" if letter[1] == 1 else "Tk^-1"
-    if letter[0] == "T":
-        return "T%d" % letter[1] if letter[2] == 1 else "T%d^-1" % letter[1]
-    if letter[0] == "E0":
-        return "E0"
-    if letter[0] == "Ek":
-        return "Ek"
-    if letter[0] == "W":
-        return "W%d" % letter[1]
-    return "E%d" % letter[1]
+    return "%s%s%s" % (letter[0], letter[1], "^-1" if letter[2] == -1 else "")
 
 
 def _check_word(w: Word, k: int) -> None:
     for letter in w:
-        if letter[0] in ("T", "E", "W"):
-            top = k if letter[0] == "W" else k - 1
-            if not 1 <= letter[1] <= top:
-                raise WordError("letter %s out of range for k=%d"
-                                % (_letter_name(letter), k))
+        kind, index, _ = letter
+        if isinstance(index, int) and not 1 <= index <= (k if kind == "W" else k - 1):
+            raise WordError("letter %s out of range for k=%d" % (_letter_name(letter), k))
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +207,15 @@ def letter_element(k: int, letter: Letter) -> dg.TLElement:
     key = (k, letter)
     if key in _letter_cache:
         return _letter_cache[key]
-    kind = letter[0]
-    if kind == "E0":
-        el = dg.TLElement.from_diagram(dg.e0_diagram(k))
-    elif kind == "Ek":
-        el = dg.TLElement.from_diagram(dg.ek_diagram(k))
-    elif kind == "E":
-        el = dg.TLElement.from_diagram(dg.e_diagram(k, letter[1]),
-                                       Scalar.from_int(A_SIGN))
-    elif kind == "T0":
-        el = dg.TLElement(k, {dg.e0_diagram(k): A0,
-                              dg.identity_diagram(k): U0 ** letter[1]})
-    elif kind == "Tk":
-        el = dg.TLElement(k, {dg.ek_diagram(k): AK,
-                              dg.identity_diagram(k): UK ** letter[1]})
-    elif kind == "T":
-        el = dg.TLElement(k, {dg.e_diagram(k, letter[1]): ONE,
-                              dg.identity_diagram(k): U ** letter[2]})
-    elif kind == "W":
-        el = expand_to_tl(murphy_expr(k, letter[1]))
+    kind, index, power = letter
+    if kind == "W":
+        el = expand_to_tl(murphy_expr(k, index))
     else:
-        raise WordError("unknown letter %r" % (letter,))
+        x, a, sign = letter_data(index)
+        cap = (dg.e_diagram(k, index) if isinstance(index, int)
+               else {"0": dg.e0_diagram, "k": dg.ek_diagram}[index](k))
+        el = (dg.TLElement.from_diagram(cap, sign) if kind == "E" else
+              dg.TLElement(k, {cap: a * sign, dg.identity_diagram(k): x ** power}))
     _letter_cache[key] = el
     return el
 
@@ -268,11 +258,9 @@ def murphy_word(k: int, j: int, inverse: bool = False) -> Word:
 
 
 def _invert_letter(letter: Letter) -> Letter:
-    if letter[0] in ("T0", "Tk"):
-        return (letter[0], -letter[1])
-    if letter[0] == "T":
-        return ("T", letter[1], -letter[2])
-    raise WordError("letter %s is not invertible" % _letter_name(letter))
+    if letter[0] != "T":
+        raise WordError("letter %s is not invertible" % _letter_name(letter))
+    return letter[:2] + (-letter[2],)
 
 
 def murphy_expr(k: int, j: int, inverse: bool = False) -> GenExpr:
@@ -319,8 +307,8 @@ def standard_element(name: str, k: int) -> GenExpr:
                        + [GenExpr.word(k, [Tk])])
         return i1 * mid * i1
     if name == "Dodd":
-        if even:
-            raise WordError("Dodd needs odd k")
+        if even or k < 3:
+            raise WordError("Dodd needs odd k >= 3")
         i2 = standard_element("I2", k)
         mid = _product(k, [GenExpr.word(k, [T(1, -1), T0inv, T(1, -1)])]
                        + e_run(3, k - 2) + [GenExpr.word(k, [Tk])])
@@ -369,10 +357,7 @@ def _letter(name: str) -> Optional[Letter]:
     kind, idx = name[:1], name[1:]
     if kind not in ("T", "E") or not (idx == "k" or idx.isdigit() and len(idx) < 9):
         return None
-    i = idx if idx == "k" else int(idx)
-    if i in ("k", 0):
-        return {"Tk": Tk, "Ek": Ek, "T0": T0, "E0": E0}[kind + str(i)]
-    return T(i) if kind == "T" else E(i)
+    return (T if kind == "T" else E)(idx if idx == "k" else int(idx) or "0")
 
 
 def parse_genexpr(text: str, k: int) -> GenExpr:

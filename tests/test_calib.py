@@ -425,7 +425,6 @@ class TestPresentation:
             row, col = next((r, c) for r in range(m.n) for c in range(m.n)
                             if r != c and (c not in t1[r]) == at_zero)
             t1[row][col] = cb.mat_entry(t1, row, col) + (U if at_zero else ONE)
-            m._word_cache.clear()
             rep = cb.check_presentation(m, exact=True)
             assert not rep["passed"]
             assert rep["witness"] is not None
@@ -870,8 +869,8 @@ def letter_mutant():
     letter = cb.CalibratedModule._letter
 
     def mutant(self, lt):
-        if lt[0] in ("T0", "T", "Tk") and lt[-1] == -1 and lt not in self._letters:
-            x = {"T0": U0, "T": U, "Tk": UK}[lt[0]]
+        if lt[0] == "T" and lt[-1] == -1 and lt not in self._letters:
+            x = wd.letter_data(lt[1])[0]
             self._letters[lt] = cb.mat_shift(letter(self, lt[:-1] + (1,)),
                                              self._coeff(x + x.inv()), self.ring)
         return letter(self, lt)
@@ -1046,6 +1045,45 @@ class TestEvaluateWord:
         zmat = m.evaluate_word(wd._z_expr(2))
         z0 = zmat[0][0]
         assert zmat == cb.mat_scale(cb.mat_identity(m.n), z0)
+
+
+class TestWordProducts:
+    """A word's product is the chain of its letter matrices multiplied left
+    to right; only over Z/p is a whole word with equal halves the square of
+    its half, one product fewer."""
+
+    @staticmethod
+    def chain(m, word):
+        mat = m._letter(word[0])
+        for letter in word[1:]:
+            mat = cb.mat_mul(mat, m._letter(letter), m.ring)
+        return mat
+
+    def test_products_are_the_plain_chain(self, monkeypatch):
+        rng = random.Random(7)
+        p = random_prime(62, rng)
+        modular = cb.ModRing(p, random_point(p, rng))
+        mat_mul, products = cb.mat_mul, []
+
+        def counting(*args):
+            products.append(args)
+            return mat_mul(*args)
+
+        for k, l in ((3, 2), (4, 1)):
+            rels = {name: (lhs, rhs) for name, lhs, rhs in cb._relations(k)}
+            exprs = [*rels["ext:T%dTkT%dTk" % (k - 1, k - 1)], rels["B1:T0T1T0T1"][0]]
+            for ring in (cb.EXACT, modular):
+                m = two_row_module(k, l).over(ring)
+                for expr in exprs:
+                    (word,) = expr.terms
+                    want = self.chain(m, word)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(cb, "mat_mul", counting)
+                        products.clear()
+                        assert m.evaluate_word(expr) == want, (k, ring, word)
+                        assert len(products) == (2 if ring is modular else 3), (k, ring)
+                        for r in range(m.n):
+                            assert m.evaluate_word(expr, row=r) == [want[r]], (k, ring, r)
 
 
 class TestIdempotents:

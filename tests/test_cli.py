@@ -401,6 +401,15 @@ class TestExitCodes:
                            "--bvalues")
         assert rc == 2 and "k >= 1" in err and not out
 
+    def test_suites_below_k2_are_usage_errors(self, capsys):
+        for suite in ("relations", "theorem3"):
+            rc, out, err = run(capsys, "verify", suite, "--k", "1")
+            assert rc == 2 and "--k" in err and not out, suite
+        rc, out, err = run(capsys, "mul", "--k", "1", "Dodd", "T0")
+        assert rc == 2 and "Dodd" in err and not out
+        rc, out, err = run(capsys, "mul", "--k", "2", "T2", "E1")
+        assert rc == 2 and "T2 out of range" in err and not out
+
     def test_bad_expressions_are_usage_errors(self, capsys):
         deep = "-" * 10000 + "T1"
         for text, why in (("qint(", "never closed"), ("bb(t,x)", "'x'"),

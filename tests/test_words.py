@@ -50,6 +50,59 @@ class TestExpansion:
                 assert wd.expand_to_tl(G(k, [wd.W(j)])) == want, (k, j)
 
 
+class TestLetters:
+    """A T or E letter is (kind, index, power), the walls indexed by "0" and
+    "k", so that an integer index always means an inner letter."""
+
+    @staticmethod
+    def names(k):
+        t_names = ["T0", "Tk"] + ["T%d" % i for i in range(1, k)]
+        e_names = ["E0", "Ek"] + ["E%d" % i for i in range(1, k)]
+        return t_names + [name + "^-1" for name in t_names] + e_names
+
+    def test_names_read_back(self):
+        for k in range(1, 5):
+            for name in self.names(k):
+                g = wd.parse_genexpr(name, k)
+                ((letter,), c), = g.terms.items()
+                assert c.is_one() and wd._letter_name(letter) == name, (k, name)
+                assert repr(g) == "(Scalar(1))*%s" % name
+                if letter[0] == "T":
+                    assert wd._invert_letter(wd._invert_letter(letter)) == letter
+        assert [wd.parse_genexpr(n, 2) for n in ("T0", "T0^-1", "Tk", "Tk^-1", "E0", "Ek")] \
+            == [G(2, [x]) for x in (wd.T0, wd.T0inv, wd.Tk, wd.Tkinv, wd.E0, wd.Ek)]
+
+    def test_integer_index_is_inner(self):
+        # the wall T_k at k = 1 is Tk, not T(k - 1) = T(0); E(k) is no letter
+        for k in range(1, 5):
+            with pytest.raises(wd.WordError):
+                G(k, [wd.E(k)])
+            with pytest.raises(wd.WordError):
+                G(k, [wd.T(k, -1)])
+        for index in (0, -1):
+            with pytest.raises(wd.WordError, match="index"):
+                wd.T(index)
+            with pytest.raises(wd.WordError, match="index"):
+                wd.E(index)
+
+    def test_letter_data(self):
+        # T^power = a E + x^power on the diagrams, for every index
+        for k in range(1, 5):
+            for index in ["0", "k"] + list(range(1, k)):
+                x, a, _ = wd.letter_data(index)
+                e = G(k, [wd.E(index)])
+                for power in (1, -1):
+                    ok, _ = wd.verify_identity(G(k, [wd.T(index, power)]),
+                                               e.scale(a) + x ** power)
+                    assert ok, (k, index, power)
+
+    def test_repr_sorts_words_by_name(self):
+        # the words T1 and Tk, as tuples, would compare 1 with "k"
+        g = wd.parse_genexpr("Tk + T1 + E1 + T0^-1*T1 + 2", 2)
+        assert repr(g) == ("(Scalar(2))*1 + (Scalar(1))*E1 + (Scalar(1))*T0^-1*T1"
+                           " + (Scalar(1))*T1 + (Scalar(1))*Tk")
+
+
 class TestMurphy:
     def test_k1_empty_conjugation(self):
         assert wd.murphy_word(1, 1) == (wd.Tk, wd.T0)
@@ -82,6 +135,12 @@ class TestStandardElements:
             wd.standard_element("Deven", 3)
         with pytest.raises(wd.WordError):
             wd.standard_element("Dodd", 2)
+
+    def test_dodd_needs_k3(self):
+        # its middle word holds T1^-1, which k = 1 does not have
+        with pytest.raises(wd.WordError, match="Dodd"):
+            wd.standard_element("Dodd", 1)
+        assert wd.standard_element("Dodd", 3).terms
 
     def test_i_squares(self):
         for k in (2, 3, 4):
