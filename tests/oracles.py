@@ -5,12 +5,26 @@ The library evaluates only the relators it decides nullity with
 elements are written out here, as the paper states them, so that the tests
 can check the identities that link them to those relators: the idempotent
 normalizers, the four boundary idempotents, and the relators F_i and F_k.
+The plain left-to-right expansion of a word is kept here too, as the
+reference for the product order of `words.expand_to_tl`.
 """
 
+from blobalg import diagrams as dg
 from blobalg import words as wd
 from blobalg.scalars import AK, U, U0, UK, bb
 
 G = wd.GenExpr.word
+
+
+def expand_left_to_right(x):
+    """`words.expand_to_tl` with every word multiplied out left to right."""
+    total = dg.TLElement.zero(x.k)
+    for w, c in x.terms.items():
+        cur = dg.TLElement.one(x.k)
+        for letter in w:
+            cur = cur * wd.letter_element(x.k, letter)
+        total = total + cur.scale(c)
+    return total
 
 
 def normalizer(which):

@@ -2,8 +2,10 @@
 
 import pytest
 
+from blobalg import calib as cb
 from blobalg import diagrams as dg
 from blobalg import scalars as sc
+from blobalg import verify as vf
 from blobalg import words as wd
 from blobalg.scalars import A0, AK, ONE, Scalar, U, U0, UK, bb
 
@@ -33,7 +35,6 @@ class TestExpansion:
             G(2, [wd.T(2)])
 
     def test_diagonal_letter_renders_and_is_range_checked(self):
-        from blobalg import calib as cb
         rhs = {name: rhs for name, _, rhs in cb._relations(2)}["C2:T0W1"]
         assert repr(rhs) == ("(Scalar(1))*T0 + (Scalar((uk-uk^-1)))*W1"
                              " + (Scalar((u0-u0^-1)))*W1*W1")
@@ -48,6 +49,27 @@ class TestExpansion:
                 want = wd.expand_to_tl(wd.murphy_expr(k, j))
                 assert wd.letter_element(k, wd.W(j)) == want, (k, j)
                 assert wd.expand_to_tl(G(k, [wd.W(j)])) == want, (k, j)
+
+    def test_words_multiply_in_their_order(self):
+        # a mutant that multiplies each word's letters in reversed order
+        # passes every suite the top-bottom flip maps to itself
+        for a, b in ((wd.T(1), wd.E0), (wd.E0, wd.T(1)), (wd.T0, wd.E(1))):
+            ab = wd.letter_element(2, a) * wd.letter_element(2, b)
+            assert ab != wd.letter_element(2, b) * wd.letter_element(2, a), (a, b)
+            assert wd.expand_to_tl(G(2, [a, b])) == ab, (a, b)
+
+    def test_equals_left_to_right(self):
+        for k in range(2, 6):
+            for name in wd.STANDARD_NAMES:
+                try:
+                    x = wd.standard_element(name, k)
+                except wd.WordError:
+                    continue
+                assert wd.expand_to_tl(x) == oracles.expand_left_to_right(x), (name, k)
+        for k in (1, 2, 3):
+            for name, lhs, rhs in cb._relations(k):
+                for x in (lhs, rhs):
+                    assert wd.expand_to_tl(x) == oracles.expand_left_to_right(x), (name, k)
 
 
 class TestLetters:
@@ -213,6 +235,24 @@ class TestVerifyIdentity:
         rhs = wd.standard_element("I1", 2).scale(Scalar.from_int(2))
         ok, diff = wd.verify_identity(lhs, rhs)
         assert not ok and not diff.is_zero()
+
+    def test_theorem3_k6_to_k12(self):
+        for k in range(6, 13):
+            rep = vf.suite_theorem3(k)
+            assert rep["passed"], (k, rep["checks"])
+
+    def test_theorem3_products_stay_in_the_caps_ideal(self, monkeypatch):
+        # multiplied out left to right, suite_theorem3(7) makes 267,830
+        # diagram products; from the cap end, about 2,000
+        multiply, calls = dg.multiply_diagrams, []
+
+        def counting(x, y, fold_rng=None):
+            calls.append(None)
+            return multiply(x, y, fold_rng)
+
+        monkeypatch.setattr(dg, "multiply_diagrams", counting)
+        assert vf.suite_theorem3(7)["passed"]
+        assert len(calls) < 10_000, len(calls)
 
 
 class TestParser:
