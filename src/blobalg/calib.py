@@ -31,11 +31,7 @@ module's ring, in the letters of `words`; the letter W(j) is the diagonal
 W_j, and every T or E letter is built from its index's T matrix and the
 one letter table `words.letter_data`.  A word's product is one
 left-to-right loop over its letters, from the first letter's matrix or
-its row.  Only over Z/p is a whole word with equal halves the square of
-its half: there it saves a product of the dense prefix in the right-wall
-braid T_(k-1) T_k T_(k-1) T_k, while over the exact field, where each
-entry product normalizes a rational function, multiplying by one letter
-at a time was measured faster.
+its row, or from a given start row v, one sparse letter at a time.
 The central character z is read off the diagonals of the W_i, and the
 blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
 
@@ -54,16 +50,18 @@ reduced form without it (`_reduced`), rewritten from their own words:
 H:Tk as X X = (uk - 1/uk) X + 1, ext:TkTi (i <= k-2) as
 T_(i+1) X = X T_(i+1), ext:TkT0 as (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1),
 ext:W1word as X T_0 = W_1, and at k = 2 the right-wall braid ext:T1TkT1Tk
-as T_1 X T_1 X = X T_1 X T_1; for k >= 3 that braid stays as written.
+as T_1 X T_1 X = X T_1 X T_1; for k >= 3 that braid stays as written,
+and over Z/p it, like every T_k letter, is applied to v as the word
+C X C^-1, so a modular check never builds T_k.
 A check over a ring (exact, a CRT pass or a replay) reads the reduced
 forms only when every relation without one passed in that ring, among
 them T_i T_i^-1 = 1, so C^-1 is the inverse of C, and T_k is built from
 the word C X C^-1: then the braid and commutation relations give
 T_i C = C T_(i+1) and let T_0 pass T_{k-1} ... T_2, and a reduced form is
 its relation conjugated by the invertible C, or with C^-1 C cancelled.
-So every relation passes or fails on its reduced form exactly as it
-would as written; otherwise every relation is evaluated as written.  The
-report lists the relations decided on their reduced form in `reduced`.
+So every relation holds on its reduced form exactly when it holds as
+written; otherwise every relation is evaluated as written.  The report
+lists the relations decided on their reduced form in `reduced`.
 
 The modular check draws its trials (p_t, point_t) from the seed, then makes
 one pass over Z/P, P the product of the trial primes, at the point that is
@@ -74,6 +72,18 @@ leaves an entry's denominator without a value is discarded, and the next
 draw takes its place in a later pass, as does a trial whose prime another
 drew, since CRT combines coprime moduli only.  A relation that fails over P is
 replayed at each trial's own prime, so a witness is a single-prime point.
+
+Over Z/P a relation is decided on one row vector (Freivalds): both sides
+are evaluated as v times them, for v = (1, z, ..., z^(n-1)) and z the
+point's a0 residue, so no product of two matrices is made.  No entry,
+shift or relation coefficient of the presentation reads a0, so z is
+uniform on [2, p_t - 2] and independent of the difference D of the two
+sides mod p_t.  v D vanishes only if z is a root of every nonzero column
+polynomial sum_r D[r][c] z^r, of degree at most n - 1, so a relation that
+fails mod p_t at the point is missed with probability at most
+(n - 1)/(p_t - 3), on top of the Schwartz-Zippel bound.  No draw is
+added, and z mod p_t is the trial's own a0 residue, so a witness replays
+over `m.over(ModRing(p_t, point_t))`.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
@@ -90,7 +100,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import regions as rg
 from . import words as wd
@@ -98,6 +108,7 @@ from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, _inv
                       bb, eval_mod, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
+Row = Union[int, Dict[int, Scalar]]  # a row index, or a start row {column: entry}
 
 
 class CalibError(ValueError):
@@ -338,6 +349,7 @@ class CalibratedModule:
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
         self.ring, self._lifted = EXACT, {}
         self._letters: Dict[wd.Letter, Matrix] = {}
+        self._rows: Dict[wd.Word, Matrix] = {}  # v times each prefix, () -> [v]
 
     def over(self, ring) -> "CalibratedModule":
         """A copy with no letters built whose T and W are the module's as they
@@ -360,7 +372,7 @@ class CalibratedModule:
             out._lifted[x], out._lifted[-x] = v, ring.reduce(-v)
         out.T = dict(zip(self.T, lifted))
         out.W = lifted[len(self.T):]
-        out._letters = {}
+        out._letters, out._rows = {}, {}
         return out
 
     def _coeff(self, c: Scalar):
@@ -440,11 +452,11 @@ class CalibratedModule:
         self._letters[letter] = mat
         return mat
 
-    def evaluate_word(self, expr: wd.GenExpr, row: Optional[int] = None) -> Matrix:
+    def evaluate_word(self, expr: wd.GenExpr, row: Optional[Row] = None) -> Matrix:
         """The linear combination of word products of generator matrices,
-        over the module's ring; with `row`, the one-row matrix of its row
-        `row`.  The result may share rows with the letter matrices: copy it
-        before changing it."""
+        over the module's ring; with `row`, a one-row matrix: its row `row`
+        for an integer, v times it for a start row v.  The result may share
+        rows with the letter matrices: copy it before changing it."""
         if expr.k != self.k:
             raise CalibError("expression k=%d on module k=%d" % (expr.k, self.k))
         ring = self.ring
@@ -456,22 +468,37 @@ class CalibratedModule:
             total = mat if total is None else mat_add(total, mat, ring)
         return mat_zero(self.n if row is None else 1) if total is None else total
 
-    def _word_matrix(self, word: tuple, row: Optional[int] = None) -> Matrix:
+    def _word_matrix(self, word: tuple, row: Optional[Row] = None) -> Matrix:
         """The product of the word's letter matrices, multiplied left to
-        right from the first letter's matrix; with `row`, from that
-        matrix's row `row`, the one-row matrix e_row times the product.
-        Over Z/p a whole word with equal halves is the square of its half."""
+        right from the first letter's matrix; with an integer `row`, from
+        that matrix's row `row`, the one-row matrix e_row times the product.
+        With a start row v, the one-row matrix v times the product, from v
+        one sparse letter at a time, T_k as its word `_tk_word`, so no
+        product has more than one row and T_k is not built; the copy keeps
+        v times each prefix it multiplied out, and a word starts from the
+        longest one kept, as long as v stays the same."""
         ring = self.ring
-        if not word:
+        memo = None
+        if isinstance(row, dict):
+            if self._rows.get(()) != [row]:
+                self._rows = {(): [dict(row)]}
+            memo = self._rows
+            if wd.Tk in word:
+                tk = _tk_word(self.k)
+                word = tuple(x for letter in word for x in (tk if letter == wd.Tk else (letter,)))
+            j = len(word)
+            while word[:j] not in memo:
+                j -= 1
+            mat = memo[word[:j]]
+        elif not word:
             return mat_identity(self.n, ring) if row is None else [{row: ring.one}]
-        half = len(word) // 2
-        if row is None and isinstance(ring, ModRing) and word[:half] == word[half:]:
-            mat = self._word_matrix(word[:half])
-            return mat_mul(mat, mat, ring)
-        first = self._letter(word[0])
-        mat = first if row is None else [first[row]]
-        for letter in word[1:]:
-            mat = mat_mul(mat, self._letter(letter), ring)
+        else:
+            first, j = self._letter(word[0]), 1
+            mat = first if row is None else [first[row]]
+        for j in range(j, len(word)):
+            mat = mat_mul(mat, self._letter(word[j]), ring)
+            if memo is not None:
+                memo[word[:j + 1]] = mat
         return mat
 
 
@@ -666,16 +693,26 @@ def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     The reduced forms are read only when every relation without one passed
     on m and T_k is built from the word C X C^-1.  The relations that
     passed include H:T_i, T_i T_i^-1 = 1, so C^-1 is the inverse of C, and
-    the braid and commutation relations carry T_i and T_0 through C: every
-    relation fails on its reduced form exactly when it fails as written.
+    the braid and commutation relations carry T_i and T_0 through C: as
+    matrices, every relation fails on its reduced form exactly when it
+    fails as written.
     Otherwise every relation is evaluated as written, and none is
-    reduced."""
-    k = m.k
+    reduced.
+
+    Over Z/P each side is evaluated as the one row v times it, for
+    v = (1, z, ..., z^(n-1)) and z the point's a0 residue, which no
+    entry, shift or coefficient of the presentation reads; a side is
+    multiplied out from v (`_word_matrix`), sharing v times each prefix."""
+    k, ring = m.k, m.ring
     rels = _relations(k)
     reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
+    start = None
+    if isinstance(ring, ModRing):
+        z = ring.point["a0"]
+        start = ring.row({j: pow(z, j, ring.p) for j in range(m.n)})
 
     def fails(lhs, rhs):
-        return m.evaluate_word(lhs) != m.evaluate_word(rhs)
+        return m.evaluate_word(lhs, row=start) != m.evaluate_word(rhs, row=start)
 
     verdict = {name: fails(lhs, rhs) for name, lhs, rhs in rels if reduced[name] is None}
     use = not any(verdict.values()) and _tk_word(k) == sum(_tk_factors(k), ())
@@ -750,7 +787,9 @@ def _replay_witness(m: CalibratedModule, points, suspects):
     """The first failing relation at the first failing trial, found by
     checking again, at its own prime and point, each trial whose pass had
     failures: its own failures are among them, since a relation that
-    fails mod p fails mod every multiple of p."""
+    fails mod p fails mod every multiple of p (up to the miss bound of
+    `check_presentation` where the pass decided a relation as written and
+    the replay on its reduced form)."""
     for trial, ((p, point), names) in enumerate(zip(points, suspects)):
         if names:
             failing, _ = _failing(m.over(ModRing(p, point)))
@@ -767,7 +806,12 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     Exact symbolic checking by default for k <= EXACT_MAX_K, randomized modular
     evaluation with `trials` points otherwise: the module's own matrices
     are lifted to GF(p) at a random point for each trial, all trials in
-    one pass over the product of their primes.  Returns a report dict with
+    one pass over the product of their primes.  A trial decides each
+    relation on one row combination of its two sides, v = (1, z, ...,
+    z^(n-1)) times them, z the point's a0 residue: a relation that fails
+    mod p at the trial's point is missed with probability at most
+    (n - 1)/(p - 3), n = m.n, on top of the Schwartz-Zippel bound at the
+    point (entry degree over p).  Returns a report dict with
     per-relation pass/fail, the first failing witness (the first failing
     relation at the first failing trial), the trial primes, the number
     of discarded candidate points, and the relations decided on their

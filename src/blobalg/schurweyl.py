@@ -33,9 +33,16 @@ class SWParams:
     b: int
 
     def __post_init__(self):
-        if not (self.a > self.b + 2 and self.b >= 1):
-            raise SchurWeylError("need a > b + 2 >= 3: b = 0 puts r2 = r1 + 1, "
-                                 "too close for the regions' boundary parameters")
+        a, b = self.a, self.b
+        if b == 0:
+            why = "b = 0 puts r2 = r1 + 1, too close for the regions' boundary parameters"
+        elif b < 1:
+            why = "b = %d is below 1" % b
+        elif a <= b + 2:
+            why = "a = %d is not above b + 2 = %d" % (a, b + 2)
+        else:
+            return
+        raise SchurWeylError("need a > b + 2 >= 3: %s (given a = %d, b = %d)" % (why, a, b))
 
     @property
     def r1(self) -> Fraction:

@@ -31,15 +31,15 @@ def two_row_module(k, l):
     return sw.module_for(SW63, k, l)
 
 
-def perturbed_module(k, l, at_zero=False):
-    """A (6,3) module with T_1 perturbed off the diagonal: its first nonzero
-    entry moved by 1, or (at_zero) U put where T_1 is zero, i.e. where its
+def perturbed_module(k, l, at_zero=False, i=1):
+    """A (6,3) module with T_i perturbed off the diagonal: its first nonzero
+    entry moved by 1, or (at_zero) U put where T_i is zero, i.e. where its
     row stores nothing."""
     m = two_row_module(k, l)
-    t1 = m.T[1]
+    t = m.T[i]
     row, col = next((r, c) for r in range(m.n) for c in range(m.n)
-                    if r != c and (c not in t1[r]) == at_zero)
-    t1[row][col] = cb.mat_entry(t1, row, col) + (U if at_zero else ONE)
+                    if r != c and (c not in t[r]) == at_zero)
+    t[row][col] = cb.mat_entry(t, row, col) + (U if at_zero else ONE)
     return m
 
 
@@ -1024,6 +1024,117 @@ class TestReducedForms:
                 assert not self.same_as_direct(m, **args)["passed"], (mutant, m.region)
 
 
+class TestStartRow:
+    """Over Z/P each side of a relation is evaluated as v times it, for
+    v = (1, z, ..., z^(n-1)) and z the point's a0 residue, multiplied out
+    from v one sparse letter at a time: no product has more than one row,
+    and T_k is applied as its word, never built."""
+
+    @staticmethod
+    def ring(seed):
+        rng = random.Random(seed)
+        p = random_prime(62, rng)
+        return cb.ModRing(p, random_point(p, rng))
+
+    @staticmethod
+    def start_row(m, ring):
+        z = ring.point["a0"]
+        return ring.row({j: pow(z, j, ring.p) for j in range(m.n)})
+
+    def test_v_times_each_side(self):
+        # every side of every relation as written, T_k words included, in
+        # one copy, so later words start from kept prefixes; then from
+        # another start row, and from the first again
+        ring = self.ring(11)
+        for k in (3, 4):
+            for m in TestRelationsAsWords.nonzero_modules(k):
+                rows, whole = m.over(ring), m.over(ring)
+                v = self.start_row(m, ring)
+                for start in (v, {m.n - 1: ring.one}, v):
+                    for name, lhs, rhs in cb._relations(k):
+                        for side in (lhs, rhs):
+                            want = cb.mat_mul([start], whole.evaluate_word(side), ring)
+                            assert rows.evaluate_word(side, row=start) == want, (m.region, name)
+                assert wd.Tk not in rows._letters, m.region
+
+    def test_one_row_products_only(self, monkeypatch):
+        # passing modules read the reduced forms; failing ones evaluate the
+        # T_k relations as written, and replay a witness at its own prime
+        mods = TestRelationsAsWords.nonzero_modules(3) + TestRelationsAsWords.nonzero_modules(4)
+        mods += [perturbed_module(3, 2), rescaled_module(4, 2, 1)]
+        mat_mul, letter = cb.mat_mul, cb.CalibratedModule._letter
+        left_rows, letters = set(), set()
+
+        def recording_mul(a, b, ring=cb.EXACT):
+            left_rows.add(len(a))
+            return mat_mul(a, b, ring)
+
+        def recording_letter(self, lt):
+            letters.add(lt)
+            return letter(self, lt)
+
+        monkeypatch.setattr(cb, "mat_mul", recording_mul)
+        monkeypatch.setattr(cb.CalibratedModule, "_letter", recording_letter)
+        passed = [cb.check_presentation(m, exact=False, trials=10, seed=2)["passed"]
+                  for m in mods]
+        assert passed == [True] * (len(mods) - 2) + [False, False]
+        assert left_rows == {1}
+        assert wd.Tk not in letters and wd.T(1) in letters
+
+    def test_prefixes_are_shared(self, monkeypatch):
+        # from one v, a word makes one product per letter not in a prefix
+        # already multiplied out, T_k counting as its 2k letters
+        ring = self.ring(12)
+        m = two_row_module(4, 2).over(ring)
+        v = self.start_row(m, ring)
+        mat_mul, products = cb.mat_mul, []
+
+        def counting(*args):
+            products.append(args)
+            return mat_mul(*args)
+
+        monkeypatch.setattr(cb, "mat_mul", counting)
+        for letters, made in (((wd.T(1), wd.T(2), wd.T(1)), 3), ((wd.T(1), wd.T(2), wd.T(1)), 0),
+                              ((wd.T(1), wd.T(2), wd.T(1), wd.T(3)), 1), ((wd.T(1), wd.T(3)), 1),
+                              ((wd.Tk, wd.T(3)), 9), ((wd.Tk,), 0), ((), 0)):
+            products.clear()
+            got = m.evaluate_word(wd.GenExpr.word(4, letters), row=v)
+            assert len(products) == made and len(got) == 1, letters
+
+    def test_no_entry_reads_a0_or_ak(self):
+        # the premise of the miss bound: z is independent of what v tests
+        banned = {sc.VAR_INDEX["a0"], sc.VAR_INDEX["ak"]}
+        count = 0
+        for k in range(1, 6):
+            coeffs = [c for _, lhs, rhs in cb._relations(k) for side in (lhs, rhs)
+                      for c in side.terms.values()]
+            for m in TestRelationsAsWords.nonzero_modules(k):
+                entries = [x for mat in (*m.T.values(), *m.W) for row in mat
+                           for x in row.values()]
+                entries += [*shifts(m), *map(m.spec.specialize, coeffs)]
+                for x in entries:
+                    assert all(banned.isdisjoint(part.num.variables()) for part in x.cleared()), x
+                count += len(entries)
+        assert count == 4906
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutants_rejected_at_k4_and_k5(self, mutant, monkeypatch, fresh_relations):
+        monkeypatch.setattr(*MUTANTS[mutant]())
+        for k in (4, 5):
+            for m, args in TestReducedForms.checks(k):
+                assert not cb.check_presentation(m, **args)["passed"], (mutant, m.region)
+
+    def test_perturbed_t_k_minus_1_at_k5(self):
+        # T_(k-1) is the letter the right-wall braid holds next to T_k
+        for at_zero in (False, True):
+            m = perturbed_module(5, 2, at_zero, i=4)
+            rep = cb.check_presentation(m, trials=10, seed=5)
+            assert not rep["passed"] and rep["reduced"] == []
+            assert not rep["relations"]["ext:T4TkT4Tk"]
+            assert not rep["relations"][rep["witness"]["relation"]]
+            assert replays(m, rep["witness"])
+
+
 class TestEvaluateWord:
     def test_murphy_word_is_diagonal_gamma(self):
         m = two_row_module(2, 2)
@@ -1049,8 +1160,7 @@ class TestEvaluateWord:
 
 class TestWordProducts:
     """A word's product is the chain of its letter matrices multiplied left
-    to right; only over Z/p is a whole word with equal halves the square of
-    its half, one product fewer."""
+    to right, over either ring."""
 
     @staticmethod
     def chain(m, word):
@@ -1081,7 +1191,7 @@ class TestWordProducts:
                         mp.setattr(cb, "mat_mul", counting)
                         products.clear()
                         assert m.evaluate_word(expr) == want, (k, ring, word)
-                        assert len(products) == (2 if ring is modular else 3), (k, ring)
+                        assert len(products) == 3, (k, ring)
                         for r in range(m.n):
                             assert m.evaluate_word(expr, row=r) == [want[r]], (k, ring, r)
 

@@ -338,6 +338,13 @@ class TestSchurWeyl:
         rc, _, err = run(capsys, "schurweyl", "--a", "4", "--b", "3")
         assert rc == 2 and "a > b + 2" in err
 
+    def test_a_not_above_b_plus_two(self, capsys):
+        # names the given a and b and the condition that failed, not b = 0
+        rc, out, err = run(capsys, "schurweyl", "--a", "3", "--b", "3")
+        assert rc == 2 and not out
+        assert "a > b + 2 >= 3" in err and "a = 3 is not above b + 2 = 5" in err
+        assert "given a = 3, b = 3" in err and "b = 0" not in err
+
     def test_b_zero_is_a_usage_error(self, capsys):
         for extra in ([], ["--dot"]):
             rc, out, err = run(capsys, "schurweyl", "--a", "3", "--b", "0", "--k", "2",
