@@ -27,6 +27,7 @@ node pairs for display and JSON; the basis is computed on every call, in
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import Scalar, bb, render as render_scalar, to_json as scalar_to_json, \
@@ -264,24 +265,6 @@ _ARC = {("L", 0): bb("t0/t") / Scalar.var("a0"), ("L", 1): -bb("t0") / Scalar.va
         ("R", 0): bb("tk/t") / Scalar.var("ak"), ("R", 1): -bb("tk") / Scalar.var("ak")}
 
 
-# Product memo for the unshuffled path: (x, y) -> (coefficient, diagram).
-# Diagrams in keys and values go through one diagram-only intern table, so
-# equal diagrams are stored once; coefficients are shared through a
-# separate table keyed by the fold signature (loop count and the sorted
-# (wall, depth parity) of the removed arcs), which fixes the coefficient.
-# All three tables are cleared together when the memo reaches its cap.
-_PRODUCT_CAP = 1 << 15
-_PRODUCTS: Dict[Tuple[TLDiagram, TLDiagram], Tuple[Scalar, TLDiagram]] = {}
-_INTERNED: Dict[TLDiagram, TLDiagram] = {}
-_FOLD_COEFFS: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], Scalar] = {}
-
-
-def _clear_product_caches() -> None:
-    _PRODUCTS.clear()
-    _INTERNED.clear()
-    _FOLD_COEFFS.clear()
-
-
 def _fold(loops: int, arcs: Iterable[Tuple[str, int]], rng=None) -> Scalar:
     """Product of the factors of `loops` closed loops and of the removed
     return arcs `(wall, depth)`, folded in an order shuffled by `rng` if
@@ -295,37 +278,36 @@ def _fold(loops: int, arcs: Iterable[Tuple[str, int]], rng=None) -> Scalar:
     return coeff
 
 
+# the coefficient by fold signature: the loop count and the sorted
+# (wall, depth parity) of the removed arcs, which fix it
+_fold_coeff = functools.lru_cache(maxsize=256)(_fold)
+
+
 def multiply_diagrams(x: TLDiagram, y: TLDiagram,
                       fold_rng=None) -> Tuple[Scalar, TLDiagram]:
     """Stack x above y and reduce; returns (coefficient, diagram).
 
     `fold_rng` optionally shuffles the order in which removed components
     are folded into the coefficient; the result never depends on it
-    because every depth is read off the frozen glued picture.  A shuffled
-    product is always computed afresh and neither reads nor fills the
-    product memo, so comparing it with the unshuffled product checks the
-    fold order against an independent computation.
+    because every depth is read off the frozen glued picture.  Without it
+    the product comes from two bounded caches: `_product` by pair, and its
+    coefficient by fold signature.  A shuffled product is always computed
+    afresh and neither reads nor fills either cache, so comparing it with
+    the unshuffled product checks the fold order independently.
     """
     if x.k != y.k:
         raise DiagramError("mixed_k", "product of k=%d and k=%d" % (x.k, y.k))
-    if fold_rng is not None:
-        loops, arcs, result = _stack(x, y)
-        return _fold(loops, arcs, fold_rng), result
-    hit = _PRODUCTS.get((x, y))
-    if hit is not None:
-        return hit
+    if fold_rng is None:
+        return _product(x, y)
     loops, arcs, result = _stack(x, y)
-    sig = (loops, tuple(sorted((side, depth % 2) for side, depth in arcs)))
-    coeff = _FOLD_COEFFS.get(sig)
-    if coeff is None:
-        coeff = _fold(*sig)
-    if len(_PRODUCTS) >= _PRODUCT_CAP:
-        _clear_product_caches()
-    _FOLD_COEFFS[sig] = coeff
-    intern = _INTERNED.setdefault
-    value = (coeff, intern(result, result))
-    _PRODUCTS[(intern(x, x), intern(y, y))] = value
-    return value
+    return _fold(loops, arcs, fold_rng), result
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _product(x: TLDiagram, y: TLDiagram) -> Tuple[Scalar, TLDiagram]:
+    loops, arcs, result = _stack(x, y)
+    parities = tuple(sorted((side, depth % 2) for side, depth in arcs))
+    return _fold_coeff(loops, parities), result
 
 
 def _stack(x: TLDiagram, y: TLDiagram) -> Tuple[int, List[Tuple[str, int]], TLDiagram]:
@@ -570,5 +552,7 @@ def element_from_json(obj) -> TLElement:
     coeffs = {}
     for term in _json_field(obj, "terms", list, "element"):
         d = diagram_from_json(_json_field(term, "diagram", dict, "element term"))
+        if d in coeffs:
+            raise DiagramError("json", "element JSON repeats the diagram %r" % (d,))
         coeffs[d] = scalar_from_json(_json_field(term, "coeff", dict, "element term"))
     return TLElement(k, coeffs)

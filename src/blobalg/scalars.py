@@ -1102,7 +1102,10 @@ def _poly_from_json(rows) -> LaurentPoly:
                 and all(type(x) is int for x in row[2:])):
             raise ScalarError("scalar JSON: a term is [re, im, %d integer exponents], not %r"
                               % (NVARS, row))
-        terms[tuple(row[2:])] = (_frac_in(row[0]), _frac_in(row[1]))
+        exps = tuple(row[2:])
+        if exps in terms:
+            raise ScalarError("scalar JSON repeats the exponents %r" % (list(exps),))
+        terms[exps] = (_frac_in(row[0]), _frac_in(row[1]))
     return LaurentPoly(terms)
 
 

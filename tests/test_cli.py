@@ -385,10 +385,20 @@ class TestExitCodes:
         # a denominator outside the scalar domain, and element JSON of the wrong shape
         term = {"coeff": 1, "diagram": {"k": 1, "L": 0, "R": 0, "pairs": [["T1", "B1"]]}}
         wrong_row = dict(term, coeff={"num": [[1, 0, 0]], "den": [[1, 0, 0, 0, 0, 0, 0]]})
+        # u*1 written twice is refused, not read as 2u*1 or u*1, and so is a
+        # coefficient with one exponent vector in two rows
+        u_term = dict(term, coeff={"num": [[1, 0, 1, 0, 0, 0, 0]],
+                                   "den": [[1, 0, 0, 0, 0, 0, 0]]})
+        row_twice = dict(term, coeff={"num": [[1, 0, 1, 0, 0, 0, 0]] * 2,
+                                      "den": [[1, 0, 0, 0, 0, 0, 0]]})
         for text, why in (("(1/(u-3))*T0", "cyclotomic"), ("(1/0)*T0", "division by zero"),
                           ('{"k":1}', "'terms'"),
                           (json.dumps({"k": 1, "terms": [term]}), "'coeff'"),
-                          (json.dumps({"k": 1, "terms": [wrong_row]}), "scalar JSON")):
+                          (json.dumps({"k": 1, "terms": [wrong_row]}), "scalar JSON"),
+                          (json.dumps({"k": 1, "terms": [u_term, u_term]}),
+                           "repeats the diagram"),
+                          (json.dumps({"k": 1, "terms": [row_twice]}),
+                           "repeats the exponents")):
             rc, out, err = run(capsys, "mul", "--k", "1", text, "T0")
             assert rc == 2 and why in err and not out, text
 

@@ -1,5 +1,6 @@
 """Diagram engine: canonical forms, the stacking product, enumeration."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -292,15 +293,20 @@ class TestEnumeration:
         assert digest.hexdigest() == _BASIS_ORDER_SHA256
 
 
+def _clear_caches():
+    dg._product.cache_clear()
+    dg._fold_coeff.cache_clear()
+
+
 @pytest.fixture
 def fresh_caches():
-    dg._clear_product_caches()
+    _clear_caches()
     yield
-    dg._clear_product_caches()
+    _clear_caches()
 
 
 def _cache_state():
-    return dict(dg._PRODUCTS), dict(dg._INTERNED), dict(dg._FOLD_COEFFS)
+    return dg._product.cache_info(), dg._fold_coeff.cache_info()
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -313,13 +319,14 @@ class TestProductMemo:
     def test_memo_equals_fresh_product(self):
         pairs = self._pairs(500, 61)
         memo = [dg.multiply_diagrams(x, y) for x, y in pairs]
-        assert dg._PRODUCTS
+        assert dg._product.cache_info().currsize
         for (x, y), value in zip(pairs, memo):
-            assert dg.multiply_diagrams(x, y) is dg._PRODUCTS[(x, y)]
-            dg._clear_product_caches()
-            assert dg.multiply_diagrams(x, y) == value
+            _clear_caches()
+            fresh = dg.multiply_diagrams(x, y)
+            assert fresh == value
+            assert dg.multiply_diagrams(x, y) is fresh  # a cache hit
 
-    def test_fold_rng_bypasses_memo(self):
+    def test_fold_rng_bypasses_memo(self, monkeypatch):
         x, y = dg.e0_diagram(2), dg.e0_diagram(2)
         truth = dg.multiply_diagrams(x, y)
         for a, b in self._pairs(50, 62):
@@ -328,24 +335,36 @@ class TestProductMemo:
         for a, b in self._pairs(50, 63) + [(x, y)]:
             dg.multiply_diagrams(a, b, fold_rng=random.Random(1))
         assert _cache_state() == before
-        # a wrong memo entry is returned by the memoized path but never
-        # reaches the shuffled one
+        # a wrong cached product or coefficient is returned by the cached
+        # path but never reaches the shuffled one
         poisoned = (sc.qint(7), dg.identity_diagram(2))
-        dg._PRODUCTS[(x, y)] = poisoned
+        monkeypatch.setattr(dg, "_product", lambda a, b: poisoned)
+        monkeypatch.setattr(dg, "_fold_coeff", lambda loops, parities: sc.qint(7))
         assert dg.multiply_diagrams(x, y) == poisoned
         assert dg.multiply_diagrams(x, y, fold_rng=random.Random(2)) == truth
 
     def test_cap_bounds_memo(self, monkeypatch):
-        monkeypatch.setattr(dg, "_PRODUCT_CAP", 8)
+        assert dg._product.cache_info().maxsize == 1 << 15
+        assert dg._fold_coeff.cache_info().maxsize is not None
+        monkeypatch.setattr(dg, "_product",
+                            functools.lru_cache(maxsize=8)(dg._product.__wrapped__))
         pairs = self._pairs(200, 64)
         got = []
         for x, y in pairs:
             got.append(dg.multiply_diagrams(x, y))
-            assert len(dg._PRODUCTS) <= 8
-            assert len(dg._FOLD_COEFFS) <= 8
-        monkeypatch.setattr(dg, "_PRODUCT_CAP", 1 << 15)
-        dg._clear_product_caches()
+            assert dg._product.cache_info().currsize <= 8
+        monkeypatch.undo()
         assert got == [dg.multiply_diagrams(x, y) for x, y in pairs]
+
+    def test_equal_diagrams_share_an_entry(self):
+        x, y = dg.e0_diagram(3), dg.e_diagram(3, 1)
+        value = dg.multiply_diagrams(x, y)
+        x2, y2 = (dg.diagram_from_json(dg.diagram_to_json(d)) for d in (x, y))
+        assert x2 == x and x2 is not x and y2 == y and y2 is not y
+        info = dg._product.cache_info()
+        assert dg.multiply_diagrams(x2, y2) is value
+        after = dg._product.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
 
 class TestFiltration:
@@ -395,6 +414,14 @@ class TestSerialization:
                     {"k": 1, "terms": [{"coeff": 1, "diagram": ident}]}):
             with pytest.raises(dg.DiagramError):
                 dg.element_from_json(obj)
+
+    def test_repeated_diagram_json_rejected(self):
+        # two terms naming one diagram are refused, not summed or overwritten
+        ident = dg.diagram_to_json(dg.identity_diagram(1))
+        term = {"coeff": sc.to_json(sc.U), "diagram": ident}
+        with pytest.raises(dg.DiagramError, match="repeats the diagram") as exc:
+            dg.element_from_json({"k": 1, "terms": [term, term]})
+        assert exc.value.reason == "json" and "T1-B1" in str(exc.value)
 
     def test_crossing_json_rejected(self):
         with pytest.raises(dg.DiagramError):

@@ -368,6 +368,15 @@ class TestSerialization:
                 sc.from_json(obj)
         assert sc.from_json({"num": [["1/2", 0, 1, 0, 0, 0, 0]], "den": one}) == U / 2
 
+    def test_repeated_exponents_rejected(self):
+        # two rows with one exponent vector are refused, in "num" and in "den"
+        u, one = [1, 0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]
+        for obj, exps in (({"num": [u, u], "den": [one]}, "[1, 0, 0, 0, 0]"),
+                          ({"num": [u], "den": [one, one]}, "[0, 0, 0, 0, 0]")):
+            with pytest.raises(sc.ScalarError, match="repeats the exponents") as exc:
+                sc.from_json(obj)
+            assert exps in str(exc.value)
+
     def test_render_example(self):
         assert sc.render(qint(3)) == "(u^2+1+u^-2)"
 
