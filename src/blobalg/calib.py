@@ -29,11 +29,13 @@ between them (`ModRing.lift_many`).
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words`; the letter W(j) is the diagonal
 W_j, and every T or E letter is built from its index's T matrix and the
-one letter table `words.letter_data`.  A word's product is one
-left-to-right loop over its letters, from the first letter's matrix or
-its row, or from a given start row v, one sparse letter at a time.
-The central character z is read off the diagonals of the W_i, and the
-blob parameter b is checked by evaluating I1 I2 I1 and b I1 as words.
+one letter table `words.letter_data`.  There is one product path: a start
+row v times the word's letters, one sparse letter at a time, T_k as its
+word, keeping v times each prefix; a whole matrix is the unit rows
+e_0 .. e_(n-1) in turn.  Every matrix identity (a relation, a relator
+against zero, I1 I2 I1 = b I1) is decided as v lhs = v rhs over a list
+of start rows (`_differing`); over the unit rows, that is matrix equality.
+The central character z is read off the diagonals of the W_i.
 
 Each relation is a pair of generator expressions (`_relations`), which a
 module satisfies when both evaluate to the same matrix: the quadratic
@@ -45,18 +47,17 @@ through by the diagonal unit W_1 as W_1 T_0 W_1 = T_0 + (u0 - 1/u0) W_1^2
 lifted to Z/p, so it sees a change made to `m.T` after construction.
 
 T_k = C X C^-1, with C = T_{k-1} ... T_1 and X = W_1 T_0^-1, is the one
-dense matrix of a module, so the relations that hold it are decided on a
-reduced form without it (`_reduced`), rewritten from their own words:
+dense matrix of a module, and a word applies it as the 2k letters of
+C X C^-1, so the relations that hold it are decided on a shorter reduced
+form without it (`_reduced`), rewritten from their own words:
 H:Tk as X X = (uk - 1/uk) X + 1, ext:TkTi (i <= k-2) as
 T_(i+1) X = X T_(i+1), ext:TkT0 as (T_1^-1 T_0 T_1) X = X (T_1^-1 T_0 T_1),
 ext:W1word as X T_0 = W_1, and at k = 2 the right-wall braid ext:T1TkT1Tk
-as T_1 X T_1 X = X T_1 X T_1; for k >= 3 that braid stays as written,
-and over Z/p it, like every T_k letter, is applied to v as the word
-C X C^-1, so a modular check never builds T_k.
+as T_1 X T_1 X = X T_1 X T_1; for k >= 3 that braid stays as written.
 A check over a ring (exact, a CRT pass or a replay) reads the reduced
 forms only when every relation without one passed in that ring, among
-them T_i T_i^-1 = 1, so C^-1 is the inverse of C, and T_k is built from
-the word C X C^-1: then the braid and commutation relations give
+them T_i T_i^-1 = 1, and the word C^-1 is C inverted letter by letter, so
+C^-1 is the inverse of C: then the braid and commutation relations give
 T_i C = C T_(i+1) and let T_0 pass T_{k-1} ... T_2, and a reduced form is
 its relation conjugated by the invertible C, or with C^-1 C cancelled.
 So every relation holds on its reduced form exactly when it holds as
@@ -73,9 +74,9 @@ draw takes its place in a later pass, as does a trial whose prime another
 drew, since CRT combines coprime moduli only.  A relation that fails over P is
 replayed at each trial's own prime, so a witness is a single-prime point.
 
-Over Z/P a relation is decided on one row vector (Freivalds): both sides
-are evaluated as v times them, for v = (1, z, ..., z^(n-1)) and z the
-point's a0 residue, so no product of two matrices is made.  No entry,
+Over Z/P a relation is decided on one start row (Freivalds) instead of
+the n unit rows: both sides are evaluated as v times them, for
+v = (1, z, ..., z^(n-1)) and z the point's a0 residue.  No entry,
 shift or relation coefficient of the presentation reads a0, so z is
 uniform on [2, p_t - 2] and independent of the difference D of the two
 sides mod p_t.  v D vanishes only if z is a root of every nonzero column
@@ -100,7 +101,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
@@ -108,7 +109,6 @@ from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, _inv
                       bb, eval_mod, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
-Row = Union[int, Dict[int, Scalar]]  # a row index, or a start row {column: entry}
 
 
 class CalibError(ValueError):
@@ -208,10 +208,6 @@ def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
     return a[r].get(c, ring.zero)
 
 
-def mat_identity(n: int, ring=EXACT) -> Matrix:
-    return [{i: ring.one} for i in range(n)]
-
-
 def mat_zero(n: int) -> Matrix:
     return [{} for _ in range(n)]
 
@@ -251,10 +247,6 @@ def mat_shift(a: Matrix, c, ring=EXACT) -> Matrix:
             row[i] = d
         out.append(row)
     return out
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return not any(a)
 
 
 def mat_diag(entries: Sequence, ring=EXACT) -> Matrix:
@@ -432,8 +424,9 @@ class CalibratedModule:
 
     def _letter(self, letter) -> Matrix:
         """A letter's matrix, built once per module: W_j, and for a T or E
-        letter from its index's T (T_k from its word `_tk_word`) and
-        `words.letter_data`: T^-1 = T - (x - 1/x) and E = (T - x) / a."""
+        letter from its index's T (T_k as the unit rows times its word
+        `_tk_word`) and `words.letter_data`: T^-1 = T - (x - 1/x) and
+        E = (T - x) / a."""
         if letter in self._letters:
             return self._letters[letter]
         kind, index, power = letter
@@ -442,7 +435,8 @@ class CalibratedModule:
             mat = self.W[index - 1]
         else:
             x, a, _ = wd.letter_data(index)
-            base = self._word_matrix(_tk_word(self.k)) if index == "k" else self.T[int(index)]
+            base = (self.evaluate_word(wd.GenExpr.word(self.k, _tk_word(self.k)))
+                    if index == "k" else self.T[int(index)])
             if kind == "E":
                 mat = mat_scale(mat_shift(base, self._coeff(x), ring), self._coeff(a.inv()), ring)
             elif power == 1:
@@ -452,60 +446,51 @@ class CalibratedModule:
         self._letters[letter] = mat
         return mat
 
-    def evaluate_word(self, expr: wd.GenExpr, row: Optional[Row] = None) -> Matrix:
-        """The linear combination of word products of generator matrices,
-        over the module's ring; with `row`, a one-row matrix: its row `row`
-        for an integer, v times it for a start row v.  The result may share
-        rows with the letter matrices: copy it before changing it."""
+    def evaluate_word(self, expr: wd.GenExpr, row: Optional[Dict[int, Scalar]] = None) -> Matrix:
+        """The start row `row` {column: entry} times the linear combination
+        of word products of generator matrices, over the module's ring, as
+        a one-row matrix; with no row, the unit rows e_0 .. e_(n-1) in turn,
+        stacked into the whole matrix.  The result may share rows with the
+        letters and the prefix memo: copy it before changing it."""
         if expr.k != self.k:
             raise CalibError("expression k=%d on module k=%d" % (expr.k, self.k))
         ring = self.ring
+        if row is None:
+            return [r for j in range(self.n) for r in self.evaluate_word(expr, {j: ring.one})]
         total = None
         for word, coeff in expr.terms.items():
             mat = self._word_matrix(word, row)
             if not coeff.is_one():
                 mat = mat_scale(mat, self._coeff(coeff), ring)
             total = mat if total is None else mat_add(total, mat, ring)
-        return mat_zero(self.n if row is None else 1) if total is None else total
+        return [{}] if total is None else total
 
-    def _word_matrix(self, word: tuple, row: Optional[Row] = None) -> Matrix:
-        """The product of the word's letter matrices, multiplied left to
-        right from the first letter's matrix; with an integer `row`, from
-        that matrix's row `row`, the one-row matrix e_row times the product.
-        With a start row v, the one-row matrix v times the product, from v
-        one sparse letter at a time, T_k as its word `_tk_word`, so no
-        product has more than one row and T_k is not built; the copy keeps
-        v times each prefix it multiplied out, and a word starts from the
-        longest one kept, as long as v stays the same."""
-        ring = self.ring
-        memo = None
-        if isinstance(row, dict):
-            if self._rows.get(()) != [row]:
-                self._rows = {(): [dict(row)]}
-            memo = self._rows
-            if wd.Tk in word:
-                tk = _tk_word(self.k)
-                word = tuple(x for letter in word for x in (tk if letter == wd.Tk else (letter,)))
-            j = len(word)
-            while word[:j] not in memo:
-                j -= 1
-            mat = memo[word[:j]]
-        elif not word:
-            return mat_identity(self.n, ring) if row is None else [{row: ring.one}]
-        else:
-            first, j = self._letter(word[0]), 1
-            mat = first if row is None else [first[row]]
+    def _word_matrix(self, word: tuple, start: Dict[int, Scalar]) -> Matrix:
+        """The one-row matrix v times the product of the word's letter
+        matrices, for the start row v: from v one sparse letter at a time,
+        T_k as its word `_tk_word`, so no product has more than one row and
+        no word builds T_k.  The module keeps v times each prefix it
+        multiplied out, and a word starts from the longest one kept, as
+        long as v stays the same."""
+        if self._rows.get(()) != [start]:
+            self._rows = {(): [dict(start)]}
+        memo = self._rows
+        if wd.Tk in word:
+            tk = _tk_word(self.k)
+            word = tuple(x for letter in word for x in (tk if letter == wd.Tk else (letter,)))
+        j = len(word)
+        while word[:j] not in memo:
+            j -= 1
+        mat = memo[word[:j]]
         for j in range(j, len(word)):
-            mat = mat_mul(mat, self._letter(word[j]), ring)
-            if memo is not None:
-                memo[word[:j + 1]] = mat
+            mat = mat_mul(mat, self._letter(word[j]), self.ring)
+            memo[word[:j + 1]] = mat
         return mat
 
 
 def _tk_word(k: int) -> wd.Word:
-    """T_k = T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1."""
-    return tuple([wd.T(i) for i in range(k - 1, 0, -1)] + [wd.W(1), wd.T0inv]
-                 + [wd.T(i, -1) for i in range(1, k)])
+    """T_k's word C X C^-1, the product of `_tk_factors`."""
+    return sum(_tk_factors(k), ())
 
 
 def symmetric_form(m: CalibratedModule, ring=EXACT):
@@ -685,41 +670,52 @@ def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
             tuple(wd.T(i, -1) for i in range(1, k)))
 
 
+def _differing(m: CalibratedModule, identities, starts=None) -> set:
+    """The names of the identities (name, lhs, rhs) whose two sides differ
+    on m from some start row v: v lhs != v rhs; by default from the unit
+    rows e_0 .. e_(n-1), that is, as matrices.  The start rows are the
+    outer loop, so the words evaluated from one v share its prefixes; an
+    identity that failed is not evaluated again."""
+    failed = set()
+    for v in starts or ({j: m.ring.one} for j in range(m.n)):
+        for name, lhs, rhs in identities:
+            if name not in failed and m.evaluate_word(lhs, v) != m.evaluate_word(rhs, v):
+                failed.add(name)
+    return failed
+
+
 def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     """The names of the relations that fail on m, in order, and of those
     decided on their reduced form (`_reduced`); each relation is evaluated
     once, as written or reduced.
 
     The reduced forms are read only when every relation without one passed
-    on m and T_k is built from the word C X C^-1.  The relations that
-    passed include H:T_i, T_i T_i^-1 = 1, so C^-1 is the inverse of C, and
-    the braid and commutation relations carry T_i and T_0 through C: as
-    matrices, every relation fails on its reduced form exactly when it
-    fails as written.
+    on m, and the word C^-1 of `_tk_factors` is its C inverted letter by
+    letter.  The relations that passed include H:T_i, T_i T_i^-1 = 1, so
+    C^-1 is the inverse of C, and the braid and commutation relations carry
+    T_i and T_0 through C: as matrices, every relation fails on its reduced
+    form exactly when it fails as written.
     Otherwise every relation is evaluated as written, and none is
     reduced.
 
-    Over Z/P each side is evaluated as the one row v times it, for
-    v = (1, z, ..., z^(n-1)) and z the point's a0 residue, which no
-    entry, shift or coefficient of the presentation reads; a side is
-    multiplied out from v (`_word_matrix`), sharing v times each prefix."""
+    Exactly, each relation is decided from every unit row.  Over Z/P it is
+    decided from the one row v = (1, z, ..., z^(n-1)), for z the point's a0
+    residue, which no entry, shift or coefficient of the presentation
+    reads."""
     k, ring = m.k, m.ring
     rels = _relations(k)
     reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
-    start = None
+    starts = None
     if isinstance(ring, ModRing):
         z = ring.point["a0"]
-        start = ring.row({j: pow(z, j, ring.p) for j in range(m.n)})
-
-    def fails(lhs, rhs):
-        return m.evaluate_word(lhs, row=start) != m.evaluate_word(rhs, row=start)
-
-    verdict = {name: fails(lhs, rhs) for name, lhs, rhs in rels if reduced[name] is None}
-    use = not any(verdict.values()) and _tk_word(k) == sum(_tk_factors(k), ())
-    for name, lhs, rhs in rels:
-        if name not in verdict:
-            verdict[name] = fails(*reduced[name]) if use else fails(lhs, rhs)
-    return ([name for name, _, _ in rels if verdict[name]],
+        starts = [ring.row({j: pow(z, j, ring.p) for j in range(m.n)})]
+    failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None], starts)
+    c, _, c_inv = _tk_factors(k)
+    use = not failed and c_inv == tuple((kind, i, -power) for kind, i, power in c[::-1])
+    rest = [(name, *reduced[name]) if use else (name, lhs, rhs)
+            for name, lhs, rhs in rels if reduced[name] is not None]
+    failed |= _differing(m, rest, starts)
+    return ([name for name, _, _ in rels if name in failed],
             [name for name, form in reduced.items() if use and form is not None])
 
 
@@ -857,17 +853,18 @@ def idempotent_nullity(m: CalibratedModule) -> dict:
     relators F0 and F0v up to the unit factors [[t0]] and [[tk]], so the
     pairs are decided on the relators (the equality is pinned by tests).
 
-    Each relator is computed one row at a time, row e_r times the relator
-    for r = 0, 1, ..., n-1, and is decided exactly: it does not vanish at
-    its first nonzero row, and it vanishes once every row is zero."""
+    Each relator is decided against zero from the unit rows (`_differing`),
+    e_r times the relator for r = 0, 1, ..., n-1, exactly: it does not
+    vanish at its first nonzero row, and it vanishes once every row is zero."""
     relators = {}
     for i in range(1, m.k - 1):
         relators["p_%d_111" % i] = wd.inner_numerator(m.k, i)
     if m.k >= 2:
         relators["p0_pair"] = wd.f_element("F0", m.k)
         relators["p0v_pair"] = wd.f_element("F0v", m.k)
-    vanish = {name: all(mat_is_zero(m.evaluate_word(expr, row=r)) for r in range(m.n))
-              for name, expr in relators.items()}
+    zero = wd.GenExpr.zero(m.k)
+    nonzero = _differing(m, [(name, expr, zero) for name, expr in relators.items()])
+    vanish = {name: name not in nonzero for name in relators}
     return {"vanish": vanish, "is_tl_module": all(vanish.values())}
 
 
@@ -896,7 +893,8 @@ def central_character(m: CalibratedModule) -> dict:
 def b_constant(m: CalibratedModule, character: Optional[dict] = None) -> dict:
     """The scalar with I1 I2 I1 = b I1 on the module, from its central
     character (the report of `central_character(m)`, computed unless
-    given), checked by evaluating both sides as words."""
+    given), checked as an identity from the unit rows; undefined where
+    I1 = 0."""
     zval = (character or central_character(m))["z"]
     spec = m.spec.specialize
     a0ak = A0 * AK
@@ -904,9 +902,9 @@ def b_constant(m: CalibratedModule, character: Optional[dict] = None) -> dict:
         b = (zval / qint(m.k) - spec(bb("t0*tk/t"))) / a0ak
     else:
         b = (zval / qint(m.k) + spec(bb("t0/tk"))) / a0ak
-    i1 = wd.standard_element("I1", m.k)
-    if mat_is_zero(m.evaluate_word(i1)):
+    i1, i2 = (wd.standard_element(name, m.k) for name in ("I1", "I2"))
+    failed = _differing(m, [("I1 = 0", i1, wd.GenExpr.zero(m.k)),
+                            ("I1 I2 I1 = b I1", i1 * i2 * i1, i1.scale(b))])
+    if "I1 = 0" not in failed:
         return {"b": None, "defined": False, "z": zval}
-    i2 = wd.standard_element("I2", m.k)
-    ok = m.evaluate_word(i1 * i2 * i1) == m.evaluate_word(i1.scale(b))
-    return {"b": b, "defined": True, "verified": ok, "z": zval}
+    return {"b": b, "defined": True, "verified": "I1 I2 I1 = b I1" not in failed, "z": zval}

@@ -92,7 +92,7 @@ def cmd_mul(args) -> int:
         if text.strip().startswith("{"):
             try:
                 obj = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed, or an integer past the digit limit
                 return _fail("bad element JSON: %s" % exc)
             element = dg.element_from_json(obj)
             if element.k != args.k:
@@ -101,7 +101,12 @@ def cmd_mul(args) -> int:
         else:
             factors.append(wd.expand_to_tl(wd.parse_genexpr(text, args.k)))
     x, y = factors
-    print(json.dumps(dg.element_to_json(x * y)))
+    product = dg.element_to_json(x * y)
+    try:
+        text = json.dumps(product)
+    except ValueError as exc:  # a coefficient past sys.get_int_max_str_digits()
+        return _fail("cannot print the product: %s" % exc)
+    print(text)
     return 0
 
 

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import floor
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -109,14 +110,15 @@ def render_root(r: Root) -> str:
     return "e%d+e%d" % (r[2], r[1])
 
 
-_ROOT_TEXT = re.compile(r"e([0-9]+)(?:([-+])e([0-9]+))?")
+_ROOT_TEXT = re.compile(r"e([1-9][0-9]*)(?:([-+])e([1-9][0-9]*))?")
 
 
 def parse_root(s: str) -> Root:
-    """The root written `e<j>`, `e<j>-e<i>` or `e<j>+e<i>` (spaces ignored)."""
+    """The root written `e<j>`, `e<j>-e<i>` or `e<j>+e<i>` with 0 < i < j
+    (spaces ignored), as `render_root` writes it."""
     m = _ROOT_TEXT.fullmatch(s.replace(" ", ""))
-    if m is None:
-        raise RegionError("bad root %r" % s)
+    if m is None or m[3] is not None and int(m[3]) >= int(m[1]):
+        raise RegionError("bad root %r: not e<j>, e<j>-e<i> or e<j>+e<i>, 0 < i < j" % s)
     hi, sign, lo = m.groups()
     if sign is None:
         return ("e", int(hi))
@@ -133,9 +135,10 @@ class LocalRegion:
         object.__setattr__(self, "c", weight_vector(self.c))
         object.__setattr__(self, "J", frozenset(self.J))
         _, pset = compute_root_sets(self.c, self.params)
-        if not self.J <= pset:
+        extra = sorted(self.J - pset, key=root_sort_key)
+        if extra:
             raise RegionError("J must be a subset of P(c); extra roots %s"
-                              % sorted(self.J - pset, key=root_sort_key))
+                              % ", ".join(map(render_root, extra)))
 
     @property
     def k(self) -> int:
@@ -494,7 +497,7 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[Loca
     found: List[LocalRegion] = []
     for start in (Fraction(0), HALF):
         values = [start + n for n in range(floor(bound - start) + 1)]
-        for c in _sorted_tuples(values, k):
+        for c in combinations_with_replacement(values, k):
             _, pset = compute_root_sets(c, params)
             proots = sorted(pset, key=root_sort_key)
             for mask in range(1 << len(proots)):
@@ -507,15 +510,6 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[Loca
                 if enumerate_fillings(config):
                     found.append(region)
     return found
-
-
-def _sorted_tuples(values: List[Fraction], k: int) -> Iterable[Tuple[Fraction, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        for rest in _sorted_tuples(values[i:], k - 1):
-            yield (v,) + rest
 
 
 # ---------------------------------------------------------------------------

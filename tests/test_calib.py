@@ -1,6 +1,8 @@
 """Calibrated module matrices: construction, relations, nullity, characters."""
 
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -25,6 +27,14 @@ SW63 = sw.SWParams(6, 3)
 def shifts(m):
     """u - 1/u, u0 - 1/u0 and uk - 1/uk at the module's boundary images."""
     return tuple(m.spec.specialize(cb._SHIFT[x]) for x in (U, U0, UK))
+
+
+def identity(n, ring=cb.EXACT):
+    return [{i: ring.one} for i in range(n)]
+
+
+def is_zero(mat):
+    return not any(mat)
 
 
 def two_row_module(k, l):
@@ -188,7 +198,7 @@ def reference_check(env, tag):
         else:
             mat, shift = T[tag[1]], env.fu
         # (X - lam)(X + 1/lam) = 0, that is X (X - (lam - 1/lam)) = 1
-        return mul(mat, cb.mat_shift(mat, shift, ring)) == cb.mat_identity(len(mat), ring)
+        return mul(mat, cb.mat_shift(mat, shift, ring)) == identity(len(mat), ring)
     if kind in ("c1a", "c1b"):
         # T_i W_i = W_{i+1} T_i - (u - 1/u) W_{i+1} and
         # T_i W_{i+1} = W_i T_i + (u - 1/u) W_{i+1}
@@ -316,12 +326,7 @@ class TestMatrixHelpers:
                     self.assert_matches(cb.mat_diag(diag, ring), [
                         [diag[i] if i == j else ring.zero for j in range(n)]
                         for i in range(n)], ring)
-                    self.assert_matches(cb.mat_identity(n, ring), [
-                        [ring.one if i == j else ring.zero for j in range(n)]
-                        for i in range(n)], ring)
                     self.assert_matches(cb.mat_zero(n), [[ring.zero] * n] * n, ring)
-                    assert cb.mat_is_zero(a) == all(ring.is_zero(x)
-                                                    for row in da for x in row)
                     assert (a == b) == (da == db)
                     assert a == self.sparse([row[:] for row in da], ring)
 
@@ -848,9 +853,9 @@ def direct_failing(m):
              if m.evaluate_word(lhs) != m.evaluate_word(rhs)], [])
 
 
-def tk_word_mutant(edit):
-    tk_word = cb._tk_word
-    return cb, "_tk_word", lambda k: edit(tk_word(k))
+def tk_factors_mutant(edit):
+    tk_factors = cb._tk_factors
+    return cb, "_tk_factors", lambda k: edit(*tk_factors(k))
 
 
 def murphy_mutant():
@@ -897,9 +902,10 @@ def drop_first(word, letter):
 
 # the code the reduced forms rest on, each broken in one place
 MUTANTS = {
-    "tk_word drops a T1^-1": lambda: tk_word_mutant(lambda w: drop_first(w, wd.T(1, -1))),
-    "tk_word has T0 for T0^-1": lambda: tk_word_mutant(
-        lambda w: tuple(wd.T0 if lt == wd.T0inv else lt for lt in w)),
+    "tk_word drops a T1^-1": lambda: tk_factors_mutant(
+        lambda c, x, c_inv: (c, x, drop_first(c_inv, wd.T(1, -1)))),
+    "tk_word has T0 for T0^-1": lambda: tk_factors_mutant(
+        lambda c, x, c_inv: (c, tuple(wd.T0 if lt == wd.T0inv else lt for lt in x), c_inv)),
     "murphy_word(k, 1) drops its T0": murphy_mutant,
     "inverse letters shift by x + 1/x": letter_mutant,
     "H:Tk with u0 - 1/u0": quadratic_tk_mutant,
@@ -977,13 +983,14 @@ class TestReducedForms:
                 assert wd.Tk not in lifted._letters, m.region
 
     def test_each_relation_evaluated_once(self, monkeypatch):
-        # two evaluations per relation, exact and over one CRT ring
+        # two evaluations per relation and start row: from each of the n
+        # unit rows exactly, from one row over a CRT ring
         m = two_row_module(3, 2)
         calls = []
         evaluate = cb.CalibratedModule.evaluate_word
 
         def counting(self, expr, row=None):
-            calls.append(expr)
+            calls.append(None if row is None else tuple(sorted(row.items())))
             return evaluate(self, expr, row)
 
         monkeypatch.setattr(cb.CalibratedModule, "evaluate_word", counting)
@@ -992,10 +999,11 @@ class TestReducedForms:
         for _ in range(3):
             p = random_prime(62, rng)
             cands.append((p, random_point(p, rng)))
-        for ring in (cb.EXACT, cb._crt_ring(cands)):
+        for ring, starts in ((cb.EXACT, m.n), (cb._crt_ring(cands), 1)):
             calls.clear()
             assert cb._failing(m.over(ring)) == ([], reduced_names(3))
-            assert len(calls) == 2 * len(cb._relations(3)), ring
+            assert len(set(calls)) == starts and None not in calls, ring
+            assert len(calls) == 2 * len(cb._relations(3)) * starts, ring
 
     def test_nonzero_modules(self):
         for k in range(1, 6):
@@ -1148,14 +1156,14 @@ class TestEvaluateWord:
         t1 = wd.GenExpr.word(2, [wd.T(1)])
         lhs = m.evaluate_word(t1 * t1)
         rhs = cb.mat_add(cb.mat_scale(m.evaluate_word(t1), U - U.inv()),
-                         cb.mat_identity(m.n))
+                         identity(m.n))
         assert lhs == rhs
 
     def test_central_word_is_scalar(self):
         m = two_row_module(2, 2)
         zmat = m.evaluate_word(wd._z_expr(2))
         z0 = zmat[0][0]
-        assert zmat == cb.mat_scale(cb.mat_identity(m.n), z0)
+        assert zmat == cb.mat_scale(identity(m.n), z0)
 
 
 class TestWordProducts:
@@ -1169,10 +1177,16 @@ class TestWordProducts:
             mat = cb.mat_mul(mat, m._letter(letter), m.ring)
         return mat
 
-    def test_products_are_the_plain_chain(self, monkeypatch):
+    @staticmethod
+    def modular():
         rng = random.Random(7)
         p = random_prime(62, rng)
-        modular = cb.ModRing(p, random_point(p, rng))
+        return cb.ModRing(p, random_point(p, rng))
+
+    def test_products_are_the_plain_chain(self, monkeypatch):
+        # from one start row, a word of L letters, T_k counting as its 2k,
+        # makes L products; the whole matrix takes the n unit rows in turn
+        modular = self.modular()
         mat_mul, products = cb.mat_mul, []
 
         def counting(*args):
@@ -1187,13 +1201,34 @@ class TestWordProducts:
                 for expr in exprs:
                     (word,) = expr.terms
                     want = self.chain(m, word)
+                    length = sum(2 * k if letter == wd.Tk else 1 for letter in word)
                     with monkeypatch.context() as mp:
                         mp.setattr(cb, "mat_mul", counting)
                         products.clear()
                         assert m.evaluate_word(expr) == want, (k, ring, word)
-                        assert len(products) == 3, (k, ring)
+                        assert len(products) == m.n * length, (k, ring)
                         for r in range(m.n):
-                            assert m.evaluate_word(expr, row=r) == [want[r]], (k, ring, r)
+                            products.clear()
+                            got = m.evaluate_word(expr, {r: ring.one})
+                            assert got == [want[r]], (k, ring, r)
+                            assert len(products) == length, (k, ring, r)
+
+    def test_letter_built_inside_a_word(self):
+        # the first E_k of a word builds T_k from the unit rows in the
+        # middle of that word's loop from v, and so replaces the prefix
+        # memo: that word and the next one from v, which shares its prefix,
+        # are still v times the chain of letter matrices
+        words = [(wd.T(1), wd.Ek, wd.T(2)), (wd.T(1), wd.Ek, wd.T0, wd.W(2))]
+        for ring in (cb.EXACT, self.modular()):
+            fresh = two_row_module(3, 2).over(ring)
+            chains = [self.chain(fresh, word) for word in words]
+            for v in ({j: ring.lift(Scalar.from_int(j + 2)) for j in range(fresh.n)},
+                      {fresh.n - 1: ring.one}):
+                m = two_row_module(3, 2).over(ring)
+                for word, chain in zip(words, chains):
+                    got = m.evaluate_word(wd.GenExpr.word(3, word), v)
+                    assert got == cb.mat_mul([v], chain, ring), (ring, v, word)
+                assert wd.Ek in m._letters, (ring, v)
 
 
 class TestIdempotents:
@@ -1207,7 +1242,7 @@ class TestIdempotents:
         for name, t0_eig in (("p0_e12", -u0s.inv()), ("p0_12e", u0s)):
             num, norm = oracles.boundary_idempotent(name, 2)
             p = cb.mat_scale(m.evaluate_word(num), m.spec.specialize(norm).inv())
-            assert not cb.mat_is_zero(p)
+            assert not is_zero(p)
             assert cb.mat_mul(p, p) == p, name
             t0p = cb.mat_mul(m.T[0], p)
             assert t0p == cb.mat_scale(p, t0_eig), name
@@ -1225,7 +1260,7 @@ class TestIdempotents:
                 m = cb.build_module(cb.ModuleSpec(region))
                 for i in range(1, k - 1):
                     num = m.evaluate_word(wd.inner_numerator(k, i))
-                    if cb.mat_is_zero(num):
+                    if is_zero(num):
                         continue
                     found += 1
                     p = cb.mat_scale(num, norm.inv())
@@ -1244,7 +1279,7 @@ class TestIdempotents:
         for name, eig in (("p0v_e12", -uks.inv()), ("p0v_12e", uks)):
             num, norm = oracles.boundary_idempotent(name, 2)
             p = cb.mat_scale(m.evaluate_word(num), m.spec.specialize(norm).inv())
-            assert not cb.mat_is_zero(p)
+            assert not is_zero(p)
             assert cb.mat_mul(p, p) == p, name
             assert cb.mat_mul(t0v, p) == cb.mat_scale(p, eig), name
             assert cb.mat_mul(m.T[1], p) == cb.mat_scale(p, -U.inv()), name
@@ -1274,7 +1309,7 @@ class TestIdempotents:
         vanish = cb.idempotent_nullity(m)["vanish"]
         n_e12, _ = oracles.boundary_idempotent("p0_e12", 2)
         n_12e, _ = oracles.boundary_idempotent("p0_12e", 2)
-        assert vanish["p0_pair"] == cb.mat_is_zero(m.evaluate_word(n_12e - n_e12))
+        assert vanish["p0_pair"] == is_zero(m.evaluate_word(n_12e - n_e12))
 
     def test_two_row_modules_pass(self):
         for l in (1, 2, 3):
@@ -1282,7 +1317,7 @@ class TestIdempotents:
             rep = cb.idempotent_nullity(m)
             assert rep["is_tl_module"]
             relators = [wd.f_element("F0", 2), oracles.f_k(2), wd.f_element("F0v", 2)]
-            assert all(cb.mat_is_zero(m.evaluate_word(expr)) for expr in relators)
+            assert all(is_zero(m.evaluate_word(expr)) for expr in relators)
 
     def test_marked_corner_region_fails(self):
         # weights on both marked diagonals (a non-blue chart node)
@@ -1324,7 +1359,7 @@ def reference_relators(m):
 
 def reference_nullity(m):
     """The oracle: which relators vanish, read off the full matrices."""
-    return {name: cb.mat_is_zero(mat) for name, mat in reference_relators(m).items()}
+    return {name: is_zero(mat) for name, mat in reference_relators(m).items()}
 
 
 def skew_regions(k, r1, r2, bound):
@@ -1380,13 +1415,44 @@ class TestRowByRowNullity:
             assert m.evaluate_word(f0v_expr) == f0v
             for r in range(m.n):
                 for expr, full in zip(exprs, fulls):
-                    assert m.evaluate_word(expr, row=r) == [full[r]], (m.region, r)
-                assert m.evaluate_word(f0v_expr, row=r) == [f0v[r]], (m.region, r)
+                    assert m.evaluate_word(expr, {r: ONE}) == [full[r]], (m.region, r)
+                assert m.evaluate_word(f0v_expr, {r: ONE}) == [f0v[r]], (m.region, r)
 
     def test_rank3_chart(self):
         rep = vf.suite_classification(k=3, r1=F(3, 2), r2=F(11, 2), bound=F(7))
         assert rep["passed"] and rep["regions"] == len(rep["checks"]) == 217
         assert len(rep["blue"]) == 15
+
+
+class TestPinnedVerdicts:
+    """Verdicts recorded with commit 0da1927, before every identity was
+    decided as start rows times both sides: the sha256 of one JSON line per
+    report, in order."""
+
+    def test_presentation_reports(self):
+        # every nonzero (6,3) module at k = 1..5, default arguments: exact
+        # for k <= 2, ten modular trials at seed 0 above
+        digest, count = hashlib.sha256(), 0
+        for k in range(1, 6):
+            for m in TestRelationsAsWords.nonzero_modules(k):
+                rep = cb.check_presentation(m)
+                digest.update((json.dumps(rep, sort_keys=True) + "\n").encode())
+                count += 1
+        assert count == 33
+        assert digest.hexdigest() == (
+            "679b594560f61602e18292e5233bb8f42521907d973ad86a436ad98b9ed31c1b")
+
+    def test_nullity_reports(self):
+        # every skew region of the rank-2 and rank-3 charts at bound 5
+        digest, count = hashlib.sha256(), 0
+        for k in (2, 3):
+            for region in skew_regions(k, F(3, 2), F(11, 2), 5):
+                rep = cb.idempotent_nullity(cb.build_module(cb.ModuleSpec(region)))
+                digest.update((repr(region) + json.dumps(rep, sort_keys=True) + "\n").encode())
+                count += 1
+        assert count == 104
+        assert digest.hexdigest() == (
+            "edb007eeb01966334d99ca64dbb8a77f1c4ca42dee6a22d82b94e86c5fdf4d62")
 
 
 class TestCharactersAndB:

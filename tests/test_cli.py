@@ -391,6 +391,10 @@ class TestExitCodes:
                                    "den": [[1, 0, 0, 0, 0, 0, 0]]})
         row_twice = dict(term, coeff={"num": [[1, 0, 1, 0, 0, 0, 0]] * 2,
                                       "den": [[1, 0, 0, 0, 0, 0, 0]]})
+        # integers past Python's int-to-text digit limit: a coefficient of
+        # element JSON that cannot be read, products that cannot be printed
+        big = json.dumps({"k": 1, "terms": [u_term]}).replace(
+            '"num": [[1, 0, 1', '"num": [[%s, 0, 1' % ("1" * 5000))
         for text, why in (("(1/(u-3))*T0", "cyclotomic"), ("(1/0)*T0", "division by zero"),
                           ('{"k":1}', "'terms'"),
                           (json.dumps({"k": 1, "terms": [term]}), "'coeff'"),
@@ -398,7 +402,9 @@ class TestExitCodes:
                           (json.dumps({"k": 1, "terms": [u_term, u_term]}),
                            "repeats the diagram"),
                           (json.dumps({"k": 1, "terms": [row_twice]}),
-                           "repeats the exponents")):
+                           "repeats the exponents"),
+                          (big, "bad element JSON"), ("10^3000*10^3000", "cannot print"),
+                          ("2^20000", "cannot print")):
             rc, out, err = run(capsys, "mul", "--k", "1", text, "T0")
             assert rc == 2 and why in err and not out, text
 
@@ -448,3 +454,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_dims", broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(["dims", "--k", "1"])
+        # mul catches a ValueError only from reading JSON and printing
+        monkeypatch.setattr(cli.dg, "element_to_json", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["mul", "--k", "1", "T0", "T0"])

@@ -1,6 +1,8 @@
 """Box-configuration combinatorics: root sets, fillings, shape predicates."""
 
 import hashlib
+import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -42,10 +44,14 @@ class TestRootSets:
         assert rg.parse_root(" e3 - e1 ") == ("d", 1, 3)
 
     def test_root_text_needs_e_letters(self):
+        # and the canonical form 0 < i < j, which `render_root` writes
         for text in ("x2", "q3-z1", "e3+f1", "E2", "e", "e2-", "e3-e1-e0", "e+2",
-                     "e3*e1", "e2e1", "e-1", "2"):
-            with pytest.raises(rg.RegionError):
+                     "e3*e1", "e2e1", "e-1", "2", "e1-e2", "e2+e2", "e0", "e2-e0", "e01"):
+            with pytest.raises(rg.RegionError, match=re.escape("bad root %r" % text)):
                 rg.parse_root(text)
+        # a root outside P(c) is named as it is written
+        with pytest.raises(rg.RegionError, match=r"extra roots e2\+e1$"):
+            rg.LocalRegion((1, 2), frozenset({("s", 1, 2)}), PARAMS)
 
 
 class TestSmallExampleConfig:
@@ -78,7 +84,7 @@ def _chart_configs(k, params, bound):
     with or without fillings."""
     for start in (F(0), F(1, 2)):
         values = [start + n for n in range(bound + 1) if start + n <= bound]
-        for c in rg._sorted_tuples(values, k):
+        for c in itertools.combinations_with_replacement(values, k):
             _, pset = rg.compute_root_sets(c, params)
             proots = sorted(pset, key=rg.root_sort_key)
             for mask in range(1 << len(proots)):
