@@ -435,8 +435,14 @@ class CalibratedModule:
             mat = self.W[index - 1]
         else:
             x, a, _ = wd.letter_data(index)
-            base = (self.evaluate_word(wd.GenExpr.word(self.k, _tk_word(self.k)))
-                    if index == "k" else self.T[int(index)])
+            if index == "k":
+                # T_k from the unit rows on a memo of its own, so that a word
+                # whose E_k builds it keeps its prefixes
+                rows, self._rows = self._rows, {}
+                base = self.evaluate_word(wd.GenExpr.word(self.k, _tk_word(self.k)))
+                self._rows = rows
+            else:
+                base = self.T[int(index)]
             if kind == "E":
                 mat = mat_scale(mat_shift(base, self._coeff(x), ring), self._coeff(a.inv()), ring)
             elif power == 1:

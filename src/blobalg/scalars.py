@@ -29,8 +29,10 @@ by exact trial division, and cancelling divides its factors out of the
 numerator as often as they divide both.  A sum is formed over the least
 common multiple of the two denominators, which their factorizations give
 directly, and only a factor of the same multiplicity in both can cancel
-from it; a product merges the multiplicities left after cross-cancelling.
-Two bounded caches keep the most recent factorizations and expansions.
+from it; a product adds the multiplicities left after cross-cancelling.
+Both read the two sorted factor tuples into dicts and merge them there.
+Three bounded caches keep the most recent factorizations, expansions and
+trial divisions (factor, numerator coefficients) -> quotient.
 
 All expression text -- scalars, the bases of ``bb`` and, through a name
 resolver, the generator expressions of ``words`` -- is read by one reader,
@@ -44,7 +46,6 @@ import functools
 import math
 import operator
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -297,10 +298,21 @@ def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], Lis
     return q, a[:df]
 
 
-def _divide_out(f: CycloFactor, a: List[Coeff]) -> Optional[List[Coeff]]:
-    """a / f if f divides the nonzero `a`, else None."""
+def _divide_out(f: CycloFactor, a) -> Optional[Tuple[Coeff, ...]]:
+    """a / f if f divides the nonzero `a`, a list or tuple, else None."""
+    return _divide_exactly(f, tuple(a))
+
+
+_FACTOR_MEMO_MAX = 1024  # the size of each of the three caches below
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO_MAX)
+def _divide_exactly(f: CycloFactor, a: Tuple[Coeff, ...]) -> Optional[Tuple[Coeff, ...]]:
+    """`_divide_out` on a tuple, remembered: a numerator is often tried
+    again against a factor it met before, in another operand's denominator.
+    The quotient is a tuple, so the callers that share it cannot change it."""
     q, r = _dense_divmod(a, f)
-    return None if any(x0 or x1 for x0, x1 in r) else q
+    return None if any(x0 or x1 for x0, x1 in r) else tuple(q)
 
 
 def _mobius(n: int) -> int:
@@ -347,9 +359,6 @@ def _cyclotomic_factors(m: int) -> Tuple[CycloFactor, ...]:
                                    _mobius(g)) for g in divisors
                                   if g % 2 and _mobius(g)])
                  for sigma in (1, -1))
-
-
-_FACTOR_MEMO_MAX = 1024  # the size of each of the two caches below
 
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO_MAX)
@@ -400,12 +409,6 @@ def _expand(factors: Factors) -> LaurentPoly:
     den = LaurentPoly.__new__(LaurentPoly)
     den.terms = {(j, 0, 0, 0, 0): c for j, c in enumerate(dense) if c[0] or c[1]}
     return den
-
-
-def _sorted(counts: Counter) -> Factors:
-    """A factorization in canonical form, sorted by factor, from the result
-    of Counter arithmetic (which keeps only positive multiplicities)."""
-    return tuple(sorted(counts.items()))
 
 
 def _u_coefficients(d: LaurentPoly, scale: Optional[Coeff]) -> Optional[Tuple[GInt, ...]]:
@@ -463,7 +466,7 @@ def _strip(n: LaurentPoly, factors: Factors) -> Tuple[LaurentPoly, Factors]:
     rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
     for e, c in n.terms.items():
         rows.setdefault(e[1:], {})[e[0] - lo] = c
-    groups = {r: [t.get(j, _ZC) for j in range(max(t) + 1)] for r, t in rows.items()}
+    groups = {r: tuple(t.get(j, _ZC) for j in range(max(t) + 1)) for r, t in rows.items()}
     left = []
     for factor, k in factors:
         j = 0
@@ -479,8 +482,8 @@ def _strip(n: LaurentPoly, factors: Factors) -> Tuple[LaurentPoly, Factors]:
     return num, tuple(left)
 
 
-def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], List[Coeff]]
-                 ) -> Optional[Dict[Tuple[int, ...], List[Coeff]]]:
+def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], Tuple[Coeff, ...]]
+                 ) -> Optional[Dict[Tuple[int, ...], Tuple[Coeff, ...]]]:
     """Each row divided by `factor`, or None as soon as one row is not."""
     out = {}
     for r, a in groups.items():
@@ -497,19 +500,32 @@ def _sum_over_lcm(n1: LaurentPoly, f1: Factors, n2: LaurentPoly, f2: Factors) ->
     4.5.1).
 
     L takes each factor at its larger multiplicity, and each numerator is
-    multiplied by its cofactor L/d.  A factor whose multiplicities differ
-    divides exactly one of the two products, since n1 and n2 are prime to
-    their denominators, and so not the sum: only a factor of the same
+    multiplied by its cofactor L/d, the other side's factors beyond its own
+    multiplicities.  A factor whose multiplicities differ divides exactly
+    one of the two products, since n1 and n2 are prime to their
+    denominators, and so not the sum: only a factor of the same
     multiplicity in d1 and d2 can cancel."""
-    c1, c2 = Counter(dict(f1)), Counter(dict(f2))
-    lcm = c1 | c2
-    num = n1 * _expand(_sorted(lcm - c1)) + n2 * _expand(_sorted(lcm - c2))
+    k1, k2 = dict(f1), dict(f2)
+    co1 = tuple((f, k - k1.get(f, 0)) for f, k in f2 if k > k1.get(f, 0))
+    co2 = tuple((f, k - k2.get(f, 0)) for f, k in f1 if k > k2.get(f, 0))
+    num = (n1 * _expand(co1) if co1 else n1) + (n2 * _expand(co2) if co2 else n2)
     if num.is_zero():
         return Scalar.zero()
-    shared = tuple((f, k) for f, k in f1 if c2[f] == k)
-    num, left = _strip(num, shared)
-    return Scalar(num, _sorted(lcm - Counter(dict(shared)) + Counter(dict(left))),
-                  _normalized=True)
+    lcm = k1  # k1 is not read again
+    for f, k in co1:
+        lcm[f] = lcm.get(f, 0) + k
+    shared = tuple((f, k) for f, k in f1 if k2.get(f) == k)
+    if shared:
+        num, left = _strip(num, shared)
+        if left is not shared:
+            kept = dict(left)
+            for f, _ in shared:
+                if f in kept:
+                    lcm[f] = kept[f]
+                else:
+                    del lcm[f]
+    # d2's factors that d1 lacks were appended after d1's: sort them in
+    return Scalar(num, tuple(sorted(lcm.items()) if co1 else lcm.items()), _normalized=True)
 
 
 class Scalar:
@@ -617,11 +633,16 @@ class Scalar:
             return Scalar(self.num * other.num, (), _normalized=True)
         # cross-cancellation keeps the product reduced: each numerator against
         # the other factor's denominator; the product's denominator is made
-        # of the factors left
+        # of the factors left, a factor on both sides at the sum of its
+        # multiplicities
         n1, f2 = _strip(self.num, other.den)
         n2, f1 = _strip(other.num, self.den)
-        return Scalar(n1 * n2, _sorted(Counter(dict(f1)) + Counter(dict(f2))),
-                      _normalized=True)
+        if f1 and f2:
+            counts = dict(f1)
+            for f, k in f2:
+                counts[f] = counts.get(f, 0) + k
+            f1 = tuple(sorted(counts.items()))
+        return Scalar(n1 * n2, f1 or f2, _normalized=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if type(other) is not Scalar and (other := Scalar._coerce(other)) is None:

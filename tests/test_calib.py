@@ -1213,11 +1213,18 @@ class TestWordProducts:
                             assert got == [want[r]], (k, ring, r)
                             assert len(products) == length, (k, ring, r)
 
-    def test_letter_built_inside_a_word(self):
+    def test_letter_built_inside_a_word(self, monkeypatch):
         # the first E_k of a word builds T_k from the unit rows in the
-        # middle of that word's loop from v, and so replaces the prefix
-        # memo: that word and the next one from v, which shares its prefix,
-        # are still v times the chain of letter matrices
+        # middle of that word's loop from v, on a memo of its own: that word
+        # and the next one from v are still v times the chain of letter
+        # matrices, and the next one multiplies only its letters past the
+        # prefix (T1, E_k) the two share
+        mat_mul, products = cb.mat_mul, []
+
+        def counting(*args):
+            products.append(args)
+            return mat_mul(*args)
+
         words = [(wd.T(1), wd.Ek, wd.T(2)), (wd.T(1), wd.Ek, wd.T0, wd.W(2))]
         for ring in (cb.EXACT, self.modular()):
             fresh = two_row_module(3, 2).over(ring)
@@ -1226,8 +1233,12 @@ class TestWordProducts:
                       {fresh.n - 1: ring.one}):
                 m = two_row_module(3, 2).over(ring)
                 for word, chain in zip(words, chains):
-                    got = m.evaluate_word(wd.GenExpr.word(3, word), v)
+                    products.clear()
+                    with monkeypatch.context() as mp:
+                        mp.setattr(cb, "mat_mul", counting)
+                        got = m.evaluate_word(wd.GenExpr.word(3, word), v)
                     assert got == cb.mat_mul([v], chain, ring), (ring, v, word)
+                assert len(products) == 2, (ring, v)
                 assert wd.Ek in m._letters, (ring, v)
 
 

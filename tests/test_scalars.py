@@ -640,9 +640,9 @@ class TestCyclotomicCancel:
             (U ** 5000 - 1).inv()
 
     def test_memo_is_bounded(self):
-        # both caches hold at most _FACTOR_MEMO_MAX entries, however many
-        # distinct denominators pass through them
-        caches = (sc._factor_cyclotomic, sc._expand)
+        # the three caches hold at most _FACTOR_MEMO_MAX entries, however
+        # many distinct denominators and divisions pass through them
+        caches = (sc._factor_cyclotomic, sc._expand, sc._divide_exactly)
         for cache in caches:
             assert cache.cache_info().maxsize == sc._FACTOR_MEMO_MAX
         n = rand_gaussian_poly(random.Random(1)) * upoly([(-1, 0), (1, 0)])
@@ -663,8 +663,28 @@ class TestCyclotomicCancel:
             sc._factor_cyclotomic(((c, 0), (1, 0)))
         for mask in range(1, sc._FACTOR_MEMO_MAX + 12):
             sc._expand(tuple(sorted((f, 1) for j, f in enumerate(pool) if mask >> j & 1)))
+        for c in range(sc._FACTOR_MEMO_MAX + 12):
+            sc._divide_out(pool[0], [(c, 0), (1, 0)])
         for cache in caches:
             assert cache.cache_info().currsize == sc._FACTOR_MEMO_MAX
+
+    def test_division_memo(self):
+        # a quotient is a tuple, the same for a list as for a tuple, and
+        # the same when computed again after the memo is emptied
+        rng = random.Random(23)
+        cases = []
+        for case in range(40):
+            f = rng.choice(CYCLO_POOL)
+            n = rand_gaussian_poly(rng) * lpow(upoly(f), case % 2)
+            dense = [n.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(n.degree_in(0) + 1)]
+            q = sc._divide_out(f, dense)
+            assert q is None or (type(q) is tuple and upoly(q) * upoly(f) == n), case
+            cases.append((f, dense, q))
+        assert sum(q is not None for _, _, q in cases) >= 20
+        sc._divide_exactly.cache_clear()
+        for f, dense, q in cases:
+            assert sc._divide_out(f, tuple(dense)) == q
+            assert sc._divide_out(f, dense) == q
 
 
 def cancel(n, d):
@@ -819,6 +839,70 @@ class TestSumOverLcm:
                                 sort_keys=True).encode())
         assert h.hexdigest() == \
             "0f44826a7187ab654927d8f23a82f2678c87631cb9d41c13e3cb7438bae054cd"
+
+
+class TestProductOverFactors:
+    """Products merged over the factored denominators are structurally the
+    normalized products of numerators over products of denominators."""
+
+    @staticmethod
+    def check(a, b):
+        want = Scalar(a.num * b.num, sc._expand(a.den) * sc._expand(b.den))
+        for got in (a * b, b * a):
+            assert got.num.terms == want.num.terms, (a, b)
+            assert got.den == want.den, (a, b)
+        return a * b
+
+    @staticmethod
+    def scalar(rng, factors, divisor=()):
+        """A random numerator times the factors `divisor` over the product
+        of `factors`."""
+        return Scalar(rand_numerator(rng) * factor_product(divisor), factor_product(factors))
+
+    def test_unit_denominator(self):
+        rng = random.Random(40)
+        for _ in range(40):
+            a = self.scalar(rng, rand_factors(rng, CYCLO_POOL))
+            one_den = Scalar(rand_numerator(rng))
+            assert self.check(a, one_den).den == a.den
+            assert self.check(one_den, one_den).den == ()
+
+    def test_disjoint_factors(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            fs = rng.sample(CYCLO_POOL, 4)
+            a = self.scalar(rng, [(fs[0], rng.randrange(1, 3)), (fs[1], 1)])
+            b = self.scalar(rng, [(fs[2], 1), (fs[3], rng.randrange(1, 3))])
+            assert sc._expand(self.check(a, b).den) == \
+                sc._expand(a.den) * sc._expand(b.den)
+
+    def test_shared_factors_add(self):
+        rng = random.Random(42)
+        for _ in range(50):
+            fs = rng.sample(CYCLO_POOL, 3)
+            a = self.scalar(rng, [(fs[0], rng.randrange(1, 3)), (fs[1], 1)])
+            b = self.scalar(rng, [(fs[0], rng.randrange(1, 3)), (fs[2], 1)])
+            prod = self.check(a, b)
+            assert multiplicity(fs[0], prod.den) == \
+                multiplicity(fs[0], a.den) + multiplicity(fs[0], b.den)
+
+    def test_numerator_divisible_by_other_factor(self):
+        # a's numerator holds f^j, b's denominator f^2: f^(2-j) is left
+        rng = random.Random(43)
+        for j in (1, 2):
+            for _ in range(30):
+                f, g, h = rng.sample(CYCLO_POOL, 3)
+                a = self.scalar(rng, [(g, rng.randrange(1, 3))], divisor=[(f, j)])
+                b = self.scalar(rng, [(f, 2), (h, 1)])
+                assert multiplicity(f, self.check(a, b).den) == 2 - j, j
+
+    def test_cancels_to_unit_denominator(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            fa, fb = rand_factors(rng, CYCLO_POOL), rand_factors(rng, CYCLO_POOL)
+            a = self.scalar(rng, fa, divisor=fb)
+            b = self.scalar(rng, fb, divisor=fa)
+            assert self.check(a, b).den == ()
 
 
 def test_canonical_form_digest():
