@@ -401,7 +401,8 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
     one wall cannot be matched without a same-wall arc, and a segment holds
     at most min(left points, right points) wall-to-wall edges, so a split
     that cannot reach `target_lines` is cut off before the search enters
-    it.  The output list is the same as that of the unpruned search.
+    it.  These capacities are read from a table of every range, built once
+    per call.  The output list is the same as that of the unpruned search.
     """
     out: List[Tuple[int, ...]] = []
     n = len(nodes)
@@ -414,13 +415,16 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
         pre_l[i + 1] = pre_l[i] + (kind == "L")
         pre_r[i + 1] = pre_r[i] + (kind == "R")
 
-    def room(lo: int, hi: int) -> int:
-        """Most wall-to-wall edges [lo, hi) can hold, or -1 if it cannot
-        be matched without a same-wall arc."""
-        nl = pre_l[hi] - pre_l[lo]
-        nr = pre_r[hi] - pre_r[lo]
-        half = (hi - lo) // 2
-        return -1 if nl > half or nr > half else min(nl, nr)
+    # room[lo][hi]: most wall-to-wall edges [lo, hi) can hold, or -1 if it
+    # cannot be matched without a same-wall arc
+    room = [[-1] * (n + 1) for _ in range(n + 1)]
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            nl = pre_l[hi] - pre_l[lo]
+            nr = pre_r[hi] - pre_r[lo]
+            half = (hi - lo) // 2
+            if nl <= half and nr <= half:
+                room[lo][hi] = min(nl, nr)
 
     def rec(segments: Tuple[Tuple[int, int], ...], lines: int, cap: int) -> None:
         # cap: most wall-to-wall edges the open segments can still hold
@@ -428,14 +432,15 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
             out.append(tuple(partner))
             return
         (lo, hi), rest = segments[0], segments[1:]
-        cap -= room(lo, hi)
+        cap -= room[lo][hi]
+        inner_room = room[lo + 1]
         ka = kinds[lo]
         a_wall = ka in ("L", "R")
         for pos in range(lo + 1, hi, 2):
             kb = kinds[pos]
             if a_wall and ka == kb:
                 continue
-            inner, outer = room(lo + 1, pos), room(pos + 1, hi)
+            inner, outer = inner_room[pos], room[pos + 1][hi]
             if inner < 0 or outer < 0:
                 continue
             new_lines = lines + (a_wall and kb in ("L", "R"))
@@ -450,7 +455,7 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
             partner[lo], partner[pos] = pos, lo
             rec(segs, new_lines, cap + inner + outer)
 
-    whole = room(0, n)
+    whole = room[0][n]
     if 0 <= target_lines <= whole:
         rec(((0, n),) if n else (), 0, whole)
     return out
@@ -472,7 +477,12 @@ def enumerate_basis(k: int, wall_grades: Iterable[int],
                     max_wall_grade_bound: int = 4) -> List[TLDiagram]:
     """All basis diagrams with wall grade in `wall_grades`, ordered by
     (wall grade, L, R, pairs)."""
-    grades = sorted(set(int(w) for w in wall_grades))
+    if k < 0:
+        raise DiagramError("k", "k must be nonnegative, got %r" % (k,))
+    grades = sorted(set(wall_grades))
+    if any(w != int(w) for w in grades):
+        raise DiagramError("grade", "wall grades must be integers, got %r" % (grades,))
+    grades = [int(w) for w in grades]
     if any(w < 0 for w in grades):
         raise DiagramError("grade", "wall grades must be nonnegative")
     if grades and grades[-1] > max_wall_grade_bound:

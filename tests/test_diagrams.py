@@ -241,7 +241,57 @@ def _partner_tuple(nodes, pairs):
     return tuple(partner)
 
 
+def _mirror(d):
+    """d reflected left to right: T_i -> T_(k+1-i), B_i -> B_(k+1-i),
+    L_j <-> R_j."""
+    def node(n):
+        kind, i = n
+        if kind in ("T", "B"):
+            return (kind, d.k + 1 - i)
+        return ("R" if kind == "L" else "L", i)
+    return dg.make_diagram(d.k, d.R, d.L, [(node(a), node(b)) for a, b in d.pairs])
+
+
+def _flip(d):
+    """d reflected top to bottom: T_i <-> B_i, L_j -> L_(L+1-j),
+    R_j -> R_(R+1-j)."""
+    def node(n):
+        kind, i = n
+        if kind in ("T", "B"):
+            return ("B" if kind == "T" else "T", i)
+        return (kind, (d.L if kind == "L" else d.R) + 1 - i)
+    return dg.make_diagram(d.k, d.L, d.R, [(node(a), node(b)) for a, b in d.pairs])
+
+
 class TestEnumeration:
+    def test_matchings_edge_cases(self):
+        assert dg._matchings([], 0) == [()]
+        assert dg._matchings([], 1) == []
+        nodes = dg._boundary_order(2, 2, 2)
+        assert dg._matchings(nodes, -1) == []
+        # two points on each wall hold at most two wall-to-wall lines
+        assert len(dg._matchings(nodes, 2)) == 1
+        assert dg._matchings(nodes, 3) == []
+
+    def test_basis_closed_under_mirror_and_flip(self):
+        for k in range(0, 5):
+            for w in range(0, 5):
+                basis = set(dg.enumerate_basis(k, {w}))
+                assert {_mirror(d) for d in basis} == basis, (k, w)
+                assert {_flip(d) for d in basis} == basis, (k, w)
+
+    def test_negative_k_refused(self):
+        assert dg.enumerate_basis(0, {0}) == [dg.TLDiagram(0, 0, 0, ())]
+        with pytest.raises(dg.DiagramError) as exc:
+            dg.enumerate_basis(-1, {0})
+        assert exc.value.reason == "k"
+
+    def test_fractional_grade_refused(self):
+        with pytest.raises(dg.DiagramError) as exc:
+            dg.enumerate_basis(2, [1.5])
+        assert exc.value.reason == "grade"
+        assert dg.enumerate_basis(2, [1.0]) == dg.enumerate_basis(2, {1})
+
     def test_matchings_equal_unpruned_search(self):
         cases = 0
         for k in range(1, 5):
