@@ -110,10 +110,18 @@ def cmd_mul(args) -> int:
     return 0
 
 
-def cmd_region(args) -> int:
-    params = rg.RegionParams(args.r1, args.r2)
+def _region(args) -> rg.LocalRegion:
     J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
-    region = rg.LocalRegion(args.c, J, params)
+    return rg.LocalRegion(args.c, J, rg.RegionParams(args.r1, args.r2))
+
+
+def _given(args, names) -> dict:
+    """The options among `names` that were given: the callee's defaults stand."""
+    return {name: getattr(args, name) for name in names if name in vars(args)}
+
+
+def cmd_region(args) -> int:
+    region = _region(args)
     config = rg.build_config(region)
     zset, pset = region.root_sets()
     out = {
@@ -149,12 +157,8 @@ def cmd_module(args) -> int:
     refusal = _exact_refusal(args, len(args.c))
     if refusal:
         return _fail(refusal)
-    params = rg.RegionParams(args.r1, args.r2)
-    J = frozenset(rg.parse_root(s) for s in args.J.split(",")) if args.J else frozenset()
-    region = rg.LocalRegion(args.c, J, params)
-    module = cb.build_module(cb.ModuleSpec(region, branch=args.branch))
-    pres = cb.check_presentation(module, getattr(args, "trials", 10),
-                                 seed=getattr(args, "seed", 0))
+    module = cb.build_module(cb.ModuleSpec(_region(args), branch=args.branch))
+    pres = cb.check_presentation(module, **_given(args, ("trials", "seed")))
     nul = cb.idempotent_nullity(module)
     out = {"dim": module.n,
            "symmetrizable": cb.symmetric_form(module) is not None,
@@ -188,13 +192,11 @@ def cmd_module(args) -> int:
     return 0 if pres["passed"] and out.get("b_verified") is not False else CHECK_FAILED
 
 
-# each suite's own options of `verify`, with their defaults; any other
-# suite refuses them
+# each suite's own options of `verify`, as {argument of the suite: flag};
+# any other suite refuses them
 VERIFY_OPTIONS = {
-    "relations": {"max_k": 6},
-    "presentation": {"trials": 10, "seed": 0},
-    "classification": {"r1": Fraction(3, 2), "r2": Fraction(11, 2),
-                       "bound_diag": Fraction(7)},
+    "presentation": {"trials": "--trials", "seed": "--seed"},
+    "classification": {"r1": "--r1", "r2": "--r2", "bound": "--bound-diag"},
 }
 
 
@@ -203,27 +205,17 @@ def cmd_verify(args) -> int:
     suite_fns = {"relations": vf.suite_relations, "theorem3": vf.suite_theorem3,
                  "presentation": vf.suite_presentation,
                  "classification": vf.suite_classification}
-    given = vars(args)
     for suite, options in VERIFY_OPTIONS.items():
-        for name in options:
-            if name in given and suite != args.suite:
-                return _fail("--%s is an option of verify %s only"
-                             % (name.replace("_", "-"), suite))
-    opts = {name: given.get(name, default)
-            for name, default in VERIFY_OPTIONS.get(args.suite, {}).items()}
-    if args.suite == "relations" and args.k > opts["max_k"]:
-        return _fail("relations suite limited to k <= %d" % opts["max_k"])
+        for name, flag in options.items():
+            if name in vars(args) and suite != args.suite:
+                return _fail("%s is an option of verify %s only" % (flag, suite))
     if args.suite in ("relations", "theorem3") and args.k < 2:
         return _fail("verify %s needs --k >= 2, got %d" % (args.suite, args.k))
     refusal = _exact_refusal(args, args.k) if args.suite == "presentation" else None
     if refusal:
         return _fail(refusal)
-    kwargs = {"k": args.k}
-    if args.suite == "classification":
-        kwargs.update(r1=opts["r1"], r2=opts["r2"], bound=opts["bound_diag"])
-    if args.suite == "presentation":
-        kwargs.update(trials=opts["trials"], seed=opts["seed"])
-    report = suite_fns[args.suite](**kwargs)
+    report = suite_fns[args.suite](
+        k=args.k, **_given(args, VERIFY_OPTIONS.get(args.suite, ())))
     print(json.dumps(report) if args.json else _render_report(report))
     return 0 if report["passed"] else CHECK_FAILED
 
@@ -288,7 +280,7 @@ def cmd_schurweyl(args) -> int:
 
 def cmd_figure1(args) -> int:
     from . import verify as vf
-    report = vf.suite_classification(k=2, r1=args.r1, r2=args.r2, bound=args.bound_diag)
+    report = vf.suite_classification(k=2, **_given(args, ("r1", "r2", "bound")))
     print(json.dumps(report) if args.json else _render_report(report))
     return 0 if report["passed"] else CHECK_FAILED
 
@@ -304,21 +296,35 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    # a local region, read by `region` and `module`
+    region = argparse.ArgumentParser(add_help=False)
+    region.add_argument("--c", type=_fractions, required=True,
+                        help="comma list, e.g. 1/2,3/2")
+    region.add_argument("--J", default="", help="comma list of roots, e.g. e2,e3-e2")
+    region.add_argument("--r1", type=Fraction, required=True)
+    region.add_argument("--r2", type=Fraction, required=True)
+    # the chart of `figure1` and `verify classification`, left unset when
+    # omitted: suite_classification's defaults stand
+    chart = argparse.ArgumentParser(add_help=False)
+    unset = dict(type=Fraction, default=argparse.SUPPRESS, help="classification chart")
+    chart.add_argument("--r1", **unset)
+    chart.add_argument("--r2", **unset)
+    chart.add_argument("--bound-diag", dest="bound", metavar="BOUND_DIAG", **unset)
     sub = ap.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[shared, *parents], **kw)
 
     p = add_parser("dims", help="blob-basis dimension table")
     p.add_argument("--k", type=_int_from(1), required=True)
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=dg.WALL_GRADE_BOUND)
     p.add_argument("--max-k", type=int, default=6)
     p.set_defaults(fn=cmd_dims)
 
     p = add_parser("basis", help="enumerate basis diagrams")
     p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--grades", type=_ints, default="0,1")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=dg.WALL_GRADE_BOUND)
     p.set_defaults(fn=cmd_basis)
 
     p = add_parser("mul", help="multiply generator expressions or elements")
@@ -327,37 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.set_defaults(fn=cmd_mul)
 
-    p = add_parser("region", help="inspect a local region")
-    p.add_argument("--c", type=_fractions, required=True, help="comma list, e.g. 1/2,3/2")
-    p.add_argument("--J", default="", help="comma list of roots, e.g. e2,e3-e2")
-    p.add_argument("--r1", type=Fraction, required=True)
-    p.add_argument("--r2", type=Fraction, required=True)
+    p = add_parser("region", region, help="inspect a local region")
     p.set_defaults(fn=cmd_region)
 
-    p = add_parser("module", help="build a calibrated module and check it")
-    p.add_argument("--c", type=_fractions, required=True)
-    p.add_argument("--J", default="")
-    p.add_argument("--r1", type=Fraction, required=True)
-    p.add_argument("--r2", type=Fraction, required=True)
+    p = add_parser("module", region, help="build a calibrated module and check it")
     p.add_argument("--branch", type=int, default=1, choices=(1, -1))
-    # unset when omitted (10 trials), so that an exact check can refuse it
+    # unset when omitted, so that an exact check can refuse it
     p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     p.add_argument("--matrices", action="store_true")
     p.set_defaults(fn=cmd_module)
 
-    p = add_parser("verify", help="run a verification suite")
+    p = add_parser("verify", chart, help="run a verification suite")
     p.add_argument("suite", choices=("relations", "theorem3", "presentation",
                                      "classification"))
     p.add_argument("--k", type=_int_from(1), default=2)
     # a suite's own options are left unset when omitted, so that another
-    # suite can refuse them (VERIFY_OPTIONS holds the defaults)
-    unset = argparse.SUPPRESS
-    p.add_argument("--max-k", type=int, default=unset, help="relations only")
-    p.add_argument("--r1", type=Fraction, default=unset, help="classification only")
-    p.add_argument("--r2", type=Fraction, default=unset, help="classification only")
-    p.add_argument("--bound-diag", type=Fraction, default=unset,
-                   help="classification only")
-    p.add_argument("--trials", type=int, default=unset, help="presentation only")
+    # suite can refuse them (VERIFY_OPTIONS names them)
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS,
+                   help="presentation only")
     p.set_defaults(fn=cmd_verify)
 
     p = add_parser("schurweyl", help="tensor-space tables and graphs")
@@ -370,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_schurweyl)
 
-    p = add_parser("figure1", help="rank-2 classification chart data")
-    p.add_argument("--r1", type=Fraction, default="3/2")
-    p.add_argument("--r2", type=Fraction, default="11/2")
-    p.add_argument("--bound-diag", type=Fraction, default="7")
+    p = add_parser("figure1", chart, help="rank-2 classification chart data")
     p.set_defaults(fn=cmd_figure1)
     return ap
 

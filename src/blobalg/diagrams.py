@@ -36,6 +36,7 @@ from .scalars import Scalar, bb, render as render_scalar, to_json as scalar_to_j
 Node = Tuple[str, int]  # ("T", i), ("B", i), ("L", j), ("R", j)
 
 _KINDS = ("T", "B", "L", "R")
+WALL_GRADE_BOUND = 4  # the highest wall grade a basis listing takes by default
 
 
 class DiagramError(ValueError):
@@ -164,6 +165,18 @@ def e_diagram(k: int, i: int) -> TLDiagram:
 # linear combinations
 # ---------------------------------------------------------------------------
 
+def _sum_terms(a: dict, b: dict) -> dict:
+    """The termwise sum of two {term: nonzero Scalar} maps, less what cancels."""
+    out = dict(a)
+    for key, c in b.items():
+        s = out[key] + c if key in out else c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
 class TLElement:
     """Finite Scalar-linear combination of diagrams with common k."""
 
@@ -199,15 +212,11 @@ class TLElement:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other: "TLElement") -> "TLElement":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out[d] + c if d in out else c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
+        if self.k != other.k:
+            raise DiagramError("mixed_k", "sum of k=%d and k=%d elements"
+                               % (self.k, other.k))
         r = TLElement(self.k)
-        r.coeffs = out
+        r.coeffs = _sum_terms(self.coeffs, other.coeffs)
         return r
 
     def __neg__(self) -> "TLElement":
@@ -474,11 +483,12 @@ def _pairs_key(k: int, R: int, nodes: List[Node]):
 
 
 def enumerate_basis(k: int, wall_grades: Iterable[int],
-                    max_wall_grade_bound: int = 4) -> List[TLDiagram]:
+                    max_wall_grade_bound: int = WALL_GRADE_BOUND) -> List[TLDiagram]:
     """All basis diagrams with wall grade in `wall_grades`, ordered by
     (wall grade, L, R, pairs)."""
-    if k < 0:
-        raise DiagramError("k", "k must be nonnegative, got %r" % (k,))
+    if k != int(k) or k < 0:
+        raise DiagramError("k", "k must be a nonnegative integer, got %r" % (k,))
+    k = int(k)
     grades = sorted(set(wall_grades))
     if any(w != int(w) for w in grades):
         raise DiagramError("grade", "wall grades must be integers, got %r" % (grades,))

@@ -111,21 +111,18 @@ class GenExpr:
     def word(k: int, letters: Iterable[Letter], coeff: Scalar = None) -> "GenExpr":
         return GenExpr(k, {tuple(letters): coeff if coeff is not None else ONE})
 
-    # A Scalar operand of + - * is a multiple of the empty word.
+    # A Scalar operand of + - * is a multiple of the empty word; a GenExpr
+    # operand must have this expression's k.
     def _expr(self, other) -> "GenExpr":
-        return other if isinstance(other, GenExpr) else GenExpr(self.k, {(): other})
+        if not isinstance(other, GenExpr):
+            return GenExpr(self.k, {(): other})
+        if other.k != self.k:
+            raise WordError("expressions of k=%d and k=%d combined" % (self.k, other.k))
+        return other
 
     def __add__(self, other: "GenExpr") -> "GenExpr":
-        other = self._expr(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out[w] + c if w in out else c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
         r = GenExpr(self.k)
-        r.terms = out
+        r.terms = dg._sum_terms(self.terms, self._expr(other).terms)
         return r
 
     def __neg__(self) -> "GenExpr":

@@ -64,9 +64,11 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "theorem3", "--k", "6")
         assert rc == 0 and "result: pass" in out
 
-    def test_relations_refusal(self, capsys):
-        rc, _, err = run(capsys, "verify", "relations", "--k", "7")
-        assert rc == 2
+    def test_relations_past_k6(self, capsys):
+        # the relation sheet has no k limit
+        for k in ("7", "40"):
+            rc, out, _ = run(capsys, "verify", "relations", "--k", k)
+            assert rc == 0 and "result: pass" in out, k
 
     def test_presentation_seeded(self, capsys):
         rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "1")
@@ -166,11 +168,15 @@ class TestVerify:
                 (["relations", "--r1", "1"], "--r1"),
                 (["classification", "--bound-diag", "3", "--trials", "9"], "--trials"),
                 (["presentation", "--r2", "3"], "--r2"),
-                (["presentation", "--bound-diag", "3"], "--bound-diag"),
-                (["classification", "--max-k", "9"], "--max-k"),
-                (["theorem3", "--max-k", "9"], "--max-k")):
+                (["presentation", "--bound-diag", "3"], "--bound-diag")):
             rc, out, err = run(capsys, "verify", *argv, "--k", "2")
             assert rc == 2 and option in err and not out, argv
+        # no suite reads --max-k
+        for suite in ("classification", "theorem3"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", suite, "--max-k", "9", "--k", "2"])
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and "--max-k" in out.err and not out.out, suite
 
     def test_seed_where_nothing_reads_it_is_usage_error(self, capsys):
         for argv in (["verify", "theorem3", "--k", "2", "--seed", "5"],
@@ -202,7 +208,9 @@ class TestVerify:
         rc, out, _ = run(capsys, "--json", "verify", "classification", "--k", "2")
         blob = json.loads(out)
         assert rc == 0 and blob["passed"] and len(blob["checks"]) == 71
-        assert run(capsys, "verify", "relations", "--k", "3", "--max-k", "2")[0] == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "relations", "--k", "3", "--max-k", "2"])
+        assert exc.value.code == 2 and "--max-k" in capsys.readouterr().err
         rc, out, _ = run(capsys, "--json", "verify", "presentation", "--k", "3")
         assert rc == 0 and json.loads(out)["trials"] == 10
 

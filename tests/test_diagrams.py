@@ -169,6 +169,12 @@ class TestMultiply:
     def test_mismatched_k(self):
         with pytest.raises(dg.DiagramError):
             dg.multiply_diagrams(dg.identity_diagram(2), dg.identity_diagram(3))
+        # a sum would put a k = 3 diagram into a k = 2 element
+        x, y = dg.TLElement.one(2), dg.TLElement.one(3)
+        for combine in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(dg.DiagramError) as exc:
+                combine()
+            assert exc.value.reason == "mixed_k"
 
     def test_product_invariants_random(self):
         rng = random.Random(31)
@@ -263,6 +269,46 @@ def _flip(d):
     return dg.make_diagram(d.k, d.L, d.R, [(node(a), node(b)) for a, b in d.pairs])
 
 
+def _swap_walls(c):
+    """c with u0 <-> uk and a0 <-> ak, the coefficient side of the mirror;
+    a product coefficient has no denominator."""
+    assert c.den == ()
+    return sc.Scalar(sc.LaurentPoly({(e[0], e[2], e[1], e[4], e[3]): v
+                                     for e, v in c.num.terms.items()}))
+
+
+def _symmetry_failures(k):
+    """How many pairs (x, y) of basis diagrams of wall grade <= 2 at k fail
+    mirror(xy) = mirror(x) mirror(y), with the walls' parameters swapped,
+    and how many fail flip(xy) = flip(y) flip(x), with equal coefficients."""
+    basis = dg.enumerate_basis(k, {0, 1, 2})
+    images = [(x, _mirror(x), _flip(x)) for x in basis]
+    mirror = flip = 0
+    for x, mx, fx in images:
+        for y, my, fy in images:
+            c, d = dg.multiply_diagrams(x, y)
+            mirror += dg.multiply_diagrams(mx, my) != (_swap_walls(c), _mirror(d))
+            flip += dg.multiply_diagrams(fy, fx) != (c, _flip(d))
+    return mirror, flip
+
+
+class TestSymmetries:
+    def test_products_respect_mirror_and_flip(self):
+        for k in (1, 2, 3):
+            assert _symmetry_failures(k) == (0, 0), k
+
+    def test_mirror_catches_a_one_wall_fault(self, monkeypatch):
+        # a wrong left-wall arc factor breaks the mirror on the products
+        # that remove such an arc; the flip maps each wall to itself
+        _clear_caches()
+        monkeypatch.setitem(dg._ARC, ("L", 0), dg._ARC[("L", 0)] * sc.Scalar.from_int(2))
+        try:
+            assert _symmetry_failures(2) == (294, 0)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+
+
 class TestEnumeration:
     def test_matchings_edge_cases(self):
         assert dg._matchings([], 0) == [()]
@@ -285,6 +331,12 @@ class TestEnumeration:
         with pytest.raises(dg.DiagramError) as exc:
             dg.enumerate_basis(-1, {0})
         assert exc.value.reason == "k"
+
+    def test_fractional_k_refused(self):
+        with pytest.raises(dg.DiagramError, match="2.5") as exc:
+            dg.enumerate_basis(2.5, {0})
+        assert exc.value.reason == "k"
+        assert dg.enumerate_basis(2.0, {0, 1}) == dg.enumerate_basis(2, {0, 1})
 
     def test_fractional_grade_refused(self):
         with pytest.raises(dg.DiagramError) as exc:

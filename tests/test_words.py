@@ -34,6 +34,16 @@ class TestExpansion:
         with pytest.raises(wd.WordError):
             G(2, [wd.T(2)])
 
+    def test_mixed_k_refused(self):
+        # a sum would carry T2 into a k = 2 expression, out of its range
+        x, y = G(2, [wd.T(1)]), G(3, [wd.T(2)])
+        for combine in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y * x):
+            with pytest.raises(wd.WordError, match="k=\\d and k=\\d"):
+                combine()
+        # a Scalar operand is the empty word at the expression's own k
+        assert x + ONE == ONE + x == x + wd.GenExpr.one(2)
+        assert (x * U).k == (U - x).k == 2
+
     def test_diagonal_letter_renders_and_is_range_checked(self):
         rhs = {name: rhs for name, _, rhs in cb._relations(2)}["C2:T0W1"]
         assert repr(rhs) == ("(Scalar(1))*T0 + (Scalar((uk-uk^-1)))*W1"
