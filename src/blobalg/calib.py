@@ -35,6 +35,8 @@ word, keeping v times each prefix; a whole matrix is the unit rows
 e_0 .. e_(n-1) in turn.  Every matrix identity (a relation, a relator
 against zero, I1 I2 I1 = b I1) is decided as v lhs = v rhs over a list
 of start rows (`_differing`); over the unit rows, that is matrix equality.
+A modular relation check also takes an end column w and compares the
+numbers v lhs w and v rhs w (`_value`).
 The central character z is read off the diagonals of the W_i.
 
 Each relation is a pair of generator expressions (`_relations`), which a
@@ -74,17 +76,21 @@ draw takes its place in a later pass, as does a trial whose prime another
 drew, since CRT combines coprime moduli only.  A relation that fails over P is
 replayed at each trial's own prime, so a witness is a single-prime point.
 
-Over Z/P a relation is decided on one start row (Freivalds) instead of
-the n unit rows: both sides are evaluated as v times them, for
-v = (1, z, ..., z^(n-1)) and z the point's a0 residue.  No entry,
-shift or relation coefficient of the presentation reads a0, so z is
-uniform on [2, p_t - 2] and independent of the difference D of the two
-sides mod p_t.  v D vanishes only if z is a root of every nonzero column
-polynomial sum_r D[r][c] z^r, of degree at most n - 1, so a relation that
-fails mod p_t at the point is missed with probability at most
-(n - 1)/(p_t - 3), on top of the Schwartz-Zippel bound.  No draw is
-added, and z mod p_t is the trial's own a0 residue, so a witness replays
-over `m.over(ModRing(p_t, point_t))`.
+Over Z/P a relation is decided as one number (Freivalds) instead of from
+the n unit rows: each side D is evaluated as v D w, for the start row
+v = (1, z, ..., z^(n-1)) and the end column w = (1, y, ..., y^(n-1)), z
+and y the point's a0 and ak residues (`_value`: a word is v times every
+letter but its last, dotted with the last letter times w).  No entry,
+shift or relation coefficient of the presentation reads a0 or ak, so z
+and y are uniform on [2, p_t - 2], independent of each other and of the
+difference D of the two sides mod p_t.  v D vanishes only if z is a root
+of every nonzero column polynomial sum_r D[r][c] z^r, of degree at most
+n - 1, and a nonzero v D has v D w = 0 only if y is a root of the
+polynomial sum_c (v D)[c] y^c, of degree at most n - 1.  So a relation
+that fails mod p_t at the point is missed with probability at most
+2(n - 1)/(p_t - 3), on top of the Schwartz-Zippel bound.  No draw is
+added, and z and y mod p_t are the trial's own residues, so a witness
+replays over `m.over(ModRing(p_t, point_t))`.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
@@ -337,11 +343,13 @@ class CalibratedModule:
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
         self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
+        self._images = spec.boundary_images()
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
         self.ring, self._lifted = EXACT, {}
         self._letters: Dict[wd.Letter, Matrix] = {}
         self._rows: Dict[wd.Word, Matrix] = {}  # v times each prefix, () -> [v]
+        self._columns: Dict[wd.Letter, list] = {}  # each letter times w, () -> w
 
     def over(self, ring) -> "CalibratedModule":
         """A copy with no letters built whose T and W are the module's as they
@@ -364,7 +372,7 @@ class CalibratedModule:
             out._lifted[x], out._lifted[-x] = v, ring.reduce(-v)
         out.T = dict(zip(self.T, lifted))
         out.W = lifted[len(self.T):]
-        out._letters, out._rows = {}, {}
+        out._letters, out._rows, out._columns = {}, {}, {}
         return out
 
     def _coeff(self, c: Scalar):
@@ -402,8 +410,7 @@ class CalibratedModule:
         wc = self._wc[m]
         content = wc[1] if i == 0 else wc[i] - wc[i + 1]
         try:
-            return _seminormal("T0" if i == 0 else "T", content,
-                               self.spec.boundary_images())
+            return _seminormal("T0" if i == 0 else "T", content, self._images)
         except CalibError as exc:
             raise CalibError("%s at %s" % (exc, self.basis[m])) from None
 
@@ -481,9 +488,7 @@ class CalibratedModule:
         if self._rows.get(()) != [start]:
             self._rows = {(): [dict(start)]}
         memo = self._rows
-        if wd.Tk in word:
-            tk = _tk_word(self.k)
-            word = tuple(x for letter in word for x in (tk if letter == wd.Tk else (letter,)))
+        word = _spelled(word, self.k)
         j = len(word)
         while word[:j] not in memo:
             j -= 1
@@ -493,10 +498,37 @@ class CalibratedModule:
             memo[word[:j + 1]] = mat
         return mat
 
+    def _value(self, expr: wd.GenExpr, start: dict, column: list):
+        """The number v expr w, for the start row v {column: entry} and the
+        end column w (a list of n entries), reduced in the ring once: each
+        word is v times every letter but its last, from the prefix memo of
+        `_word_matrix`, dotted with the last letter times w, which the
+        module keeps once per letter for as long as w stays the same."""
+        if self._columns.get(()) != column:
+            self._columns = {(): column}
+        columns, ring, total = self._columns, self.ring, self.ring.zero
+        for word, coeff in expr.terms.items():
+            word = _spelled(word, self.k)
+            if word and word[-1] not in columns:
+                columns[word[-1]] = [ring.reduce(sum(x * column[j] for j, x in row.items()))
+                                     for row in self._letter(word[-1])]
+            end = columns[word[-1] if word else ()]
+            dot = sum(x * end[j] for j, x in self._word_matrix(word[:-1], start)[0].items())
+            total += dot if coeff.is_one() else self._coeff(coeff) * dot
+        return ring.reduce(total)
+
 
 def _tk_word(k: int) -> wd.Word:
     """T_k's word C X C^-1, the product of `_tk_factors`."""
     return sum(_tk_factors(k), ())
+
+
+def _spelled(word: wd.Word, k: int) -> wd.Word:
+    """The word with each letter T_k written as its word `_tk_word`."""
+    if wd.Tk not in word:
+        return word
+    tk = _tk_word(k)
+    return tuple(x for letter in word for x in (tk if letter == wd.Tk else (letter,)))
 
 
 def symmetric_form(m: CalibratedModule, ring=EXACT):
@@ -676,16 +708,20 @@ def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
             tuple(wd.T(i, -1) for i in range(1, k)))
 
 
-def _differing(m: CalibratedModule, identities, starts=None) -> set:
+def _differing(m: CalibratedModule, identities, starts=None, column=None) -> set:
     """The names of the identities (name, lhs, rhs) whose two sides differ
     on m from some start row v: v lhs != v rhs; by default from the unit
-    rows e_0 .. e_(n-1), that is, as matrices.  The start rows are the
-    outer loop, so the words evaluated from one v share its prefixes; an
-    identity that failed is not evaluated again."""
+    rows e_0 .. e_(n-1), that is, as matrices.  With an end column w, the
+    two sides are the numbers v lhs w and v rhs w (`_value`).  The start
+    rows are the outer loop, so the words evaluated from one v share its
+    prefixes; an identity that failed is not evaluated again."""
+    def side(expr, v):
+        return m.evaluate_word(expr, v) if column is None else m._value(expr, v, column)
+
     failed = set()
     for v in starts or ({j: m.ring.one} for j in range(m.n)):
         for name, lhs, rhs in identities:
-            if name not in failed and m.evaluate_word(lhs, v) != m.evaluate_word(rhs, v):
+            if name not in failed and side(lhs, v) != side(rhs, v):
                 failed.add(name)
     return failed
 
@@ -704,23 +740,26 @@ def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     Otherwise every relation is evaluated as written, and none is
     reduced.
 
-    Exactly, each relation is decided from every unit row.  Over Z/P it is
-    decided from the one row v = (1, z, ..., z^(n-1)), for z the point's a0
-    residue, which no entry, shift or coefficient of the presentation
-    reads."""
+    Exactly, each relation is decided from every unit row.  Over Z/P each
+    side D of it is decided as the one number v D w, for the start row
+    v = (1, z, ..., z^(n-1)) and the end column w = (1, y, ..., y^(n-1)),
+    z and y the point's a0 and ak residues, which no entry, shift or
+    coefficient of the presentation reads; a relation that fails mod p_t
+    is missed with probability at most 2(n - 1)/(p_t - 3)."""
     k, ring = m.k, m.ring
     rels = _relations(k)
     reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
-    starts = None
+    starts = column = None
     if isinstance(ring, ModRing):
-        z = ring.point["a0"]
+        z, y = ring.point["a0"], ring.point["ak"]
         starts = [ring.row({j: pow(z, j, ring.p) for j in range(m.n)})]
-    failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None], starts)
+        column = [pow(y, j, ring.p) for j in range(m.n)]
+    failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None], starts, column)
     c, _, c_inv = _tk_factors(k)
     use = not failed and c_inv == tuple((kind, i, -power) for kind, i, power in c[::-1])
     rest = [(name, *reduced[name]) if use else (name, lhs, rhs)
             for name, lhs, rhs in rels if reduced[name] is not None]
-    failed |= _differing(m, rest, starts)
+    failed |= _differing(m, rest, starts, column)
     return ([name for name, _, _ in rels if name in failed],
             [name for name, form in reduced.items() if use and form is not None])
 
@@ -809,15 +848,15 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     evaluation with `trials` points otherwise: the module's own matrices
     are lifted to GF(p) at a random point for each trial, all trials in
     one pass over the product of their primes.  A trial decides each
-    relation on one row combination of its two sides, v = (1, z, ...,
-    z^(n-1)) times them, z the point's a0 residue: a relation that fails
-    mod p at the trial's point is missed with probability at most
-    (n - 1)/(p - 3), n = m.n, on top of the Schwartz-Zippel bound at the
-    point (entry degree over p).  Returns a report dict with
-    per-relation pass/fail, the first failing witness (the first failing
-    relation at the first failing trial), the trial primes, the number
-    of discarded candidate points, and the relations decided on their
-    reduced form in every pass (`reduced`, empty where the check fell back
+    relation on one number per side D, v D w for v = (1, z, ...,
+    z^(n-1)) and w = (1, y, ..., y^(n-1)), z and y the point's a0 and ak
+    residues: a relation that fails mod p at the trial's point is missed
+    with probability at most 2(n - 1)/(p - 3), n = m.n, on top of the
+    Schwartz-Zippel bound at the point (entry degree over p).  Returns a
+    report dict with per-relation pass/fail, the first failing witness
+    (the first failing relation at the first failing trial), the trial
+    primes, the number of discarded candidate points, and the relations
+    decided on their reduced form in every pass (`reduced`, empty where the check fell back
     to the relations as written); a modular witness carries p and the
     point, so the relation can be replayed over `m.over(ModRing(p, point))`."""
     if exact is None:

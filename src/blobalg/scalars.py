@@ -859,6 +859,14 @@ def random_point(p: int, rng: random.Random) -> Dict[str, int]:
     return point
 
 
+@functools.lru_cache(maxsize=8)
+def _power_table(p: int, v: int) -> List[int]:
+    """The powers 1, v, v^2, ... of the residue v mod p that evaluations
+    have read so far; `eval_mod` appends to the list in place, so every
+    evaluation at the same residue shares one table."""
+    return [1, v]
+
+
 def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     """Evaluate x at unit residues mod p, a prime or a product of distinct
     primes (then the point holds CRT combinations, and the value is the CRT
@@ -867,13 +875,15 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     exponent is inverted once per call.
 
     The terms are read in their stored order, so the same term raises on a
-    bad point as in a term-by-term sum, and summed by their u-exponent; the
-    sums are then combined in Horner form, from the highest u-exponent down,
-    multiplying by the power of u that bridges each gap."""
+    bad point as in a term-by-term sum, and summed unreduced, with one
+    reduction per polynomial.  A power of u is read from a table of the
+    powers of its residue, kept for the most recent (p, residue) pairs and
+    grown one product per new power, instead of raised with `pow`."""
     i_val = point["i"]
     if i_val * i_val % p != p - 1:
         raise ScalarError("point['i'] is not a square root of -1 mod p")
     inverses: Dict[int, int] = {}
+    tables: Dict[bool, List[int]] = {}
 
     def base(var: int, power: int) -> int:
         """The residue whose |power|-th power is the variable's power-th."""
@@ -886,26 +896,24 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
             inverses[var] = _inv_mod(v, p)
         return inverses[var]
 
+    def power(var: int, e: int) -> int:
+        if var:
+            return pow(base(var, e), abs(e), p)
+        if (e < 0) not in tables:
+            tables[e < 0] = _power_table(p, base(0, e))
+        table, e = tables[e < 0], abs(e)
+        while len(table) <= e:
+            table.append(table[-1] * table[1] % p)
+        return table[e]
+
     def eval_poly(poly: LaurentPoly) -> int:
-        by_u: Dict[int, int] = {}
-        for e, c in poly.terms.items():
-            term = (_frac_mod(c[0], p) + i_val * _frac_mod(c[1], p)) % p
-            for var in range(NVARS):
-                power = e[var]
-                if power:
-                    v = base(var, power)
-                    if var:
-                        term = term * pow(v, abs(power), p) % p
-            by_u[e[0]] = by_u.get(e[0], 0) + term
-        if not by_u:
-            return 0
-        exps = sorted(by_u, reverse=True)
         total = 0
-        for high, low in zip(exps, exps[1:]):
-            total = (total + by_u[high]) * pow(base(0, 1), high - low, p) % p
-        total += by_u[exps[-1]]
-        if exps[-1]:
-            total *= pow(base(0, exps[-1]), abs(exps[-1]), p)
+        for e, c in poly.terms.items():
+            term = _frac_mod(c[0], p) + i_val * _frac_mod(c[1], p)
+            for var in range(NVARS):
+                if e[var]:
+                    term *= power(var, e[var])
+            total += term
         return total % p
 
     num = eval_poly(x.num)

@@ -984,25 +984,35 @@ class TestReducedForms:
 
     def test_each_relation_evaluated_once(self, monkeypatch):
         # two evaluations per relation and start row: from each of the n
-        # unit rows exactly, from one row over a CRT ring
+        # unit rows exactly, as rows; from one row and one end column over
+        # a CRT ring, as numbers
         m = two_row_module(3, 2)
         calls = []
-        evaluate = cb.CalibratedModule.evaluate_word
+        evaluate, value = cb.CalibratedModule.evaluate_word, cb.CalibratedModule._value
 
         def counting(self, expr, row=None):
-            calls.append(None if row is None else tuple(sorted(row.items())))
+            calls.append((None if row is None else tuple(sorted(row.items())), None))
             return evaluate(self, expr, row)
 
+        def counting_value(self, expr, row, column):
+            calls.append((tuple(sorted(row.items())), tuple(column)))
+            return value(self, expr, row, column)
+
         monkeypatch.setattr(cb.CalibratedModule, "evaluate_word", counting)
+        monkeypatch.setattr(cb.CalibratedModule, "_value", counting_value)
         rng = random.Random(4)
         cands = []
         for _ in range(3):
             p = random_prime(62, rng)
             cands.append((p, random_point(p, rng)))
-        for ring, starts in ((cb.EXACT, m.n), (cb._crt_ring(cands), 1)):
+        crt = cb._crt_ring(cands)
+        y = crt.point["ak"]
+        for ring, starts, column in ((cb.EXACT, m.n, None),
+                                     (crt, 1, tuple(pow(y, j, crt.p) for j in range(m.n)))):
             calls.clear()
             assert cb._failing(m.over(ring)) == ([], reduced_names(3))
-            assert len(set(calls)) == starts and None not in calls, ring
+            assert len({row for row, _ in calls}) == starts and (None, None) not in calls, ring
+            assert {col for _, col in calls} == {column}, ring
             assert len(calls) == 2 * len(cb._relations(3)) * starts, ring
 
     def test_nonzero_modules(self):
@@ -1033,9 +1043,12 @@ class TestReducedForms:
 
 
 class TestStartRow:
-    """Over Z/P each side of a relation is evaluated as v times it, for
-    v = (1, z, ..., z^(n-1)) and z the point's a0 residue, multiplied out
-    from v one sparse letter at a time: no product has more than one row,
+    """Over Z/P each side D of a relation is evaluated as the number v D w,
+    for v = (1, z, ..., z^(n-1)) and w = (1, y, ..., y^(n-1)), z and y the
+    point's a0 and ak residues, so a relation that fails mod p is missed
+    with probability at most 2(n - 1)/(p - 3).  Each word is v times every
+    letter but its last, multiplied out from v one sparse letter at a time,
+    dotted with the last letter times w: no product has more than one row,
     and T_k is applied as its word, never built."""
 
     @staticmethod
@@ -1064,6 +1077,55 @@ class TestStartRow:
                             want = cb.mat_mul([start], whole.evaluate_word(side), ring)
                             assert rows.evaluate_word(side, row=start) == want, (m.region, name)
                 assert wd.Tk not in rows._letters, m.region
+
+    def test_v_side_w_is_v_side_dotted_with_w(self):
+        # the number of every side of every relation as written, against the
+        # row v side dotted with w, over one CRT ring; from one column, then
+        # another, then the first again, so the kept columns are w's own
+        rng = random.Random(13)
+        cands = []
+        while len(cands) < 3:
+            p = random_prime(62, rng)
+            cands.append((p, random_point(p, rng)))
+        ring = cb._crt_ring(cands)
+        y = ring.point["ak"]
+        for k in (3, 4):
+            for m in TestRelationsAsWords.nonzero_modules(k):
+                values, rows = m.over(ring), m.over(ring)
+                v = self.start_row(m, ring)
+                w = [pow(y, j, ring.p) for j in range(m.n)]
+                for column in (w, [ring.one] + [0] * (m.n - 1), w):
+                    for name, lhs, rhs in cb._relations(k):
+                        for side in (lhs, rhs):
+                            row, = rows.evaluate_word(side, row=v)
+                            want = sum(x * column[j] for j, x in row.items()) % ring.p
+                            assert values._value(side, v, column) == want, (m.region, name)
+                assert wd.Tk not in values._letters, m.region
+
+    def test_lifts_read_neither_a0_nor_ak(self):
+        # the premise of both miss bounds, z and y independent of what v and
+        # w test: two rings that differ only in their a0 and ak residues lift
+        # every nonzero (6,3) module with k <= 5 alike, and no relation
+        # coefficient reads a0 or ak
+        rng = random.Random(14)
+        cands = [(p, random_point(p, rng)) for p in (random_prime(62, rng), random_prime(62, rng))]
+        ring = cb._crt_ring(cands)
+        other = cb.ModRing(ring.p, {**ring.point, "a0": ring.point["a0"] + 1,
+                                    "ak": ring.point["ak"] + 1})
+        count = 0
+        for k in range(1, 6):
+            for m in TestRelationsAsWords.nonzero_modules(k):
+                a, b = m.over(ring), m.over(other)
+                assert (a.T, a.W, a._lifted) == (b.T, b.W, b._lifted), m.region
+                assert len(a._lifted) == 6
+                count += 1
+        assert count == 33
+        banned = {sc.VAR_INDEX["a0"], sc.VAR_INDEX["ak"]}
+        for k in range(1, 8):
+            for name, lhs, rhs in cb._relations(k):
+                for c in (*lhs.terms.values(), *rhs.terms.values()):
+                    parts = c.cleared()
+                    assert all(banned.isdisjoint(x.num.variables()) for x in parts), name
 
     def test_one_row_products_only(self, monkeypatch):
         # passing modules read the reduced forms; failing ones evaluate the

@@ -269,6 +269,21 @@ class TestEvalMod:
                         retries += isinstance(got, tuple)
         assert retries > 0
 
+    def test_zero_u_or_u0_is_refused(self):
+        # a point that makes a variable 0 mod p is refused for any power of
+        # it: only positive powers of u, a negative one, and u0
+        rng = random.Random(15)
+        p = sc.random_prime(62, rng)
+        for x, name in ((U ** 3 + 2 * U, "u"), (U ** 2 + U.inv(), "u"),
+                        (U0 + ONE, "u0")):
+            pt = sc.random_point(p, rng)
+            pt[name] = p
+            with pytest.raises(sc.ScalarError, match="point assigns 0 to %s$" % name) as exc:
+                eval_mod(x, p, pt)
+            assert type(exc.value) is sc.ScalarError, x
+            pt[name] = 1
+            assert eval_mod(x, p, pt) == term_by_term_eval_mod(x, p, pt)
+
     def test_retry_signal(self):
         rng = random.Random(13)
         p = sc.random_prime(62, rng)
