@@ -25,7 +25,10 @@ Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 and lifts, and never divides.  `m.over(ring)` is the module with its T, W
 and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted into the ring; over Z/p
 the distinct entries of T and W and the shifts take one modular inverse
-between them (`ModRing.lift_many`).
+between them (`ModRing.lift_many`): `eval_mod` gives each numerator with
+its negative exponents cleared, each distinct denominator factorization
+once and the residue of each variable those exponents need, and the
+denominators and those residues are inverted together.
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words`; the letter W(j) is the diagonal
 W_j, and every T or E letter is built from its index's T matrix and the
@@ -111,8 +114,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, _inv_mod,
-                      bb, eval_mod, qint, random_point, random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, VAR_NAMES,
+                      _ZEXP, _expand, _inv_mod, bb, eval_mod, qint, random_point,
+                      random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -186,25 +190,48 @@ class ModRing:
         return eval_mod(x, self.p, self.point)
 
     def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
-        """`lift` of each entry with one modular inverse for them all: each
-        entry is n / q for polynomials n and q (`Scalar.cleared`), and the
-        distinct q are inverted together (Montgomery's trick).  When their
-        product is not a unit, the entries are lifted one by one in order,
-        so the `EvalRetry` carries the residue that `lift` gives."""
+        """`lift` of each entry with one modular inverse for them all.  An
+        entry is n / (q u^s) for polynomials n and q: q its denominator
+        multiplied out, and u^s the monomial that clears the negative
+        exponents of its numerator (in any variable).  `eval_mod` gives
+        each n, each distinct factorization q once, and the residue of each
+        variable that some s needs; the values of the q and those residues
+        are inverted together (Montgomery's trick).  When their product is
+        not a unit, the entries are lifted one by one in order, so the
+        `EvalRetry` carries the residue that `lift` gives."""
         p, point = self.p, self.point
         try:
-            cleared = [x.cleared() for x in entries]
-            dens = list(dict.fromkeys(q for _, q in cleared))
-            values = [eval_mod(q, p, point) for q in dens]
+            dens: Dict[tuple, int] = {(): 1}  # factorization -> its value
+            parts, needed = [], set()
+            for x in entries:
+                low = x.num.min_exponents() if x.num.terms else _ZEXP
+                shift = tuple(-e if e < 0 else 0 for e in low)
+                num = x.num.shift(shift) if any(shift) else x.num
+                needed.update(v for v, e in enumerate(shift) if e)
+                if x.den not in dens:
+                    dens[x.den] = eval_mod(Scalar(_expand(x.den), _normalized=True), p, point)
+                parts.append((eval_mod(Scalar(num, _normalized=True), p, point), x.den, shift))
+            # the batch: each factorization, then each variable index
+            keys = [*dens, *sorted(needed)]
+            values = [*dens.values(), *(eval_mod(Scalar.var(VAR_NAMES[v]), p, point)
+                                        for v in sorted(needed))]
             prefix = [1]
             for v in values:
                 prefix.append(prefix[-1] * v % p)
             inv = _inv_mod(prefix[-1], p)
             inverse = {}
-            for j in range(len(dens) - 1, -1, -1):
-                inverse[dens[j]] = inv * prefix[j] % p
+            for j in range(len(keys) - 1, -1, -1):
+                inverse[keys[j]] = inv * prefix[j] % p
                 inv = inv * values[j] % p
-            return [eval_mod(n, p, point) * inverse[q] % p for n, q in cleared]
+            scale = {}  # (factorization, shift) -> 1 / (q u^s)
+            for _, q, shift in parts:
+                if (q, shift) not in scale:
+                    factor = inverse[q]
+                    for v, e in enumerate(shift):
+                        if e:
+                            factor = factor * pow(inverse[v], e, p) % p
+                    scale[q, shift] = factor
+            return [n * scale[q, shift] % p for n, q, shift in parts]
         except EvalRetry:
             return [self.lift(x) for x in entries]
 
@@ -286,15 +313,16 @@ class ModuleSpec:
             raise CalibError("specialization needs r2 - r1 and r2 + r1 integral")
         if self.branch not in (1, -1):
             raise CalibError("branch must be +1 or -1")
+        unit = (0, self.branch)
+        object.__setattr__(self, "_images", ((unit, int(r2 - r1)), (unit, int(r2 + r1))))
 
     def boundary_images(self):
-        unit = (0, self.branch)
-        r1, r2 = self.region.params.r1, self.region.params.r2
-        return (unit, int(r2 - r1)), (unit, int(r2 + r1))
+        """The images (unit, exponent) of u0 and uk, computed once per spec."""
+        return self._images
 
     def specialize(self, x: Scalar) -> Scalar:
         """x at the boundary images, once for all specs that share them."""
-        return _specialize(x, *self.boundary_images())
+        return _specialize(x, *self._images)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -354,8 +382,10 @@ class CalibratedModule:
     def over(self, ring) -> "CalibratedModule":
         """A copy with no letters built whose T and W are the module's as they
         are now, lifted into `ring` by one `lift_many` together with the
-        shifts u - 1/u, u0 - 1/u0 and uk - 1/uk, each distinct entry once;
-        the negated shifts are read off the shifts.  Its letters and words
+        shifts u - 1/u, u0 - 1/u0 and uk - 1/uk, each distinct entry once
+        and each distinct denominator evaluated once; the negated shifts are
+        read off the shifts, which are specialized at the images the spec
+        computed once.  Its letters and words
         read coefficients through `_coeff`, which lifts any other one there
         once, so lifting is the only step of their evaluation that can
         raise `EvalRetry`."""

@@ -19,7 +19,9 @@ configuration is kept, so the skew test, the vanishing conditions and the
 module built on it read one listing.
 
 Roots are tagged tuples: ("e", i) for eps_i, ("d", i, j) for eps_j - eps_i
-and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.
+and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.  The root sets
+and the configuration's diagonals are compared as the integers 2c and 2r,
+never as Fractions; a region's data keeps the Fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _doubled(x: Fraction) -> Optional[int]:
+    """2x as an integer, or None when 2x is not one (x an int or Fraction)."""
+    d = x.denominator
+    return 2 * x.numerator if d == 1 else x.numerator if d == 2 else None
+
+
 @dataclass(frozen=True)
 class RegionParams:
     r1: Fraction
@@ -58,6 +66,11 @@ class RegionParams:
 
     def marked_diagonals(self) -> Tuple[Fraction, ...]:
         return (self.r1, -self.r1, self.r2, -self.r2)
+
+    def doubled_marks(self) -> FrozenSet[int]:
+        """2d for each marked diagonal d whose double is an integer: a
+        weight, an integer or a half-integer, can lie only on those."""
+        return frozenset(d for d in map(_doubled, self.marked_diagonals()) if d is not None)
 
 
 def weight_vector(values: Iterable) -> Tuple[Fraction, ...]:
@@ -74,25 +87,31 @@ def weight_vector(values: Iterable) -> Tuple[Fraction, ...]:
 def compute_root_sets(c: Tuple[Fraction, ...], params: RegionParams
                       ) -> Tuple[FrozenSet[Root], FrozenSet[Root]]:
     """The vanishing set Z(c) and the potential-wall set P(c), computed once
-    for every region, and every candidate J, with the same weights."""
-    k = len(c)
+    for every region, and every candidate J, with the same weights.  The
+    weights and the marked diagonals are compared as the integers 2c_i and
+    2r; a weight that is not an integer or a half-integer is refused, and a
+    marked diagonal whose double is not an integer (r1 = 1/3, say) holds no
+    weight."""
+    two = [_doubled(v) for v in c]
+    if None in two:
+        raise RegionError("a weight must be an integer or a half-integer")
+    marked = params.doubled_marks()
+    k = len(two)
     zset, pset = set(), set()
-    for i in range(1, k + 1):
-        if c[i - 1] == 0:
+    for i, ci in enumerate(two, start=1):
+        if ci == 0:
             zset.add(("e", i))
-        if c[i - 1] in (params.r1, -params.r1, params.r2, -params.r2):
+        if ci in marked:
             pset.add(("e", i))
-    for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            diff = c[j - 1] - c[i - 1]
-            tot = c[j - 1] + c[i - 1]
-            if diff == 0:
+            cj = two[j - 1]
+            if cj == ci:
                 zset.add(("d", i, j))
-            if tot == 0:
-                zset.add(("s", i, j))
-            if diff in (1, -1):
+            elif cj - ci in (2, -2):
                 pset.add(("d", i, j))
-            if tot in (1, -1):
+            if cj + ci == 0:
+                zset.add(("s", i, j))
+            elif cj + ci in (2, -2):
                 pset.add(("s", i, j))
     return frozenset(zset), frozenset(pset)
 
@@ -216,13 +235,15 @@ def _constraints(region: LocalRegion) -> Tuple[Dict[Tuple[int, int], bool],
 def build_config(region: LocalRegion) -> BoxConfig:
     """Realize the (c, J) constraints as planar boxes; error if impossible.
     The most recent configurations are kept: region and configuration are
-    both frozen, so one is shared by every caller."""
+    both frozen, so one is shared by every caller.  Diagonals are grouped,
+    ordered and named as the integers 2d."""
     diag = _box_diagonals(region)
+    two = {b: _doubled(d) for b, d in diag.items()}
     rel, sides = _constraints(region)
 
-    groups: Dict[Fraction, List[int]] = {}
-    for i in sorted(diag, key=lambda b: (diag[b], b)):
-        groups.setdefault(diag[i], []).append(i)
+    groups: Dict[int, List[int]] = {}  # in increasing order of the diagonal
+    for i in sorted(diag, key=lambda b: (two[b], b)):
+        groups.setdefault(two[i], []).append(i)
 
     # difference constraints row_y >= row_x + w, with marker pseudo-nodes
     edges: List[Tuple[object, object, int, Tuple[int, int]]] = []
@@ -236,9 +257,9 @@ def build_config(region: LocalRegion) -> BoxConfig:
         else:
             edges.append((q, p, 0, (p, q)))
             edges.append((-p, -q, 0, (p, q)))
-    marked = set(region.params.marked_diagonals())
+    marked = region.params.doubled_marks()
     for b, side in sides.items():
-        m = ("marker", diag[b])
+        m = ("marker", two[b])
         if side == "NW":
             edges.append((b, m, 1, (b, b)))
         else:
@@ -265,7 +286,7 @@ def build_config(region: LocalRegion) -> BoxConfig:
     return BoxConfig(
         k=region.k,
         diag=tuple(sorted(diag.items())),
-        same_diag=tuple(sorted((d, tuple(bs)) for d, bs in groups.items())),
+        same_diag=tuple((diag[bs[0]], tuple(bs)) for bs in groups.values()),
         pair_rel=tuple(sorted(rel.items())),
         marker_side=tuple(sorted((b, s) for b, s in sides.items())),
         placement=placement,
@@ -399,14 +420,17 @@ def two_row_region(k: int, c0, params: RegionParams,
 
 def _two_row_placement(k: int, c0: Fraction) -> Dict[int, Tuple[Fraction, int, Fraction]]:
     """Box index -> (diagonal, row, col) for the canonical two-row shape."""
-    boxes = []  # (diag, row, col)
+    two0 = _doubled(c0)
+    if two0 is None:
+        raise RegionError("weights must be all integers or all half-integers")
+    boxes = []  # (2 diag, row, diag, col), ordered by the first two
     for m in range(k):
         d = c0 + m
-        boxes.append((d, 0, d))
-        boxes.append((-d, 1, -d + 1))
-    boxes.sort(key=lambda t: (t[0], t[1]))
+        boxes.append((two0 + 2 * m, 0, d, d))
+        boxes.append((-two0 - 2 * m, 1, -d, -d + 1))
+    boxes.sort()
     out: Dict[int, Tuple[Fraction, int, Fraction]] = {}
-    for pos, (d, r, col) in enumerate(boxes):
+    for pos, (_, r, d, col) in enumerate(boxes):
         idx = pos - k if pos < k else pos - k + 1
         out[idx] = (d, r, col)
     return out

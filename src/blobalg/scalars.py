@@ -671,14 +671,6 @@ class Scalar:
             n >>= 1
         return out
 
-    def cleared(self) -> Tuple["Scalar", "Scalar"]:
-        """(n, q) with self = n / q for polynomials n and q: the monomial
-        that clears the numerator's negative exponents multiplies both."""
-        low = self.num.min_exponents() if self.num.terms else _ZEXP
-        shift = tuple(-e if e < 0 else 0 for e in low)
-        return (Scalar(self.num.shift(shift), _normalized=True),
-                Scalar(_expand(self.den).shift(shift), _normalized=True))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Scalar) and self.num == other.num
                 and self.den == other.den)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -113,11 +114,16 @@ def bratteli_dot(br: Bratteli) -> str:
     return "\n".join(lines)
 
 
+def _require_node(params: SWParams, k: int, l: int) -> None:
+    """Refuse (k, l) unless (a+b+k-l, l) is a node of level k >= 0."""
+    if k < 0 or (params.a + params.b + k - l, l) not in level_nodes(params, k):
+        raise SchurWeylError("partition not at level %d" % k)
+
+
 def dim_formula(params: SWParams, k: int, l: int) -> int:
     """Closed binomial form for the multiplicity of (a+b+k-l, l) at level k."""
+    _require_node(params, k, l)
     a, b = params.a, params.b
-    if (a + b + k - l, l) not in level_nodes(params, k):
-        raise SchurWeylError("partition not at level %d" % k)
     total = 0
     for c in range(max(0, l - k), min(b, l) + 1):
         if l <= a + b - c:
@@ -134,12 +140,20 @@ def zero_multiplicity(params: SWParams, k: int, l: int) -> bool:
 def lambda_to_region(params: SWParams, k: int, l: int
                      ) -> Tuple[Scalar, rg.LocalRegion, rg.BoxConfig]:
     """Weight data (z, region, configuration) of the level-k node with
-    second row l; errors on zero-multiplicity nodes."""
-    a, b = params.a, params.b
-    if (a + b + k - l, l) not in level_nodes(params, k):
-        raise SchurWeylError("partition not at level %d" % k)
+    second row l; errors on zero-multiplicity nodes.  The data of the most
+    recent nodes is kept, and every caller of one node shares its tuple."""
+    _require_node(params, k, l)
     if zero_multiplicity(params, k, l):
         raise SchurWeylError("zero multiplicity at (k=%d, l=%d)" % (k, l))
+    return _node_data(params, k, l)
+
+
+@lru_cache(maxsize=512)
+def _node_data(params: SWParams, k: int, l: int
+               ) -> Tuple[Scalar, rg.LocalRegion, rg.BoxConfig]:
+    """`lambda_to_region` of a node of nonzero multiplicity, kept for the
+    512 most recent nodes."""
+    a, b = params.a, params.b
     exponent = ((a + b - l) * (a + b - l - 1) + l * (l - 3)
                 - a * (a - 1) - b * (b - 1) - k * (a + b - 2))
     z = Scalar.monomial(u=exponent)
@@ -152,18 +166,31 @@ def lambda_to_region(params: SWParams, k: int, l: int
     return z, region, rg.build_config(region)
 
 
+@lru_cache(maxsize=64)
+def _path_counts(params: SWParams, k: int) -> Dict[Partition, int]:
+    """`path_counts(k)` of `bratteli(params, k)`, built once per level and
+    kept for the 64 most recent levels: do not mutate it."""
+    return bratteli(params, k).path_counts(k)
+
+
 def dim_B(params: SWParams, k: int, l: int, method: str = "formula") -> int:
+    """The multiplicity of the level-k node (a+b+k-l, l), counted by
+    `method`: "formula" (`dim_formula`), "paths" (read from one table of
+    path counts per level) or "fillings" (the standard fillings of the
+    node's region, counted without listing them).  A pair that is not a
+    node of level k >= 0 raises `SchurWeylError` for every method; a
+    zero-multiplicity node has dimension 0 by all three."""
+    if method not in ("formula", "paths", "fillings"):
+        raise SchurWeylError("unknown method %r" % method)
+    _require_node(params, k, l)
     if method == "formula":
         return dim_formula(params, k, l)
     if method == "paths":
-        br = bratteli(params, k)
-        return br.path_counts(k).get((params.a + params.b + k - l, l), 0)
-    if method == "fillings":
-        if zero_multiplicity(params, k, l):
-            return 0
-        _, _, config = lambda_to_region(params, k, l)
-        return rg.count_fillings(config)
-    raise SchurWeylError("unknown method %r" % method)
+        return _path_counts(params, k)[(params.a + params.b + k - l, l)]
+    if zero_multiplicity(params, k, l):
+        return 0
+    _, _, config = lambda_to_region(params, k, l)
+    return rg.count_fillings(config)
 
 
 def dim_check_sum(params: SWParams, k: int) -> bool:

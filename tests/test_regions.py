@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import re
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -52,6 +53,53 @@ class TestRootSets:
         # a root outside P(c) is named as it is written
         with pytest.raises(rg.RegionError, match=r"extra roots e2\+e1$"):
             rg.LocalRegion((1, 2), frozenset({("s", 1, 2)}), PARAMS)
+
+
+def _root_sets_reference(c, params):
+    """Z(c) and P(c) from their definitions, in Fraction arithmetic."""
+    marked = (params.r1, -params.r1, params.r2, -params.r2)
+    zset, pset = set(), set()
+    for i in range(1, len(c) + 1):
+        if c[i - 1] == 0:
+            zset.add(("e", i))
+        if c[i - 1] in marked:
+            pset.add(("e", i))
+        for j in range(i + 1, len(c) + 1):
+            diff, tot = c[j - 1] - c[i - 1], c[j - 1] + c[i - 1]
+            if diff == 0:
+                zset.add(("d", i, j))
+            if tot == 0:
+                zset.add(("s", i, j))
+            if diff in (1, -1):
+                pset.add(("d", i, j))
+            if tot in (1, -1):
+                pset.add(("s", i, j))
+    return zset, pset
+
+
+class TestDoubledRootSets:
+    """`compute_root_sets` compares 2c_i and 2r as integers; it must give
+    the Fraction definitions' sets, also where 2 r1 is not an integer."""
+
+    @pytest.mark.parametrize("r1, r2", [(F(3, 2), F(11, 2)), (F(1), F(4)), (F(1, 3), F(11, 2))])
+    def test_equal_the_fraction_reference(self, r1, r2):
+        params = rg.RegionParams(r1, r2)
+        count = 0
+        for k in range(5):
+            for start in (F(0), F(1, 2)):
+                values = [start + n for n in range(7) if start + n <= 6]
+                for c in itertools.combinations_with_replacement(values, k):
+                    zset, pset = rg.compute_root_sets(c, params)
+                    want = _root_sets_reference(c, params)
+                    assert (zset, pset) == tuple(map(frozenset, want)), (c, r1, r2)
+                    count += 1
+        # the weight vectors of k <= 4 from 7 integers and 6 half-integers
+        assert count == sum(comb(7 + k - 1, k) + comb(6 + k - 1, k) for k in range(5))
+
+    def test_weight_with_no_double_refused(self):
+        for c in ((F(1, 3),), (F(1), F(5, 4))):
+            with pytest.raises(rg.RegionError, match="an integer or a half-integer"):
+                rg.compute_root_sets(c, PARAMS)
 
 
 class TestSmallExampleConfig:

@@ -70,6 +70,23 @@ class TestDimensions:
                 g = sw.dim_B(P63, k, l, "fillings")
                 assert p == f == g
 
+    def test_non_node_refused_by_every_method(self):
+        # (2, 9) and (2, -1) are no partitions, level -1 has no dimension,
+        # and level 0 stops at l = b; the zero-multiplicity node (1, 5) is 0
+        for k, l in ((2, 9), (2, -1), (-1, 0), (0, 4)):
+            for method in ("paths", "formula", "fillings"):
+                with pytest.raises(sw.SchurWeylError, match="partition not at level %d" % k):
+                    sw.dim_B(P63, k, l, method)
+        assert [sw.dim_B(P63, 1, 5, m) for m in ("paths", "formula", "fillings")] == [0, 0, 0]
+
+    def test_path_count_table_is_the_bratteli_count(self):
+        for k in range(13):
+            counts = sw.bratteli(P63, k).path_counts(k)
+            assert sw._path_counts(P63, k) == counts
+            assert {l: sw.dim_B(P63, k, l, "paths") for _l1, l in sw.level_nodes(P63, k)} \
+                == {l: counts[(l1, l)] for l1, l in sw.level_nodes(P63, k)}
+        assert sw._path_counts.cache_info().maxsize is not None
+
     def test_dim_check_sum(self):
         # k=0: 10+8+6+4 = 28 = 7*4
         total0 = sum((l1 - l2 + 1) * sw.dim_formula(P63, 0, l2)
@@ -122,6 +139,19 @@ class TestLambdaToRegion:
         with pytest.raises(sw.SchurWeylError):
             sw.lambda_to_region(P63, 1, 5)
         assert sw.dim_B(P63, 1, 5, "fillings") == 0
+
+    def test_repeated_call_shares_the_tuple(self):
+        first = sw.lambda_to_region(P63, 4, 3)
+        assert sw.lambda_to_region(P63, 4, 3) is first
+        assert sw._node_data.cache_info().maxsize is not None
+        # a node past the cache's size is built again, equal to the first
+        for k in range(40):
+            for (_l1, l) in sw.level_nodes(P63, k):
+                if not sw.zero_multiplicity(P63, k, l):
+                    sw.lambda_to_region(P63, k, l)
+        assert sw._node_data.cache_info().currsize == sw._node_data.cache_info().maxsize
+        again = sw.lambda_to_region(P63, 4, 3)
+        assert again is not first and again == first
 
     def test_regions_are_skew_two_row(self):
         for k in (1, 2, 3):
