@@ -326,14 +326,14 @@ class ModuleSpec:
 
 
 @functools.lru_cache(maxsize=1024)
-def _seminormal(kind: str, content: Fraction, images) -> Tuple[Scalar, Scalar]:
+def _seminormal(kind: str, content: int, images) -> Tuple[Scalar, Scalar]:
     """The seminormal entries of T_0 (kind "T0") or T_i (kind "T") on a
     filling: the diagonal entry d, and the entry from the filling to its
-    partner.  They depend only on the boundary images and the local
-    content, c = wc_1 for T_0 and c = wc_i - wc_(i+1) for T_i:
+    partner.  They depend only on the boundary images and the doubled
+    local content, c = 2wc_1 for T_0 and c = 2wc_i - 2wc_(i+1) for T_i:
 
-        T_0:  d = ((u0 - 1/u0) + (uk - 1/uk) / g_1) / (1 - g_1^-2),  g_1 = -u^(2c),
-        T_i:  d = (u - 1/u) / (1 - u^(2c)).
+        T_0:  d = ((u0 - 1/u0) + (uk - 1/uk) / g_1) / (1 - g_1^-2),  g_1 = -u^c,
+        T_i:  d = (u - 1/u) / (1 - u^c).
 
     The entry to the partner is 1 for c < 0, where the moved label sits on
     the lower diagonal, and the radicand -(d - lam)(d + 1/lam), lam = u0
@@ -341,14 +341,14 @@ def _seminormal(kind: str, content: Fraction, images) -> Tuple[Scalar, Scalar]:
     them."""
     if kind == "T0":
         lam = _specialize(U0, *images)
-        g1i = -Scalar.monomial(u=-int(2 * content))
+        g1i = -Scalar.monomial(u=-content)
         den = ONE - g1i * g1i
         if den.is_zero():
             raise CalibError("label 1 on the zero diagonal")
         d = (_specialize(_SHIFT[U0], *images) + _specialize(_SHIFT[UK], *images) * g1i) / den
     else:
         lam = U
-        ratio = Scalar.monomial(u=int(2 * content))
+        ratio = Scalar.monomial(u=content)
         if ratio.is_one():
             raise CalibError("coincident neighbor diagonals")
         d = _SHIFT[U] / (ONE - ratio)
@@ -370,7 +370,7 @@ class CalibratedModule:
             raise CalibError("region is not skew")
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.n = len(self.basis)
-        self._wc = [rg.wc_vector(self.config, w) for w in self.basis]
+        self._wc = rg.filling_contents(self.config)
         self._images = spec.boundary_images()
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
@@ -414,8 +414,8 @@ class CalibratedModule:
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
-        """gamma_label = -u^(2 wc_label) on filling m."""
-        return -Scalar.monomial(u=int(2 * self._wc[m][label]))
+        """gamma_label = -u^(2 wc_label) on filling m, label 1..k."""
+        return -Scalar.monomial(u=self._wc[m][label - 1])
 
     def _w_matrix(self, i: int) -> Matrix:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])
@@ -438,7 +438,7 @@ class CalibratedModule:
     def _t_entries(self, m: int, i: int) -> Tuple[Scalar, Scalar]:
         """`_seminormal` at filling m, whose error names the filling."""
         wc = self._wc[m]
-        content = wc[1] if i == 0 else wc[i] - wc[i + 1]
+        content = wc[0] if i == 0 else wc[i - 1] - wc[i]
         try:
             return _seminormal("T0" if i == 0 else "T", content, self._images)
         except CalibError as exc:
@@ -891,9 +891,10 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
     point, so the relation can be replayed over `m.over(ModRing(p, point))`."""
     if exact is None:
         exact = m.k <= EXACT_MAX_K
-    if not exact and trials < 1:
-        raise CalibError("modular presentation check needs trials >= 1, got %d"
-                         % trials)
+    if not exact and (not isinstance(trials, int) or trials < 1):
+        raise CalibError("modular presentation check needs trials >= 1, got %r" % (trials,))
+    if not exact and (not isinstance(prime_bits, int) or prime_bits < 3):
+        raise CalibError("no prime p = 1 (mod 4) has prime_bits = %r < 3" % (prime_bits,))
     rels = _relations(m.k)
     report = {"mode": "exact" if exact else "modular",
               "relations": {name: True for name, _, _ in rels},

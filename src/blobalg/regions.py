@@ -15,13 +15,16 @@ allows S(x) < 0; the positive values follow from S(-x) = -S(x).  The
 number of completions depends only on the set I of boxes filled so far,
 so it is memoized on I: `count_fillings` reads it at the empty set, and
 `enumerate_fillings` enters only sets with a completion.  The list of a
-configuration is kept, so the skew test, the vanishing conditions and the
-module built on it read one listing.
+configuration is kept with each filling's doubled contents (2wc_1, ...,
+2wc_k), wc_j the diagonal of the box holding label j (`filling_contents`),
+so the skew test, the vanishing conditions and the module built on it read
+one listing and one integer table.
 
 Roots are tagged tuples: ("e", i) for eps_i, ("d", i, j) for eps_j - eps_i
-and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.  The root sets
-and the configuration's diagonals are compared as the integers 2c and 2r,
-never as Fractions; a region's data keeps the Fractions.
+and ("s", i, j) for eps_j + eps_i, always with 0 < i < j.  The root sets,
+the configuration's diagonals and the contents are held and compared as
+the integers 2c, 2r, 2d and 2wc, never as Fractions; a region's data keeps
+the Fractions.
 """
 
 from __future__ import annotations
@@ -186,28 +189,22 @@ def region_to_json(region: LocalRegion) -> dict:
 class BoxConfig:
     """Constraint data of a 2k-box configuration.
 
-    `diag` maps box indices -k..-1,1..k to diagonals.  `same_diag` lists the
-    boxes of each diagonal NW to SE.  `pair_rel` holds the oriented relation
-    for each constrained adjacent-diagonal pair (upper, lower): True for NW,
-    False for SE; the first box always sits on the higher diagonal.
+    `diag` maps box indices -k..-1,1..k to doubled diagonals 2d.
+    `same_diag` lists the boxes of each diagonal NW to SE, after its 2d.
+    `pair_rel` holds the oriented relation for each constrained
+    adjacent-diagonal pair (upper, lower): True for NW, False for SE; the
+    first box always sits on the higher diagonal.
     `marker_side` gives "NW" or "SE" for each box on a marked diagonal.
-    Two configurations are equal iff this data agrees.
+    Two configurations are equal iff this data agrees.  `rows` gives each
+    box's row in a planar placement; its column is the row plus its diagonal.
     """
 
     k: int
-    diag: Tuple[Tuple[int, Fraction], ...]
-    same_diag: Tuple[Tuple[Fraction, Tuple[int, ...]], ...]
+    diag: Tuple[Tuple[int, int], ...]
+    same_diag: Tuple[Tuple[int, Tuple[int, ...]], ...]
     pair_rel: Tuple[Tuple[Tuple[int, int], bool], ...]
     marker_side: Tuple[Tuple[int, str], ...]
-    placement: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...] = field(compare=False)
-
-
-def _box_diagonals(region: LocalRegion) -> Dict[int, Fraction]:
-    out = {}
-    for i, ci in enumerate(region.c, start=1):
-        out[i] = ci
-        out[-i] = -ci
-    return out
+    rows: Tuple[Tuple[int, int], ...] = field(compare=False)
 
 
 def _constraints(region: LocalRegion) -> Tuple[Dict[Tuple[int, int], bool],
@@ -237,12 +234,14 @@ def build_config(region: LocalRegion) -> BoxConfig:
     The most recent configurations are kept: region and configuration are
     both frozen, so one is shared by every caller.  Diagonals are grouped,
     ordered and named as the integers 2d."""
-    diag = _box_diagonals(region)
-    two = {b: _doubled(d) for b, d in diag.items()}
+    two = {}  # box -> 2d: box i on diagonal c_i, box -i on -c_i
+    for i, ci in enumerate(region.c, start=1):
+        two[i] = _doubled(ci)
+        two[-i] = -two[i]
     rel, sides = _constraints(region)
 
     groups: Dict[int, List[int]] = {}  # in increasing order of the diagonal
-    for i in sorted(diag, key=lambda b: (two[b], b)):
+    for i in sorted(two, key=lambda b: (two[b], b)):
         groups.setdefault(two[i], []).append(i)
 
     # difference constraints row_y >= row_x + w, with marker pseudo-nodes
@@ -265,7 +264,7 @@ def build_config(region: LocalRegion) -> BoxConfig:
         else:
             edges.append((m, b, 0, (b, b)))
 
-    nodes = list(diag) + [("marker", d) for d in marked if d in groups]
+    nodes = list(two) + [("marker", d) for d in marked if d in groups]
     row = {n: 0 for n in nodes}
     edges = [(x, y, w, wit) for x, y, w, wit in edges if x in row and y in row]
     for _ in range(len(nodes) + 1):
@@ -281,15 +280,13 @@ def build_config(region: LocalRegion) -> BoxConfig:
             if row[y] < row[x] + w:
                 raise RegionError("unsatisfiable constraints at pair %s" % (wit,))
 
-    placement = tuple(sorted((b, (Fraction(row[b]), Fraction(row[b]) + diag[b]))
-                             for b in diag))
     return BoxConfig(
         k=region.k,
-        diag=tuple(sorted(diag.items())),
-        same_diag=tuple((diag[bs[0]], tuple(bs)) for bs in groups.values()),
+        diag=tuple(sorted(two.items())),
+        same_diag=tuple((d, tuple(bs)) for d, bs in groups.items()),
         pair_rel=tuple(sorted(rel.items())),
         marker_side=tuple(sorted((b, s) for b, s in sides.items())),
-        placement=placement,
+        rows=tuple(sorted((b, row[b]) for b in two)),
     )
 
 
@@ -341,23 +338,34 @@ def enumerate_fillings(config: BoxConfig) -> List[Filling]:
     """All standard fillings, as value tuples on the positive boxes.  The
     list is shared by every caller of the same configuration: do not mutate
     it."""
-    return _fillings(config)
+    return _fillings(config)[0]
+
+
+def filling_contents(config: BoxConfig) -> List[Tuple[int, ...]]:
+    """Each filling's doubled contents (2wc_1, ..., 2wc_k), wc_j the
+    diagonal of the box holding label j, in `enumerate_fillings` order.
+    Shared like the listing: do not mutate it."""
+    return _fillings(config)[1]
 
 
 @lru_cache(maxsize=256)
-def _fillings(config: BoxConfig) -> List[Filling]:
-    """The listing, once per configuration.  The walk enters only ideals
-    whose count is nonzero, so every path it takes ends in a filling."""
+def _fillings(config: BoxConfig) -> Tuple[List[Filling], List[Tuple[int, ...]]]:
+    """The listing and its content table, once per configuration.  The walk
+    enters only ideals whose count is nonzero, so every path it takes ends
+    in a filling."""
     k = config.k
     steps, count = _ideal_walk(config)
-    results: List[Filling] = []
+    two = dict(config.diag)
+    results: List[Tuple[Filling, Tuple[int, ...]]] = []
     path: List[int] = []
 
     def rec(ideal: int) -> None:
         if len(path) == k:
             value = {x: v for v, x in enumerate(path, start=-k)}
             value.update({-x: -v for x, v in value.items()})
-            results.append(tuple(value[i] for i in range(1, k + 1)))
+            # S(x) = -j puts label j in box -x, on the diagonal -2d_x
+            results.append((tuple(value[i] for i in range(1, k + 1)),
+                            tuple(-two[x] for x in reversed(path))))
             return
         for x, nxt in steps(ideal):
             if count(nxt):
@@ -366,32 +374,23 @@ def _fillings(config: BoxConfig) -> List[Filling]:
                 path.pop()
 
     rec(0)
-    return sorted(results)
-
-
-def wc_vector(config: BoxConfig, filling: Filling) -> Dict[int, Fraction]:
-    """(wc)_j = diagonal of the box containing label j, for j in -k..-1,1..k."""
-    diag = dict(config.diag)
-    out: Dict[int, Fraction] = {}
-    for i, v in enumerate(filling, start=1):
-        out[v] = diag[i]
-        out[-v] = diag[-i]
-    return out
+    results.sort()
+    return [f for f, _ in results], [wc for _, wc in results]
 
 
 def is_skew(region: LocalRegion) -> bool:
-    """True iff every filling avoids the degenerate label coincidences."""
-    config = build_config(region)
-    k = config.k
-    for filling in enumerate_fillings(config):
-        wc = wc_vector(config, filling)
-        if wc[1] == 0:
+    """True iff every filling avoids the degenerate label coincidences:
+    with wc the doubled contents, indexed from 0 here, none of wc_1 = 0,
+    wc_2 = 0, wc_1 = -wc_2, wc_i = wc_(i+1), wc_i = wc_(i+2)."""
+    k = region.k
+    for wc in filling_contents(build_config(region)):
+        if wc[0] == 0:
             return False
-        if k >= 2 and (wc[2] == 0 or wc[1] == -wc[2]):
+        if k >= 2 and (wc[1] == 0 or wc[0] == -wc[1]):
             return False
-        if any(wc[i] == wc[i + 1] for i in range(1, k)):
+        if any(wc[i] == wc[i + 1] for i in range(k - 1)):
             return False
-        if any(wc[i] == wc[i + 2] for i in range(1, k - 1)):
+        if any(wc[i] == wc[i + 2] for i in range(k - 2)):
             return False
     return True
 
@@ -479,30 +478,31 @@ _BOUNDARY_CASES = {
 
 
 def vanishing_predicates(region: LocalRegion) -> dict:
-    """Per-idempotent report of the combinatorial annihilation conditions."""
+    """Per-idempotent report of the combinatorial annihilation conditions,
+    read from the doubled contents (indexed from 0 here): a content step of
+    1 is a step of 2, and the marked diagonals are 2r1 and 2r2."""
     config = build_config(region)
     fillings = enumerate_fillings(config)
     k = region.k
-    r1, r2 = region.params.r1, region.params.r2
     report = {"fillings": len(fillings)}
     witnesses = {}
 
-    wcs = [wc_vector(config, filling) for filling in fillings]
+    wcs = filling_contents(config)
     witnesses["p_i_111"] = next(
-        ((filling, i) for filling, wc in zip(fillings, wcs) for i in range(1, k - 1)
-         if not (wc[i] == wc[i + 1] - 1 or wc[i] == wc[i + 2] - 1
-                 or wc[i + 1] == wc[i + 2] - 1)), None)
+        ((filling, i + 1) for filling, wc in zip(fillings, wcs) for i in range(k - 2)
+         if not (wc[i] == wc[i + 1] - 2 or wc[i] == wc[i + 2] - 2
+                 or wc[i + 1] == wc[i + 2] - 2)), None)
     report["p_i_111"] = witnesses["p_i_111"] is None
 
     for name, pick in _BOUNDARY_CASES.items():
         if k < 2:
             report[name] = True
             continue
-        v1, v2 = pick(r1, r2)
+        v1, v2 = pick(2 * region.params.r1, 2 * region.params.r2)
         witnesses[name] = next(
             (filling for filling, wc in zip(fillings, wcs)
-             if not (wc[1] in (v1, v2) or wc[2] in (v1, v2)
-                     or wc[2] == wc[1] + 1 or wc[2] == -wc[1] + 1)), None)
+             if not (wc[0] in (v1, v2) or wc[1] in (v1, v2)
+                     or wc[1] == wc[0] + 2 or wc[1] == -wc[0] + 2)), None)
         report[name] = witnesses[name] is None
     report["is_tl_module"] = all(report[n] for n in
                                  ("p_i_111",) + tuple(_BOUNDARY_CASES))
@@ -519,7 +519,8 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[Loca
     the integer weights first, then the half-integer ones."""
     bound = _fr(diagonal_bound)
     found: List[LocalRegion] = []
-    for start in (Fraction(0), HALF):
+    # the empty weight vector is in both classes: list it once
+    for start in (Fraction(0), HALF) if k else (Fraction(0),):
         values = [start + n for n in range(floor(bound - start) + 1)]
         for c in combinations_with_replacement(values, k):
             _, pset = compute_root_sets(c, params)
@@ -541,21 +542,14 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[Loca
 # ---------------------------------------------------------------------------
 
 def render_config(config: BoxConfig) -> str:
-    """Grid rendering with one cell per box, labeled by box index."""
-    placement = dict(config.placement)
-    scale = 1 if all((c - r).denominator == 1 for _, (r, c) in config.placement) else 2
-    cells = {}
-    for b, (r, col) in placement.items():
-        cells[(int(r * scale) if scale == 2 else int(r), int(col * scale))] = b
+    """Grid rendering with one cell per box, labeled by box index; the
+    columns are doubled when a diagonal is a half-integer."""
+    two = dict(config.diag)
+    half = any(d % 2 for d in two.values())
+    cells = {(r, 2 * r + two[b] if half else r + two[b] // 2): b for b, r in config.rows}
     if not cells:
         return "(empty)"
     rows = sorted({r for r, _ in cells})
     cols = range(min(c for _, c in cells), max(c for _, c in cells) + 1)
-    lines = []
-    for r in rows:
-        line = []
-        for col in cols:
-            b = cells.get((r, col))
-            line.append("%4s" % (b if b is not None else "."))
-        lines.append("".join(line))
-    return "\n".join(lines)
+    return "\n".join("".join("%4s" % cells.get((r, col), ".") for col in cols)
+                     for r in rows)

@@ -828,6 +828,8 @@ def is_probable_prime(n: int) -> bool:
 
 def random_prime(bits: int, rng: random.Random) -> int:
     """Random prime with `bits` bits and p = 1 (mod 4), so that i exists mod p."""
+    if not isinstance(bits, int) or bits < 3:
+        raise ScalarError("no prime p = 1 (mod 4) has bits = %r < 3" % (bits,))
     while True:
         p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if p % 4 == 1 and is_probable_prime(p):

@@ -6,7 +6,8 @@ elements are written out here, as the paper states them, so that the tests
 can check the identities that link them to those relators: the idempotent
 normalizers, the four boundary idempotents, and the relators F_i and F_k.
 The plain left-to-right expansion of a word is kept here too, as the
-reference for the product order of `words.expand_to_tl`.
+reference for the product order of `words.expand_to_tl`, and the contents
+of a filling as Fractions, the reference for `regions.filling_contents`.
 """
 
 from blobalg import diagrams as dg
@@ -14,6 +15,19 @@ from blobalg import words as wd
 from blobalg.scalars import AK, U, U0, UK, bb
 
 G = wd.GenExpr.word
+
+
+def wc_vector(region, filling):
+    """(wc)_j = diagonal of the box containing label j, for j in -k..-1,1..k,
+    as a Fraction: box i sits on the diagonal c_i and box -i on -c_i."""
+    diag = {}
+    for i, ci in enumerate(region.c, start=1):
+        diag[i], diag[-i] = ci, -ci
+    out = {}
+    for i, v in enumerate(filling, start=1):
+        out[v] = diag[i]
+        out[-v] = diag[-i]
+    return out
 
 
 def expand_left_to_right(x):

@@ -395,7 +395,7 @@ class TestConstruction:
         region = rg.LocalRegion((F(7, 2), F(9, 2)), frozenset(), PARAMS)
         m = cb.build_module(cb.ModuleSpec(region))
         for col, w in enumerate(m.basis):
-            wc = rg.wc_vector(m.config, w)
+            wc = oracles.wc_vector(m.region, w)
             prod = z * Scalar.monomial(u=-int(2 * sum(wc[j] for j in range(1, m.k + 1))),
                                        coeff=((-1) ** m.k, 0))
             for i in range(1, m.k + 1):
@@ -422,6 +422,23 @@ class TestPresentation:
         for trials in (0, -1):
             with pytest.raises(cb.CalibError):
                 cb.check_presentation(m, trials=trials)
+
+    def test_bad_trials_refused_before_drawing(self, monkeypatch):
+        # 2.5 trials used to run 3 and report "trials": 2.5
+        monkeypatch.setattr(cb, "random_prime", lambda *_: pytest.fail("drew a prime"))
+        m = two_row_module(3, 2)
+        for trials in (2.5, "3", None):
+            with pytest.raises(cb.CalibError, match="trials >= 1"):
+                cb.check_presentation(m, trials=trials, exact=False)
+
+    def test_small_prime_bits_refused_before_drawing(self, monkeypatch):
+        # no prime p = 1 (mod 4) is below 4: prime_bits = 2 used to hang
+        monkeypatch.setattr(cb, "random_prime", lambda *_: pytest.fail("drew a prime"))
+        m = two_row_module(3, 2)
+        for bits in (2, 1, 0, -5, 12.0):
+            with pytest.raises(cb.CalibError, match="prime_bits"):
+                cb.check_presentation(m, trials=2, exact=False, prime_bits=bits)
+        assert cb.check_presentation(m, exact=True, prime_bits=2)["passed"]
 
     def test_perturbed_module_fails_quadratic(self):
         for at_zero in (False, True):
@@ -628,7 +645,7 @@ def reference_t_matrices(m):
         lam = m.spec.specialize(U0) if i == 0 else U
         mat = [{} for _ in range(m.n)]
         for col, w in enumerate(m.basis):
-            wc = rg.wc_vector(m.config, w)
+            wc = oracles.wc_vector(m.region, w)
             gamma = {j: -Scalar.monomial(u=int(2 * wc[j])) for j in wc}
             if i == 0:
                 g1i = gamma[1].inv()

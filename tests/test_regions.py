@@ -11,6 +11,8 @@ import pytest
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
 
+import oracles
+
 
 PARAMS = rg.RegionParams(F(3, 2), F(11, 2))
 
@@ -257,7 +259,8 @@ def _two_row_start_reference(region):
         if any(rg._two_row_rel(placement, root) != (root in region.J)
                for root in pset if root[0] != "e"):
             continue
-        diag = rg._box_diagonals(region)
+        diag = {b: ci if b > 0 else -ci
+                for i, ci in enumerate(c, start=1) for b in (i, -i)}
         by_diag, target = {}, {}
         for b in sorted(diag, key=lambda b: (diag[b], b)):
             by_diag.setdefault(diag[b], []).append(b)
@@ -336,6 +339,55 @@ class TestEnumeration:
         regions = rg.enumerate_regions(1, PARAMS, 2)
         keys = [(r.c, r.J) for r in regions]
         assert len(keys) == len(set(keys))
+
+    def test_empty_region_listed_once(self):
+        # the empty weight vector is both integral and half-integral
+        for bound in (0, 7):
+            regions = rg.enumerate_regions(0, PARAMS, bound)
+            assert [(r.c, r.J) for r in regions] == [((), frozenset())]
+
+
+class TestFillingContents:
+    """`filling_contents` against the Fraction definition of the contents,
+    `oracles.wc_vector`, doubled."""
+
+    @pytest.fixture(scope="class")
+    def regions(self):
+        out = [r for k in (2, 3) for r in rg.enumerate_regions(k, PARAMS, 7)]
+        out += rg.enumerate_regions(2, rg.RegionParams(1, 4), 7)
+        p63 = sw.SWParams(6, 3)
+        out += [sw.lambda_to_region(p63, k, l)[1] for k in range(8)
+                for _, l in sw.level_nodes(p63, k) if not sw.zero_multiplicity(p63, k, l)]
+        return out
+
+    def test_equals_the_fraction_reference(self, regions):
+        assert len(regions) > 400
+        fillings = 0
+        for region in regions:
+            config = rg.build_config(region)
+            listing = rg.enumerate_fillings(config)
+            want = [tuple(2 * oracles.wc_vector(region, f)[j] for j in range(1, region.k + 1))
+                    for f in listing]
+            got = rg.filling_contents(config)
+            assert got == want, region
+            assert all(type(x) is int for wc in got for x in wc)
+            fillings += len(listing)
+        assert fillings > 5000
+
+    def test_diagonals_doubled(self, regions):
+        for region in regions:
+            config = rg.build_config(region)
+            diag = dict(config.diag)
+            for i, ci in enumerate(region.c, start=1):
+                assert diag[i] == 2 * ci and diag[-i] == -2 * ci
+            assert all(type(d) is int and all(diag[b] == d for b in boxes)
+                       for d, boxes in config.same_diag)
+
+    def test_table_kept_with_the_listing(self):
+        config = rg.build_config(rg.LocalRegion((F(7, 2), F(9, 2), F(11, 2)),
+                                                frozenset(), PARAMS))
+        assert rg.filling_contents(config) is rg.filling_contents(config)
+        assert len(rg.filling_contents(config)) == len(rg.enumerate_fillings(config)) == 7
 
 
 class TestSerialization:

@@ -348,6 +348,13 @@ class TestPrimality:
         for n in (2 ** 61 - 1, 2 ** 64 - 59, 2 ** 89 - 1):
             assert sc.is_probable_prime(n) and twelve_base_is_prime(n)
 
+    def test_random_prime_refuses_fewer_than_three_bits(self):
+        # bits = 0 raised a bare ValueError; 1 and 2 looped forever
+        for bits in (2, 1, 0, -1, 3.0):
+            with pytest.raises(sc.ScalarError, match="bits"):
+                sc.random_prime(bits, random.Random(0))
+        assert {sc.random_prime(3, random.Random(s)) for s in range(20)} == {5}
+
     def test_trial_primes_are_pinned(self):
         # the primes random_prime draws from each seed, at both widths the
         # tests use; recorded with the twelve-base test

@@ -181,8 +181,9 @@ class TestLambdaToRegion:
             diag = dict(config.diag)
             first_row = sorted(diag[i] for i in range(1, k + 1))
             all_diags = sorted(v for _, v in config.diag)
-            assert all_diags[-1] == P63.r2 - 1 + k - l
-            assert all_diags[0] == -(P63.r2 - 1 + k - l)
+            # config.diag holds the doubled diagonals
+            assert all_diags[-1] == 2 * (P63.r2 - 1 + k - l)
+            assert all_diags[0] == -2 * (P63.r2 - 1 + k - l)
 
 
 class TestSpecialization:
