@@ -359,6 +359,8 @@ class CalibratedModule:
     """Exact generator matrices on the standard-filling basis."""
 
     def __init__(self, spec: ModuleSpec):
+        if spec.region.k < 1:  # no generator acts at k = 0
+            raise CalibError("a module needs k >= 1, got k=0")
         self.spec = spec
         self.region = spec.region
         self.k = spec.region.k

@@ -400,6 +400,38 @@ def _stack(x: TLDiagram, y: TLDiagram) -> Tuple[int, List[Tuple[str, int]], TLDi
 # basis enumeration
 # ---------------------------------------------------------------------------
 
+_CUT = 255  # the `_room` entry of a stretch that needs a same-wall arc
+
+
+@functools.lru_cache(maxsize=64)
+def _room(kinds: str) -> Tuple[bytes, ...]:
+    """The capacity table of a node pattern, given as its string of node
+    kinds: `room[lo][hi]` is the most wall-to-wall edges the stretch
+    [lo, hi) can hold, or `_CUT` if it cannot be matched without a
+    same-wall arc.  Rows are `bytes`, which keep every capacity of a
+    pattern of up to 508 points below `_CUT`.  `enumerate_basis` asks for
+    a pattern once per wall grade, grade after grade; 64 tables keep each
+    one until its last grade for every k <= 10."""
+    n = len(kinds)
+    # prefix counts: pre_l[i] = number of left-wall points among kinds[:i]
+    pre_l = [0] * (n + 1)
+    pre_r = [0] * (n + 1)
+    for i, kind in enumerate(kinds):
+        pre_l[i + 1] = pre_l[i] + (kind == "L")
+        pre_r[i + 1] = pre_r[i] + (kind == "R")
+    room = []
+    for lo in range(n + 1):
+        row = [_CUT] * (n + 1)
+        for hi in range(lo, n + 1):
+            nl = pre_l[hi] - pre_l[lo]
+            nr = pre_r[hi] - pre_r[lo]
+            half = (hi - lo) // 2
+            if nl <= half and nr <= half:
+                row[hi] = min(nl, nr)
+        room.append(bytes(row))
+    return tuple(room)
+
+
 def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
     """Partner tuples of the non-crossing perfect matchings of the node
     cycle with no same-wall arcs and exactly `target_lines` wall-to-wall
@@ -410,37 +442,34 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
     one wall cannot be matched without a same-wall arc, and a segment holds
     at most min(left points, right points) wall-to-wall edges, so a split
     that cannot reach `target_lines` is cut off before the search enters
-    it.  These capacities are read from a table of every range, built once
-    per call.  The output list is the same as that of the unpruned search.
+    it.  These capacities are read from `_room`, built once per node
+    pattern in a bounded cache.  A leading two-point segment has one
+    matching and is joined in place.  The output list is the same as that
+    of the unpruned search.
     """
     out: List[Tuple[int, ...]] = []
     n = len(nodes)
     partner = [0] * n
-    kinds = [nd[0] for nd in nodes]
-    # prefix counts: pre_l[i] = number of left-wall points among nodes[:i]
-    pre_l = [0] * (n + 1)
-    pre_r = [0] * (n + 1)
-    for i, kind in enumerate(kinds):
-        pre_l[i + 1] = pre_l[i] + (kind == "L")
-        pre_r[i + 1] = pre_r[i] + (kind == "R")
-
-    # room[lo][hi]: most wall-to-wall edges [lo, hi) can hold, or -1 if it
-    # cannot be matched without a same-wall arc
-    room = [[-1] * (n + 1) for _ in range(n + 1)]
-    for lo in range(n + 1):
-        for hi in range(lo, n + 1):
-            nl = pre_l[hi] - pre_l[lo]
-            nr = pre_r[hi] - pre_r[lo]
-            half = (hi - lo) // 2
-            if nl <= half and nr <= half:
-                room[lo][hi] = min(nl, nr)
+    kinds = "".join([nd[0] for nd in nodes])
+    room = _room(kinds)
 
     def rec(segments: Tuple[Tuple[int, int], ...], lines: int, cap: int) -> None:
-        # cap: most wall-to-wall edges the open segments can still hold
-        if not segments:
+        # cap: most wall-to-wall edges the open segments can still hold;
+        # a leading two-point segment has one matching, joined in place
+        while segments:
+            (lo, hi), rest = segments[0], segments[1:]
+            if hi - lo != 2:
+                break
+            edge = room[lo][hi]  # 1 if its pair joins the two walls, else 0
+            lines += edge
+            if lines > target_lines:
+                return
+            cap -= edge
+            partner[lo], partner[lo + 1] = lo + 1, lo
+            segments = rest
+        else:
             out.append(tuple(partner))
             return
-        (lo, hi), rest = segments[0], segments[1:]
         cap -= room[lo][hi]
         inner_room = room[lo + 1]
         ka = kinds[lo]
@@ -450,7 +479,7 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
             if a_wall and ka == kb:
                 continue
             inner, outer = inner_room[pos], room[pos + 1][hi]
-            if inner < 0 or outer < 0:
+            if inner == _CUT or outer == _CUT:
                 continue
             new_lines = lines + (a_wall and kb in ("L", "R"))
             if new_lines > target_lines \
@@ -465,7 +494,7 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
             rec(segs, new_lines, cap + inner + outer)
 
     whole = room[0][n]
-    if 0 <= target_lines <= whole:
+    if whole != _CUT and 0 <= target_lines <= whole:
         rec(((0, n),) if n else (), 0, whole)
     return out
 

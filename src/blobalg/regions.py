@@ -383,6 +383,8 @@ def is_skew(region: LocalRegion) -> bool:
     with wc the doubled contents, indexed from 0 here, none of wc_1 = 0,
     wc_2 = 0, wc_1 = -wc_2, wc_i = wc_(i+1), wc_i = wc_(i+2)."""
     k = region.k
+    if not k:
+        return True  # no label, so no coincidence
     for wc in filling_contents(build_config(region)):
         if wc[0] == 0:
             return False
@@ -457,8 +459,12 @@ def two_row_start(region: LocalRegion) -> Optional[Fraction]:
     """The first-row start c0 whose two-row region, with the region's own
     marker roots, is the region, or None when the region is not a two-row
     shape.  The largest diagonal c_k ends the first row (c0 = c_k - (k-1))
-    or starts the second (c0 = -c_k), so these two starts are tried."""
+    or starts the second (c0 = -c_k), so these two starts are tried.  The
+    k = 0 region is the empty shape, which every start rebuilds: its start
+    is 0."""
     k, c = region.k, region.c
+    if not k:
+        return Fraction(0)
     markers = [r for r in region.J if r[0] == "e"]
     for c0 in (c[-1] - (k - 1), -c[-1]):
         try:

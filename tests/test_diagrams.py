@@ -95,6 +95,21 @@ _SEEDED_PRODUCTS_SHA256 = "8b44bd856d83927ad3b96809b4736c1dd1138a8f3643b38c37d6b
 # recorded when the basis was sorted by its node pairs (commit 3bed3be)
 _BASIS_ORDER_SHA256 = "2c7fd88a3d6eb70696aeae444b7f8a9dc29646ac906c3a5cc5fb612a12821015"
 
+# sha256 per (k, w) of the lines "L R partner-tuple" of `enumerate_basis(k, {w})`,
+# recorded before the capacity tables were shared between calls (commit 4faaab0)
+_BASIS_K56_SHA256 = {
+    (5, 0): "6389ce2e4b0910fc6230ca8fb0135acfaaeddee8c04ded59edc55a2805a369ca",
+    (5, 1): "66068742d185c2d198067b3cbdfa1e80aaf29f3f0b52071e4566c3959931e5ec",
+    (5, 2): "3336ec611034389ac4cd05d5f02ab0a1f4de416f5b2170caf8595f1b067ba7a8",
+    (5, 3): "2119f8ea36d6cdff500a113b78ce0322fbca1bd7eaa9712aedf425d4fc7ab8c3",
+    (5, 4): "73213ac569ea4729cfea052cb8d35c927dc675803903ffba8ac5049296c9e757",
+    (6, 0): "03ec6438365f307f9dd20769aa20bb3417f0e54fbe3b8d9a0fd2b7d42ba96aaa",
+    (6, 1): "0708ba5640eb601b3e8ad4b5e72160fa3fdf1b7279ea12f1f03597e5c9d01b79",
+    (6, 2): "27704fb0027f38b8af0277e5bb2264f7e9d6bb8a407f71a79530b36002ccce6d",
+    (6, 3): "67cbd30db0b6778239023ca53ad936e3f242fc8d9d7447c3e360435aeb577253",
+    (6, 4): "26db2703e56d92bc9c40a36bb880ff7ca4f25ff3938fdd6a98e0728721787a1a",
+}
+
 
 class TestUncheckedBuilders:
     """The basis search and the product build diagrams without the checks
@@ -393,6 +408,61 @@ class TestEnumeration:
                     basis = dg.enumerate_basis(k, grades)
                     digest.update(("\n".join(repr(d) for d in basis) + "\n\n").encode())
         assert digest.hexdigest() == _BASIS_ORDER_SHA256
+
+    def test_basis_k5_k6_digests(self):
+        # past the reach of the unpruned reference search (k <= 4)
+        for (k, w), want in _BASIS_K56_SHA256.items():
+            digest = hashlib.sha256()
+            for d in dg.enumerate_basis(k, {w}):
+                digest.update(("%d %d %s\n" % (d.L, d.R, d.partner)).encode())
+            assert digest.hexdigest() == want, (k, w)
+
+
+@pytest.fixture
+def fresh_room():
+    dg._room.cache_clear()
+    yield
+    dg._room.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_room")
+class TestRoomTables:
+    def test_cold_and_cached_tables_agree(self):
+        for k in range(1, 5):
+            for L in range(0, 2 * k + 5, 2):
+                for R in range(0, 2 * k + 5, 2):
+                    nodes = dg._boundary_order(k, L, R)
+                    for w in range(0, 5):
+                        dg._room.cache_clear()
+                        cold = dg._matchings(nodes, w)
+                        assert dg._room.cache_info().misses == 1
+                        assert dg._matchings(nodes, w) == cold, (k, L, R, w)
+                        assert dg._room.cache_info().hits == 1
+
+    def test_one_table_per_pattern(self):
+        # the pattern (k, L, R) = (3, 2, 2) at two grades: built once
+        nodes = dg._boundary_order(3, 2, 2)
+        dg._matchings(nodes, 0)
+        dg._matchings(nodes, 2)
+        info = dg._room.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # grades 0..4 at k = 3 ask for 24 patterns 42 times
+        dg._room.cache_clear()
+        dg.enumerate_basis(3, range(5))
+        info = dg._room.cache_info()
+        assert (info.misses, info.hits) == (24, 42 - 24)
+
+    def test_dims_k8_within_bound(self, capsys):
+        from blobalg import cli
+        assert cli.main(["dims", "--k", "8", "--max-k", "8", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)[-1]
+        assert row == {"k": 8, "blob_dim": 97287,
+                       "per_grade": {"0": 66969, "1": 30318, "2": 35218,
+                                     "3": 30318, "4": 35218}}
+        info = dg._room.cache_info()
+        # the 324 patterns of k = 1..8 are each built once, 64 at most kept
+        assert info.maxsize == 64 and info.currsize == 64
+        assert info.misses == 324
 
 
 def _clear_caches():

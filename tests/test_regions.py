@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from blobalg import calib as cb
 from blobalg import regions as rg
 from blobalg import schurweyl as sw
 
@@ -345,6 +346,26 @@ class TestEnumeration:
         for bound in (0, 7):
             regions = rg.enumerate_regions(0, PARAMS, bound)
             assert [(r.c, r.J) for r in regions] == [((), frozenset())]
+
+
+class TestEmptyRegion:
+    def test_k0_regions(self):
+        # the one region `enumerate_regions` lists at k = 0, and the region
+        # of each level-0 node of (a, b) = (6, 3): one filling, no label
+        params = sw.SWParams(6, 3)
+        regions = rg.enumerate_regions(0, PARAMS, 5)
+        regions += [sw.lambda_to_region(params, 0, lam[1])[1]
+                    for lam in sw.level_nodes(params, 0)]
+        assert len(regions) == 5
+        for region in regions:
+            assert region.k == 0
+            assert rg.enumerate_fillings(rg.build_config(region)) == [()]
+            assert rg.is_skew(region)
+            assert rg.two_row_start(region) == 0
+            assert rg.vanishing_predicates(region)["is_tl_module"] is True
+            assert rg.is_tl_shape(region) is True
+            with pytest.raises(cb.CalibError, match="k >= 1"):
+                cb.build_module(cb.ModuleSpec(region))
 
 
 class TestFillingContents:
