@@ -95,6 +95,16 @@ that fails mod p_t at the point is missed with probability at most
 added, and z and y mod p_t are the trial's own residues, so a witness
 replays over `m.over(ModRing(p_t, point_t))`.
 
+Idempotent nullity decides each quotient relator R against zero, and every
+verdict is exact.  A non-vanishing R is certified by a nonzero number
+v R w over one witness ring, Z/p for a 30-bit prime p at a point, both
+drawn once per process from a fixed seed: evaluation at the point is a
+ring homomorphism on everything it lifts, so a nonzero residue proves
+R != 0, with no error bound.  A relator that reads zero there (or every
+relator, where a lift raises `EvalRetry`) is proved vanishing, or not,
+exactly from the unit rows.  The witness ring keeps every residue it
+lifts, so the modules of a chart evaluate each shared entry once.
+
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
 at most two nonzeros per column, so products cost per nonzero entry.  Entries
@@ -677,6 +687,17 @@ def _relations(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
     return tuple(rels)
 
 
+@functools.cache
+def _relators(k: int) -> Tuple[Tuple[str, wd.GenExpr, wd.GenExpr], ...]:
+    """The quotient relators of `words` as identities (name, relator, 0):
+    the inner idempotent numerators p_i_111, and F0 and F0v for k >= 2."""
+    relators = [("p_%d_111" % i, wd.inner_numerator(k, i)) for i in range(1, k - 1)]
+    if k >= 2:
+        relators += [("p0_pair", wd.f_element("F0", k)), ("p0v_pair", wd.f_element("F0v", k))]
+    zero = wd.GenExpr.zero(k)
+    return tuple((name, expr, zero) for name, expr in relators)
+
+
 def _reduced(k: int, lhs: wd.GenExpr, rhs: wd.GenExpr):
     """The relation lhs = rhs rewritten without the dense T_k, as a pair of
     expressions; None for a relation without T_k, or one that neither
@@ -758,6 +779,16 @@ def _differing(m: CalibratedModule, identities, starts=None, column=None) -> set
     return failed
 
 
+def _freivalds(m: CalibratedModule) -> Tuple[List[Dict[int, int]], List[int]]:
+    """The start rows [v] and the end column w over m's `ModRing` that decide
+    an identity as one number v D w per side: v = (1, z, ..., z^(n-1)) and
+    w = (1, y, ..., y^(n-1)), z and y the point's a0 and ak residues."""
+    ring = m.ring
+    z, y = ring.point["a0"], ring.point["ak"]
+    return ([ring.row({j: pow(z, j, ring.p) for j in range(m.n)})],
+            [pow(y, j, ring.p) for j in range(m.n)])
+
+
 def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     """The names of the relations that fail on m, in order, and of those
     decided on their reduced form (`_reduced`); each relation is evaluated
@@ -778,14 +809,10 @@ def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     z and y the point's a0 and ak residues, which no entry, shift or
     coefficient of the presentation reads; a relation that fails mod p_t
     is missed with probability at most 2(n - 1)/(p_t - 3)."""
-    k, ring = m.k, m.ring
+    k = m.k
     rels = _relations(k)
     reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
-    starts = column = None
-    if isinstance(ring, ModRing):
-        z, y = ring.point["a0"], ring.point["ak"]
-        starts = [ring.row({j: pow(z, j, ring.p) for j in range(m.n)})]
-        column = [pow(y, j, ring.p) for j in range(m.n)]
+    starts, column = _freivalds(m) if isinstance(m.ring, ModRing) else (None, None)
     failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None], starts, column)
     c, _, c_inv = _tk_factors(k)
     use = not failed and c_inv == tuple((kind, i, -power) for kind, i, power in c[::-1])
@@ -922,6 +949,57 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
 # idempotent nullity, central character, b-constant
 # ---------------------------------------------------------------------------
 
+_WITNESS_KEPT = 1 << 14
+
+
+class _WitnessRing(ModRing):
+    """Z/p at one point, keeping the residue of every `Scalar` it lifts, so
+    the modules of a chart, which share most entries and every relator
+    coefficient, evaluate each one once.  The kept residues are dropped
+    when there are more than `_WITNESS_KEPT` of them."""
+
+    def __init__(self, p: int, point: Dict[str, int]):
+        super().__init__(p, point)
+        self._residues: Dict[Scalar, int] = {}
+
+    def lift(self, x: Scalar) -> int:
+        if x not in self._residues:
+            self._residues[x] = super().lift(x)
+        return self._residues[x]
+
+    def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
+        kept = self._residues
+        if len(kept) > _WITNESS_KEPT:
+            kept.clear()
+        new = [x for x in entries if x not in kept]
+        if new:
+            kept.update(zip(new, super().lift_many(new)))
+        return [kept[x] for x in entries]
+
+
+@functools.cache
+def _witness_ring() -> ModRing:
+    """The one witness ring of the process: a 30-bit prime p = 1 (mod 4)
+    and a point, drawn from a fixed seed."""
+    rng = random.Random(0)
+    p = random_prime(30, rng)
+    return _WitnessRing(p, random_point(p, rng))
+
+
+def _witnessed(m: CalibratedModule, identities) -> set:
+    """The names of the identities whose sides differ at the witness point:
+    each side D is the number v D w over `m.over(_witness_ring())`
+    (`_freivalds`).  Evaluation at the point is a ring homomorphism on
+    every entry and coefficient it lifts, so a nonzero difference there
+    proves the two sides differ exactly.  Empty when a lift raises
+    `EvalRetry`: the point then gives some entry no value."""
+    try:
+        lifted = m.over(_witness_ring())
+        return _differing(lifted, identities, *_freivalds(lifted))
+    except EvalRetry:
+        return set()
+
+
 def idempotent_nullity(m: CalibratedModule) -> dict:
     """Evaluate the quotient relators of `words` (the inner idempotent
     numerators, F0 and F0v); all zero iff the module factors through the
@@ -931,18 +1009,18 @@ def idempotent_nullity(m: CalibratedModule) -> dict:
     relators F0 and F0v up to the unit factors [[t0]] and [[tk]], so the
     pairs are decided on the relators (the equality is pinned by tests).
 
-    Each relator is decided against zero from the unit rows (`_differing`),
-    e_r times the relator for r = 0, 1, ..., n-1, exactly: it does not
-    vanish at its first nonzero row, and it vanishes once every row is zero."""
-    relators = {}
-    for i in range(1, m.k - 1):
-        relators["p_%d_111" % i] = wd.inner_numerator(m.k, i)
-    if m.k >= 2:
-        relators["p0_pair"] = wd.f_element("F0", m.k)
-        relators["p0v_pair"] = wd.f_element("F0v", m.k)
-    zero = wd.GenExpr.zero(m.k)
-    nonzero = _differing(m, [(name, expr, zero) for name, expr in relators.items()])
-    vanish = {name: name not in nonzero for name in relators}
+    A relator R is certified non-vanishing by a nonzero residue v R w at
+    the one fixed witness point (`_witnessed`), with no error bound: a
+    matrix that is zero reads zero under the evaluation homomorphism.
+    Every other relator, or all of them where a lift raises `EvalRetry`,
+    is decided against zero from the unit rows (`_differing`), e_r times
+    the relator for r = 0, 1, ..., n-1, exactly: it does not vanish at its
+    first nonzero row, and it vanishes once every row is zero.  So every
+    verdict is exact."""
+    identities = _relators(m.k)
+    nonzero = _witnessed(m, identities)
+    nonzero |= _differing(m, [rel for rel in identities if rel[0] not in nonzero])
+    vanish = {name: name not in nonzero for name, _, _ in identities}
     return {"vanish": vanish, "is_tl_module": all(vanish.values())}
 
 

@@ -1475,18 +1475,29 @@ class TestRowByRowNullity:
     equal the full-matrix oracle's, and every row is the full matrix's."""
 
     def assert_oracle(self, regions):
+        """The verdicts equal the oracle's, and every relator the witness
+        pass names is non-vanishing by it.  Returns the number of relators
+        the witness names and the number that do not vanish."""
+        named = nonzero = 0
         for region in regions:
             m = cb.build_module(cb.ModuleSpec(region))
             rep = cb.idempotent_nullity(m)
             want = reference_nullity(m)
             assert rep["vanish"] == want, region
             assert rep["is_tl_module"] == all(want.values()), region
+            witnessed = cb._witnessed(m, cb._relators(m.k))
+            assert not any(want[name] for name in witnessed), (region, witnessed)
+            named += len(witnessed)
+            nonzero += sum(not v for v in want.values())
+        return named, nonzero
 
     @pytest.mark.parametrize("r1, r2, count", [(F(3, 2), F(11, 2), 34), (1, 4, 40)])
     def test_rank2_charts_match_oracle(self, r1, r2, count):
         regions = skew_regions(2, r1, r2, 5)
         assert len(regions) == count
-        self.assert_oracle(regions)
+        # the witness names every non-vanishing relator of the chart
+        nonzero = {34: 48, 40: 54}[count]
+        assert self.assert_oracle(regions) == (nonzero, nonzero)
 
     def test_rank3_sample_matches_oracle(self):
         # all 9 quotient regions of the rank-3 chart at bound 5, and a
@@ -1495,7 +1506,25 @@ class TestRowByRowNullity:
         quotient = [r for r in regions if rg.is_tl_shape(r)]
         others = [r for r in regions if not rg.is_tl_shape(r)]
         assert len(regions) == 70 and len(quotient) == 9
-        self.assert_oracle(quotient + random.Random(3).sample(others, 8))
+        named, nonzero = self.assert_oracle(quotient + random.Random(3).sample(others, 8))
+        assert named == nonzero
+        # the chart has 177 non-vanishing relators (TestPinnedVerdicts pins
+        # the verdicts), and the witness names them all
+        assert sum(len(cb._witnessed(cb.build_module(cb.ModuleSpec(r)), cb._relators(3)))
+                   for r in regions) == 177
+
+    def test_exact_when_the_witness_cannot_lift(self, monkeypatch):
+        # a witness point where every lift raises EvalRetry names nothing,
+        # and every relator is decided exactly from the unit rows
+        class Unliftable(cb.ModRing):
+            def lift(self, x):
+                raise EvalRetry("forced", 0)
+
+            lift_many = lift
+
+        ring = cb._witness_ring()
+        monkeypatch.setattr(cb, "_witness_ring", lambda: Unliftable(ring.p, ring.point))
+        assert self.assert_oracle(skew_regions(2, F(3, 2), F(11, 2), 5)) == (0, 48)
 
     def modules(self):
         yield cb.build_module(cb.ModuleSpec(rg.LocalRegion(
