@@ -22,24 +22,28 @@ family via T_{k-1} ... T_1 (W_1 T_0^-1) T_1^-1 ... T_{k-1}^-1.
 
 Matrix arithmetic runs over a coefficient ring: `EXACT` (Scalars) or
 `ModRing(p, point)`; a ring only reduces, compares with zero, builds rows
-and lifts, and never divides.  `m.over(ring)` is the module with its T, W
-and shifts u - 1/u, u0 - 1/u0, uk - 1/uk lifted into the ring; over Z/p
-the distinct entries of T and W and the shifts take one modular inverse
-between them (`ModRing.lift_many`): `eval_mod` gives each numerator with
-its negative exponents cleared, each distinct denominator factorization
-once and the residue of each variable those exponents need, and the
-denominators and those residues are inverted together.
+and lifts, and never divides.  A `ModRing` is the one owner of lifted
+values: it keeps the residue of every `Scalar` it lifts, so each distinct
+one is evaluated once however many modules read it.  `m.over(ring)` is
+the module with its T and W lifted into the ring, in one `lift_many`
+together with the shifts u - 1/u, u0 - 1/u0, uk - 1/uk and their
+negatives; over Z/p the values not yet kept take one modular inverse
+between them: `eval_mod` gives each numerator with its negative exponents
+cleared, each distinct denominator factorization once and the residue of
+each variable those exponents need, and the denominators and those
+residues are inverted together.
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words`; the letter W(j) is the diagonal
 W_j, and every T or E letter is built from its index's T matrix and the
-one letter table `words.letter_data`.  There is one product path: a start
-row v times the word's letters, one sparse letter at a time, T_k as its
-word, keeping v times each prefix; a whole matrix is the unit rows
-e_0 .. e_(n-1) in turn.  Every matrix identity (a relation, a relator
-against zero, I1 I2 I1 = b I1) is decided as v lhs = v rhs over a list
-of start rows (`_differing`); over the unit rows, that is matrix equality.
-A modular relation check also takes an end column w and compares the
-numbers v lhs w and v rhs w (`_value`).
+one letter table `words.letter_data` (T_k, which only T_k^-1 and E_k
+read, as the product of its word's letter matrices).  There is one
+product path: a start row v times the word's letters, one sparse letter
+at a time, T_k as its word, keeping v times each prefix; a whole matrix
+is the unit rows e_0 .. e_(n-1) in turn.  Every matrix identity (a
+relation, a relator against zero, I1 I2 I1 = b I1) is decided by
+`_differing`, from the ring alone: over the exact ring as v lhs = v rhs
+for every unit row v, that is, matrix equality; over Z/p as the numbers
+v lhs w and v rhs w for one start row v and one end column w (`_value`).
 The central character z is read off the diagonals of the W_i.
 
 Each relation is a pair of generator expressions (`_relations`), which a
@@ -102,8 +106,8 @@ drawn once per process from a fixed seed: evaluation at the point is a
 ring homomorphism on everything it lifts, so a nonzero residue proves
 R != 0, with no error bound.  A relator that reads zero there (or every
 relator, where a lift raises `EvalRetry`) is proved vanishing, or not,
-exactly from the unit rows.  The witness ring keeps every residue it
-lifts, so the modules of a chart evaluate each shared entry once.
+exactly from the unit rows.  The witness ring is one `ModRing` for the
+process, so the modules of a chart evaluate each shared entry once.
 
 A matrix is a list of rows, each row a dict {column: entry} holding only the
 nonzero entries, reduced in the ring.  The W_i are diagonal and each T_i has
@@ -170,12 +174,17 @@ class ExactRing:
 EXACT = ExactRing()
 
 
+_KEPT = 1 << 14  # the lifts a `ModRing` keeps before it drops them all
+
+
 class ModRing:
     """Z/p, for p a prime or a product of distinct primes, with a `Scalar`
     lifted by evaluation at `point` (residues for the variables and for i).
     Matrix entries are kept reduced to 0..p-1.  Lifting a `Scalar` whose
     denominator has no value at the point raises `EvalRetry` carrying the
-    residue."""
+    residue.  The ring keeps the lift of every `Scalar` it lifts, so each
+    distinct one is evaluated once, however many modules are lifted into
+    it; the kept lifts are dropped once there are `_KEPT` of them."""
 
     zero = 0
     one = 1
@@ -183,6 +192,7 @@ class ModRing:
     def __init__(self, p: int, point: Dict[str, int]):
         self.p = p
         self.point = point
+        self._kept: Dict[Scalar, int] = {}
 
     def reduce(self, x: int) -> int:
         return x % self.p
@@ -197,18 +207,34 @@ class ModRing:
         return {j: r for j, v in entries.items() if (r := v % p)}
 
     def lift(self, x: Scalar) -> int:
-        return eval_mod(x, self.p, self.point)
+        kept = self._kept
+        v = kept.get(x)
+        if v is None:
+            if len(kept) >= _KEPT:
+                kept.clear()
+            v = kept[x] = eval_mod(x, self.p, self.point)
+        return v
 
     def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
-        """`lift` of each entry with one modular inverse for them all.  An
-        entry is n / (q u^s) for polynomials n and q: q its denominator
-        multiplied out, and u^s the monomial that clears the negative
-        exponents of its numerator (in any variable).  `eval_mod` gives
-        each n, each distinct factorization q once, and the residue of each
-        variable that some s needs; the values of the q and those residues
-        are inverted together (Montgomery's trick).  When their product is
-        not a unit, the entries are lifted one by one in order, so the
-        `EvalRetry` carries the residue that `lift` gives."""
+        """`lift` of each entry, with one modular inverse for those not
+        kept.  An entry is n / (q u^s) for polynomials n and q: q its
+        denominator multiplied out, and u^s the monomial that clears the
+        negative exponents of its numerator (in any variable).  `eval_mod`
+        gives each n, each distinct factorization q once, and the residue
+        of each variable that some s needs; the values of the q and those
+        residues are inverted together (Montgomery's trick).  When their
+        product is not a unit, the entries are lifted one by one in order,
+        so the `EvalRetry` carries the residue that `lift` gives."""
+        kept = self._kept
+        if len(kept) >= _KEPT:
+            kept.clear()
+        new = list(dict.fromkeys(x for x in entries if x not in kept))
+        if new:
+            kept.update(zip(new, self._lift_together(new)))
+        return [kept[x] for x in entries]
+
+    def _lift_together(self, entries: List[Scalar]) -> List[int]:
+        """The lifts of the distinct `entries`, none of them kept."""
         p, point = self.p, self.point
         try:
             dens: Dict[tuple, int] = {(): 1}  # factorization -> its value
@@ -243,7 +269,7 @@ class ModRing:
                     scale[q, shift] = factor
             return [n * scale[q, shift] % p for n, q, shift in parts]
         except EvalRetry:
-            return [self.lift(x) for x in entries]
+            return [eval_mod(x, p, point) for x in entries]
 
 
 def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
@@ -386,7 +412,7 @@ class CalibratedModule:
         self._images = spec.boundary_images()
         self.W = [self._w_matrix(i) for i in range(1, self.k + 1)]
         self.T = {i: self._t_matrix(i) for i in range(self.k)}
-        self.ring, self._lifted = EXACT, {}
+        self.ring = EXACT
         self._letters: Dict[wd.Letter, Matrix] = {}
         self._rows: Dict[wd.Word, Matrix] = {}  # v times each prefix, () -> [v]
         self._columns: Dict[wd.Letter, list] = {}  # each letter times w, () -> w
@@ -394,35 +420,28 @@ class CalibratedModule:
     def over(self, ring) -> "CalibratedModule":
         """A copy with no letters built whose T and W are the module's as they
         are now, lifted into `ring` by one `lift_many` together with the
-        shifts u - 1/u, u0 - 1/u0 and uk - 1/uk, each distinct entry once
-        and each distinct denominator evaluated once; the negated shifts are
-        read off the shifts, which are specialized at the images the spec
-        computed once.  Its letters and words
-        read coefficients through `_coeff`, which lifts any other one there
-        once, so lifting is the only step of their evaluation that can
+        shifts u - 1/u, u0 - 1/u0 and uk - 1/uk and their negatives, which
+        the relations read, specialized at the images the spec computed
+        once.  Over Z/p the ring keeps what it lifts, so each distinct
+        entry is evaluated once, and `_coeff` reads the shifts back from the
+        ring; lifting is the only step of the copy's evaluation that can
         raise `EvalRetry`."""
-        index: Dict[Scalar, int] = {}
-        shapes = [[{j: index.setdefault(x, len(index)) for j, x in row.items()}
-                   for row in mat] for mat in (*self.T.values(), *self.W)]
+        mats = (*self.T.values(), *self.W)
         shifts = [self.spec.specialize(x) for x in _SHIFT.values()]
-        values = ring.lift_many(list(index) + shifts)
-        lifted = [[ring.row({j: values[e] for j, e in row.items()}) for row in mat]
-                  for mat in shapes]
+        values = iter(ring.lift_many([x for mat in mats for row in mat for x in row.values()]
+                                     + shifts + [-x for x in shifts]))
+        lifted = [[ring.row({j: next(values) for j in row}) for row in mat] for mat in mats]
         out = copy.copy(self)
-        out.ring, out._lifted = ring, {}
-        for x, v in zip(shifts, values[len(index):]):
-            out._lifted[x], out._lifted[-x] = v, ring.reduce(-v)
+        out.ring = ring
         out.T = dict(zip(self.T, lifted))
         out.W = lifted[len(self.T):]
         out._letters, out._rows, out._columns = {}, {}, {}
         return out
 
     def _coeff(self, c: Scalar):
-        """The coefficient c at the boundary parameters, in the ring."""
-        x = self.spec.specialize(c)
-        if x not in self._lifted:
-            self._lifted[x] = self.ring.lift(x)
-        return self._lifted[x]
+        """The coefficient c at the boundary parameters, lifted into the
+        ring, which keeps it over Z/p."""
+        return self.ring.lift(self.spec.specialize(c))
 
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
@@ -473,9 +492,9 @@ class CalibratedModule:
 
     def _letter(self, letter) -> Matrix:
         """A letter's matrix, built once per module: W_j, and for a T or E
-        letter from its index's T (T_k as the unit rows times its word
-        `_tk_word`) and `words.letter_data`: T^-1 = T - (x - 1/x) and
-        E = (T - x) / a."""
+        letter from its index's T (T_k as the product of its word's letter
+        matrices, `_tk_word`) and `words.letter_data`: T^-1 = T - (x - 1/x)
+        and E = (T - x) / a."""
         if letter in self._letters:
             return self._letters[letter]
         kind, index, power = letter
@@ -485,11 +504,8 @@ class CalibratedModule:
         else:
             x, a, _ = wd.letter_data(index)
             if index == "k":
-                # T_k from the unit rows on a memo of its own, so that a word
-                # whose E_k builds it keeps its prefixes
-                rows, self._rows = self._rows, {}
-                base = self.evaluate_word(wd.GenExpr.word(self.k, _tk_word(self.k)))
-                self._rows = rows
+                base = functools.reduce(lambda a, b: mat_mul(a, b, ring),
+                                        map(self._letter, _tk_word(self.k)))
             else:
                 base = self.T[int(index)]
             if kind == "E":
@@ -582,11 +598,11 @@ def symmetric_form(m: CalibratedModule, ring=EXACT):
     g_a T[a][b] / T[b][a] is kept as a pair, so nothing is inverted; then
     every entry must satisfy N_a D_b T[a][b] = T[b][a] N_b D_a.  The zero
     pattern is read from the exact matrices, so over GF(p) None is certain
-    and only a form can be wrong (where an entry vanishes at the point)."""
+    and only a form can be wrong (where an entry vanishes at the point).
+    Over GF(p) the ring keeps each entry it lifts, so each is lifted once."""
     if any(a not in t[b] for t in m.T.values() for a, row in enumerate(t) for b in row):
         return None
-    lift = functools.cache(ring.lift)
-    edges = [[(b, lift(x), lift(t[b][a])) for t in m.T.values()
+    edges = [[(b, ring.lift(x), ring.lift(t[b][a])) for t in m.T.values()
               for b, x in t[a].items() if b != a] for a in range(m.n)]
     form: list = [None] * m.n
     for root in range(m.n):
@@ -761,32 +777,32 @@ def _tk_factors(k: int) -> Tuple[wd.Word, wd.Word, wd.Word]:
             tuple(wd.T(i, -1) for i in range(1, k)))
 
 
-def _differing(m: CalibratedModule, identities, starts=None, column=None) -> set:
+def _differing(m: CalibratedModule, identities) -> set:
     """The names of the identities (name, lhs, rhs) whose two sides differ
-    on m from some start row v: v lhs != v rhs; by default from the unit
-    rows e_0 .. e_(n-1), that is, as matrices.  With an end column w, the
-    two sides are the numbers v lhs w and v rhs w (`_value`).  The start
-    rows are the outer loop, so the words evaluated from one v share its
-    prefixes; an identity that failed is not evaluated again."""
-    def side(expr, v):
-        return m.evaluate_word(expr, v) if column is None else m._value(expr, v, column)
+    on m.  Over the exact ring, from some unit row e_r: e_r lhs != e_r rhs,
+    that is, as matrices.  Over a `ModRing` (Freivalds), as the numbers
+    v lhs w and v rhs w (`_value`), for the start row v = (1, z, ...,
+    z^(n-1)) and the end column w = (1, y, ..., y^(n-1)), z and y the
+    point's a0 and ak residues.  The start rows are the outer loop, so the
+    words evaluated from one v share its prefixes; an identity that failed
+    is not evaluated again."""
+    ring = m.ring
+    if isinstance(ring, ModRing):
+        z, y = ring.point["a0"], ring.point["ak"]
+        starts = [ring.row({j: pow(z, j, ring.p) for j in range(m.n)})]
+        column = [pow(y, j, ring.p) for j in range(m.n)]
 
+        def side(expr, v):
+            return m._value(expr, v, column)
+    else:
+        starts = ({j: ring.one} for j in range(m.n))
+        side = m.evaluate_word
     failed = set()
-    for v in starts or ({j: m.ring.one} for j in range(m.n)):
+    for v in starts:
         for name, lhs, rhs in identities:
             if name not in failed and side(lhs, v) != side(rhs, v):
                 failed.add(name)
     return failed
-
-
-def _freivalds(m: CalibratedModule) -> Tuple[List[Dict[int, int]], List[int]]:
-    """The start rows [v] and the end column w over m's `ModRing` that decide
-    an identity as one number v D w per side: v = (1, z, ..., z^(n-1)) and
-    w = (1, y, ..., y^(n-1)), z and y the point's a0 and ak residues."""
-    ring = m.ring
-    z, y = ring.point["a0"], ring.point["ak"]
-    return ([ring.row({j: pow(z, j, ring.p) for j in range(m.n)})],
-            [pow(y, j, ring.p) for j in range(m.n)])
 
 
 def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
@@ -812,13 +828,12 @@ def _failing(m: CalibratedModule) -> Tuple[List[str], List[str]]:
     k = m.k
     rels = _relations(k)
     reduced = {name: _reduced(k, lhs, rhs) for name, lhs, rhs in rels}
-    starts, column = _freivalds(m) if isinstance(m.ring, ModRing) else (None, None)
-    failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None], starts, column)
+    failed = _differing(m, [rel for rel in rels if reduced[rel[0]] is None])
     c, _, c_inv = _tk_factors(k)
     use = not failed and c_inv == tuple((kind, i, -power) for kind, i, power in c[::-1])
     rest = [(name, *reduced[name]) if use else (name, lhs, rhs)
             for name, lhs, rhs in rels if reduced[name] is not None]
-    failed |= _differing(m, rest, starts, column)
+    failed |= _differing(m, rest)
     return ([name for name, _, _ in rels if name in failed],
             [name for name, form in reduced.items() if use and form is not None])
 
@@ -949,53 +964,26 @@ def check_presentation(m: CalibratedModule, trials: int = 10,
 # idempotent nullity, central character, b-constant
 # ---------------------------------------------------------------------------
 
-_WITNESS_KEPT = 1 << 14
-
-
-class _WitnessRing(ModRing):
-    """Z/p at one point, keeping the residue of every `Scalar` it lifts, so
-    the modules of a chart, which share most entries and every relator
-    coefficient, evaluate each one once.  The kept residues are dropped
-    when there are more than `_WITNESS_KEPT` of them."""
-
-    def __init__(self, p: int, point: Dict[str, int]):
-        super().__init__(p, point)
-        self._residues: Dict[Scalar, int] = {}
-
-    def lift(self, x: Scalar) -> int:
-        if x not in self._residues:
-            self._residues[x] = super().lift(x)
-        return self._residues[x]
-
-    def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
-        kept = self._residues
-        if len(kept) > _WITNESS_KEPT:
-            kept.clear()
-        new = [x for x in entries if x not in kept]
-        if new:
-            kept.update(zip(new, super().lift_many(new)))
-        return [kept[x] for x in entries]
-
-
 @functools.cache
 def _witness_ring() -> ModRing:
     """The one witness ring of the process: a 30-bit prime p = 1 (mod 4)
-    and a point, drawn from a fixed seed."""
+    and a point, drawn from a fixed seed.  It keeps the lifts of the
+    modules of a chart, which share most entries and every relator
+    coefficient, so each is evaluated once."""
     rng = random.Random(0)
     p = random_prime(30, rng)
-    return _WitnessRing(p, random_point(p, rng))
+    return ModRing(p, random_point(p, rng))
 
 
 def _witnessed(m: CalibratedModule, identities) -> set:
     """The names of the identities whose sides differ at the witness point:
     each side D is the number v D w over `m.over(_witness_ring())`
-    (`_freivalds`).  Evaluation at the point is a ring homomorphism on
+    (`_differing`).  Evaluation at the point is a ring homomorphism on
     every entry and coefficient it lifts, so a nonzero difference there
     proves the two sides differ exactly.  Empty when a lift raises
     `EvalRetry`: the point then gives some entry no value."""
     try:
-        lifted = m.over(_witness_ring())
-        return _differing(lifted, identities, *_freivalds(lifted))
+        return _differing(m.over(_witness_ring()), identities)
     except EvalRetry:
         return set()
 
@@ -1011,12 +999,14 @@ def idempotent_nullity(m: CalibratedModule) -> dict:
 
     A relator R is certified non-vanishing by a nonzero residue v R w at
     the one fixed witness point (`_witnessed`), with no error bound: a
-    matrix that is zero reads zero under the evaluation homomorphism.
-    Every other relator, or all of them where a lift raises `EvalRetry`,
-    is decided against zero from the unit rows (`_differing`), e_r times
-    the relator for r = 0, 1, ..., n-1, exactly: it does not vanish at its
-    first nonzero row, and it vanishes once every row is zero.  So every
-    verdict is exact."""
+    matrix that is zero reads zero under the evaluation homomorphism.  The
+    witness ring keeps what it lifts, so the modules of a chart evaluate
+    each shared entry and relator coefficient once.  Every other relator,
+    or all of them where a lift raises `EvalRetry`, is decided against zero
+    on the exact module (`_differing` over the exact ring: e_r times the
+    relator for r = 0, 1, ..., n-1): it does not vanish at its first
+    nonzero row, and it vanishes once every row is zero.  So every verdict
+    is exact."""
     identities = _relators(m.k)
     nonzero = _witnessed(m, identities)
     nonzero |= _differing(m, [rel for rel in identities if rel[0] not in nonzero])

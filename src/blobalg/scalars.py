@@ -298,19 +298,15 @@ def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], Lis
     return q, a[:df]
 
 
-def _divide_out(f: CycloFactor, a) -> Optional[Tuple[Coeff, ...]]:
-    """a / f if f divides the nonzero `a`, a list or tuple, else None."""
-    return _divide_exactly(f, tuple(a))
-
-
 _FACTOR_MEMO_MAX = 1024  # the size of each of the three caches below
 
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO_MAX)
 def _divide_exactly(f: CycloFactor, a: Tuple[Coeff, ...]) -> Optional[Tuple[Coeff, ...]]:
-    """`_divide_out` on a tuple, remembered: a numerator is often tried
-    again against a factor it met before, in another operand's denominator.
-    The quotient is a tuple, so the callers that share it cannot change it."""
+    """a / f if f divides the nonzero tuple `a`, else None, remembered: a
+    numerator is often tried again against a factor it met before, in
+    another operand's denominator.  The quotient is a tuple, so the callers
+    that share it cannot change it."""
     q, r = _dense_divmod(a, f)
     return None if any(x0 or x1 for x0, x1 in r) else tuple(q)
 
@@ -382,10 +378,10 @@ def _factor_cyclotomic(d: Tuple[GInt, ...]) -> Optional[Factors]:
     while len(d) > 1 and m < 12 * (len(d) - 1):
         for factor in _cyclotomic_factors(m):
             k = 0
-            q = _divide_out(factor, d)
+            q = _divide_exactly(factor, d)
             while q is not None:
                 d, k = q, k + 1
-                q = _divide_out(factor, d)
+                q = _divide_exactly(factor, d)
             if k:
                 out.append((factor, k))
         m += 1
@@ -487,7 +483,7 @@ def _divide_rows(factor: CycloFactor, groups: Dict[Tuple[int, ...], Tuple[Coeff,
     """Each row divided by `factor`, or None as soon as one row is not."""
     out = {}
     for r, a in groups.items():
-        q = _divide_out(factor, a)
+        q = _divide_exactly(factor, a)
         if q is None:
             return None
         out[r] = q
@@ -535,11 +531,13 @@ class Scalar:
 
     `Scalar(num, den)` reduces num/den for polynomials num and den (1 if
     omitted); with `_normalized` set, num and den are already canonical and
-    den is a factorization."""
+    den is a factorization.  No code changes num or den afterwards, so the
+    hash is computed on first use and kept in `_hash`."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: LaurentPoly, den=None, _normalized: bool = False):
+        self._hash = None
         if _normalized:
             self.num = num
             self.den = () if den is None else den
@@ -676,7 +674,9 @@ class Scalar:
                 and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
+        return self._hash
 
     def __repr__(self) -> str:
         return "Scalar(%s)" % render(self)

@@ -270,13 +270,12 @@ def sw_table(params: SWParams, k: int) -> List[dict]:
         l = l2
         row = {"lambda": [l1, l2], "l": l,
                "dim_paths": dim_B(params, k, l, "paths"),
-               "dim_formula": dim_B(params, k, l, "formula")}
+               "dim_formula": dim_B(params, k, l, "formula"),
+               "dim_fillings": dim_B(params, k, l, "fillings")}
         if zero_multiplicity(params, k, l):
-            row["dim_fillings"] = 0
             row["zero"] = True
         else:
-            z, region, config = lambda_to_region(params, k, l)
-            row["dim_fillings"] = rg.count_fillings(config)
+            z, region, _ = lambda_to_region(params, k, l)
             row["z"] = render(z)
             row["region"] = rg.region_to_json(region)
         rows.append(row)

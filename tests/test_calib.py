@@ -740,8 +740,11 @@ class TestBatchedLift:
 
     @staticmethod
     def lifted(m, ring):
+        # over a ring of its own, which keeps what `over` lifts, so that the
+        # entrywise oracle on `ring` evaluates every entry afresh
+        ring = cb.ModRing(ring.p, ring.point)
         out = m.over(ring)
-        return out.T, out.W, [(out._lifted[x], out._lifted[-x]) for x in shifts(m)]
+        return out.T, out.W, [(ring._kept[x], ring._kept[-x]) for x in shifts(m)]
 
     def test_equals_entrywise_lift(self):
         rng = random.Random(31)
@@ -820,11 +823,29 @@ class TestBatchedLift:
             calls.clear()
             assert cb._failing(m.over(ring))[0] == [] and len(calls) == 1, m.region
 
+    def test_kept_lifts_are_dropped_past_the_bound(self, monkeypatch):
+        # a miss with `_KEPT` lifts kept drops them all, and a batch may
+        # pass the bound until the next one; every value, kept or not, is
+        # eval_mod's
+        monkeypatch.setattr(cb, "_KEPT", 4)
+        rng = random.Random(8)
+        p = random_prime(62, rng)
+        ring = cb.ModRing(p, random_point(p, rng))
+        xs = [qint(j) / qint(j + 1) for j in range(1, 13)]
+        want = [eval_mod(x, p, ring.point) for x in xs]
+        assert ring.lift_many(xs[:3]) == want[:3] and len(ring._kept) == 3
+        assert [ring.lift(x) for x in xs[3:5]] == want[3:5]
+        assert list(ring._kept) == [xs[4]]
+        assert ring.lift_many(xs[:8]) == want[:8] and len(ring._kept) == 8
+        assert ring.lift_many(xs) == want and len(ring._kept) == 12
+        assert ring.lift(xs[0]) == want[0] and len(ring._kept) == 12
+
     def test_exact_lift_is_the_identity(self):
         m = two_row_module(3, 2)
         out = m.over(cb.EXACT)
         assert out.T == m.T and out.W == m.W
-        assert all(out._lifted[x] == x and out._lifted[-x] == -x for x in shifts(m))
+        assert all(out._coeff(cb._SHIFT[v]) == x and out._coeff(-cb._SHIFT[v]) == -x
+                   for v, x in zip((U, U0, UK), shifts(m)))
         entries = [x for row in m.T[1] for x in row.values()]
         assert cb.EXACT.lift_many(entries) == entries
 
@@ -1146,8 +1167,9 @@ class TestStartRow:
         for k in range(1, 6):
             for m in TestRelationsAsWords.nonzero_modules(k):
                 a, b = m.over(ring), m.over(other)
-                assert (a.T, a.W, a._lifted) == (b.T, b.W, b._lifted), m.region
-                assert len(a._lifted) == 6
+                assert (a.T, a.W) == (b.T, b.W), m.region
+                assert ring._kept == other._kept, m.region
+                assert all(x in ring._kept and -x in ring._kept for x in shifts(m))
                 count += 1
         assert count == 33
         banned = {sc.VAR_INDEX["a0"], sc.VAR_INDEX["ak"]}
@@ -1306,11 +1328,11 @@ class TestWordProducts:
                             assert len(products) == length, (k, ring, r)
 
     def test_letter_built_inside_a_word(self, monkeypatch):
-        # the first E_k of a word builds T_k from the unit rows in the
-        # middle of that word's loop from v, on a memo of its own: that word
-        # and the next one from v are still v times the chain of letter
-        # matrices, and the next one multiplies only its letters past the
-        # prefix (T1, E_k) the two share
+        # the first E_k of a word builds T_k, the product of its word's
+        # letter matrices, in the middle of that word's loop from v, without
+        # touching the prefix memo: that word and the next one from v are
+        # still v times the chain of letter matrices, and the next one
+        # multiplies only its letters past the prefix (T1, E_k) the two share
         mat_mul, products = cb.mat_mul, []
 
         def counting(*args):
@@ -1525,6 +1547,50 @@ class TestRowByRowNullity:
         ring = cb._witness_ring()
         monkeypatch.setattr(cb, "_witness_ring", lambda: Unliftable(ring.p, ring.point))
         assert self.assert_oracle(skew_regions(2, F(3, 2), F(11, 2), 5)) == (0, 48)
+
+    def test_witness_ring_lifts_each_value_once(self, monkeypatch):
+        # one fresh witness ring for all the modules of the rank-2 chart at
+        # bound 5 evaluates each distinct Scalar once, by `lift` or in a
+        # `lift_many` batch, and a second pass over the chart evaluates
+        # nothing; a ring per module makes more eval_mod calls
+        regions = skew_regions(2, F(3, 2), F(11, 2), 5)
+        ring = cb._witness_ring()
+        evaluated, calls, batch = [], [], []
+        together = cb.ModRing._lift_together
+
+        def spy_together(self, entries):
+            evaluated.extend(entries)
+            batch.append(entries)
+            try:
+                return together(self, entries)
+            finally:
+                batch.pop()
+
+        def spy_eval(x, p, point):
+            calls.append(x)
+            if not batch:
+                evaluated.append(x)  # a `lift` of x alone
+            return eval_mod(x, p, point)
+
+        monkeypatch.setattr(cb.ModRing, "_lift_together", spy_together)
+        monkeypatch.setattr(cb, "eval_mod", spy_eval)
+
+        def chart():
+            return [cb.idempotent_nullity(cb.build_module(cb.ModuleSpec(r))) for r in regions]
+
+        monkeypatch.setattr(cb, "_witness_ring", lambda: cb.ModRing(ring.p, ring.point))
+        chart()
+        per_module = len(calls)
+        fresh = cb.ModRing(ring.p, ring.point)
+        monkeypatch.setattr(cb, "_witness_ring", lambda: fresh)
+        calls.clear()
+        evaluated.clear()
+        verdicts = chart()
+        assert 0 < len(calls) < per_module
+        assert len(evaluated) == len(set(evaluated)) == len(fresh._kept) < cb._KEPT
+        assert all(fresh._kept[x] == eval_mod(x, ring.p, ring.point) for x in evaluated)
+        calls.clear()
+        assert chart() == verdicts and not calls
 
     def modules(self):
         yield cb.build_module(cb.ModuleSpec(rg.LocalRegion(

@@ -399,6 +399,18 @@ class TestSerialization:
                 sc.from_json(obj)
             assert exps in str(exc.value)
 
+    def test_hash_is_kept(self):
+        # equal Scalars built by parsing, by arithmetic and from JSON hash
+        # alike, and a Scalar's hash is hash((num, den)) on every call
+        rng = random.Random(97)
+        for _ in range(50):
+            x = rand_scalar(rng)
+            first = hash(x)
+            routes = [sc.parse(sc.render(x)), (x + ONE) - ONE, x * 2 / 2,
+                      sc.from_json(json.loads(json.dumps(sc.to_json(x))))]
+            assert all(y == x and hash(y) == first for y in routes)
+            assert hash(x) == first == hash((x.num, x.den))
+
     def test_render_example(self):
         assert sc.render(qint(3)) == "(u^2+1+u^-2)"
 
@@ -686,27 +698,26 @@ class TestCyclotomicCancel:
         for mask in range(1, sc._FACTOR_MEMO_MAX + 12):
             sc._expand(tuple(sorted((f, 1) for j, f in enumerate(pool) if mask >> j & 1)))
         for c in range(sc._FACTOR_MEMO_MAX + 12):
-            sc._divide_out(pool[0], [(c, 0), (1, 0)])
+            sc._divide_exactly(pool[0], ((c, 0), (1, 0)))
         for cache in caches:
             assert cache.cache_info().currsize == sc._FACTOR_MEMO_MAX
 
     def test_division_memo(self):
-        # a quotient is a tuple, the same for a list as for a tuple, and
-        # the same when computed again after the memo is emptied
+        # a quotient is a tuple, the same when computed again after the
+        # memo is emptied
         rng = random.Random(23)
         cases = []
         for case in range(40):
             f = rng.choice(CYCLO_POOL)
             n = rand_gaussian_poly(rng) * lpow(upoly(f), case % 2)
-            dense = [n.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(n.degree_in(0) + 1)]
-            q = sc._divide_out(f, dense)
+            dense = tuple(n.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(n.degree_in(0) + 1))
+            q = sc._divide_exactly(f, dense)
             assert q is None or (type(q) is tuple and upoly(q) * upoly(f) == n), case
             cases.append((f, dense, q))
         assert sum(q is not None for _, _, q in cases) >= 20
         sc._divide_exactly.cache_clear()
         for f, dense, q in cases:
-            assert sc._divide_out(f, tuple(dense)) == q
-            assert sc._divide_out(f, dense) == q
+            assert sc._divide_exactly(f, dense) == q
 
 
 def cancel(n, d):
@@ -955,9 +966,9 @@ def multiplicity(f, den):
     """How often the cyclotomic factor f divides the denominator whose
     factorization is den."""
     den = sc._expand(den)
-    dense = [den.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(den.degree_in(0) + 1)]
+    dense = tuple(den.terms.get((j, 0, 0, 0, 0), (0, 0)) for j in range(den.degree_in(0) + 1))
     k = 0
-    while (dense := sc._divide_out(f, dense)) is not None:
+    while (dense := sc._divide_exactly(f, dense)) is not None:
         k += 1
     return k
 
