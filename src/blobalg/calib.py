@@ -391,6 +391,13 @@ def _seminormal(kind: str, content: int, images) -> Tuple[Scalar, Scalar]:
     return d, -(d - lam) * (d + lam.inv()) if content > 0 else ONE
 
 
+@functools.lru_cache(maxsize=1024)
+def _gamma(content: int) -> Scalar:
+    """gamma = -u^c for the doubled content c = 2wc, one object for all
+    modules that share it."""
+    return -Scalar.monomial(u=content)
+
+
 class CalibratedModule:
     """Exact generator matrices on the standard-filling basis."""
 
@@ -446,7 +453,7 @@ class CalibratedModule:
     # -- gamma data ----------------------------------------------------------
     def gamma(self, m: int, label: int) -> Scalar:
         """gamma_label = -u^(2 wc_label) on filling m, label 1..k."""
-        return -Scalar.monomial(u=self._wc[m][label - 1])
+        return _gamma(self._wc[m][label - 1])
 
     def _w_matrix(self, i: int) -> Matrix:
         return mat_diag([self.gamma(m, i) for m in range(self.n)])

@@ -522,7 +522,9 @@ def vanishing_predicates(region: LocalRegion) -> dict:
 
 def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[LocalRegion]:
     """All (c, J) with 0 <= c_i <= bound and at least one standard filling,
-    the integer weights first, then the half-integer ones."""
+    the integer weights first, then the half-integer ones.  The fillings
+    are counted, not listed, so the listing cache keeps the regions'
+    listings for the callers that read them."""
     bound = _fr(diagonal_bound)
     found: List[LocalRegion] = []
     # the empty weight vector is in both classes: list it once
@@ -538,7 +540,7 @@ def enumerate_regions(k: int, params: RegionParams, diagonal_bound) -> List[Loca
                     config = build_config(region)
                 except RegionError:
                     continue
-                if enumerate_fillings(config):
+                if count_fillings(config):
                     found.append(region)
     return found
 

@@ -31,6 +31,9 @@ common multiple of the two denominators, which their factorizations give
 directly, and only a factor of the same multiplicity in both can cancel
 from it; a product adds the multiplicities left after cross-cancelling.
 Both read the two sorted factor tuples into dicts and merge them there.
+Products, sums, shifts and trial divisions visit each term once, with the
+exponent and coefficient arithmetic written out and no call per term; a
+trial division applies a divisor coefficient 1, -1, i or -i by adds alone.
 Three bounded caches keep the most recent factorizations, expansions and
 trial divisions (factor, numerator coefficients) -> quotient.
 
@@ -75,10 +78,6 @@ class EvalRetry(ScalarError):
     def __init__(self, message: str, residue: int):
         super().__init__(message)
         self.residue = residue
-
-
-def _cadd(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def _cmul(a: Coeff, b: Coeff) -> Coeff:
@@ -156,15 +155,18 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            if e in out:
-                s = _cadd(out[e], c)
-                if s[0] or s[1]:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
+            s = get(e)
+            if s is None:
                 out[e] = c
+                continue
+            s0 = s[0] + c[0]
+            s1 = s[1] + c[1]
+            if s0 or s1:
+                out[e] = (s0, s1)
+            else:
+                del out[e]
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = out
         return r
@@ -185,19 +187,28 @@ class LaurentPoly:
             r = LaurentPoly.__new__(LaurentPoly)
             r.terms = {_eadd(e, f): _cmul(c, d) for e, c in self.terms.items()}
             return r
+        # exponents and coefficients written out: a call per term costs more than the term
         out: Dict[Expo, Coeff] = {}
-        for e, c in self.terms.items():
-            for f, d in other.terms.items():
-                g = _eadd(e, f)
-                p = _cmul(c, d)
-                if g in out:
-                    s = _cadd(out[g], p)
-                    if s[0] or s[1]:
-                        out[g] = s
-                    else:
-                        del out[g]
+        get = out.get
+        for (e0, e1, e2, e3, e4), (c0, c1) in self.terms.items():
+            for (f0, f1, f2, f3, f4), (d0, d1) in other.terms.items():
+                g = (e0 + f0, e1 + f1, e2 + f2, e3 + f3, e4 + f4)
+                if c1 or d1:
+                    p0 = c0 * d0 - c1 * d1
+                    p1 = c0 * d1 + c1 * d0
                 else:
-                    out[g] = p
+                    p0 = c0 * d0
+                    p1 = _FR0
+                s = get(g)
+                if s is None:
+                    out[g] = (p0, p1)
+                    continue
+                p0 = s[0] + p0
+                p1 = s[1] + p1
+                if p0 or p1:
+                    out[g] = (p0, p1)
+                else:
+                    del out[g]
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = out
         return r
@@ -211,7 +222,9 @@ class LaurentPoly:
 
     def shift(self, expo: Expo) -> "LaurentPoly":
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {_eadd(e, expo): c for e, c in self.terms.items()}
+        s0, s1, s2, s3, s4 = expo
+        r.terms = {(e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4): c
+                   for (e0, e1, e2, e3, e4), c in self.terms.items()}
         return r
 
     def min_exponents(self) -> Expo:
@@ -277,6 +290,7 @@ _ZC = (0, 0)
 _MAX_DEGREE = 512  # denominators of degree >= this in u are rejected
 CycloFactor = Tuple[GInt, ...]  # monic, Gaussian-integer coefficients
 Factors = Tuple[Tuple[CycloFactor, int], ...]  # sorted, with multiplicities
+_UNIT_KIND = {(1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}  # see _dense_divmod
 
 
 def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], List[Coeff]]:
@@ -285,16 +299,28 @@ def _dense_divmod(a: List[Coeff], f: Tuple[GInt, ...]) -> Tuple[List[Coeff], Lis
     if len(a) <= df:
         return [], list(a)
     a = list(a)
-    low = [(j, fr, fi) for j, (fr, fi) in enumerate(f[:df]) if fr or fi]
+    # a divisor coefficient 1, -1, i or -i (kinds 1 to 4) is applied to the
+    # quotient term by adds alone; only one of kind 0 multiplies
+    low = [(j, _UNIT_KIND.get(c, 0), c[0], c[1]) for j, c in enumerate(f[:df]) if c[0] or c[1]]
     q = [_ZC] * (len(a) - df)
     for base in range(len(a) - df - 1, -1, -1):
         c0, c1 = a[base + df]
         if not c0 and not c1:
             continue
         q[base] = (c0, c1)
-        for j, fr, fi in low:
-            x0, x1 = a[base + j]
-            a[base + j] = (x0 - c0 * fr + c1 * fi, x1 - c0 * fi - c1 * fr)
+        for j, kind, fr, fi in low:
+            j += base
+            x0, x1 = a[j]
+            if kind == 1:
+                a[j] = (x0 - c0, x1 - c1)
+            elif kind == 2:
+                a[j] = (x0 + c0, x1 + c1)
+            elif kind == 3:
+                a[j] = (x0 + c1, x1 - c0)
+            elif kind == 4:
+                a[j] = (x0 - c1, x1 + c0)
+            else:
+                a[j] = (x0 - c0 * fr + c1 * fi, x1 - c0 * fi - c1 * fr)
     return q, a[:df]
 
 
@@ -458,11 +484,15 @@ def _strip(n: LaurentPoly, factors: Factors) -> Tuple[LaurentPoly, Factors]:
     if not factors or len(n.terms) == 1:
         return n, factors
     # n as a polynomial in u over the other variables, u^lo factored out
-    lo = min(e[0] for e in n.terms)
-    rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
+    lo = min(n.terms)[0]
+    rows: Dict[Tuple[int, ...], List[Coeff]] = {}
     for e, c in n.terms.items():
-        rows.setdefault(e[1:], {})[e[0] - lo] = c
-    groups = {r: tuple(t.get(j, _ZC) for j in range(max(t) + 1)) for r, t in rows.items()}
+        row = rows.setdefault(e[1:], [])
+        j = e[0] - lo
+        if j >= len(row):
+            row.extend([_ZC] * (j + 1 - len(row)))
+        row[j] = c
+    groups = {r: tuple(row) for r, row in rows.items()}
     left = []
     for factor, k in factors:
         j = 0

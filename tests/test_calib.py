@@ -729,6 +729,21 @@ class TestSharedSeminormalEntries:
             assert any(str(w) in str(exc.value) for w in fillings)
 
 
+    def test_w_entries_shared(self):
+        # gamma = -u^(2wc) comes from one cache keyed by the doubled content:
+        # every module that meets a content holds the same W entry object
+        held, modules = {}, {}
+        for k, l in ((2, 2), (3, 2), (3, 3), (4, 3)):
+            m = two_row_module(k, l)
+            for row, contents in enumerate(rg.filling_contents(m.config)):
+                for j, c in enumerate(contents):
+                    entry = m.W[j][row][row]
+                    assert entry == -Scalar.monomial(u=c)
+                    assert held.setdefault(c, entry) is entry, (k, l, c)
+                    modules.setdefault(c, set()).add((k, l))
+        assert max(len(v) for v in modules.values()) > 1
+
+
 class TestBatchedLift:
     """`over` lifts the distinct entries of T and W and the three shifts
     with one inverse; the lifted matrices and shifts, and at a bad point the

@@ -341,6 +341,16 @@ class TestEnumeration:
         keys = [(r.c, r.J) for r in regions]
         assert len(keys) == len(set(keys))
 
+    def test_counts_without_listing(self, monkeypatch):
+        # a region is kept when the walk counts a filling: no listing is
+        # made, so the listing cache keeps the ones its callers read
+        rg._fillings.cache_clear()
+        regions = rg.enumerate_regions(2, PARAMS, 5)
+        info = rg._fillings.cache_info()
+        assert info.hits == info.misses == 0
+        monkeypatch.setattr(rg, "count_fillings", lambda config: len(rg.enumerate_fillings(config)))
+        assert rg.enumerate_regions(2, PARAMS, 5) == regions
+
     def test_empty_region_listed_once(self):
         # the empty weight vector is both integral and half-integral
         for bound in (0, 7):

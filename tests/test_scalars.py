@@ -1015,3 +1015,94 @@ def rand_domain_scalar(rng, depth=0):
     if choice < 7:
         return a * b
     return a - b
+
+
+def naive_terms(pairs):
+    """The terms of a sum of (exponents, coefficient) pairs, added one by
+    one, zeros dropped at the end, and how many exponents summed to zero."""
+    out = {}
+    for e, c in pairs:
+        s = out.get(e, (0, 0))
+        out[e] = (s[0] + c[0], s[1] + c[1])
+    zeros = sum(1 for c in out.values() if c == (0, 0))
+    return {e: c for e, c in out.items() if c != (0, 0)}, zeros
+
+
+def naive_product(p, q):
+    return naive_terms((tuple(x + y for x, y in zip(e, f)), _qi_mul(c, d))
+                       for e, c in p.terms.items() for f, d in q.terms.items())
+
+
+# coefficients from a small set, so that terms often cancel
+KERNEL_COEFFS = ((1, 0), (-1, 0), (0, 1), (0, -1), (2, -1), (Fraction(1, 2), 0),
+                 (0, Fraction(-3, 2)), (Fraction(2, 3), Fraction(1, 3)))
+
+
+def rand_laurent(rng, nvars):
+    """Up to six terms in the first `nvars` variables, exponents -2..2."""
+    return sc.LaurentPoly({
+        tuple(rng.randrange(-2, 3) if v < nvars else 0 for v in range(sc.NVARS)):
+        rng.choice(KERNEL_COEFFS) for _ in range(rng.randrange(1, 7))})
+
+
+def dense_product(a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            p = _qi_mul(x, y)
+            out[i + j] = (out[i + j][0] + p[0], out[i + j][1] + p[1])
+    return out
+
+
+class TestKernelOracles:
+    """The written-out loops of products, sums, shifts and trial divisions
+    against term-by-term references."""
+
+    def test_products_sums_and_shifts(self):
+        rng = random.Random(50)
+        zeros = 0
+        for case in range(600):
+            nvars = 1 + case % sc.NVARS
+            p, q = rand_laurent(rng, nvars), rand_laurent(rng, nvars)
+            want, z = naive_product(p, q)
+            zeros += z
+            assert (p * q).terms == want, (p, q)
+            want, z = naive_terms([*p.terms.items(), *q.terms.items()])
+            zeros += z
+            assert (p + q).terms == want, (p, q)
+            assert (p + q - q).terms == p.terms
+            assert (p - p).is_zero() and (p * (q - q)).is_zero()
+            e = tuple(rng.randrange(-3, 4) for _ in range(sc.NVARS))
+            assert p.shift(e).terms == {tuple(x + y for x, y in zip(f, e)): c
+                                        for f, c in p.terms.items()}
+        assert zeros >= 10  # sums that cancelled a term to zero
+
+    def test_dense_divmod_against_schoolbook(self, monkeypatch):
+        # the binomials u^a - c that `_binomial_ratio` divides by as it
+        # builds the factor tables for m <= 120, all u^a - c for a <= 12 and
+        # c a unit, every factor for m <= 120 ...
+        binomials = set()
+        divmod_ = sc._dense_divmod
+        monkeypatch.setattr(sc, "_dense_divmod", lambda a, f: binomials.add(f) or divmod_(a, f))
+        for m in range(1, 121):
+            sc._cyclotomic_factors.__wrapped__(m)
+        monkeypatch.undo()
+        assert all(f[0] in UNITS and set(f[1:-1]) <= {(0, 0)} and f[-1] == (1, 0)
+                   for f in binomials)
+        binomials |= {((-c[0], -c[1]),) + ((0, 0),) * (a - 1) + ((1, 0),)
+                      for a in range(1, 13) for c in UNITS}
+        factors = {f for m in range(1, 121) for f in sc._cyclotomic_factors(m)}
+        # Phi_105 has a coefficient -2: the multiplying path is covered too
+        assert any(c not in UNITS + ((0, 0),) for f in factors for c in f)
+        rng = random.Random(51)
+        # and monic divisors with Gaussian coefficients no factor has
+        generic = {tuple(rng.choice(((2, -1), (-1, 3), (0, 2), (1, 1), (0, 0), (0, -1)))
+                         for _ in range(rng.randrange(1, 6))) + ((1, 0),) for _ in range(20)}
+        for f in sorted(binomials | factors | generic):
+            for size in (0, len(f) - 1, len(f), len(f) + 9):
+                a = [rng.choice(KERNEL_COEFFS + ((0, 0),)) for _ in range(size)]
+                q, r = sc._dense_divmod(a, f)
+                assert (_trim(q), _trim(r)) == ref_divmod(a, list(f)), (f, a)
+            q = [rng.choice(KERNEL_COEFFS) for _ in range(rng.randrange(1, 8))]
+            got, r = sc._dense_divmod(dense_product(f, q), f)
+            assert got == q and not _trim(r)
