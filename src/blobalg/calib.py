@@ -27,11 +27,12 @@ values: it keeps the residue of every `Scalar` it lifts, so each distinct
 one is evaluated once however many modules read it.  `m.over(ring)` is
 the module with its T and W lifted into the ring, in one `lift_many`
 together with the shifts u - 1/u, u0 - 1/u0, uk - 1/uk and their
-negatives; over Z/p the values not yet kept take one modular inverse
-between them: `eval_mod` gives each numerator with its negative exponents
-cleared, each distinct denominator factorization once and the residue of
-each variable those exponents need, and the denominators and those
-residues are inverted together.
+negatives; over Z/p the values not yet kept go to one
+`scalars.eval_mod_many`, which inverts their denominators together, and
+`eval_mod` reads negative powers of u from a cached table of the powers
+of its inverse.  So a presentation pass on a fresh ring takes two modular
+inverses, the denominators' batch and u's residue once per table, and a
+pass on a ring that has lifted the module before takes none.
 One evaluator, `evaluate_word`, multiplies out generator words over the
 module's ring, in the letters of `words`; the letter W(j) is the diagonal
 W_j, and every T or E letter is built from its index's T matrix and the
@@ -128,9 +129,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import regions as rg
 from . import words as wd
-from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, VAR_INDEX, VAR_NAMES,
-                      _ZEXP, _expand, _inv_mod, bb, eval_mod, qint, random_point,
-                      random_prime)
+from .scalars import (A0, AK, EvalRetry, ONE, Scalar, U, U0, UK, bb, eval_mod,
+                      eval_mod_many, qint, random_point, random_prime)
 
 Matrix = List[Dict[int, Scalar]]
 
@@ -179,12 +179,13 @@ _KEPT = 1 << 14  # the lifts a `ModRing` keeps before it drops them all
 
 class ModRing:
     """Z/p, for p a prime or a product of distinct primes, with a `Scalar`
-    lifted by evaluation at `point` (residues for the variables and for i).
-    Matrix entries are kept reduced to 0..p-1.  Lifting a `Scalar` whose
-    denominator has no value at the point raises `EvalRetry` carrying the
-    residue.  The ring keeps the lift of every `Scalar` it lifts, so each
-    distinct one is evaluated once, however many modules are lifted into
-    it; the kept lifts are dropped once there are `_KEPT` of them."""
+    lifted by `eval_mod` at `point` (residues for the variables and for i),
+    or by `eval_mod_many` for a batch.  Matrix entries are kept reduced to
+    0..p-1.  Lifting a `Scalar` that has no value at the point raises
+    `EvalRetry` carrying the residue.  The ring keeps the lift of every
+    `Scalar` it lifts, so each distinct one is evaluated once, however many
+    modules are lifted into it; the kept lifts are dropped once there are
+    `_KEPT` of them."""
 
     zero = 0
     one = 1
@@ -216,60 +217,17 @@ class ModRing:
         return v
 
     def lift_many(self, entries: Sequence[Scalar]) -> List[int]:
-        """`lift` of each entry, with one modular inverse for those not
-        kept.  An entry is n / (q u^s) for polynomials n and q: q its
-        denominator multiplied out, and u^s the monomial that clears the
-        negative exponents of its numerator (in any variable).  `eval_mod`
-        gives each n, each distinct factorization q once, and the residue
-        of each variable that some s needs; the values of the q and those
-        residues are inverted together (Montgomery's trick).  When their
-        product is not a unit, the entries are lifted one by one in order,
-        so the `EvalRetry` carries the residue that `lift` gives."""
+        """`lift` of each entry: the distinct entries not kept are evaluated
+        by one `eval_mod_many`, with one modular inverse for all their
+        denominators, and kept.  Where one has no value, the `EvalRetry` is
+        the one that lifting them in order raises first."""
         kept = self._kept
         if len(kept) >= _KEPT:
             kept.clear()
         new = list(dict.fromkeys(x for x in entries if x not in kept))
         if new:
-            kept.update(zip(new, self._lift_together(new)))
+            kept.update(zip(new, eval_mod_many(new, self.p, self.point)))
         return [kept[x] for x in entries]
-
-    def _lift_together(self, entries: List[Scalar]) -> List[int]:
-        """The lifts of the distinct `entries`, none of them kept."""
-        p, point = self.p, self.point
-        try:
-            dens: Dict[tuple, int] = {(): 1}  # factorization -> its value
-            parts, needed = [], set()
-            for x in entries:
-                low = x.num.min_exponents() if x.num.terms else _ZEXP
-                shift = tuple(-e if e < 0 else 0 for e in low)
-                num = x.num.shift(shift) if any(shift) else x.num
-                needed.update(v for v, e in enumerate(shift) if e)
-                if x.den not in dens:
-                    dens[x.den] = eval_mod(Scalar(_expand(x.den), _normalized=True), p, point)
-                parts.append((eval_mod(Scalar(num, _normalized=True), p, point), x.den, shift))
-            # the batch: each factorization, then each variable index
-            keys = [*dens, *sorted(needed)]
-            values = [*dens.values(), *(eval_mod(Scalar.var(VAR_NAMES[v]), p, point)
-                                        for v in sorted(needed))]
-            prefix = [1]
-            for v in values:
-                prefix.append(prefix[-1] * v % p)
-            inv = _inv_mod(prefix[-1], p)
-            inverse = {}
-            for j in range(len(keys) - 1, -1, -1):
-                inverse[keys[j]] = inv * prefix[j] % p
-                inv = inv * values[j] % p
-            scale = {}  # (factorization, shift) -> 1 / (q u^s)
-            for _, q, shift in parts:
-                if (q, shift) not in scale:
-                    factor = inverse[q]
-                    for v, e in enumerate(shift):
-                        if e:
-                            factor = factor * pow(inverse[v], e, p) % p
-                    scale[q, shift] = factor
-            return [n * scale[q, shift] % p for n, q, shift in parts]
-        except EvalRetry:
-            return [eval_mod(x, p, point) for x in entries]
 
 
 def mat_entry(a: Matrix, r: int, c: int, ring=EXACT):
@@ -333,8 +291,6 @@ _SHIFT = {x: x - x.inv() for x in (U, U0, UK)}
 
 @functools.lru_cache(maxsize=1024)
 def _specialize(x: Scalar, u0_img, uk_img) -> Scalar:
-    if {VAR_INDEX["u0"], VAR_INDEX["uk"]}.isdisjoint(x.num.variables()):
-        return x  # only a numerator holds u0 or uk
     return x.substitute_boundary(u0_img, uk_img)
 
 

@@ -259,8 +259,11 @@ def cmd_schurweyl(args) -> int:
         br = sw.bratteli(params, args.k)
         dot = sw.bratteli_dot(br)
         if args.out:
-            with open(args.out, "w") as f:
-                f.write(dot)
+            try:
+                with open(args.out, "w") as f:
+                    f.write(dot)
+            except OSError as exc:  # the path is the user's, like any option
+                return _fail(str(exc))
         else:
             print(dot)
             return 0

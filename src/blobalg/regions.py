@@ -303,9 +303,11 @@ def _filling_constraints(config: BoxConfig) -> List[Tuple[int, int]]:
     return less + [(p, q) if is_nw else (q, p) for (p, q), is_nw in config.pair_rel]
 
 
+@lru_cache(maxsize=256)
 def _ideal_walk(config: BoxConfig):
     """`steps(I)`, the pairs (x, I + x) for the boxes x that may take the
-    next negative value, and the memoized `count(I)` of completions."""
+    next negative value, and the memoized `count(I)` of completions; built
+    once per configuration for `count_fillings` and `_fillings` alike."""
     k = config.k
     bit = {x: 1 << (x - 1 if x > 0 else k - x - 1) for x in range(-k, k + 1) if x}
     below = dict.fromkeys(bit, 0)

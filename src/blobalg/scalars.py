@@ -50,7 +50,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 NVARS = 5
 VAR_NAMES = ("u", "u0", "uk", "a0", "ak")
@@ -714,7 +714,12 @@ class Scalar:
     # -- substitution --------------------------------------------------------
     def substitute_boundary(self, u0_image: Tuple[Coeff, int],
                             uk_image: Tuple[Coeff, int]) -> "Scalar":
-        """Replace u0 -> g0 * u^m0 and uk -> gk * u^mk (g unit coefficients)."""
+        """Replace u0 -> g0 * u^m0 and uk -> gk * u^mk (g unit coefficients);
+        the Scalar itself when its numerator holds neither (a denominator is
+        in u alone)."""
+        if not any(e[1] or e[2] for e in self.num.terms):
+            return self
+
         def sub_poly(p: LaurentPoly) -> LaurentPoly:
             out = LaurentPoly.zero()
             for e, c in p.terms.items():
@@ -726,7 +731,7 @@ class Scalar:
                 expo = (e[0] + m0 * e[1] + mk * e[2], 0, 0, e[3], e[4])
                 out = out + LaurentPoly.monomial(expo, coeff)
             return out
-        return Scalar(sub_poly(self.num), sub_poly(_expand(self.den)))
+        return Scalar(sub_poly(self.num), _expand(self.den))
 
 
 def _unit_pow(g: Coeff, n: int) -> Coeff:
@@ -884,48 +889,41 @@ def random_point(p: int, rng: random.Random) -> Dict[str, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _power_table(p: int, v: int) -> List[int]:
-    """The powers 1, v, v^2, ... of the residue v mod p that evaluations
-    have read so far; `eval_mod` appends to the list in place, so every
-    evaluation at the same residue shares one table."""
-    return [1, v]
+def _power_table(p: int, v: int, sign: int) -> List[int]:
+    """The powers 1, w, w^2, ... of w = v^sign mod p, for the residue v of
+    a variable, that evaluations have read so far; `eval_mod` appends to
+    the list in place, so every evaluation at the same residue and sign
+    shares one table, and v is inverted once per table."""
+    return [1, v if sign > 0 else _inv_mod(v, p)]
 
 
 def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
     """Evaluate x at unit residues mod p, a prime or a product of distinct
     primes (then the point holds CRT combinations, and the value is the CRT
     combination of the values mod each prime); raises EvalRetry on a
-    denominator that is not a unit mod p.  Each variable with a negative
-    exponent is inverted once per call.
+    denominator, or a residue raised to a negative power, that is not a
+    unit mod p.
 
     The terms are read in their stored order, so the same term raises on a
     bad point as in a term-by-term sum, and summed unreduced, with one
-    reduction per polynomial.  A power of u is read from a table of the
-    powers of its residue, kept for the most recent (p, residue) pairs and
-    grown one product per new power, instead of raised with `pow`."""
+    reduction per polynomial.  Every power of a variable, of either sign,
+    is read from a table of the powers of its residue or of the residue's
+    inverse, kept for the most recent (p, residue, sign) triples and grown
+    one product per new power."""
     i_val = point["i"]
     if i_val * i_val % p != p - 1:
         raise ScalarError("point['i'] is not a square root of -1 mod p")
-    inverses: Dict[int, int] = {}
-    tables: Dict[bool, List[int]] = {}
-
-    def base(var: int, power: int) -> int:
-        """The residue whose |power|-th power is the variable's power-th."""
-        v = point[VAR_NAMES[var]] % p
-        if v == 0:
-            raise ScalarError("point assigns 0 to %s" % VAR_NAMES[var])
-        if power > 0:
-            return v
-        if var not in inverses:
-            inverses[var] = _inv_mod(v, p)
-        return inverses[var]
+    tables: Dict[int, List[int]] = {}  # var, or ~var for negative powers
 
     def power(var: int, e: int) -> int:
-        if var:
-            return pow(base(var, e), abs(e), p)
-        if (e < 0) not in tables:
-            tables[e < 0] = _power_table(p, base(0, e))
-        table, e = tables[e < 0], abs(e)
+        key = var if e > 0 else ~var
+        table = tables.get(key)
+        if table is None:
+            v = point[VAR_NAMES[var]] % p
+            if v == 0:
+                raise ScalarError("point assigns 0 to %s" % VAR_NAMES[var])
+            table = tables[key] = _power_table(p, v, 1 if e > 0 else -1)
+        e = abs(e)
         while len(table) <= e:
             table.append(table[-1] * table[1] % p)
         return table[e]
@@ -942,6 +940,35 @@ def eval_mod(x: Scalar, p: int, point: Dict[str, int]) -> int:
 
     num = eval_poly(x.num)
     return num * _inv_mod(eval_poly(_expand(x.den)), p) % p if x.den else num
+
+
+def eval_mod_many(xs: Sequence[Scalar], p: int, point: Dict[str, int]) -> List[int]:
+    """`eval_mod` of each of the (distinct) xs, with one modular inverse for
+    all their denominators: `eval_mod` gives each numerator and each
+    distinct denominator factorization once, and the denominators' values
+    are inverted together (Montgomery's trick).  If anything raises
+    EvalRetry -- the product of the denominators, or a residue that a
+    negative power needs -- the xs are evaluated one by one in order, so
+    the EvalRetry is the one that entrywise `eval_mod` raises first."""
+    try:
+        dens: Dict[Factors, int] = {}  # factorization -> its value
+        nums = []
+        for x in xs:
+            if x.den and x.den not in dens:
+                dens[x.den] = eval_mod(Scalar(_expand(x.den), _normalized=True), p, point)
+            nums.append(eval_mod(Scalar(x.num, _normalized=True) if x.den else x, p, point))
+        keys, values = list(dens), list(dens.values())
+        prefix = [1]
+        for v in values:
+            prefix.append(prefix[-1] * v % p)
+        inv = _inv_mod(prefix[-1], p)
+        inverse = {(): 1}
+        for j in range(len(keys) - 1, -1, -1):
+            inverse[keys[j]] = inv * prefix[j] % p
+            inv = inv * values[j] % p
+        return [n * inverse[x.den] % p for n, x in zip(nums, xs)]
+    except EvalRetry:
+        return [eval_mod(x, p, point) for x in xs]
 
 
 def _frac_mod(fr, p: int) -> int:

@@ -592,6 +592,7 @@ class TestOnePass:
         def never(x, p, point):
             raise EvalRetry("forced", 0)
         monkeypatch.setattr(cb, "eval_mod", never)
+        monkeypatch.setattr(sc, "eval_mod", never)
         with pytest.raises(cb.CalibError):
             cb.check_presentation(two_row_module(3, 2), trials=3, seed=1)
 
@@ -809,9 +810,10 @@ class TestBatchedLift:
                 outcome(lambda: [ring.lift(x) for x in entries])
 
     def test_tensor_space_modules_in_a_crt_ring(self):
-        # each distinct denominator is evaluated once, and the residue of u
-        # joins the batch: every nonzero (6,3) module with k <= 5 still
-        # lifts as entry by entry, over the product of two 62-bit primes
+        # each distinct denominator is evaluated once and inverted in the
+        # batch, and negative powers of u are read from their own table:
+        # every nonzero (6,3) module with k <= 5 still lifts as entry by
+        # entry, over the product of two 62-bit primes
         rng = random.Random(17)
         p = random_prime(62, rng)
         q = random_prime(62, rng)
@@ -822,21 +824,26 @@ class TestBatchedLift:
             assert self.lifted(m, ring) == entrywise_lift(m, ring), m.region
 
     def test_one_inverse_per_pass(self, monkeypatch):
-        # every coefficient a presentation pass reads is in the batch
+        # every coefficient a presentation pass reads is in the batch: a
+        # fresh ring takes two inverses, one for the batch of denominators
+        # and one for the table of negative powers of u, and a second pass
+        # over a fresh copy on the same ring takes none
         calls = []
 
         def counting(x, p):
             calls.append(x)
             return pow(x, -1, p)
 
-        monkeypatch.setattr(cb, "_inv_mod", counting)
         monkeypatch.setattr(sc, "_inv_mod", counting)
         rng = random.Random(5)
         for m in self.modules():
             p = random_prime(62, rng)
             ring = cb.ModRing(p, random_point(p, rng))
+            sc._power_table.cache_clear()
             calls.clear()
-            assert cb._failing(m.over(ring))[0] == [] and len(calls) == 1, m.region
+            assert cb._failing(m.over(ring))[0] == [] and len(calls) == 2, m.region
+            calls.clear()
+            assert cb._failing(m.over(ring))[0] == [] and calls == [], m.region
 
     def test_kept_lifts_are_dropped_past_the_bound(self, monkeypatch):
         # a miss with `_KEPT` lifts kept drops them all, and a batch may
@@ -1571,13 +1578,13 @@ class TestRowByRowNullity:
         regions = skew_regions(2, F(3, 2), F(11, 2), 5)
         ring = cb._witness_ring()
         evaluated, calls, batch = [], [], []
-        together = cb.ModRing._lift_together
+        together = cb.eval_mod_many
 
-        def spy_together(self, entries):
+        def spy_together(entries, p, point):
             evaluated.extend(entries)
             batch.append(entries)
             try:
-                return together(self, entries)
+                return together(entries, p, point)
             finally:
                 batch.pop()
 
@@ -1587,8 +1594,9 @@ class TestRowByRowNullity:
                 evaluated.append(x)  # a `lift` of x alone
             return eval_mod(x, p, point)
 
-        monkeypatch.setattr(cb.ModRing, "_lift_together", spy_together)
+        monkeypatch.setattr(cb, "eval_mod_many", spy_together)
         monkeypatch.setattr(cb, "eval_mod", spy_eval)
+        monkeypatch.setattr(sc, "eval_mod", spy_eval)
 
         def chart():
             return [cb.idempotent_nullity(cb.build_module(cb.ModuleSpec(r))) for r in regions]

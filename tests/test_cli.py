@@ -432,6 +432,16 @@ class TestExitCodes:
                            "--bvalues")
         assert rc == 2 and "k >= 1" in err and not out
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        # a missing directory, and a path that is a directory: the OS message
+        # names the path, and nothing is printed
+        for path, why in ((tmp_path / "missing" / "x.dot", "No such file"),
+                          (tmp_path, "Is a directory")):
+            for extra in ((), ("--dims",)):
+                rc, out, err = run(capsys, "schurweyl", "--a", "6", "--b", "3", "--k", "2",
+                                   "--dot", "--out", str(path), *extra)
+                assert rc == 2 and why in err and str(path) in err and not out, extra
+
     def test_suites_below_k2_are_usage_errors(self, capsys):
         for suite in ("relations", "theorem3"):
             rc, out, err = run(capsys, "verify", suite, "--k", "1")

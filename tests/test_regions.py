@@ -351,6 +351,24 @@ class TestEnumeration:
         monkeypatch.setattr(rg, "count_fillings", lambda config: len(rg.enumerate_fillings(config)))
         assert rg.enumerate_regions(2, PARAMS, 5) == regions
 
+    def test_one_walk_per_configuration(self):
+        # counting a region and then listing its fillings read one walk:
+        # the rank-2 chart at bound 5 builds one per configuration, and
+        # each listing equals one made from a walk of its own
+        rg._ideal_walk.cache_clear()
+        rg._fillings.cache_clear()
+        regions = rg.enumerate_regions(2, PARAMS, 5)
+        skew = [rg.is_skew(r) for r in regions]
+        assert 0 < sum(skew) < len(regions)
+        assert rg._ideal_walk.cache_info().misses == 55
+        configs = [rg.build_config(r) for r in regions]
+        listings = [rg.enumerate_fillings(c) for c in configs]
+        assert rg._ideal_walk.cache_info().misses == 55
+        for config, listing in zip(configs, listings):
+            rg._ideal_walk.cache_clear()
+            rg._fillings.cache_clear()
+            assert rg.enumerate_fillings(config) == listing
+
     def test_empty_region_listed_once(self):
         # the empty weight vector is both integral and half-integral
         for bound in (0, 7):

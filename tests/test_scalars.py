@@ -294,6 +294,108 @@ class TestEvalMod:
             eval_mod(x, p, pt)
 
 
+def crt_point(primes, points):
+    """The CRT combination of one point per prime, modulo their product."""
+    n = 1
+    for q in primes:
+        n *= q
+    return n, {name: sum(pt[name] * (n // q) * pow(n // q, -1, q)
+                         for q, pt in zip(primes, points)) % n
+               for name in points[0]}
+
+
+def rand_low(rng):
+    """A Scalar with Gaussian-integer coefficients whose numerator holds u0,
+    uk, a0 and ak to negative powers only, over 0 to 2 factors u^a - unit."""
+    x = Scalar.monomial(u=rng.randrange(-3, 4), u0=-rng.randrange(3), uk=-rng.randrange(3),
+                        a0=-rng.randrange(3), ak=-rng.randrange(3), coeff=rng.choice(UNITS))
+    for _ in range(rng.randrange(3)):
+        f = Scalar.monomial(u=rng.randrange(1, 5)) - Scalar.monomial(coeff=rng.choice(UNITS))
+        x = x * f if rng.random() < 0.4 else x / f
+    return x
+
+
+class TestEvalModMany:
+    @staticmethod
+    def scalars(rng):
+        """Distinct seeded Scalars: negative powers of each of the five
+        variables, distinct denominators, and one denominator repeated."""
+        over = ONE / (U ** 3 - sc.I)
+        xs = [rand_scalar(rng) for _ in range(20)] + [rand_domain_scalar(rng) for _ in range(20)]
+        xs += [x * over for x in xs[:10]] + [rand_low(rng) for _ in range(20)]
+        xs = list(dict.fromkeys(xs))
+        negative = {var for x in xs for e in x.num.terms for var in range(sc.NVARS) if e[var] < 0}
+        assert negative == set(range(sc.NVARS))
+        assert len({x.den for x in xs}) > 10 and sum(x.den == over.den for x in xs) >= 10
+        return xs
+
+    def test_equals_entrywise(self):
+        # modulo a 62-bit prime and modulo the product of two
+        rng = random.Random(31)
+        xs = self.scalars(rng)
+        primes = [sc.random_prime(62, rng) for _ in range(2)]
+        points = [sc.random_point(q, rng) for q in primes]
+        for p, pt in [*zip(primes, points), crt_point(primes, points)]:
+            assert sc.eval_mod_many(xs, p, pt) == [eval_mod(x, p, pt) for x in xs]
+        assert primes[0] != primes[1] and sc.eval_mod_many([], primes[0], points[0]) == []
+
+    def test_retry_is_the_first_entrywise_one(self):
+        # one CRT prime makes a denominator, or the residue of u, a non-unit:
+        # the batch raises the EvalRetry entrywise eval_mod raises first
+        rng = random.Random(32)
+        xs = self.scalars(rng)
+
+        def first_retry(p, pt):
+            for x in xs:
+                try:
+                    eval_mod(x, p, pt)
+                except sc.EvalRetry as exc:
+                    return exc.residue
+            return None
+
+        for u in (1, 0):
+            primes = [sc.random_prime(62, rng) for _ in range(2)]
+            points = [sc.random_point(q, rng) for q in primes]
+            points[0]["u"] = u
+            n, pt = crt_point(primes, points)
+            for order in range(5):
+                want = first_retry(n, pt)
+                assert want is not None and want % primes[0] == 0 and want % primes[1]
+                with pytest.raises(sc.EvalRetry) as exc:
+                    sc.eval_mod_many(xs, n, pt)
+                assert exc.value.residue == want
+                rng.shuffle(xs)
+
+    def test_one_inverse_per_table_and_denominator(self, monkeypatch):
+        # over 50 evaluations at one point, eval_mod inverts a residue once
+        # per table of negative powers, and each denominator once; the
+        # batch inverts the denominators together
+        calls = []
+
+        def counting(x, p):
+            calls.append(x)
+            return pow(x, -1, p)
+
+        rng = random.Random(33)
+        xs = list(dict.fromkeys(rand_low(rng) + rand_low(rng) for _ in range(60)))[:50]
+        assert len(xs) == 50 and all(type(part) is int for x in xs
+                                     for c in x.num.terms.values() for part in c)
+        tables = {var for x in xs for e in x.num.terms for var in range(sc.NVARS) if e[var] < 0}
+        dens = sum(1 for x in xs if x.den)
+        assert len(tables) == sc.NVARS and 0 < dens < len(xs)
+        p = sc.random_prime(62, rng)
+        pt = sc.random_point(p, rng)
+        want = [eval_mod(x, p, pt) for x in xs]
+        monkeypatch.setattr(sc, "_inv_mod", counting)
+        sc._power_table.cache_clear()
+        assert [eval_mod(x, p, pt) for x in xs] == want
+        assert len(calls) == len(tables) + dens
+        calls.clear()
+        sc._power_table.cache_clear()
+        assert sc.eval_mod_many(xs, p, pt) == want
+        assert len(calls) == len(tables) + 1
+
+
 def twelve_base_is_prime(n):
     """The primality test the trial primes were first drawn with: trial
     division by the first twelve primes, then a strong Fermat test to each
