@@ -22,7 +22,9 @@ joined to position p, so the encoding is canonical by construction.
 through `diagram_from_json`, reach it.  Products and basis-search outputs
 are valid by construction and are built unchecked.  `pairs` derives the
 node pairs for display and JSON; the basis is computed on every call, in
-`pairs` order, and sorted on partner tuples without building any node.
+`pairs` order.  Wall grade 0 is searched and sorted on partner tuples
+without building any node; a block of higher grade is the product of
+cached upper and lower halves, emitted in order with no sort.
 """
 
 from __future__ import annotations
@@ -410,8 +412,9 @@ def _room(kinds: str) -> Tuple[bytes, ...]:
     [lo, hi) can hold, or `_CUT` if it cannot be matched without a
     same-wall arc.  Rows are `bytes`, which keep every capacity of a
     pattern of up to 508 points below `_CUT`.  `enumerate_basis` asks for
-    a pattern once per wall grade, grade after grade; 64 tables keep each
-    one until its last grade for every k <= 10."""
+    each grade-0 pattern `(k, L, R)` once per call, and for a half
+    pattern only when `_half` lists it; 64 tables hold the 55 grade-0
+    patterns of k <= 5, so from its third run on `dims --k 5` builds none."""
     n = len(kinds)
     # prefix counts: pre_l[i] = number of left-wall points among kinds[:i]
     pre_l = [0] * (n + 1)
@@ -435,7 +438,7 @@ def _room(kinds: str) -> Tuple[bytes, ...]:
 def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
     """Partner tuples of the non-crossing perfect matchings of the node
     cycle with no same-wall arcs and exactly `target_lines` wall-to-wall
-    edges.
+    edges.  Only the node kinds are read, so `nodes` may be their string.
 
     Each open segment is a contiguous index range [lo, hi) that must be
     matched within itself.  A segment with more than half of its points on
@@ -511,10 +514,73 @@ def _pairs_key(k: int, R: int, nodes: List[Node]):
     return lambda partner: tuple([rank[partner[q]] for q in order])
 
 
+@functools.lru_cache(maxsize=64)
+def _half(a: int, k: int, b: int) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+                                          List[Tuple[int, ...]]]:
+    """The half pattern of `a` wall points, k dots and `b` points on the
+    other wall, in a row: its matchings with every arc at a dot, listed
+    once and returned in the two orders `_split_block` reads.
+
+    As an upper half, the points are L_a..L_1, T1..Tk, R1..R_b, and the
+    matchings come as `(key, partner)` sorted by key: the ranks of the
+    partners of T1..Tk, with every L below every R below every T.  As a
+    lower half, they are the last `a` right-wall points, Bk..B1 and the
+    last `b` left-wall points, and the matchings come sorted by the ranks
+    of the partners of B1..Bk, with every B below every L below every R.
+    Both ranks depend on a wall point's distance from its end of the wall,
+    so halves of different splits of one block compare as their diagrams'
+    `pairs` do."""
+    half = _matchings("L" * a + "T" * k + "R" * b, 0)
+    up = [a - q for q in range(a)] + [2 * k + 1 + t for t in range(k)] \
+        + [k + 1 + j for j in range(b)]
+    down = [3 * k + 1 - a + q for q in range(a)] + [k - t for t in range(k)] \
+        + [2 * k - j for j in range(b)]
+    tops = sorted((tuple([up[h[q]] for q in range(a, a + k)]), h) for h in half)
+    bottoms = sorted((tuple([down[h[q]] for q in range(a + k - 1, a - 1, -1)]), h)
+                     for h in half)
+    return tops, [h for _, h in bottoms]
+
+
+def _split_block(k: int, L: int, R: int, w: int) -> List[Tuple[int, ...]]:
+    """The partner tuples of the block `(k, L, R)` at wall grade w >= 1, in
+    `pairs` order.
+
+    The w wall-to-wall lines of such a diagram sit on consecutive wall
+    points: line j joins R_{b+1+j} to L_{a+1+j}, where the split (a, b)
+    counts the wall points above them.  They cut it into an upper half
+    (L_a..L_1, T1..Tk, R1..R_b) and a lower half (the rest), each matched
+    within itself with no wall-to-wall arc, so the diagrams of a split are
+    the products of its halves.  The top dots' partners fix the upper half
+    and the bottom dots' partners the lower one, so the block's order is
+    that of (upper key, lower key): the upper halves of every split are
+    sorted together, and each one's lower halves follow in their order."""
+    n = 2 * k + L + R
+    tops = []
+    for a in range(L - w + 1):
+        for b in range(R - w + 1):
+            if a + b <= k and L + R - 2 * w - a - b <= k and (k - a - b) % 2 == 0:
+                tops += [(key, a, b, h) for key, h in _half(a, k, b)[0]]
+    tops.sort()
+    out: List[Tuple[int, ...]] = []
+    lows = {}
+    for _, a, b, h in tops:
+        off = k + b + w  # the lower half's first position
+        if (a, b) not in lows:
+            lows[a, b] = [tuple([off + x for x in g])
+                          for g in _half(R - w - b, k, L - w - a)[1]]
+        head = tuple([(x - a) % n for x in h[a:]]) + tuple(range(n - a - 1, n - a - 1 - w, -1))
+        tail = tuple(range(off - 1, off - 1 - w, -1)) + tuple([(x - a) % n for x in h[:a]])
+        out += [head + g + tail for g in lows[a, b]]
+    return out
+
+
 def enumerate_basis(k: int, wall_grades: Iterable[int],
                     max_wall_grade_bound: int = WALL_GRADE_BOUND) -> List[TLDiagram]:
     """All basis diagrams with wall grade in `wall_grades`, ordered by
-    (wall grade, L, R, pairs)."""
+    (wall grade, L, R, pairs).  A grade-0 block `(k, L, R)` is searched by
+    `_matchings` and sorted by `_pairs_key`; a block of higher grade comes
+    in order from `_split_block`, with no search and no sort over its
+    diagrams."""
     if k != int(k) or k < 0:
         raise DiagramError("k", "k must be a nonnegative integer, got %r" % (k,))
     k = int(k)
@@ -529,8 +595,8 @@ def enumerate_basis(k: int, wall_grades: Iterable[int],
                            "requested grade %d exceeds bound %d"
                            % (grades[-1], max_wall_grade_bound))
     found: List[TLDiagram] = []
-    # the loops run in (w, L, R) order, so sorting each block by its pairs
-    # sorts the whole list
+    # the loops run in (w, L, R) order, so listing each block in the order
+    # of its pairs orders the whole list
     for w in grades:
         for L in range(0, 2 * k + 2 * w + 1, 2):
             lw_tb = L - w  # wall points not used by wall lines
@@ -540,8 +606,11 @@ def enumerate_basis(k: int, wall_grades: Iterable[int],
                 rw_tb = R - w
                 if rw_tb < 0 or lw_tb + rw_tb > 2 * k:
                     continue
-                nodes = _boundary_order(k, L, R)
-                block = sorted(_matchings(nodes, w), key=_pairs_key(k, R, nodes))
+                if w:
+                    block = _split_block(k, L, R, w)
+                else:
+                    nodes = _boundary_order(k, L, R)
+                    block = sorted(_matchings(nodes, 0), key=_pairs_key(k, R, nodes))
                 found += [TLDiagram(k, L, R, partner) for partner in block]
     return found
 

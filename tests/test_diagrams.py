@@ -417,12 +417,43 @@ class TestEnumeration:
                 digest.update(("%d %d %s\n" % (d.L, d.R, d.partner)).encode())
             assert digest.hexdigest() == want, (k, w)
 
+    def test_blocks_equal_the_sorted_search(self):
+        # above grade 0 a block is built from its upper and lower halves,
+        # with no search and no sort over its diagrams; the pruned search,
+        # sorted by `pairs`, is the oracle
+        for k in range(0, 7):
+            for w in range(0, 7):
+                basis = dg.enumerate_basis(k, {w}, max_wall_grade_bound=6)
+                keys = [(d.L, d.R) for d in basis]
+                assert keys == sorted(keys), (k, w)
+                blocks = {}
+                for d in basis:
+                    blocks.setdefault((d.L, d.R), []).append(d.partner)
+                for L in range(0, 2 * k + 2 * w + 1, 2):
+                    for R in range(0, 2 * k + 2 * w + 1, 2):
+                        nodes = dg._boundary_order(k, L, R)
+                        want = sorted(dg._matchings(nodes, w), key=dg._pairs_key(k, R, nodes))
+                        assert blocks.pop((L, R), []) == want, (k, w, L, R)
+                assert not blocks, (k, w)
+                if not w:
+                    continue
+                for d in basis:
+                    lines = [sorted((a, b)) for a, b in d.pairs if {a[0], b[0]} == {"L", "R"}]
+                    lefts = [a[1] for a, _ in lines]
+                    rights = [b[1] for _, b in lines]
+                    assert len(lines) == w, d
+                    # the lines sit on consecutive points of each wall
+                    assert max(lefts) - min(lefts) == max(rights) - min(rights) == w - 1, d
+                    assert through_strands(d) == 0, d
+
 
 @pytest.fixture
 def fresh_room():
     dg._room.cache_clear()
+    dg._half.cache_clear()
     yield
     dg._room.cache_clear()
+    dg._half.cache_clear()
 
 
 @pytest.mark.usefixtures("fresh_room")
@@ -446,11 +477,13 @@ class TestRoomTables:
         dg._matchings(nodes, 2)
         info = dg._room.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        # grades 0..4 at k = 3 ask for 24 patterns 42 times
+        # grades 0..4 at k = 3 ask once each for the 10 grade-0 patterns and
+        # the 6 half patterns (a, 3, b), a + b odd, that `_half` lists
         dg._room.cache_clear()
         dg.enumerate_basis(3, range(5))
         info = dg._room.cache_info()
-        assert (info.misses, info.hits) == (24, 42 - 24)
+        assert (info.misses, info.hits) == (10 + 6, 0)
+        assert dg._half.cache_info().misses == 6
 
     def test_dims_k8_within_bound(self, capsys):
         from blobalg import cli
@@ -460,9 +493,10 @@ class TestRoomTables:
                        "per_grade": {"0": 66969, "1": 30318, "2": 35218,
                                      "3": 30318, "4": 35218}}
         info = dg._room.cache_info()
-        # the 324 patterns of k = 1..8 are each built once, 64 at most kept
+        # the 164 grade-0 and 94 half patterns of k = 1..8 are each built
+        # once, 64 at most kept
         assert info.maxsize == 64 and info.currsize == 64
-        assert info.misses == 324
+        assert (info.misses, info.hits) == (164 + 94, 0)
 
 
 def _clear_caches():
