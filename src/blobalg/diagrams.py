@@ -22,9 +22,10 @@ joined to position p, so the encoding is canonical by construction.
 through `diagram_from_json`, reach it.  Products and basis-search outputs
 are valid by construction and are built unchecked.  `pairs` derives the
 node pairs for display and JSON; the basis is computed on every call, in
-`pairs` order.  Wall grade 0 is searched and sorted on partner tuples
-without building any node; a block of higher grade is the product of
-cached upper and lower halves, emitted in order with no sort.
+`pairs` order.  At wall grade 0 every wall point is joined to a dot; such
+matchings are searched and sorted on partner tuples without building any
+node.  A block of higher grade is the product of cached upper and lower
+halves, each listed by the same search, emitted in order with no sort.
 """
 
 from __future__ import annotations
@@ -402,91 +403,43 @@ def _stack(x: TLDiagram, y: TLDiagram) -> Tuple[int, List[Tuple[str, int]], TLDi
 # basis enumeration
 # ---------------------------------------------------------------------------
 
-_CUT = 255  # the `_room` entry of a stretch that needs a same-wall arc
+def _matchings(kinds: str) -> List[Tuple[int, ...]]:
+    """Partner tuples of the non-crossing perfect matchings of the points
+    of `kinds`, a string of node kinds in cycle order, in which every wall
+    point is joined to a dot, listed in the order of the unpruned search.
 
-
-@functools.lru_cache(maxsize=64)
-def _room(kinds: str) -> Tuple[bytes, ...]:
-    """The capacity table of a node pattern, given as its string of node
-    kinds: `room[lo][hi]` is the most wall-to-wall edges the stretch
-    [lo, hi) can hold, or `_CUT` if it cannot be matched without a
-    same-wall arc.  Rows are `bytes`, which keep every capacity of a
-    pattern of up to 508 points below `_CUT`.  `enumerate_basis` asks for
-    each grade-0 pattern `(k, L, R)` once per call, and for a half
-    pattern only when `_half` lists it; 64 tables hold the 55 grade-0
-    patterns of k <= 5, so from its third run on `dims --k 5` builds none."""
-    n = len(kinds)
-    # prefix counts: pre_l[i] = number of left-wall points among kinds[:i]
-    pre_l = [0] * (n + 1)
-    pre_r = [0] * (n + 1)
-    for i, kind in enumerate(kinds):
-        pre_l[i + 1] = pre_l[i] + (kind == "L")
-        pre_r[i + 1] = pre_r[i] + (kind == "R")
-    room = []
-    for lo in range(n + 1):
-        row = [_CUT] * (n + 1)
-        for hi in range(lo, n + 1):
-            nl = pre_l[hi] - pre_l[lo]
-            nr = pre_r[hi] - pre_r[lo]
-            half = (hi - lo) // 2
-            if nl <= half and nr <= half:
-                row[hi] = min(nl, nr)
-        room.append(bytes(row))
-    return tuple(room)
-
-
-def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
-    """Partner tuples of the non-crossing perfect matchings of the node
-    cycle with no same-wall arcs and exactly `target_lines` wall-to-wall
-    edges.  Only the node kinds are read, so `nodes` may be their string.
-
-    Each open segment is a contiguous index range [lo, hi) that must be
-    matched within itself.  A segment with more than half of its points on
-    one wall cannot be matched without a same-wall arc, and a segment holds
-    at most min(left points, right points) wall-to-wall edges, so a split
-    that cannot reach `target_lines` is cut off before the search enters
-    it.  These capacities are read from `_room`, built once per node
-    pattern in a bounded cache.  A leading two-point segment has one
-    matching and is joined in place.  The output list is the same as that
-    of the unpruned search.
+    Each open segment is a contiguous index range [lo, hi) of even length
+    that must be matched within itself.  It has such a matching exactly
+    when at most half of its points are wall points: then, if it has any,
+    one of them sits next to a dot, and joining the two leaves a shorter
+    segment of the same kind.  The search enters a segment only if that
+    count allows it, reading the count from one prefix sum over `kinds`,
+    so it never enters a segment it cannot match.  A leading two-point
+    segment has one matching and is joined in place.
     """
     out: List[Tuple[int, ...]] = []
-    n = len(nodes)
+    n = len(kinds)
     partner = [0] * n
-    kinds = "".join([nd[0] for nd in nodes])
-    room = _room(kinds)
+    # surplus[i] = 2 * (wall points among kinds[:i]) - i, so [lo, hi) holds
+    # at most half wall points exactly when surplus[hi] <= surplus[lo]
+    surplus = [0] * (n + 1)
+    for i, kind in enumerate(kinds):
+        surplus[i + 1] = surplus[i] + (1 if kind in ("L", "R") else -1)
 
-    def rec(segments: Tuple[Tuple[int, int], ...], lines: int, cap: int) -> None:
-        # cap: most wall-to-wall edges the open segments can still hold;
-        # a leading two-point segment has one matching, joined in place
+    def rec(segments: Tuple[Tuple[int, int], ...]) -> None:
         while segments:
             (lo, hi), rest = segments[0], segments[1:]
             if hi - lo != 2:
                 break
-            edge = room[lo][hi]  # 1 if its pair joins the two walls, else 0
-            lines += edge
-            if lines > target_lines:
-                return
-            cap -= edge
             partner[lo], partner[lo + 1] = lo + 1, lo
             segments = rest
         else:
             out.append(tuple(partner))
             return
-        cap -= room[lo][hi]
-        inner_room = room[lo + 1]
-        ka = kinds[lo]
-        a_wall = ka in ("L", "R")
+        a_dot = kinds[lo] in ("T", "B")
         for pos in range(lo + 1, hi, 2):
-            kb = kinds[pos]
-            if a_wall and ka == kb:
-                continue
-            inner, outer = inner_room[pos], room[pos + 1][hi]
-            if inner == _CUT or outer == _CUT:
-                continue
-            new_lines = lines + (a_wall and kb in ("L", "R"))
-            if new_lines > target_lines \
-                    or new_lines + cap + inner + outer < target_lines:
+            if not (a_dot or kinds[pos] in ("T", "B")) \
+                    or surplus[pos] > surplus[lo + 1] or surplus[hi] > surplus[pos + 1]:
                 continue
             segs = rest
             if pos + 1 < hi:
@@ -494,11 +447,10 @@ def _matchings(nodes: List[Node], target_lines: int) -> List[Tuple[int, ...]]:
             if lo + 1 < pos:
                 segs = ((lo + 1, pos),) + segs
             partner[lo], partner[pos] = pos, lo
-            rec(segs, new_lines, cap + inner + outer)
+            rec(segs)
 
-    whole = room[0][n]
-    if whole != _CUT and 0 <= target_lines <= whole:
-        rec(((0, n),) if n else (), 0, whole)
+    if n % 2 == 0 and surplus[n] <= 0:
+        rec(((0, n),) if n else ())
     return out
 
 
@@ -519,7 +471,8 @@ def _half(a: int, k: int, b: int) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[int
                                           List[Tuple[int, ...]]]:
     """The half pattern of `a` wall points, k dots and `b` points on the
     other wall, in a row: its matchings with every arc at a dot, listed
-    once and returned in the two orders `_split_block` reads.
+    once by `_matchings` and returned in the two orders `_split_block`
+    reads.
 
     As an upper half, the points are L_a..L_1, T1..Tk, R1..R_b, and the
     matchings come as `(key, partner)` sorted by key: the ranks of the
@@ -530,7 +483,7 @@ def _half(a: int, k: int, b: int) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[int
     Both ranks depend on a wall point's distance from its end of the wall,
     so halves of different splits of one block compare as their diagrams'
     `pairs` do."""
-    half = _matchings("L" * a + "T" * k + "R" * b, 0)
+    half = _matchings("L" * a + "T" * k + "R" * b)
     up = [a - q for q in range(a)] + [2 * k + 1 + t for t in range(k)] \
         + [k + 1 + j for j in range(b)]
     down = [3 * k + 1 - a + q for q in range(a)] + [k - t for t in range(k)] \
@@ -577,10 +530,10 @@ def _split_block(k: int, L: int, R: int, w: int) -> List[Tuple[int, ...]]:
 def enumerate_basis(k: int, wall_grades: Iterable[int],
                     max_wall_grade_bound: int = WALL_GRADE_BOUND) -> List[TLDiagram]:
     """All basis diagrams with wall grade in `wall_grades`, ordered by
-    (wall grade, L, R, pairs).  A grade-0 block `(k, L, R)` is searched by
-    `_matchings` and sorted by `_pairs_key`; a block of higher grade comes
-    in order from `_split_block`, with no search and no sort over its
-    diagrams."""
+    (wall grade, L, R, pairs).  A grade-0 block `(k, L, R)`, in which every
+    wall point is joined to a dot, is listed by `_matchings` and sorted by
+    `_pairs_key`; a block of higher grade comes in order from
+    `_split_block`, with no search and no sort over its diagrams."""
     if k != int(k) or k < 0:
         raise DiagramError("k", "k must be a nonnegative integer, got %r" % (k,))
     k = int(k)
@@ -610,7 +563,8 @@ def enumerate_basis(k: int, wall_grades: Iterable[int],
                     block = _split_block(k, L, R, w)
                 else:
                     nodes = _boundary_order(k, L, R)
-                    block = sorted(_matchings(nodes, 0), key=_pairs_key(k, R, nodes))
+                    block = sorted(_matchings("".join([kind for kind, _ in nodes])),
+                                   key=_pairs_key(k, R, nodes))
                 found += [TLDiagram(k, L, R, partner) for partner in block]
     return found
 

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -96,7 +97,7 @@ _SEEDED_PRODUCTS_SHA256 = "8b44bd856d83927ad3b96809b4736c1dd1138a8f3643b38c37d6b
 _BASIS_ORDER_SHA256 = "2c7fd88a3d6eb70696aeae444b7f8a9dc29646ac906c3a5cc5fb612a12821015"
 
 # sha256 per (k, w) of the lines "L R partner-tuple" of `enumerate_basis(k, {w})`,
-# recorded before the capacity tables were shared between calls (commit 4faaab0)
+# recorded when the basis search listed every grade (commit 4faaab0)
 _BASIS_K56_SHA256 = {
     (5, 0): "6389ce2e4b0910fc6230ca8fb0135acfaaeddee8c04ded59edc55a2805a369ca",
     (5, 1): "66068742d185c2d198067b3cbdfa1e80aaf29f3f0b52071e4566c3959931e5ec",
@@ -108,6 +109,25 @@ _BASIS_K56_SHA256 = {
     (6, 2): "27704fb0027f38b8af0277e5bb2264f7e9d6bb8a407f71a79530b36002ccce6d",
     (6, 3): "67cbd30db0b6778239023ca53ad936e3f242fc8d9d7447c3e360435aeb577253",
     (6, 4): "26db2703e56d92bc9c40a36bb880ff7ca4f25ff3938fdd6a98e0728721787a1a",
+}
+
+# the same digests at grades 5 and 6 for k <= 6, beyond the unpruned
+# search's reach, recorded at commit b5019f6; the comments count the diagrams
+_BASIS_GRADE56_SHA256 = {
+    (0, 5): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # 0
+    (0, 6): "76ca9dcc30aa0d622a3657a491b78a79682991e42173eb3242295ab842bd6bb0",  # 1
+    (1, 5): "d05321d211dd01f8cc93958a4ec167769a60c35177293d6220f4fdc7df80e6ff",  # 2
+    (1, 6): "880f5bc83570ea83f5eb5b8c4907615c15d06a996300f700b72fa981eb2e34b4",  # 2
+    (2, 5): "8c28f1a56e6f1f54a60313098ad7f54987c8a3fc176e490bd4c085180fd49651",  # 6
+    (2, 6): "414b9fcfc7690d73528f9505a6d15d5a2883a275e180dfab72f222ce4331b495",  # 10
+    (3, 5): "447b4d4578fccfd25294f105a0faa9e63a832d7258d8be6aa69096a4b0f816c7",  # 32
+    (3, 6): "9541034728f1ddbf808eb57dc1a4a80d903a98126b53783dd33583a8fd81beb1",  # 32
+    (4, 5): "e6f4a5b786cdf53f583286de67ddee2e757cbd4c6901d36884abd5fe3a6818d9",  # 110
+    (4, 6): "33fe06c4c07d25e86be93b70fb21100f9e254d7891821321fced3dd26f5a6c64",  # 146
+    (5, 5): "5c9eb7462b45e624d1f6905246c8b93d2f1f310264b356f2084384fa3972da05",  # 512
+    (5, 6): "6b985e4ae3186fc5b4f1cd938974f05775c6b384f5cf8416fa040bf42ff7cf05",  # 512
+    (6, 5): "15134e37693512a52531256cb37e682dc7932a0addcc11938e398684ed48fa55",  # 1848
+    (6, 6): "8dc8e800f3b5b47a3167ee010ed6c6fdc3bf7337e3a0634adbf910971bee05a8",  # 2248
 }
 
 
@@ -225,41 +245,35 @@ class TestMultiply:
                 assert coeff == base_coeff and d == base
 
 
-def _reference_matchings(nodes, target_lines):
-    """The unpruned matching search, kept as the oracle for the pruned one."""
-    out, pairs = [], []
+def _reference_matchings(kinds, target_lines):
+    """The unpruned matching search, kept as the oracle for the pruned one:
+    the partner tuples of the non-crossing perfect matchings of the points
+    of `kinds`, a string of node kinds, with no same-wall arc and exactly
+    `target_lines` wall-to-wall edges."""
+    out, partner = [], [None] * len(kinds)
 
     def rec(segments, lines):
         if lines > target_lines:
             return
         if not segments:
             if lines == target_lines:
-                out.append(list(pairs))
+                out.append(tuple(partner))
             return
         seg, rest = segments[0], segments[1:]
         if not seg:
             rec(rest, lines)
             return
-        a = nodes[seg[0]]
+        a = kinds[seg[0]]
         for pos in range(1, len(seg), 2):
-            b = nodes[seg[pos]]
-            if a[0] in ("L", "R") and a[0] == b[0]:
+            b = kinds[seg[pos]]
+            if a in ("L", "R") and a == b:
                 continue
-            is_line = a[0] in ("L", "R") and b[0] in ("L", "R")
-            pairs.append((a, b))
+            is_line = a in ("L", "R") and b in ("L", "R")
+            partner[seg[0]], partner[seg[pos]] = seg[pos], seg[0]
             rec((seg[1:pos], seg[pos + 1:]) + rest, lines + (1 if is_line else 0))
-            pairs.pop()
 
-    rec((tuple(range(len(nodes))),), 0)
+    rec((tuple(range(len(kinds))),), 0)
     return out
-
-
-def _partner_tuple(nodes, pairs):
-    pos = {n: p for p, n in enumerate(nodes)}
-    partner = [None] * len(nodes)
-    for a, b in pairs:
-        partner[pos[a]], partner[pos[b]] = pos[b], pos[a]
-    return tuple(partner)
 
 
 def _mirror(d):
@@ -325,15 +339,6 @@ class TestSymmetries:
 
 
 class TestEnumeration:
-    def test_matchings_edge_cases(self):
-        assert dg._matchings([], 0) == [()]
-        assert dg._matchings([], 1) == []
-        nodes = dg._boundary_order(2, 2, 2)
-        assert dg._matchings(nodes, -1) == []
-        # two points on each wall hold at most two wall-to-wall lines
-        assert len(dg._matchings(nodes, 2)) == 1
-        assert dg._matchings(nodes, 3) == []
-
     def test_basis_closed_under_mirror_and_flip(self):
         for k in range(0, 5):
             for w in range(0, 5):
@@ -360,18 +365,16 @@ class TestEnumeration:
         assert dg.enumerate_basis(2, [1.0]) == dg.enumerate_basis(2, {1})
 
     def test_matchings_equal_unpruned_search(self):
-        cases = 0
-        for k in range(1, 5):
-            for w in range(0, 5):
-                for L in range(0, 2 * k + 2 * w + 1, 2):
-                    for R in range(0, 2 * k + 2 * w + 1, 2):
-                        nodes = dg._boundary_order(k, L, R)
-                        got = dg._matchings(nodes, w)
-                        want = [_partner_tuple(nodes, pairs)
-                                for pairs in _reference_matchings(nodes, w)]
-                        assert got == want, (k, w, L, R)
-                        cases += bool(got)
-        assert cases > 100
+        # every string of 0..8 points over L, R and a dot (T and B are read
+        # alike), among them the grade-0 and the half patterns: the search
+        # lists the zero-line matchings of the unpruned one, in its order,
+        # and finds some exactly at even length with at most half wall points
+        for n in range(9):
+            for kinds in map("".join, itertools.product("LRT", repeat=n)):
+                got = dg._matchings(kinds)
+                assert got == _reference_matchings(kinds, 0), kinds
+                walls = n - kinds.count("T")
+                assert bool(got) == (n % 2 == 0 and 2 * walls <= n), kinds
 
     def test_dims_row_k6(self, capsys):
         from blobalg import cli
@@ -391,6 +394,20 @@ class TestEnumeration:
         assert dg.identity_diagram(1) in basis
         assert dg.e0_diagram(1) in basis
         assert dg.ek_diagram(1) in basis
+
+    def test_grade_zero_sub_bases(self):
+        # the grade-0 diagrams with no right-wall point are a basis of the
+        # blob algebra, C(2k, k) of them (Martin & Saleur 1994), and those
+        # with no wall point one of TL_k, the Catalan number C_k
+        blob, tl = [], []
+        for k in range(1, 8):
+            basis = dg.enumerate_basis(k, {0})
+            blob.append(sum(d.R == 0 for d in basis))
+            tl.append(sum(d.L == d.R == 0 for d in basis))
+        assert blob == [math.comb(2 * k, k) for k in range(1, 8)] \
+            == [2, 6, 20, 70, 252, 924, 3432]
+        assert tl == [math.comb(2 * k, k) // (k + 1) for k in range(1, 8)] \
+            == [1, 2, 5, 14, 42, 132, 429]
 
     def test_unbounded_refused(self):
         with pytest.raises(dg.DiagramError):
@@ -419,22 +436,30 @@ class TestEnumeration:
 
     def test_blocks_equal_the_sorted_search(self):
         # above grade 0 a block is built from its upper and lower halves,
-        # with no search and no sort over its diagrams; the pruned search,
-        # sorted by `pairs`, is the oracle
+        # with no search and no sort over its diagrams; for k, w <= 4 the
+        # unpruned search, sorted by `pairs`, is the oracle, and past its
+        # reach the recorded digests
         for k in range(0, 7):
             for w in range(0, 7):
                 basis = dg.enumerate_basis(k, {w}, max_wall_grade_bound=6)
                 keys = [(d.L, d.R) for d in basis]
                 assert keys == sorted(keys), (k, w)
-                blocks = {}
-                for d in basis:
-                    blocks.setdefault((d.L, d.R), []).append(d.partner)
-                for L in range(0, 2 * k + 2 * w + 1, 2):
-                    for R in range(0, 2 * k + 2 * w + 1, 2):
-                        nodes = dg._boundary_order(k, L, R)
-                        want = sorted(dg._matchings(nodes, w), key=dg._pairs_key(k, R, nodes))
-                        assert blocks.pop((L, R), []) == want, (k, w, L, R)
-                assert not blocks, (k, w)
+                if k <= 4 and w <= 4:
+                    blocks = {}
+                    for d in basis:
+                        blocks.setdefault((d.L, d.R), []).append(d.partner)
+                    for L in range(0, 2 * k + 2 * w + 1, 2):
+                        for R in range(0, 2 * k + 2 * w + 1, 2):
+                            nodes = dg._boundary_order(k, L, R)
+                            want = sorted(_reference_matchings("".join(n[0] for n in nodes), w),
+                                          key=dg._pairs_key(k, R, nodes))
+                            assert blocks.pop((L, R), []) == want, (k, w, L, R)
+                    assert not blocks, (k, w)
+                elif (k, w) not in _BASIS_K56_SHA256:
+                    digest = hashlib.sha256()
+                    for d in basis:
+                        digest.update(("%d %d %s\n" % (d.L, d.R, d.partner)).encode())
+                    assert digest.hexdigest() == _BASIS_GRADE56_SHA256[k, w], (k, w)
                 if not w:
                     continue
                 for d in basis:
@@ -448,41 +473,20 @@ class TestEnumeration:
 
 
 @pytest.fixture
-def fresh_room():
-    dg._room.cache_clear()
+def fresh_halves():
     dg._half.cache_clear()
     yield
-    dg._room.cache_clear()
     dg._half.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_room")
+@pytest.mark.usefixtures("fresh_halves")
 class TestRoomTables:
-    def test_cold_and_cached_tables_agree(self):
-        for k in range(1, 5):
-            for L in range(0, 2 * k + 5, 2):
-                for R in range(0, 2 * k + 5, 2):
-                    nodes = dg._boundary_order(k, L, R)
-                    for w in range(0, 5):
-                        dg._room.cache_clear()
-                        cold = dg._matchings(nodes, w)
-                        assert dg._room.cache_info().misses == 1
-                        assert dg._matchings(nodes, w) == cold, (k, L, R, w)
-                        assert dg._room.cache_info().hits == 1
+    """The cache of half listings that the blocks of grade >= 1 read."""
 
     def test_one_table_per_pattern(self):
-        # the pattern (k, L, R) = (3, 2, 2) at two grades: built once
-        nodes = dg._boundary_order(3, 2, 2)
-        dg._matchings(nodes, 0)
-        dg._matchings(nodes, 2)
-        info = dg._room.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        # grades 0..4 at k = 3 ask once each for the 10 grade-0 patterns and
-        # the 6 half patterns (a, 3, b), a + b odd, that `_half` lists
-        dg._room.cache_clear()
+        # grades 0..4 at k = 3 list each of the 6 half patterns (a, 3, b),
+        # a + b odd, once
         dg.enumerate_basis(3, range(5))
-        info = dg._room.cache_info()
-        assert (info.misses, info.hits) == (10 + 6, 0)
         assert dg._half.cache_info().misses == 6
 
     def test_dims_k8_within_bound(self, capsys):
@@ -492,11 +496,8 @@ class TestRoomTables:
         assert row == {"k": 8, "blob_dim": 97287,
                        "per_grade": {"0": 66969, "1": 30318, "2": 35218,
                                      "3": 30318, "4": 35218}}
-        info = dg._room.cache_info()
-        # the 164 grade-0 and 94 half patterns of k = 1..8 are each built
-        # once, 64 at most kept
-        assert info.maxsize == 64 and info.currsize == 64
-        assert (info.misses, info.hits) == (164 + 94, 0)
+        # the 94 half patterns of k = 1..8 are each listed once
+        assert dg._half.cache_info().misses == 94
 
 
 def _clear_caches():
